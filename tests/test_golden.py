@@ -1,0 +1,166 @@
+"""Golden reports: every command, run in-process through `mumkit.cli.main`,
+must reproduce the report recorded in tests/golden/<case>.out byte for byte
+apart from `timing_ms` (JSON) or the closing `elapsed ... ms` line (human
+format).  Each file starts with the case's argv and exit status.
+
+Re-record after an intended change of output with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of tests/golden/ like any other code change.
+"""
+
+import json
+import re
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from mumkit import builtin, fit_frobenius_constant, monicize, parse_operator
+from mumkit import frobenius_from_constant, twisted_rows, uniform_part
+from mumkit.cli import dump_candidate, main
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+OPS = "data/operators.ops"
+
+# name -> argv; paths are relative to the working directory set up by
+# _workdir, so the echoed input is the same on every machine
+CASES = {
+    "solve_corpus": ["solve", "--file", OPS, "--trunc", "6"],
+    "solve_builtin": ["solve", "--builtin", "quintic", "--trunc", "5"],
+    "qcoord_corpus_auto": ["qcoord", "--file", OPS, "--trunc", "8", "--primes", "auto:20"],
+    "qcoord_corpus_explicit": ["qcoord", "--file", OPS, "--trunc", "8", "--primes", "2,3,5"],
+    "qcoord_default_bound": ["qcoord", "--builtin", "quintic", "--trunc", "6"],
+    "qcoord_human": ["qcoord", "--op", "D^2 - 16*z*D^2 - 16*z*D - 4*z", "--trunc", "6",
+                     "--primes", "auto:10", "--format", "human"],
+    "check_dieudonne_explicit": ["check", "dieudonne", "--file", OPS, "--trunc", "8",
+                                 "--primes", "2,3,7"],
+    "check_dieudonne_default": ["check", "dieudonne", "--file", OPS, "--trunc", "6"],
+    "check_dieudonne_skip": ["check", "dieudonne", "--op", "2*D - z", "--trunc", "8",
+                             "--primes", "auto:5"],
+    "check_omega_auto": ["check", "omega", "--file", OPS, "--trunc", "8", "--primes", "auto:7"],
+    "check_expint": ["check", "expint", "--file", OPS, "--trunc", "8", "--primes", "3,5"],
+    "check_reduction": ["check", "reduction", "--file", OPS, "--trunc", "4", "--primes", "2,3"],
+    "check_reduction_level2": ["check", "reduction", "--builtin", "quintic", "--trunc", "3",
+                               "--level", "2", "--primes", "2"],
+    "check_human": ["check", "omega", "--builtin", "quintic", "--trunc", "6",
+                    "--primes", "5,7", "--format", "human"],
+    "transfer_corpus_explicit": ["transfer", "--file", OPS, "--trunc", "3", "--primes", "2,3"],
+    "transfer_corpus_auto": ["transfer", "--file", OPS, "--trunc", "3", "--primes", "auto:5"],
+    "transfer_level2": ["transfer", "--builtin", "quintic", "--trunc", "2", "--level", "2",
+                        "--primes", "2"],
+    "verify_ok": ["verify-frobenius", "--builtin", "quintic", "--trunc", "8",
+                  "--candidate", "phi.json"],
+    "verify_wrong": ["verify-frobenius", "--op", "D^2 - z*D", "--trunc", "6",
+                     "--candidate", "wrong.json"],
+    "fit_corpus_explicit": ["fit-frobenius", "--file", OPS, "--trunc", "8", "--primes", "2,3,7"],
+    "fit_corpus_auto": ["fit-frobenius", "--file", OPS, "--trunc", "6", "--primes", "auto:5"],
+    "fit_skip": ["fit-frobenius", "--op", "3*D^2 - z^2", "--trunc", "6", "--primes", "auto:5"],
+    "radius_corpus": ["radius", "--file", OPS, "--trunc", "8", "--max-j", "6",
+                      "--primes", "5,7"],
+    "radius_skip": ["radius", "--op", "3*D^2 - z^2", "--trunc", "6", "--max-j", "4",
+                    "--primes", "auto:5"],
+    "radius_human": ["radius", "--builtin", "quintic", "--trunc", "6", "--max-j", "4",
+                     "--primes", "7", "--format", "human"],
+    "hypergeom": ["hypergeom", "--alpha", "1/5,2/5,3/5,4/5", "--beta", "1,1,1,1",
+                  "--scale", "3125"],
+    "hypergeom_human": ["hypergeom", "--alpha", "1/2,1/2", "--beta", "1,1", "--scale", "16",
+                        "--format", "human"],
+    # errors, exit 2; the mixed corpus fails after some results are in
+    "error_check_mixed": ["check", "dieudonne", "--file", "mixed.ops", "--trunc", "6",
+                          "--primes", "auto:5"],
+    "error_transfer_mixed": ["transfer", "--file", "mixed.ops", "--trunc", "3",
+                             "--primes", "2,3"],
+    "error_syntax": ["solve", "--op", "D +* z", "--trunc", "4"],
+    "error_unknown_builtin": ["solve", "--builtin", "sextic"],
+    "error_not_mum": ["check", "dieudonne", "--op", "D - 1", "--trunc", "6", "--primes", "3"],
+    "error_qcoord_order_one": ["qcoord", "--op", "D - z", "--trunc", "6"],
+    "error_omega_order_one": ["check", "omega", "--op", "D - z", "--trunc", "6",
+                              "--primes", "3"],
+    "error_not_p_integral": ["transfer", "--op", "3*D^2 - z^2", "--trunc", "3",
+                             "--primes", "3"],
+    "error_invalid_prime": ["check", "dieudonne", "--builtin", "quintic", "--primes", "6"],
+    "error_auto_bound": ["radius", "--builtin", "quintic", "--primes", "auto:1"],
+    "error_trunc": ["solve", "--builtin", "quintic", "--trunc", "0"],
+    "error_hypergeom_shape": ["hypergeom", "--alpha", "1/2", "--beta", "1,1"],
+    "error_hypergeom_zero_division": ["hypergeom", "--alpha", "1/0", "--beta", "1"],
+    "error_missing_candidate": ["verify-frobenius", "--builtin", "quintic", "--trunc", "4",
+                                "--candidate", "missing.json"],
+    "error_missing_corpus": ["solve", "--file", "nowhere.ops", "--trunc", "4"],
+}
+
+
+def _workdir(root: Path) -> Path:
+    """Write the corpus and candidate files the cases read."""
+    (root / "data").mkdir()
+    shutil.copy(REPO / OPS, root / OPS)
+    (root / "mixed.ops").write_text(
+        "a :: D^2 - 16*z*D^2 - 16*z*D - 4*z\nb :: 3*D^2 - z^2\nc :: D - 1\n"
+    )
+    y = uniform_part(monicize(builtin("quintic"), 8), 8)
+    fit = fit_frobenius_constant(y, 7)
+    good = frobenius_from_constant(y, fit.constant, 7)
+    (root / "phi.json").write_text(json.dumps(dump_candidate(good)))
+    y2 = uniform_part(monicize(parse_operator("D^2"), 6), 6)
+    wrong = frobenius_from_constant(y2, twisted_rows(3, 2, [1, 0]), 3)
+    (root / "wrong.json").write_text(json.dumps(dump_candidate(wrong)))
+    return root
+
+
+def _render(argv, root: Path) -> bytes:
+    """Run one case: its argv and exit status, then the report bytes without
+    the timing field or line."""
+    out = root / "report.out"
+    if out.exists():
+        out.unlink()
+    human = "--format" in argv
+    args = list(argv) + ([] if human else ["--format", "json"]) + ["--out", str(out)]
+    status = main(args)
+    report = out.read_bytes()
+    timing = rb"\nelapsed \d+ ms\n$" if human else rb',\n  "timing_ms": \d+\n}\n$'
+    stripped, count = re.subn(timing, b"\n" if human else b"\n}\n", report)
+    assert count == 1, report[-80:]
+    head = f"argv: {json.dumps(list(argv))}\nexit: {status}\n"
+    return head.encode() + stripped
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return _workdir(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    expected = (GOLDEN / f"{name}.out").read_bytes()
+    assert _render(CASES[name], workdir) == expected
+
+
+def test_golden_files_match_cases():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
+
+
+def record():
+    """Write tests/golden/<case>.out for every case from the current code."""
+    import os
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.out"):
+        stale.unlink()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = _workdir(Path(tmp))
+        os.chdir(root)
+        try:
+            for name, argv in sorted(CASES.items()):
+                (GOLDEN / f"{name}.out").write_bytes(_render(argv, root))
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    sys.exit(record())
