@@ -16,7 +16,6 @@ from mumkit import (
     monicize,
     n_integrality_report,
     omega_congruence_check,
-    operator_p_integrality,
     solve_first_row,
 )
 from mumkit.primes import primes_upto
@@ -34,7 +33,7 @@ def main():
     print(f"quintic at truncation order {args.trunc}")
     print(f"{'p':>4} {'op in Z_p':>10} {'dieudonne':>10} {'omega':>6} {'exp(g/f)':>9}")
     for p in primes_upto(args.prime_bound):
-        op_ok = operator_p_integrality(op, p).is_integral
+        op_ok = op.p_integrality(p).is_integral
         if not op_ok:
             print(f"{p:>4} {'no':>10} {'-':>10} {'-':>6} {'-':>9}")
             continue

@@ -14,7 +14,6 @@ from mumkit import (
     fit_frobenius_constant,
     iterate_transfer,
     monicize,
-    operator_p_integrality,
     reduction_congruence_check,
     transfer_audit,
     uniform_part,
@@ -38,7 +37,7 @@ def main():
         op = monicize(raw, args.trunc)
         print(f"== {label} (order {raw.order}, working order {args.trunc})")
         for p in primes:
-            if not operator_p_integrality(op, p).is_integral:
+            if not op.p_integrality(p).is_integral:
                 print(f"   p={p}: skipped, operator not p-integral")
                 continue
             if p**args.level >= args.trunc:

@@ -20,9 +20,7 @@ from .opalg import (
     builtin_names,
     format_operator,
     hypergeometric,
-    is_mum,
     monicize,
-    operator_p_integrality,
     parse_operator,
 )
 from .qcoord import (
@@ -37,6 +35,7 @@ from .qcoord import (
 from .series import (
     INF,
     BadConstantTerm,
+    InternalError,
     SeriesMatrix,
     SingularConstantTerm,
     TruncSeries,

@@ -4,7 +4,13 @@ Reports serialize every rational exactly as "numerator/denominator" (plain
 integers omit the "/1") and never contain a floating-point representation;
 timing is an integer millisecond count and is the one field excluded from
 byte-for-byte determinism.  Exit status: 0 success, 1 some mathematical
-check returned false on valid input, 2 input or precondition error.
+check returned false on valid input, 2 input or precondition error, 3 an
+internal invariant failed (a bug in mumkit, not in the input).
+
+Each command is one row of COMMANDS: the flags it takes, the prime-
+independent work it does once per operator and the step that turns one
+(operator, prime) unit into a result entry.  One driver, _run_units, loops
+over the units of every command.
 """
 
 from __future__ import annotations
@@ -13,9 +19,11 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .opalg import (
@@ -31,7 +39,6 @@ from .opalg import (
     format_operator,
     hypergeometric,
     monicize,
-    operator_p_integrality,
     parse_operator,
 )
 from .primes import is_prime, primes_upto
@@ -104,10 +111,14 @@ _ERROR_CODES = {
 
 
 def error_code(exc: BaseException) -> str:
+    """ValueError, KeyError and OSError are faults of the input; any other
+    exception is a fault of mumkit."""
     for cls, code in _ERROR_CODES.items():
         if isinstance(exc, cls):
             return code
-    return "INVALID_INPUT"
+    if isinstance(exc, (ValueError, KeyError, OSError)):
+        return "INVALID_INPUT"
+    return "INTERNAL_ERROR"
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +164,15 @@ class ReportDocument:
             "timing_ms": self.timing_ms,
         }
 
+    def fail(self, exc: BaseException) -> int:
+        """Record exc as an error entry; returns the exit status for it."""
+        code = error_code(exc)
+        self.errors.append({"code": code, "message": str(exc)})
+        if code == "INTERNAL_ERROR":
+            traceback.print_exception(exc, file=sys.stderr)
+            return 3
+        return 2
+
 
 # ---------------------------------------------------------------------------
 # exact serialization helpers
@@ -164,10 +184,6 @@ def fmt_rational(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def fmt_valuation(v) -> int | str:
@@ -222,21 +238,22 @@ def load_corpus_file(path) -> list[tuple[str, RawOperator]]:
 def load_candidate_file(path) -> FrobeniusCandidate:
     """Candidate Frobenius matrix: JSON document with n, p, trunc and n*n
     coefficient lists of exact rational strings."""
-    doc = json.loads(Path(path).read_text())
-    n = int(doc["n"])
-    p = int(doc["p"])
-    trunc = int(doc["trunc"])
-    entries = doc["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
+    text = Path(path).read_text()
+    try:
+        doc = json.loads(text)
+        n, p, trunc = (int(doc[key]) for key in ("n", "p", "trunc"))
+        rows = tuple(
+            tuple(
+                TruncSeries.from_coeffs([Fraction(c) for c in coeffs], trunc)
+                for coeffs in row
+            )
+            for row in doc["entries"]
+        )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CorpusFormatError(f"{path}: malformed candidate: {exc!r}") from exc
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise CorpusFormatError(f"{path}: entries must form an {n}x{n} array")
-    rows = []
-    for row in entries:
-        series_row = []
-        for coeff_list in row:
-            coeffs = [parse_rational(c) for c in coeff_list]
-            series_row.append(TruncSeries.from_coeffs(coeffs, trunc))
-        rows.append(tuple(series_row))
-    return FrobeniusCandidate(p, SeriesMatrix(tuple(rows)))
+    return FrobeniusCandidate(p, SeriesMatrix(rows))
 
 
 def dump_candidate(cand: FrobeniusCandidate) -> dict:
@@ -251,8 +268,24 @@ def dump_candidate(cand: FrobeniusCandidate) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the job driver
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Subject:
+    """One operator of a job; keeps its monic form at the order last asked
+    for, so a run of calls at one order monicizes once."""
+
+    label: str | None
+    raw: RawOperator
+    _order: int | None = None
+    _monic: DeltaOperator | None = None
+
+    def at(self, order: int) -> DeltaOperator:
+        if order != self._order:
+            self._order, self._monic = order, monicize(self.raw, order)
+        return self._monic
 
 
 def _resolve_operators(spec: JobSpec) -> list[tuple[str, RawOperator]]:
@@ -266,296 +299,271 @@ def _resolve_operators(spec: JobSpec) -> list[tuple[str, RawOperator]]:
     raise ValueError("no operator source given")
 
 
-def _resolve_primes(spec: JobSpec, op: DeltaOperator | None):
-    """Returns (primes, skipped) where skipped lists (prime, reason)."""
-    if spec.primes is not None:
-        return list(spec.primes), []
-    bound = spec.auto_bound if spec.auto_bound is not None else DEFAULT_PRIME_BOUND
-    primes, skipped = [], []
-    for p in primes_upto(bound):
-        if op is not None and not operator_p_integrality(op, p).is_integral:
-            skipped.append((p, "bad prime for operator"))
-        else:
-            primes.append(p)
-    return primes, skipped
-
-
 def cmd_dispatch(spec: JobSpec) -> tuple[ReportDocument, int]:
     started = time.monotonic()
-    doc = ReportDocument(command=spec.command, input_echo=_input_echo(spec))
+    doc = ReportDocument(command=spec.command, input_echo={})
     try:
-        status = _run_command(spec, doc)
-    except Exception as exc:  # mapped to structured error entries
-        doc.errors.append({"code": error_code(exc), "message": str(exc)})
-        status = 2
+        doc.input_echo = _input_echo(spec)
+        status = _run_units(spec, doc)
+    except Exception as exc:  # every failure becomes a structured error entry
+        status = doc.fail(exc)
     doc.timing_ms = int((time.monotonic() - started) * 1000)
     return doc, status
 
 
-def _input_echo(spec: JobSpec) -> dict:
-    echo = {
-        "source_kind": spec.source_kind,
-        "source_value": spec.source_value,
+def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
+    """Runs every (operator, prime) unit of the job; an operator's skipped
+    primes are listed before its results.  Returns 1 if a unit failed."""
+    cmd = COMMANDS[spec.command]
+    failures = 0
+    for label, raw in cmd.operators(spec):
+        subject = _Subject(label, raw)
+        primes = [None]
+        if cmd.per_prime and spec.primes is not None:
+            primes = list(spec.primes)
+        elif cmd.per_prime:
+            # under auto:B a prime is skipped iff the operator is not
+            # p-integral at the order the command computes with
+            primes = []
+            bound = DEFAULT_PRIME_BOUND if spec.auto_bound is None else spec.auto_bound
+            for p in primes_upto(bound):
+                if subject.at(cmd.order(spec, p)).p_integrality(p).is_integral:
+                    primes.append(p)
+                else:
+                    doc.results.append(
+                        {"label": label, "prime": p, "skipped": "bad prime for operator"}
+                    )
+        work = cmd.prepare(spec, subject)
+        for p in primes:
+            entry = {} if label is None else {"label": label}
+            if p is not None:
+                entry["prime"] = p
+            fields, ok = cmd.unit(spec, subject, work, p)
+            entry.update(fields)
+            doc.results.append(entry)
+            failures += 0 if ok else 1
+    return 1 if failures else 0
+
+
+# ---------------------------------------------------------------------------
+# per-command steps: unit(spec, subject, work, p) -> (entry fields, ok)
+# ---------------------------------------------------------------------------
+
+
+def _solve(spec, subject, work, p):
+    basis = solution_basis(subject.at(spec.trunc), spec.trunc)
+    return {
+        "operator": format_operator(subject.raw),
         "trunc": spec.trunc,
-        "level": spec.level,
-    }
-    if spec.primes is not None:
-        echo["primes"] = list(spec.primes)
-    elif spec.auto_bound is not None:
-        echo["primes"] = f"auto:{spec.auto_bound}"
-    if spec.check_kind:
-        echo["check"] = spec.check_kind
-    if spec.candidate_path:
-        echo["candidate"] = spec.candidate_path
-    if spec.command == "hypergeom":
-        echo["alpha"] = [fmt_rational(a) for a in spec.alpha]
-        echo["beta"] = [fmt_rational(b) for b in spec.beta]
-        echo["scale"] = fmt_rational(spec.scale)
-    return echo
+        "f": series_payload(basis.f),
+        "first_row": [series_payload(s) for s in basis.first_row],
+        "residual_order": verify_solution(basis),
+    }, True
 
 
-def _run_command(spec: JobSpec, doc: ReportDocument) -> int:
-    handler = {
-        "solve": _cmd_solve,
-        "qcoord": _cmd_qcoord,
-        "check": _cmd_check,
-        "transfer": _cmd_transfer,
-        "verify-frobenius": _cmd_verify_frobenius,
-        "fit-frobenius": _cmd_fit_frobenius,
-        "radius": _cmd_radius,
-        "hypergeom": _cmd_hypergeom,
-    }[spec.command]
-    return handler(spec, doc)
-
-
-def _cmd_solve(spec: JobSpec, doc: ReportDocument) -> int:
-    for label, raw in _resolve_operators(spec):
-        op = monicize(raw, spec.trunc)
-        basis = solution_basis(op, spec.trunc)
-        doc.results.append(
-            {
-                "label": label,
-                "operator": format_operator(raw),
-                "trunc": spec.trunc,
-                "f": series_payload(basis.f),
-                "first_row": [series_payload(s) for s in basis.first_row],
-                "residual_order": verify_solution(basis),
-            }
-        )
-    return 0
-
-
-def _cmd_qcoord(spec: JobSpec, doc: ReportDocument) -> int:
+def _qcoord(spec, subject, work, p):
     bound = spec.auto_bound
     if bound is None:
         bound = max(spec.primes) if spec.primes else DEFAULT_PRIME_BOUND
-    for label, raw in _resolve_operators(spec):
-        if raw.order < 2:
-            raise NotMUM("the canonical coordinate needs an operator of order >= 2")
-        op = monicize(raw, spec.trunc)
-        row = solve_first_row(op, spec.trunc)
-        q = canonical_coordinate(row[0], row[1])
-        report = n_integrality_report(
-            q, prime_bound=bound, subject=f"canonical_coordinate({label})"
-        )
-        doc.results.append(
-            {
-                "label": label,
-                "q": series_payload(q),
-                "report": {
-                    "subject": report.subject,
-                    "certified_trunc": report.certified_trunc,
-                    "bad_primes": list(report.bad_primes),
-                    "suggested_N": str(report.suggested_N),
-                    "worst_valuations": [
-                        [p, v] for p, v in report.worst_valuations
-                    ],
-                    "per_prime": [
-                        [p, profile_payload(pr)] for p, pr in report.per_prime
-                    ],
-                    "unfactored_residue": str(report.unfactored_residue),
-                },
-            }
-        )
-    return 0
-
-
-def _cmd_check(spec: JobSpec, doc: ReportDocument) -> int:
-    failures = 0
-    for label, raw in _resolve_operators(spec):
-        trunc = spec.trunc
-        op = monicize(raw, trunc)
-        primes, skipped = _resolve_primes(spec, op)
-        for p, reason in skipped:
-            doc.results.append({"label": label, "prime": p, "skipped": reason})
-        row = None
-        if spec.check_kind != "reduction":
-            if raw.order < 2 and spec.check_kind in ("omega", "expint"):
-                raise NotMUM(f"{spec.check_kind} needs an operator of order >= 2")
-            row = solve_first_row(op, trunc)
-        for p in primes:
-            entry = {"label": label, "prime": p, "check": spec.check_kind}
-            if spec.check_kind == "reduction":
-                # auto-raise so the mod z^{p^m + 1} congruence is decidable
-                needed = p**spec.level + 1
-                working = max(spec.trunc, needed)
-                op_r = monicize(raw, working)
-                ok = reduction_congruence_check(op_r, p, spec.level)
-                entry["working_trunc"] = working
-                entry["congruence_order"] = needed
-            elif spec.check_kind == "dieudonne":
-                ok, profile = dieudonne_check(row[0], p)
-                entry["profile"] = profile_payload(profile)
-            elif spec.check_kind == "omega":
-                ok, profile = omega_congruence_check(row[0], row[1], p)
-                entry["profile"] = profile_payload(profile)
-            elif spec.check_kind == "expint":
-                ok = exp_integrality_check(row[1] * row[0].invert(), p)
-            else:
-                raise ValueError(f"unknown check {spec.check_kind!r}")
-            entry["ok"] = bool(ok)
-            entry["certified_trunc"] = entry.get("congruence_order", trunc)
-            failures += 0 if ok else 1
-            doc.results.append(entry)
-    return 1 if failures else 0
-
-
-def _cmd_transfer(spec: JobSpec, doc: ReportDocument) -> int:
-    failures = 0
-    for label, raw in _resolve_operators(spec):
-        probe = monicize(raw, 2)
-        primes, skipped = _resolve_primes(spec, probe)
-        for p, reason in skipped:
-            doc.results.append({"label": label, "prime": p, "skipped": reason})
-        for p in primes:
-            working = working_trunc_for(spec.trunc, p, spec.level)
-            op = monicize(raw, working)
-            if not operator_p_integrality(op, p).is_integral:
-                raise NotPIntegralOperator(
-                    f"operator is not {p}-integral up to order {working}"
-                )
-            data = iterate_transfer(op, p, spec.level, target_trunc=spec.trunc)
-            audit = transfer_audit(op, data)
-            doc.results.append(
-                {
-                    "label": label,
-                    "prime": p,
-                    "level": spec.level,
-                    "working_trunc": working,
-                    "certified_trunc": data.trunc,
-                    "transferred_coeffs": [
-                        series_payload(a, limit=data.trunc)
-                        for a in data.operator.coeffs
-                    ],
-                    "h_constant_diagonal": [
-                        fmt_rational(data.h.constant_matrix()[i][i])
-                        for i in range(data.h.n)
-                    ],
-                    "h_profile": profile_payload(audit.h_profile),
-                    "operator_profile": profile_payload(audit.operator_profile),
-                    "h_constant_ok": audit.h_constant_ok,
-                    "equation_residual_order": audit.equation_residual_order,
-                    "equation_trunc": audit.equation_trunc,
-                    "ok": audit.ok,
-                }
-            )
-            failures += 0 if audit.ok else 1
-    return 1 if failures else 0
-
-
-def _cmd_verify_frobenius(spec: JobSpec, doc: ReportDocument) -> int:
-    cand = load_candidate_file(spec.candidate_path)
-    failures = 0
-    for label, raw in _resolve_operators(spec):
-        op = monicize(raw, max(spec.trunc, cand.trunc))
-        ver = verify_frobenius(op, cand)
-        doc.results.append(
-            {
-                "label": label,
-                "prime": cand.p,
-                "residual_order": ver.residual_order,
-                "trunc": ver.trunc,
-                "profile": profile_payload(ver.profile),
-                "det_nonzero": ver.det_nonzero,
-                "constant_shape_ok": ver.constant_shape_ok,
-                "ok": ver.ok,
-            }
-        )
-        failures += 0 if ver.ok else 1
-    return 1 if failures else 0
-
-
-def _cmd_fit_frobenius(spec: JobSpec, doc: ReportDocument) -> int:
-    failures = 0
-    for label, raw in _resolve_operators(spec):
-        op = monicize(raw, spec.trunc)
-        primes, skipped = _resolve_primes(spec, op)
-        for p, reason in skipped:
-            doc.results.append({"label": label, "prime": p, "skipped": reason})
-        for p in primes:
-            y = uniform_part(op, spec.trunc)
-            fit = fit_frobenius_constant(y, p)
-            entry = {
-                "label": label,
-                "prime": p,
-                "trunc": fit.trunc,
-                "found": fit.found,
-                "orders_used": fit.orders_used,
-                "unit_pivot": fit.unit_pivot,
-                "profile": profile_payload(fit.profile),
-            }
-            if fit.found:
-                entry["constant"] = [
-                    [fmt_rational(x) for x in row] for row in fit.constant
-                ]
-                entry["twist_parameters"] = [fmt_rational(g) for g in fit.gammas]
-            doc.results.append(entry)
-            failures += 0 if fit.found else 1
-    return 1 if failures else 0
-
-
-def _cmd_radius(spec: JobSpec, doc: ReportDocument) -> int:
-    for label, raw in _resolve_operators(spec):
-        op = monicize(raw, spec.trunc)
-        primes, skipped = _resolve_primes(spec, op)
-        for p, reason in skipped:
-            doc.results.append({"label": label, "prime": p, "skipped": reason})
-        for p in primes:
-            diag = radius_diagnostic(op, p, spec.max_index)
-            doc.results.append(
-                {
-                    "label": label,
-                    "prime": p,
-                    "trunc": diag.trunc,
-                    "norm_semantics": "exponents of truncated entries; "
-                    "lower bounds on true Gauss norms",
-                    "rows": [
-                        {
-                            "j": r.j,
-                            "min_valuation": fmt_valuation(r.min_valuation),
-                            "scaled_min_valuation": fmt_valuation(
-                                r.scaled_min_valuation
-                            ),
-                        }
-                        for r in diag.rows
-                    ],
-                    "trending_to_zero": diag.trending_to_zero,
-                }
-            )
-    return 0
-
-
-def _cmd_hypergeom(spec: JobSpec, doc: ReportDocument) -> int:
-    raw = hypergeometric(spec.alpha, spec.beta, spec.scale)
-    op = monicize(raw, 2)
-    doc.results.append(
-        {
-            "operator": format_operator(raw),
-            "order": raw.order,
-            "mum_after_monicize": op.is_mum(),
-        }
+    if subject.raw.order < 2:
+        raise NotMUM("the canonical coordinate needs an operator of order >= 2")
+    row = solve_first_row(subject.at(spec.trunc), spec.trunc)
+    q = canonical_coordinate(row[0], row[1])
+    report = n_integrality_report(
+        q, prime_bound=bound, subject=f"canonical_coordinate({subject.label})"
     )
-    return 0
+    return {
+        "q": series_payload(q),
+        "report": {
+            "subject": report.subject,
+            "certified_trunc": report.certified_trunc,
+            "bad_primes": list(report.bad_primes),
+            "suggested_N": str(report.suggested_N),
+            "worst_valuations": [[p, v] for p, v in report.worst_valuations],
+            "per_prime": [[p, profile_payload(pr)] for p, pr in report.per_prime],
+            "unfactored_residue": str(report.unfactored_residue),
+        },
+    }, True
+
+
+def _check_order(spec, p):
+    if spec.check_kind == "reduction":
+        # auto-raise so the mod z^{p^m + 1} congruence is decidable
+        return max(spec.trunc, p**spec.level + 1)
+    return spec.trunc
+
+
+def _check_prepare(spec, subject):
+    """The first row (f, g, ...) at the job's order; g/f for expint."""
+    kind = spec.check_kind
+    if kind == "reduction":
+        return None
+    if subject.raw.order < 2 and kind in ("omega", "expint"):
+        raise NotMUM(f"{kind} needs an operator of order >= 2")
+    row = solve_first_row(subject.at(spec.trunc), spec.trunc)
+    return row[1] * row[0].invert() if kind == "expint" else row
+
+
+def _check(spec, subject, work, p):
+    entry = {"check": spec.check_kind}
+    if spec.check_kind == "reduction":
+        working = _check_order(spec, p)
+        ok = reduction_congruence_check(subject.at(working), p, spec.level)
+        entry["working_trunc"] = working
+        entry["congruence_order"] = p**spec.level + 1
+    elif spec.check_kind == "dieudonne":
+        ok, profile = dieudonne_check(work[0], p)
+        entry["profile"] = profile_payload(profile)
+    elif spec.check_kind == "omega":
+        ok, profile = omega_congruence_check(work[0], work[1], p)
+        entry["profile"] = profile_payload(profile)
+    elif spec.check_kind == "expint":
+        ok = exp_integrality_check(work, p)
+    else:
+        raise ValueError(f"unknown check {spec.check_kind!r}")
+    entry["ok"] = bool(ok)
+    entry["certified_trunc"] = entry.get("congruence_order", spec.trunc)
+    return entry, ok
+
+
+def _transfer_order(spec, p):
+    return working_trunc_for(spec.trunc, p, spec.level)
+
+
+def _transfer(spec, subject, work, p):
+    working = _transfer_order(spec, p)
+    op = subject.at(working)
+    if not op.p_integrality(p).is_integral:
+        raise NotPIntegralOperator(
+            f"operator is not {p}-integral up to order {working}"
+        )
+    data = iterate_transfer(op, p, spec.level, target_trunc=spec.trunc)
+    audit = transfer_audit(op, data)
+    return {
+        "level": spec.level,
+        "working_trunc": working,
+        "certified_trunc": data.trunc,
+        "transferred_coeffs": [
+            series_payload(a, limit=data.trunc) for a in data.operator.coeffs
+        ],
+        "h_constant_diagonal": [
+            fmt_rational(data.h.constant_matrix()[i][i]) for i in range(data.h.n)
+        ],
+        "h_profile": profile_payload(audit.h_profile),
+        "operator_profile": profile_payload(audit.operator_profile),
+        "h_constant_ok": audit.h_constant_ok,
+        "equation_residual_order": audit.equation_residual_order,
+        "equation_trunc": audit.equation_trunc,
+        "ok": audit.ok,
+    }, audit.ok
+
+
+def _verify(spec, subject, cand, p):
+    ver = verify_frobenius(subject.at(max(spec.trunc, cand.trunc)), cand)
+    return {
+        "prime": cand.p,
+        "residual_order": ver.residual_order,
+        "trunc": ver.trunc,
+        "profile": profile_payload(ver.profile),
+        "det_nonzero": ver.det_nonzero,
+        "constant_shape_ok": ver.constant_shape_ok,
+        "ok": ver.ok,
+    }, ver.ok
+
+
+def _fit(spec, subject, y, p):
+    fit = fit_frobenius_constant(y, p)
+    entry = {
+        "trunc": fit.trunc,
+        "found": fit.found,
+        "orders_used": fit.orders_used,
+        "unit_pivot": fit.unit_pivot,
+        "profile": profile_payload(fit.profile),
+    }
+    if fit.found:
+        entry["constant"] = [[fmt_rational(x) for x in row] for row in fit.constant]
+        entry["twist_parameters"] = [fmt_rational(g) for g in fit.gammas]
+    return entry, fit.found
+
+
+def _radius(spec, subject, work, p):
+    diag = radius_diagnostic(subject.at(spec.trunc), p, spec.max_index)
+    return {
+        "trunc": diag.trunc,
+        "norm_semantics": "exponents of truncated entries; "
+        "lower bounds on true Gauss norms",
+        "rows": [
+            {
+                "j": r.j,
+                "min_valuation": fmt_valuation(r.min_valuation),
+                "scaled_min_valuation": fmt_valuation(r.scaled_min_valuation),
+            }
+            for r in diag.rows
+        ],
+        "trending_to_zero": diag.trending_to_zero,
+    }, True
+
+
+def _hypergeom(spec, subject, work, p):
+    return {
+        "operator": format_operator(subject.raw),
+        "order": subject.raw.order,
+        "mum_after_monicize": subject.at(2).is_mum(),
+    }, True
+
+
+@dataclass(frozen=True)
+class Command:
+    """A CLI command: the flags it takes (names in _FLAGS) and its steps.
+
+    `prepare(spec, subject)` does the prime-independent work once per
+    operator; `unit(spec, subject, work, p)` returns the fields of one
+    result entry, after the label and prime the driver puts first, and
+    whether its check passed.  A per-prime command runs one unit per prime
+    and, under auto:B, skips the primes at which the operator is not
+    p-integral at `order(spec, p)`; any other runs one unit per operator
+    with p = None."""
+
+    help: str
+    flags: tuple[str, ...]
+    unit: Callable
+    per_prime: bool = False
+    prepare: Callable = lambda spec, subject: None
+    order: Callable = lambda spec, p: spec.trunc
+    operators: Callable = _resolve_operators
+
+
+COMMANDS = {
+    "solve": Command("series solutions f, g, first row", ("source",), _solve),
+    "qcoord": Command("canonical coordinate + audit", ("source", "primes"), _qcoord),
+    "check": Command(
+        "congruence checks", ("kind", "source", "primes", "level"), _check,
+        per_prime=True, prepare=_check_prepare, order=_check_order,
+    ),
+    "transfer": Command(
+        "level-m operator and gauge", ("source", "primes", "level"), _transfer,
+        per_prime=True, order=_transfer_order,
+    ),
+    "verify-frobenius": Command(
+        "audit a candidate Phi", ("source", "candidate"), _verify,
+        prepare=lambda spec, subject: load_candidate_file(spec.candidate_path),
+    ),
+    "fit-frobenius": Command(
+        "search for an integral Phi", ("source", "primes"), _fit,
+        per_prime=True,
+        prepare=lambda spec, subject: uniform_part(subject.at(spec.trunc), spec.trunc),
+    ),
+    "radius": Command(
+        "Gauss-norm diagnostics of A_j", ("source", "primes", "max_j"), _radius,
+        per_prime=True,
+    ),
+    "hypergeom": Command(
+        "hypergeometric constructor", ("alpha", "beta", "scale"), _hypergeom,
+        operators=lambda spec: [
+            (None, hypergeometric(spec.alpha, spec.beta, spec.scale))
+        ],
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +620,10 @@ def _short_list(value, limit: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _arg(*names, **options):
+    return lambda parser: parser.add_argument(*names, **options)
+
+
 def _add_source_args(parser: argparse.ArgumentParser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--op", help="inline operator expression")
@@ -621,14 +633,29 @@ def _add_source_args(parser: argparse.ArgumentParser):
     )
 
 
-def _add_common_args(parser: argparse.ArgumentParser, primes: bool = True):
-    parser.add_argument("--trunc", type=int, default=DEFAULT_TRUNC)
-    if primes:
-        parser.add_argument(
-            "--primes", default=None, help="comma list (7,11) or auto:BOUND"
-        )
-    parser.add_argument("--format", choices=("human", "json"), default="human")
-    parser.add_argument("--out", default=None, help="write the report here")
+# flag name -> declaration; every dest other than the source is a JobSpec field
+_FLAGS = {
+    "source": _add_source_args,
+    "kind": _arg("check_kind", metavar="kind",
+                 choices=("dieudonne", "omega", "expint", "reduction")),
+    "primes": _arg("--primes", help="comma list (7,11) or auto:BOUND"),
+    "level": _arg("--level", type=int, default=1),
+    "candidate": _arg("--candidate", required=True, dest="candidate_path"),
+    "max_j": _arg("--max-j", type=int, default=50, dest="max_index"),
+    "alpha": _arg("--alpha", required=True, help="comma rationals"),
+    "beta": _arg("--beta", required=True, help="comma rationals"),
+    "scale": _arg("--scale", default="1"),
+    "trunc": _arg("--trunc", type=int, default=DEFAULT_TRUNC),
+    "format": _arg("--format", choices=("human", "json"), default="human", dest="fmt"),
+    "out": _arg("--out", help="write the report here"),
+}
+_COMMON = ("trunc", "format", "out")
+# integer fields with their smallest valid value
+_LOWER_BOUNDS = (
+    ("trunc", 1, "truncation order must be positive"),
+    ("level", 1, "level must be >= 1"),
+    ("max_index", 0, "--max-j must be >= 0"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -637,48 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact arithmetic for MUM operators in D = z*d/dz",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="series solutions f, g, first row")
-    _add_source_args(p_solve)
-    _add_common_args(p_solve, primes=False)
-
-    p_qcoord = sub.add_parser("qcoord", help="canonical coordinate + audit")
-    _add_source_args(p_qcoord)
-    _add_common_args(p_qcoord)
-
-    p_check = sub.add_parser("check", help="congruence checks")
-    p_check.add_argument(
-        "kind", choices=("dieudonne", "omega", "expint", "reduction")
-    )
-    _add_source_args(p_check)
-    _add_common_args(p_check)
-    p_check.add_argument("--level", type=int, default=1)
-
-    p_transfer = sub.add_parser("transfer", help="level-m operator and gauge")
-    _add_source_args(p_transfer)
-    _add_common_args(p_transfer)
-    p_transfer.add_argument("--level", type=int, default=1)
-
-    p_verify = sub.add_parser("verify-frobenius", help="audit a candidate Phi")
-    _add_source_args(p_verify)
-    _add_common_args(p_verify, primes=False)
-    p_verify.add_argument("--candidate", required=True)
-
-    p_fit = sub.add_parser("fit-frobenius", help="search for an integral Phi")
-    _add_source_args(p_fit)
-    _add_common_args(p_fit)
-
-    p_radius = sub.add_parser("radius", help="Gauss-norm diagnostics of A_j")
-    _add_source_args(p_radius)
-    _add_common_args(p_radius)
-    p_radius.add_argument("--max-j", type=int, default=50, dest="max_index")
-
-    p_hyper = sub.add_parser("hypergeom", help="hypergeometric constructor")
-    p_hyper.add_argument("--alpha", required=True, help="comma rationals")
-    p_hyper.add_argument("--beta", required=True, help="comma rationals")
-    p_hyper.add_argument("--scale", default="1")
-    _add_common_args(p_hyper, primes=False)
-
+    for name, cmd in COMMANDS.items():
+        subparser = sub.add_parser(name, help=cmd.help)
+        for flag in cmd.flags + _COMMON:
+            _FLAGS[flag](subparser)
     return parser
 
 
@@ -702,48 +691,62 @@ def _parse_primes_arg(text: str | None):
     return tuple(primes), None
 
 
-def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(chunk.strip()) for chunk in text.split(","))
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def spec_from_args(args: argparse.Namespace) -> JobSpec:
-    source_kind = source_value = None
+    values = vars(args)
+    fields = {k: v for k, v in values.items() if k in JobSpec.__dataclass_fields__}
+    fields["source_kind"] = fields["source_value"] = None
     for kind in ("op", "file", "builtin"):
-        value = getattr(args, kind, None)
-        if value is not None:
-            source_kind, source_value = kind, value
-    primes, auto_bound = _parse_primes_arg(getattr(args, "primes", None))
-    if getattr(args, "trunc", 1) < 1:
-        raise ValueError("truncation order must be positive")
-    return JobSpec(
-        command=args.command,
-        source_kind=source_kind,
-        source_value=source_value,
-        trunc=getattr(args, "trunc", DEFAULT_TRUNC),
-        primes=primes,
-        auto_bound=auto_bound,
-        level=getattr(args, "level", 1),
-        check_kind=getattr(args, "kind", None),
-        candidate_path=getattr(args, "candidate", None),
-        max_index=getattr(args, "max_index", 50),
-        alpha=_parse_rational_list(args.alpha) if hasattr(args, "alpha") else (),
-        beta=_parse_rational_list(args.beta) if hasattr(args, "beta") else (),
-        scale=Fraction(args.scale) if hasattr(args, "scale") else Fraction(1),
-        fmt=args.format,
-        out=args.out,
-    )
+        if values.get(kind) is not None:
+            fields.update(source_kind=kind, source_value=values[kind])
+    fields["primes"], fields["auto_bound"] = _parse_primes_arg(values.get("primes"))
+    for name, low, message in _LOWER_BOUNDS:
+        if fields.get(name, low) < low:
+            raise ValueError(message)
+    if "alpha" in fields:
+        for name in ("alpha", "beta"):
+            fields[name] = tuple(_rational(c.strip()) for c in fields[name].split(","))
+        fields["scale"] = _rational(fields["scale"])
+    return JobSpec(**fields)
+
+
+def _input_echo(spec: JobSpec) -> dict:
+    echo = {
+        "source_kind": spec.source_kind,
+        "source_value": spec.source_value,
+        "trunc": spec.trunc,
+        "level": spec.level,
+    }
+    if spec.primes is not None:
+        echo["primes"] = list(spec.primes)
+    elif spec.auto_bound is not None:
+        echo["primes"] = f"auto:{spec.auto_bound}"
+    if spec.check_kind:
+        echo["check"] = spec.check_kind
+    if spec.candidate_path:
+        echo["candidate"] = spec.candidate_path
+    if "alpha" in COMMANDS[spec.command].flags:
+        echo["alpha"] = [fmt_rational(a) for a in spec.alpha]
+        echo["beta"] = [fmt_rational(b) for b in spec.beta]
+        echo["scale"] = fmt_rational(spec.scale)
+    return echo
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         spec = spec_from_args(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except Exception as exc:  # reported like any failure of the job
         doc = ReportDocument(command=args.command, input_echo={})
-        doc.errors.append({"code": error_code(exc), "message": str(exc)})
-        _write(doc, args.format, args.out)
-        return 2
+        status = doc.fail(exc)
+        _write(doc, args.fmt, args.out)
+        return status
     doc, status = cmd_dispatch(spec)
     _write(doc, spec.fmt, spec.out)
     return status

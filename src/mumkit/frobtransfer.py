@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .opalg import DeltaOperator
 from .primes import vp_factorial
-from .series import SeriesMatrix, TruncSeries, ValuationProfile, vp
+from .series import InternalError, SeriesMatrix, TruncSeries, ValuationProfile, vp
 from .solve import solve_f, uniform_part
 
 _F0 = Fraction(0)
@@ -42,6 +42,8 @@ class BadConstantShape(ValueError):
 
 def working_trunc_for(target: int, p: int, m: int) -> int:
     """Smallest working order whose level-m data is certified to target."""
+    if m < 1:
+        raise ValueError("level must be >= 1")
     return p**m * (target - 1) + 1
 
 
@@ -133,6 +135,8 @@ def radius_diagnostic(op: DeltaOperator, p: int, max_index: int) -> RadiusDiagno
     The trend flag realizes the testable consequence of radius >= 1 (the
     norms tend to zero) and is diagnostic only.
     """
+    if max_index < 0:
+        raise ValueError("max_index must be >= 0")
     if not op.p_integrality(p).is_integral:
         raise NotPIntegralOperator(
             f"operator has a coefficient with negative {p}-adic valuation"
@@ -184,7 +188,8 @@ def transfer_operator_L1(f_matrix: SeriesMatrix, p: int) -> DeltaOperator:
         last[i] * (-Fraction(1, p ** (n - 1 - i))) for i in range(n)
     )
     op = DeltaOperator(coeffs)
-    assert op.is_mum(), "transferred operator must be MUM"
+    if not op.is_mum():
+        raise InternalError("transferred operator must be MUM")
     return op
 
 
@@ -359,7 +364,7 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int,
                             op: DeltaOperator | None = None) -> FrobeniusCandidate:
     """Phi = Y C Y(z^p)^{-1} for an admissible constant C.
 
-    The construction identity Phi * Y(z^p) = Y C is asserted; when the
+    The construction identity Phi * Y(z^p) = Y C is checked; when the
     source operator is supplied the full Frobenius equation is verified
     through verify_frobenius as well.
     """
@@ -369,14 +374,15 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int,
     y_sub = y.substitute_power(p).truncate(trunc)
     c_mat = SeriesMatrix.from_constant(constant_rows, trunc)
     phi = y * c_mat * y_sub.invert()
-    assert (phi * y_sub - y * c_mat).residual_order() == trunc
+    if (phi * y_sub - y * c_mat).residual_order() != trunc:
+        raise InternalError("Phi * Y(z^p) != Y C")
     cand = FrobeniusCandidate(p, phi)
-    assert cand.constant == tuple(
-        tuple(Fraction(x) for x in row) for row in constant_rows
-    )
+    if cand.constant != tuple(tuple(Fraction(x) for x in row) for row in constant_rows):
+        raise InternalError("Phi(0) differs from the constant matrix")
     if op is not None:
         verification = verify_frobenius(op, cand)
-        assert verification.residual_order >= verification.trunc
+        if verification.residual_order < verification.trunc:
+            raise InternalError("Phi from the constant fails the Frobenius equation")
     return cand
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .series import SeriesMatrix, TruncSeries, ValuationProfile
 
@@ -433,22 +433,11 @@ def _raw_from_nc(nc: _NCOperator) -> RawOperator:
     if n == 0:
         raise ZeroLeadingCoefficient("operator has no differential part")
     polys = [list(nc.terms.get(i, ())) for i in range(n + 1)]
-    lcm = 1
-    for poly in polys:
-        for c in poly:
-            den = c.denominator
-            g = _gcd(lcm, den)
-            lcm = lcm // g * den
+    den = lcm(*(c.denominator for poly in polys for c in poly))
     cleared = tuple(
-        tuple(int(c * lcm) for c in poly) for poly in polys
+        tuple(int(c * den) for c in poly) for poly in polys
     )
     return RawOperator(cleared)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def parse_operator(text: str) -> RawOperator:
@@ -486,6 +475,8 @@ def format_operator(raw: RawOperator) -> str:
 
 def monicize(raw: RawOperator, trunc: int) -> DeltaOperator:
     """Divide through by the leading polynomial, expanded to the given order."""
+    if trunc < 1:
+        raise ValueError("truncation order must be positive")
     lead = TruncSeries.from_coeffs(raw.poly_coeffs[-1], trunc)
     if lead.constant_term == 0:
         raise ApparentSingularityAtZero(
@@ -498,14 +489,6 @@ def monicize(raw: RawOperator, trunc: int) -> DeltaOperator:
             for i in range(raw.order)
         )
     )
-
-
-def is_mum(op: DeltaOperator) -> bool:
-    return op.is_mum()
-
-
-def operator_p_integrality(op: DeltaOperator, p: int) -> ValuationProfile:
-    return op.p_integrality(p)
 
 
 def hypergeometric(alpha, beta, scale=1) -> RawOperator:

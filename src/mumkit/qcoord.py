@@ -8,10 +8,11 @@ infinite tail.  Every report records the order it certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from fractions import Fraction
 
 from .primes import factor
-from .series import TruncSeries, ValuationProfile
+from .series import InternalError, TruncSeries, ValuationProfile
 
 
 class BadNormalization(ValueError):
@@ -58,8 +59,8 @@ def exp_integrality_check(h: TruncSeries, p: int, trunc: int | None = None) -> b
     hM = h.truncate(M)
     d = hM.substitute_power(p).truncate(M) * Fraction(1, p) - hM
     ok = d.valuation_profile(p).is_integral
-    if ok:
-        assert hM.exp().valuation_profile(p).is_integral
+    if ok and not hM.exp().valuation_profile(p).is_integral:
+        raise InternalError(f"exp(h) is not {p}-integral although h passed")
     return ok
 
 
@@ -104,12 +105,7 @@ def n_integrality_report(s: TruncSeries, prime_bound: int = 100,
                          subject: str = "series") -> IntegralityReport:
     """Factor every coefficient denominator of s up to the requested order."""
     M = s.trunc if trunc is None else min(trunc, s.trunc)
-    den_lcm = 1
-    for c in s.coeffs[:M]:
-        d = c.denominator
-        if d > 1:
-            g = _gcd(den_lcm, d)
-            den_lcm = den_lcm // g * d
+    den_lcm = lcm(*(c.denominator for c in s.coeffs[:M]))
     if den_lcm == 1:
         return IntegralityReport(subject, M, (), 1, (), (), 1)
     exps, residue = factor(den_lcm)
@@ -124,9 +120,3 @@ def n_integrality_report(s: TruncSeries, prime_bound: int = 100,
     for p in bad:
         n *= p
     return IntegralityReport(subject, M, bad, n, worst, per_prime, residue)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -22,6 +22,10 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
+class InternalError(RuntimeError):
+    """An invariant of mumkit's own arithmetic failed: a bug, not bad input."""
+
+
 class ZeroConstantTerm(ValueError):
     """Inversion of a series with vanishing constant term."""
 
@@ -77,7 +81,8 @@ class ValuationProfile:
         if not profiles:
             raise ValueError("nothing to merge")
         p = profiles[0].prime
-        assert all(pr.prime == p for pr in profiles)
+        if any(pr.prime != p for pr in profiles):
+            raise InternalError("merging valuation profiles of different primes")
         min_v = min(pr.min_valuation for pr in profiles)
         by_exp: dict[int, int] = {}
         for pr in profiles:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .opalg import DeltaOperator, NotMUM
-from .series import SeriesMatrix, TruncSeries
+from .series import InternalError, SeriesMatrix, TruncSeries
 
 _F0 = Fraction(0)
 
@@ -93,7 +93,8 @@ def solve_first_row(op: DeltaOperator, trunc: int) -> tuple[TruncSeries, ...]:
         rhs = TruncSeries.zero(trunc)
         for t in range(1, j):
             rhs = rhs - derivatives[t - 1].apply(row[j - t - 1]).truncate(trunc)
-        assert rhs.constant_term == 0
+        if rhs.constant_term != 0:
+            raise InternalError("log-column right-hand side must vanish at z = 0")
         row.append(_solve_recurrence(op, rhs, trunc, Fraction(0)))
     return tuple(row)
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from mumkit import monicize, parse_operator, twisted_rows, uniform_part
+import mumkit.cli
+from mumkit import InternalError, monicize, parse_operator, twisted_rows, uniform_part
 from mumkit.cli import (
     CorpusFormatError,
     DuplicateLabel,
@@ -152,6 +153,34 @@ def test_main_exit_codes(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["radius", "--builtin", "quintic", "--max-j", "-1"], "--max-j must be >= 0"),
+    (["transfer", "--builtin", "quintic", "--level", "-1", "--primes", "3"],
+     "level must be >= 1"),
+], ids=["max-j", "level"])
+def test_out_of_range_flags_rejected(tmp_path, argv, message):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["errors"] == [
+        {"code": "INVALID_INPUT", "message": message}
+    ]
+
+
+def test_internal_failure_exits_three(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("residual check failed")
+
+    monkeypatch.setattr(mumkit.cli, "solution_basis", broken)
+    doc, status = cmd_dispatch(spec("solve", trunc=4))
+    assert status == 3
+    assert doc.errors == [
+        {"code": "INTERNAL_ERROR", "message": "residual check failed"}
+    ]
+    out = tmp_path / "r.json"
+    argv = ["solve", "--builtin", "quintic", "--trunc", "4", "--out", str(out)]
+    assert main(argv) == 3
+
+
 def test_invalid_prime_rejected(tmp_path):
     out = tmp_path / "r.json"
     assert main([
@@ -234,6 +263,33 @@ def test_candidate_file_round_trip(tmp_path, quintic_y20):
     assert loaded.phi == cand.phi
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "p": 3, "trunc": 2},  # no entries
+    {"n": [1], "p": 3, "trunc": 2, "entries": [[["1"]]]},
+    {"n": 1, "p": 3, "trunc": 2, "entries": [[[["1"]]]]},
+    {"n": 1, "p": 3, "trunc": 2, "entries": [[["1", "1/0"]]]},
+    [1, 2],
+], ids=["missing-key", "wrong-type", "nested-too-deep", "zero-denominator",
+        "not-an-object"])
+def test_malformed_candidate_is_a_format_error(tmp_path, doc):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorpusFormatError):
+        load_candidate_file(path)
+
+
+def test_zero_denominator_candidate_exits_two(tmp_path):
+    path = tmp_path / "phi.json"
+    doc = {"n": 1, "p": 3, "trunc": 2, "entries": [[["1", "1/0"]]]}
+    path.write_text(json.dumps(doc))
+    doc, status = cmd_dispatch(
+        JobSpec(command="verify-frobenius", source_kind="op", source_value="D - z",
+                trunc=2, candidate_path=str(path))
+    )
+    assert status == 2
+    assert doc.errors[0]["code"] == "CORPUS_FORMAT_ERROR"
+
+
 def test_verify_frobenius_command(tmp_path, quintic_y20):
     cand = frobenius_from_constant(
         quintic_y20.truncate(10), twisted_rows(7, 4, [1, 0, 0, 0]), 7
@@ -283,6 +339,19 @@ def test_auto_primes_skip_bad_ones():
     assert [r["prime"] for r in doc.results if "ok" in r] == [3, 5]
     assert all(r["ok"] is False for r in doc.results if "ok" in r)
     assert status == 1
+    # 3*D^2 - z^2 has a_0 = -z^2/3: every per-prime command skips p = 3,
+    # transfer included although its order-2 truncation is 3-integral
+    for command, kw in [("transfer", {}), ("fit-frobenius", {}),
+                        ("radius", {"max_index": 4}),
+                        ("check", {"check_kind": "dieudonne"})]:
+        doc, status = cmd_dispatch(
+            spec(command, source_kind="op", source_value="3*D^2 - z^2", trunc=3,
+                 auto_bound=5, **kw)
+        )
+        assert doc.errors == [], command
+        assert [(r["prime"], r.get("skipped")) for r in doc.results] == [
+            (3, "bad prime for operator"), (2, None), (5, None)
+        ], command
 
 
 def test_transfer_command_reports_orders():

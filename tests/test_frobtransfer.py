@@ -26,6 +26,7 @@ from mumkit import (
     twisted_rows,
     uniform_part,
     verify_frobenius,
+    working_trunc_for,
 )
 from mumkit.primes import vp_factorial
 
@@ -183,6 +184,8 @@ def test_iterate_transfer_level_one_equals_h_matrix(quintic30):
 def test_iterate_transfer_budget_guard(quintic30):
     with pytest.raises(InsufficientTruncation):
         iterate_transfer(quintic30, 7, 2, target_trunc=5)
+    with pytest.raises(ValueError):
+        working_trunc_for(5, 7, 0)
 
 
 def test_transfer_audit_quintic(quintic30):
@@ -340,6 +343,13 @@ def test_radius_quintic_trend(quintic30):
     # the 7-adic norms drop below 1 at j = 23 and stay there
     assert all(r.min_valuation == 0 for r in diag.rows[18:23])
     assert all(r.min_valuation >= 1 for r in diag.rows[23:])
+
+
+def test_radius_rejects_negative_max_index():
+    # an empty window of rows would read as "trending to zero"
+    op = monicize(parse_operator("D^2"), 6)
+    with pytest.raises(ValueError):
+        radius_diagnostic(op, 3, -1)
 
 
 def test_radius_requires_p_integrality():

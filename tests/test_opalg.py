@@ -14,7 +14,6 @@ from mumkit import (
     format_operator,
     hypergeometric,
     monicize,
-    operator_p_integrality,
     parse_operator,
 )
 
@@ -216,6 +215,9 @@ def test_monicize_constant_division():
 def test_monicize_singularity_at_zero():
     with pytest.raises(ApparentSingularityAtZero):
         monicize(parse_operator("z*D - 1"), 4)
+    # order 0 leaves no constant term to test, which is not a singularity
+    with pytest.raises(ValueError, match="truncation order"):
+        monicize(parse_operator(QUINTIC_TEXT), 0)
 
 
 def test_is_mum_negative():
@@ -327,16 +329,16 @@ def test_builtin_unknown():
 
 def test_p_integrality_zero_coefficients():
     op = monicize(parse_operator("D^2"), 4)
-    assert operator_p_integrality(op, 3).min_valuation == INF
+    assert op.p_integrality(3).min_valuation == INF
 
 
 def test_p_integrality_quintic():
     op = monicize(parse_operator(QUINTIC_TEXT), 8)
-    profile = operator_p_integrality(op, 7)
+    profile = op.p_integrality(7)
     assert profile.min_valuation == 0
     assert profile.is_integral
 
 
 def test_p_integrality_halves():
     op = monicize(parse_operator("2*D - z"), 4)
-    assert operator_p_integrality(op, 2).min_valuation == -1
+    assert op.p_integrality(2).min_valuation == -1

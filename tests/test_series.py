@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from mumkit import (
     INF,
     BadConstantTerm,
+    InternalError,
     SeriesMatrix,
     SingularConstantTerm,
     TruncSeries,
+    ValuationProfile,
     ZeroConstantTerm,
     vp,
 )
@@ -268,6 +270,13 @@ def test_vp_basics():
     assert vp(F(1, 5), 5) == -1
     assert vp(F(0), 5) == INF
     assert INF > 10**9
+
+
+def test_profile_merge_of_two_primes_is_an_internal_error():
+    # a raised error, not an assert, so it also holds under python -O
+    profiles = [S([1], 2).valuation_profile(2), S([1], 2).valuation_profile(3)]
+    with pytest.raises(InternalError):
+        ValuationProfile.merge(profiles)
 
 
 def test_valuation_profile_integers():
