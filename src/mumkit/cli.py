@@ -709,7 +709,7 @@ def spec_from_args(args: argparse.Namespace) -> JobSpec:
     for name, low, message in _LOWER_BOUNDS:
         if fields.get(name, low) < low:
             raise ValueError(message)
-    if "alpha" in fields:
+    if "alpha" in COMMANDS[args.command].flags:
         for name in ("alpha", "beta"):
             fields[name] = tuple(_rational(c.strip()) for c in fields[name].split(","))
         fields["scale"] = _rational(fields["scale"])
