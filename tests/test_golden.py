@@ -25,6 +25,7 @@ from mumkit.cli import dump_candidate, main
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OPS = "data/operators.ops"
+NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
 
 # name -> argv; paths are relative to the working directory set up by
 # _workdir, so the echoed input is the same on every machine
@@ -69,6 +70,14 @@ CASES = {
                   "--scale", "3125"],
     "hypergeom_human": ["hypergeom", "--alpha", "1/2,1/2", "--beta", "1,1", "--scale", "16",
                         "--format", "human"],
+    # a non-hypergeometric operator with deg_z P_i >= 2 and P_n(0) = 2
+    "solve_nonhyper": ["solve", "--op", NONHYPER, "--trunc", "7"],
+    "solve_nonhyper_low": ["solve", "--op", NONHYPER, "--trunc", "2"],
+    "qcoord_nonhyper": ["qcoord", "--op", NONHYPER, "--trunc", "7"],
+    "check_omega_nonhyper": ["check", "omega", "--op", NONHYPER, "--trunc", "7",
+                             "--primes", "auto:7"],
+    "fit_nonhyper": ["fit-frobenius", "--op", NONHYPER, "--trunc", "6",
+                     "--primes", "3,5,7"],
     # errors, exit 2; the mixed corpus fails after some results are in
     "error_check_mixed": ["check", "dieudonne", "--file", "mixed.ops", "--trunc", "6",
                           "--primes", "auto:5"],
@@ -77,6 +86,12 @@ CASES = {
     "error_syntax": ["solve", "--op", "D +* z", "--trunc", "4"],
     "error_unknown_builtin": ["solve", "--builtin", "sextic"],
     "error_not_mum": ["check", "dieudonne", "--op", "D - 1", "--trunc", "6", "--primes", "3"],
+    # the leading polynomial vanishes at 0 and the operator is not MUM:
+    # the apparent singularity is reported
+    "error_apparent_solve": ["solve", "--op", "z*D^2 + D - z", "--trunc", "6"],
+    "error_apparent_qcoord": ["qcoord", "--op", "z*D^2 + D - z", "--trunc", "6"],
+    "error_apparent_check": ["check", "omega", "--op", "z*D^2 + D - z", "--trunc", "6",
+                             "--primes", "3"],
     "error_qcoord_order_one": ["qcoord", "--op", "D - z", "--trunc", "6"],
     "error_omega_order_one": ["check", "omega", "--op", "D - z", "--trunc", "6",
                               "--primes", "3"],
