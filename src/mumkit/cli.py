@@ -236,24 +236,23 @@ def load_corpus_file(path) -> list[tuple[str, RawOperator]]:
 
 
 def load_candidate_file(path) -> FrobeniusCandidate:
-    """Candidate Frobenius matrix: JSON document with n, p, trunc and n*n
-    coefficient lists of exact rational strings."""
+    """Candidate Frobenius matrix: JSON document with a prime p, n >= 1,
+    trunc >= 1 and n*n coefficient lists of trunc exact rational strings."""
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
         n, p, trunc = (int(doc[key]) for key in ("n", "p", "trunc"))
-        rows = tuple(
-            tuple(
-                TruncSeries.from_coeffs([Fraction(c) for c in coeffs], trunc)
-                for coeffs in row
-            )
-            for row in doc["entries"]
-        )
+        rows = [[[Fraction(c) for c in coeffs] for coeffs in row] for row in doc["entries"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CorpusFormatError(f"{path}: malformed candidate: {exc!r}") from exc
+    if not is_prime(p) or n < 1 or trunc < 1:
+        raise CorpusFormatError(f"{path}: p must be prime, n and trunc at least 1")
     if len(rows) != n or any(len(row) != n for row in rows):
         raise CorpusFormatError(f"{path}: entries must form an {n}x{n} array")
-    return FrobeniusCandidate(p, SeriesMatrix(rows))
+    if any(len(coeffs) != trunc for row in rows for coeffs in row):
+        raise CorpusFormatError(f"{path}: every coefficient list needs {trunc} entries")
+    phi = SeriesMatrix(tuple(tuple(TruncSeries(tuple(c)) for c in row) for row in rows))
+    return FrobeniusCandidate(p, phi)
 
 
 def dump_candidate(cand: FrobeniusCandidate) -> dict:
@@ -351,7 +350,7 @@ def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
 
 
 def _solve(spec, subject, work, p):
-    basis = solution_basis(subject.at(spec.trunc), spec.trunc)
+    basis = solution_basis(subject.raw, spec.trunc)
     return {
         "operator": format_operator(subject.raw),
         "trunc": spec.trunc,
@@ -367,7 +366,7 @@ def _qcoord(spec, subject, work, p):
         bound = max(spec.primes) if spec.primes else DEFAULT_PRIME_BOUND
     if subject.raw.order < 2:
         raise NotMUM("the canonical coordinate needs an operator of order >= 2")
-    row = solve_first_row(subject.at(spec.trunc), spec.trunc)
+    row = solve_first_row(subject.raw, spec.trunc)
     q = canonical_coordinate(row[0], row[1])
     report = n_integrality_report(
         q, prime_bound=bound, subject=f"canonical_coordinate({subject.label})"
@@ -400,7 +399,7 @@ def _check_prepare(spec, subject):
         return None
     if subject.raw.order < 2 and kind in ("omega", "expint"):
         raise NotMUM(f"{kind} needs an operator of order >= 2")
-    row = solve_first_row(subject.at(spec.trunc), spec.trunc)
+    row = solve_first_row(subject.raw, spec.trunc)
     return row[1] * row[0].invert() if kind == "expint" else row
 
 
@@ -551,7 +550,7 @@ COMMANDS = {
     "fit-frobenius": Command(
         "search for an integral Phi", ("source", "primes"), _fit,
         per_prime=True,
-        prepare=lambda spec, subject: uniform_part(subject.at(spec.trunc), spec.trunc),
+        prepare=lambda spec, subject: uniform_part(subject.raw, spec.trunc),
     ),
     "radius": Command(
         "Gauss-norm diagnostics of A_j", ("source", "primes", "max_j"), _radius,

@@ -177,6 +177,9 @@ class _Token:
     col: int
 
 
+_DIGITS = "0123456789"  # str.isdigit also accepts non-ASCII digits
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     line, col = 1, 1
@@ -192,9 +195,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("NUM", text[i:j], line, col))
             col += j - i
@@ -353,6 +356,11 @@ class DeltaOperator:
     @property
     def trunc(self) -> int:
         return self.coeffs[0].trunc
+
+    @property
+    def poly_coeffs(self) -> tuple[tuple, ...]:
+        """P_0 .. P_n of the operator read as sum_i P_i(z) D^i: a_0 .. a_{n-1}, 1."""
+        return tuple(a.coeffs for a in self.coeffs) + ((1,),)
 
     def truncate(self, trunc: int) -> "DeltaOperator":
         return DeltaOperator(tuple(a.truncate(trunc) for a in self.coeffs))

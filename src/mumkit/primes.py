@@ -76,6 +76,8 @@ def factor(n: int, trial_cap: int = 10**6) -> tuple[dict[int, int], int]:
 
 def vp_int(n: int, p: int) -> int:
     """Multiplicity of the prime p in the nonzero integer n."""
+    if p < 2:
+        raise ValueError(f"vp_int needs p >= 2, got {p}")
     if n == 0:
         raise ValueError("vp_int of zero is infinite")
     n = abs(n)

@@ -116,6 +116,8 @@ class TruncSeries:
         zero, so zero-padding is knowledge, not a guess."""
         cs = [Fraction(c) for c in coeffs]
         if trunc is not None:
+            if trunc < 1:
+                raise ValueError("truncation order must be positive")
             if trunc < len(cs):
                 cs = cs[:trunc]
             else:

@@ -3,25 +3,29 @@
 For a MUM operator L of order n the fundamental solutions are log-structured:
 column j is sum_k f_{1,k} (log z)^{j-k}/(j-k)!, and the power-series data is
 the matrix Y with rows related by f_{i+1,k} = f_{i,k-1} + delta(f_{i,k}).
-This module computes the first row column-by-column (triangular in the log
-degree, using the divided derivatives L^[t]), derives the remaining rows by
-the row identity, and verifies residuals.
+
+The first row comes from one Frobenius recurrence.  Read L as sum_i P_i(z) D^i,
+so that L(z^s) = sum_k Q_k(s) z^{s+k} with Q_k(s) = sum_i P_{i,k} s^i; MUM means
+Q_0(s) = P_{n,0} s^n with P_{n,0} != 0.  Put c_0 = 1 and, for m >= 1,
+    P_{n,0} (m+e)^n c_m(e) = -sum_{k>=1} Q_k(m-k+e) c_{m-k}(e)  mod e^n.
+Then L(sum_m c_m(e) z^{m+e}) = P_{n,0} e^n z^e; expanding z^e in e log z gives
+f_{1,j+1} = sum_m [e^j]c_m z^m for j < n.  Only the k with Q_k != 0 enter:
+deg_z + 1 of them for a parsed operator, every k for a monic series operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .opalg import DeltaOperator, NotMUM
-from .series import InternalError, SeriesMatrix, TruncSeries
-
-_F0 = Fraction(0)
+from .opalg import ApparentSingularityAtZero, DeltaOperator, NotMUM, RawOperator, monicize
+from .series import SeriesMatrix, TruncSeries
 
 
 @dataclass(frozen=True)
 class SolutionBasis:
-    op: DeltaOperator
+    op: DeltaOperator | RawOperator
     first_row: tuple[TruncSeries, ...]
     uniform_part: SeriesMatrix
 
@@ -42,64 +46,55 @@ class SolutionBasis:
         return self.first_row[1]
 
 
-def _require_mum(op: DeltaOperator):
-    if not op.is_mum():
-        raise NotMUM("operator coefficients must vanish at z = 0")
-
-
-def _solve_recurrence(op: DeltaOperator, rhs: TruncSeries | None, trunc: int,
-                      constant: Fraction) -> TruncSeries:
-    """Unique y with y(0) = constant and L(y) = rhs (rhs = 0 when None).
-
-    Coefficientwise, with a_i(z) = sum_{k>=1} a_{i,k} z^k and 0^0 = 1:
-        m^n y_m + sum_{i<n} sum_{k=1}^{m} a_{i,k} (m-k)^i y_{m-k} = rhs_m.
-    The m^n pivot never vanishes for m >= 1, which is exactly the MUM shape.
-    """
+def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
+    """sum_m [e^j]c_m z^m for j < width, from the recurrence above."""
+    if trunc < 1:
+        raise ValueError("truncation order must be positive")
+    if isinstance(op, DeltaOperator) and op.trunc < trunc:
+        raise ValueError("operator truncation is below the requested order")
+    rows = [tuple(P[k] if k < len(P) else 0 for P in op.poly_coeffs) for k in range(trunc)]
     n = op.order
-    a = [c.coeffs for c in op.coeffs]
-    out = [Fraction(constant)] + [_F0] * (trunc - 1)
+    lead = rows[0][n]
+    if not lead:
+        raise ApparentSingularityAtZero(
+            "leading polynomial vanishes at z = 0; shearing is out of scope"
+        )
+    if any(rows[0][:n]):
+        raise NotMUM("operator coefficients must vanish at z = 0")
+    support = [(k, [(i, p) for i, p in enumerate(row) if p])
+               for k, row in enumerate(rows) if k and any(row)]
+    # shifted[m][i] = (m+e)^i c_m(e) mod e^width, i = 0..n; c_0 = 1
+    shifted = [[[Fraction(int(t == i)) for t in range(width)] for i in range(n + 1)]]
     for m in range(1, trunc):
-        acc = rhs.coeffs[m] if rhs is not None else _F0
-        for i in range(n):
-            ai = a[i]
-            for k in range(1, m + 1):
-                c = ai[k]
-                if c:
-                    y = out[m - k]
-                    if y:
-                        acc -= c * (m - k) ** i * y
-        out[m] = acc / Fraction(m) ** n
-    return TruncSeries(tuple(out))
+        rhs = [Fraction(0)] * width
+        for k, terms in support:
+            if k > m:
+                break
+            for i, p in terms:
+                for t, x in enumerate(shifted[m - k][i]):
+                    rhs[t] -= p * x
+        # 1/(P_{n,0} (m+e)^n) = sum_u (-1)^u C(n+u-1, u) e^u / (P_{n,0} m^{n+u})
+        inv = [Fraction((-1) ** u * comb(n + u - 1, u), lead * m ** (n + u))
+               for u in range(width)]
+        powers = [[sum(inv[u] * rhs[t - u] for u in range(t + 1)) for t in range(width)]]
+        for _ in range(n):
+            powers.append([m * x + y for x, y in zip(powers[-1], [0] + powers[-1])])
+        shifted.append(powers)
+    return tuple(TruncSeries(tuple(s[0][t] for s in shifted)) for t in range(width))
 
 
-def solve_f(op: DeltaOperator, trunc: int) -> TruncSeries:
+def solve_f(op: DeltaOperator | RawOperator, trunc: int) -> TruncSeries:
     """The unique power-series solution with constant term 1."""
-    _require_mum(op)
-    if op.trunc < trunc:
-        raise ValueError("operator truncation is below the requested order")
-    return _solve_recurrence(op, None, trunc, Fraction(1))
+    return _frobenius(op, trunc, 1)[0]
 
 
-def solve_first_row(op: DeltaOperator, trunc: int) -> tuple[TruncSeries, ...]:
-    """f_{1,1} .. f_{1,n}: column j solves
-    L(f_{1,j}) = -sum_{t=1}^{j-1} L^[t](f_{1,j-t}) with f_{1,j}(0) = 0,
-    making each log-column of the fundamental matrix a solution of L."""
-    _require_mum(op)
-    if op.trunc < trunc:
-        raise ValueError("operator truncation is below the requested order")
-    derivatives = [op.delta_derivative(t) for t in range(1, op.order)]
-    row = [_solve_recurrence(op, None, trunc, Fraction(1))]
-    for j in range(2, op.order + 1):
-        rhs = TruncSeries.zero(trunc)
-        for t in range(1, j):
-            rhs = rhs - derivatives[t - 1].apply(row[j - t - 1]).truncate(trunc)
-        if rhs.constant_term != 0:
-            raise InternalError("log-column right-hand side must vanish at z = 0")
-        row.append(_solve_recurrence(op, rhs, trunc, Fraction(0)))
-    return tuple(row)
+def solve_first_row(op: DeltaOperator | RawOperator, trunc: int) -> tuple[TruncSeries, ...]:
+    """f_{1,1} .. f_{1,n} with f_{1,j}(0) = 0 for j > 1, making each
+    log-column of the fundamental matrix a solution of L."""
+    return _frobenius(op, trunc, op.order)
 
 
-def uniform_part(op: DeltaOperator, trunc: int) -> SeriesMatrix:
+def uniform_part(op: DeltaOperator | RawOperator, trunc: int) -> SeriesMatrix:
     """Y with Y(0) = I whose columns against z^N give the fundamental matrix;
     rows follow f_{i+1,k} = f_{i,k-1} + delta(f_{i,k})."""
     rows = [solve_first_row(op, trunc)]
@@ -113,25 +108,23 @@ def uniform_part(op: DeltaOperator, trunc: int) -> SeriesMatrix:
     return SeriesMatrix(tuple(rows))
 
 
-def solution_basis(op: DeltaOperator, trunc: int) -> SolutionBasis:
+def solution_basis(op: DeltaOperator | RawOperator, trunc: int) -> SolutionBasis:
     y = uniform_part(op, trunc)
     return SolutionBasis(op, y.entries[0], y)
 
 
 def verify_solution(basis: SolutionBasis) -> int:
     """Largest M' <= trunc such that every defining relation of the first
-    row holds mod z^{M'}; equals trunc on correct input."""
-    op = basis.op
+    row, L(f_{1,j}) = -sum_{t=1}^{j-1} L^[t](f_{1,j-t}) for the monic L,
+    holds mod z^{M'}; equals trunc on correct input."""
     trunc = basis.trunc
-    order = trunc
-    residuals = [op.apply(basis.first_row[0].truncate(trunc))]
+    op = monicize(basis.op, trunc) if isinstance(basis.op, RawOperator) else basis.op
     derivatives = [op.delta_derivative(t) for t in range(1, op.order)]
-    for j in range(2, op.order + 1):
+    order = trunc
+    for j in range(1, op.order + 1):
         r = op.apply(basis.first_row[j - 1].truncate(trunc))
         for t in range(1, j):
             r = r + derivatives[t - 1].apply(basis.first_row[j - t - 1])
-        residuals.append(r)
-    for r in residuals:
         fn = r.first_nonzero()
         if fn is not None and fn < order:
             order = fn

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -190,10 +192,14 @@ def test_invalid_prime_rejected(tmp_path):
 
 
 def test_cli_subprocess_entrypoint():
+    # the child imports the same mumkit as this process, installed or not
+    src = str(Path(mumkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "mumkit", "solve", "--builtin", "quintic",
          "--trunc", "3", "--format", "json"],
         capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     doc = json.loads(result.stdout)
     assert doc["results"][0]["f"] == ["1", "120", "113400"]
@@ -269,8 +275,16 @@ def test_candidate_file_round_trip(tmp_path, quintic_y20):
     {"n": 1, "p": 3, "trunc": 2, "entries": [[[["1"]]]]},
     {"n": 1, "p": 3, "trunc": 2, "entries": [[["1", "1/0"]]]},
     [1, 2],
+    {"n": 1, "p": 1, "trunc": 2, "entries": [[["1", "0"]]]},
+    {"n": 1, "p": 4, "trunc": 2, "entries": [[["1", "0"]]]},
+    {"n": 0, "p": 3, "trunc": 2, "entries": []},
+    {"n": 1, "p": 3, "trunc": 0, "entries": [[[]]]},
+    {"n": 1, "p": 3, "trunc": -2, "entries": [[["1", "0", "0"]]]},
+    {"n": 1, "p": 3, "trunc": 2, "entries": [[["1"]]]},
+    {"n": 1, "p": 3, "trunc": 2, "entries": [[["1", "0", "0"]]]},
 ], ids=["missing-key", "wrong-type", "nested-too-deep", "zero-denominator",
-        "not-an-object"])
+        "not-an-object", "p-one", "p-not-prime", "n-zero", "trunc-zero",
+        "trunc-negative", "list-too-short", "list-too-long"])
 def test_malformed_candidate_is_a_format_error(tmp_path, doc):
     path = tmp_path / "phi.json"
     path.write_text(json.dumps(doc))

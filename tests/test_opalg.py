@@ -136,8 +136,10 @@ def test_parse_syntax_error_position():
 
 
 def test_parse_unknown_character():
-    with pytest.raises(OperatorSyntaxError):
-        parse_operator("D + w")
+    # superscript two and Arabic-Indic three are not digits of the grammar
+    for text in ("D + w", "D^2 - ²*z", "D - ٣*z"):
+        with pytest.raises(OperatorSyntaxError):
+            parse_operator(text)
 
 
 def test_parse_zero_operator():

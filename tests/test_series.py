@@ -270,6 +270,9 @@ def test_vp_basics():
     assert vp(F(1, 5), 5) == -1
     assert vp(F(0), 5) == INF
     assert INF > 10**9
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            vp(F(6), p)
 
 
 def test_profile_merge_of_two_primes_is_an_internal_error():
@@ -394,6 +397,12 @@ def test_shift_extends_knowledge():
     out = a.shift(2)
     assert out.trunc == 5
     assert out.coeffs == (0, 0, 1, 2, 3)
+
+
+def test_from_coeffs_rejects_nonpositive_trunc():
+    for trunc in (0, -2):
+        with pytest.raises(ValueError):
+            S([1, 2, 3], trunc)
 
 
 def test_truncate_cannot_extend():

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from mumkit import (
+    ApparentSingularityAtZero,
     DeltaOperator,
     NotMUM,
+    RawOperator,
     SeriesMatrix,
     TruncSeries,
     hypergeometric,
@@ -61,17 +63,24 @@ def test_solve_first_row_trivial():
 
 
 def test_solve_requires_mum():
-    op = monicize(parse_operator("D - 1"), 4)
-    with pytest.raises(NotMUM):
-        solve_f(op, 4)
-    with pytest.raises(NotMUM):
-        solve_first_row(op, 4)
+    raw = parse_operator("D - 1")
+    for op in (monicize(raw, 4), raw):
+        with pytest.raises(NotMUM):
+            solve_f(op, 4)
+        with pytest.raises(NotMUM):
+            solve_first_row(op, 4)
+    # an apparent singularity at zero is reported before the MUM test
+    with pytest.raises(ApparentSingularityAtZero):
+        solve_first_row(parse_operator("z*D^2 + D - z"), 4)
 
 
 def test_solve_needs_enough_operator_order():
     op = monicize(parse_operator("D^2"), 4)
     with pytest.raises(ValueError):
         solve_f(op, 10)
+    for source in (op, parse_operator("D^2")):
+        with pytest.raises(ValueError):
+            solve_first_row(source, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +210,24 @@ def test_uniform_part_system_for_random_operators():
             [[F(int(j == i + 1)) for j in range(n)] for i in range(n)], 9
         )
         assert (y.delta() - a * y + y * nilmat).residual_order() == 9
+    # non-hypergeometric operators read from their polynomials, with a
+    # leading coefficient that is not a unit at z = 0
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        polys = [[0] + [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+                 for _ in range(n)]
+        polys.append([rng.choice([2, -3, 5])] + [rng.randint(-4, 4) for _ in range(3)])
+        raw = RawOperator(tuple(tuple(p) for p in polys))
+        op = monicize(raw, 9)
+        assert solve_first_row(raw, 9) == solve_first_row(op, 9)
+        y = uniform_part(raw, 9)
+        nilmat = SeriesMatrix.from_constant(
+            [[F(int(j == i + 1)) for j in range(n)] for i in range(n)], 9
+        )
+        assert (y.delta() - op.companion() * y + y * nilmat).residual_order() == 9
 
 
-def test_uniform_part_against_matrix_recursion_oracle(quintic30):
+def test_uniform_part_against_matrix_recursion_oracle(quintic30, quintic_raw):
     # solve delta(Y) = A Y - Y N order by order as a 16x16 linear system;
     # completely independent of the row/column recurrences
     trunc = 12
@@ -237,12 +261,13 @@ def test_uniform_part_against_matrix_recursion_oracle(quintic30):
                     acc += x[i + 1][j]
                 x[i][j] = acc / k
         ys.append(x)
-    y_direct = uniform_part(op, trunc)
-    for i in range(n):
-        for j in range(n):
-            assert [ys[k][i][j] for k in range(trunc)] == list(
-                y_direct.entry(i, j).coeffs
-            )
+    for source in (op, quintic_raw):
+        y_direct = uniform_part(source, trunc)
+        for i in range(n):
+            for j in range(n):
+                assert [ys[k][i][j] for k in range(trunc)] == list(
+                    y_direct.entry(i, j).coeffs
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +308,16 @@ def test_verify_solution_detects_any_single_fault(quintic30):
             assert verify_solution(bad) < 10, (column, index)
 
 
-def test_series_solution_is_multiple_of_f(quintic30):
-    # any power-series solution with value c at 0 equals c*f
-    from mumkit.solve import _solve_recurrence
-
-    f = solve_f(quintic30, 12)
-    t = _solve_recurrence(quintic30, None, 12, F(5))
-    assert t.coeffs == tuple(5 * c for c in f.coeffs)
+def test_series_solution_is_multiple_of_f(quintic30, quintic_raw):
+    # any power-series solution with value c at 0 equals c*f; the solution
+    # with y_0 = 5 comes from the dense recurrence of the monic operator,
+    #   m^n y_m = -sum_{i<n} sum_{k=1}^{m} a_{i,k} (m-k)^i y_{m-k}
+    n = quintic30.order
+    a = [c.coeffs for c in quintic30.coeffs]
+    y = [F(5)]
+    for m in range(1, 12):
+        acc = sum(a[i][k] * (m - k) ** i * y[m - k]
+                  for i in range(n) for k in range(1, m + 1))
+        y.append(-acc / F(m) ** n)
+    for op in (quintic30, quintic_raw):
+        assert tuple(y) == tuple(5 * c for c in solve_f(op, 12).coeffs)
