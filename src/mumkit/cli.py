@@ -241,12 +241,12 @@ def load_candidate_file(path) -> FrobeniusCandidate:
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
-        n, p, trunc = (int(doc[key]) for key in ("n", "p", "trunc"))
+        n, p, trunc = (doc[key] for key in ("n", "p", "trunc"))
         rows = [[[Fraction(c) for c in coeffs] for coeffs in row] for row in doc["entries"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CorpusFormatError(f"{path}: malformed candidate: {exc!r}") from exc
-    if not is_prime(p) or n < 1 or trunc < 1:
-        raise CorpusFormatError(f"{path}: p must be prime, n and trunc at least 1")
+    if any(type(v) is not int for v in (n, p, trunc)) or not is_prime(p) or min(n, trunc) < 1:
+        raise CorpusFormatError(f"{path}: n, p, trunc must be integers, p prime, n and trunc >= 1")
     if len(rows) != n or any(len(row) != n for row in rows):
         raise CorpusFormatError(f"{path}: entries must form an {n}x{n} array")
     if any(len(coeffs) != trunc for row in rows for coeffs in row):

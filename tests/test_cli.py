@@ -277,14 +277,16 @@ def test_candidate_file_round_trip(tmp_path, quintic_y20):
     [1, 2],
     {"n": 1, "p": 1, "trunc": 2, "entries": [[["1", "0"]]]},
     {"n": 1, "p": 4, "trunc": 2, "entries": [[["1", "0"]]]},
+    {"n": 1, "p": 7.5, "trunc": 2, "entries": [[["1", "0"]]]},
+    {"n": 1, "p": 3, "trunc": 2.5, "entries": [[["1", "0"]]]},
     {"n": 0, "p": 3, "trunc": 2, "entries": []},
     {"n": 1, "p": 3, "trunc": 0, "entries": [[[]]]},
     {"n": 1, "p": 3, "trunc": -2, "entries": [[["1", "0", "0"]]]},
     {"n": 1, "p": 3, "trunc": 2, "entries": [[["1"]]]},
     {"n": 1, "p": 3, "trunc": 2, "entries": [[["1", "0", "0"]]]},
 ], ids=["missing-key", "wrong-type", "nested-too-deep", "zero-denominator",
-        "not-an-object", "p-one", "p-not-prime", "n-zero", "trunc-zero",
-        "trunc-negative", "list-too-short", "list-too-long"])
+        "not-an-object", "p-one", "p-not-prime", "p-float", "trunc-float", "n-zero",
+        "trunc-zero", "trunc-negative", "list-too-short", "list-too-long"])
 def test_malformed_candidate_is_a_format_error(tmp_path, doc):
     path = tmp_path / "phi.json"
     path.write_text(json.dumps(doc))
