@@ -27,8 +27,9 @@ def main():
     parser.add_argument("--prime-bound", type=int, default=40)
     args = parser.parse_args()
 
-    op = monicize(builtin("quintic"), args.trunc)
-    f, g, *_ = solve_first_row(op, args.trunc)
+    raw = builtin("quintic")
+    f, g, *_ = solve_first_row(raw, args.trunc)
+    op = monicize(raw, args.trunc)  # for the op in Z_p column only
 
     print(f"quintic at truncation order {args.trunc}")
     print(f"{'p':>4} {'op in Z_p':>10} {'dieudonne':>10} {'omega':>6} {'exp(g/f)':>9}")

@@ -35,6 +35,7 @@ def main():
     primes = [int(chunk) for chunk in args.primes.split(",")]
     for label, raw in load_corpus_file(args.corpus):
         op = monicize(raw, args.trunc)
+        y = uniform_part(raw, args.trunc)
         print(f"== {label} (order {raw.order}, working order {args.trunc})")
         for p in primes:
             if not op.p_integrality(p).is_integral:
@@ -43,10 +44,10 @@ def main():
             if p**args.level >= args.trunc:
                 print(f"   p={p}: skipped, order too small for level {args.level}")
                 continue
-            data = iterate_transfer(op, p, args.level)
+            data = iterate_transfer(y, p, args.level)
             audit = transfer_audit(op, data)
-            reduction = reduction_congruence_check(op, p, args.level)
-            fit = fit_frobenius_constant(uniform_part(op, min(args.trunc, 24)), p)
+            reduction = reduction_congruence_check(y, p, args.level)
+            fit = fit_frobenius_constant(y.truncate(min(args.trunc, 24)), p)
             print(
                 f"   p={p}: L_{args.level} certified to {data.trunc},"
                 f" audit {'ok' if audit.ok else 'FAILED'},"

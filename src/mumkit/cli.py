@@ -407,7 +407,7 @@ def _check(spec, subject, work, p):
     entry = {"check": spec.check_kind}
     if spec.check_kind == "reduction":
         working = _check_order(spec, p)
-        ok = reduction_congruence_check(subject.at(working), p, spec.level)
+        ok = reduction_congruence_check(uniform_part(subject.raw, working), p, spec.level)
         entry["working_trunc"] = working
         entry["congruence_order"] = p**spec.level + 1
     elif spec.check_kind == "dieudonne":
@@ -436,7 +436,8 @@ def _transfer(spec, subject, work, p):
         raise NotPIntegralOperator(
             f"operator is not {p}-integral up to order {working}"
         )
-    data = iterate_transfer(op, p, spec.level, target_trunc=spec.trunc)
+    data = iterate_transfer(uniform_part(subject.raw, working), p, spec.level,
+                            target_trunc=spec.trunc)
     audit = transfer_audit(op, data)
     return {
         "level": spec.level,

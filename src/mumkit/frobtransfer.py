@@ -22,7 +22,7 @@ from fractions import Fraction
 from .opalg import DeltaOperator
 from .primes import vp_factorial
 from .series import InternalError, SeriesMatrix, TruncSeries, ValuationProfile, vp
-from .solve import solve_f, uniform_part
+from .solve import uniform_part
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -224,9 +224,10 @@ class TransferData:
     trunc: int
 
 
-def iterate_transfer(op: DeltaOperator, p: int, m: int,
+def iterate_transfer(y: SeriesMatrix, p: int, m: int,
                      target_trunc: int | None = None) -> TransferData:
-    """Level-m transfer data (L_m, H_m) for a MUM p-integral operator.
+    """Level-m transfer data (L_m, H_m) from the uniform part Y of a MUM
+    p-integral operator; Y.trunc is the working order.
 
     The operator chain loses a factor p of known order per level; if a
     target certified order is requested the budget is checked up front.
@@ -235,7 +236,7 @@ def iterate_transfer(op: DeltaOperator, p: int, m: int,
     """
     if m < 1:
         raise ValueError("level must be >= 1")
-    working = op.trunc
+    working = y.trunc
     certified = certified_trunc(working, p, m)
     if target_trunc is not None and certified < target_trunc:
         raise InsufficientTruncation(
@@ -243,16 +244,14 @@ def iterate_transfer(op: DeltaOperator, p: int, m: int,
             f"to {certified} < {target_trunc}; need working order >= "
             f"{working_trunc_for(target_trunc, p, m)}"
         )
-    nilpotent = _shift_matrix(op.order)
-    y_top = uniform_part(op, working)
-    current = op
-    y_current = y_top
+    nilpotent = _shift_matrix(y.n)
+    y_current = y
     for level in range(m):
         f = frobenius_quotient_F(y_current, nilpotent, p)
         current = transfer_operator_L1(f, p)
         if level + 1 < m:
             y_current = uniform_part(current, current.trunc)
-    h = h_matrix(y_top, p, m)
+    h = h_matrix(y, p, m)
     return TransferData(p, m, current, h, certified)
 
 
@@ -591,15 +590,13 @@ def reduction_congruence_parts(h11: TruncSeries, f: TruncSeries, p: int,
     return True
 
 
-def reduction_congruence_check(op: DeltaOperator, p: int, m: int,
-                               trunc: int | None = None) -> bool:
-    """The level-m reduction congruence for op, from freshly computed
-    transfer data; implies f_k lies in Z_p for every k < p^m."""
-    M = op.trunc if trunc is None else min(trunc, op.trunc)
-    if p**m >= M:
+def reduction_congruence_check(y: SeriesMatrix, p: int, m: int) -> bool:
+    """The level-m reduction congruence at working order Y.trunc for the
+    operator with uniform part Y, from freshly computed transfer data;
+    implies f_k lies in Z_p for every k < p^m."""
+    if p**m >= y.trunc:
         raise InsufficientTruncation(
             f"congruence mod z^{p**m + 1} needs working order > {p**m}"
         )
-    data = iterate_transfer(op.truncate(M), p, m)
-    f = solve_f(op, M)
-    return reduction_congruence_parts(data.h.entries[0][0], f, p, m)
+    data = iterate_transfer(y, p, m)
+    return reduction_congruence_parts(data.h.entries[0][0], y.entries[0][0], p, m)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .opalg import ApparentSingularityAtZero, DeltaOperator, NotMUM, RawOperator, monicize
+from .opalg import ApparentSingularityAtZero, DeltaOperator, NotMUM, RawOperator
 from .series import SeriesMatrix, TruncSeries
 
 
@@ -46,23 +46,28 @@ class SolutionBasis:
         return self.first_row[1]
 
 
+def _rows(op, trunc: int) -> list[tuple[int, list]]:
+    """(k, [(i, P_{i,k}) with P_{i,k} != 0]) for each z-degree k < trunc where L has a term."""
+    rows = [(k, [(i, P[k]) for i, P in enumerate(op.poly_coeffs) if k < len(P) and P[k]])
+            for k in range(trunc)]
+    return [row for row in rows if row[1]]
+
+
 def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
     """sum_m [e^j]c_m z^m for j < width, from the recurrence above."""
     if trunc < 1:
         raise ValueError("truncation order must be positive")
     if isinstance(op, DeltaOperator) and op.trunc < trunc:
         raise ValueError("operator truncation is below the requested order")
-    rows = [tuple(P[k] if k < len(P) else 0 for P in op.poly_coeffs) for k in range(trunc)]
     n = op.order
-    lead = rows[0][n]
+    lead = op.poly_coeffs[n][0]
     if not lead:
         raise ApparentSingularityAtZero(
             "leading polynomial vanishes at z = 0; shearing is out of scope"
         )
-    if any(rows[0][:n]):
+    if any(P[0] for P in op.poly_coeffs[:n] if P):
         raise NotMUM("operator coefficients must vanish at z = 0")
-    support = [(k, [(i, p) for i, p in enumerate(row) if p])
-               for k, row in enumerate(rows) if k and any(row)]
+    support = [row for row in _rows(op, trunc) if row[0]]
     # shifted[m][i] = (m+e)^i c_m(e) mod e^width, i = 0..n; c_0 = 1
     shifted = [[[Fraction(int(t == i)) for t in range(width)] for i in range(n + 1)]]
     for m in range(1, trunc):
@@ -114,18 +119,17 @@ def solution_basis(op: DeltaOperator | RawOperator, trunc: int) -> SolutionBasis
 
 
 def verify_solution(basis: SolutionBasis) -> int:
-    """Largest M' <= trunc such that every defining relation of the first
-    row, L(f_{1,j}) = -sum_{t=1}^{j-1} L^[t](f_{1,j-t}) for the monic L,
-    holds mod z^{M'}; equals trunc on correct input."""
+    """Largest M' <= trunc such that sum_{t<=j} L^[t](f_{1,j+1-t}) = 0 mod z^{M'}
+    for every column j, L^[t] = sum_i C(i,t) P_i D^{i-t} read from the rows of
+    L = sum_i P_i(z) D^i; equals trunc on correct input.  From a parsed L the
+    residual is P_n times the monic one, and P_n(0) != 0."""
     trunc = basis.trunc
-    op = monicize(basis.op, trunc) if isinstance(basis.op, RawOperator) else basis.op
-    derivatives = [op.delta_derivative(t) for t in range(1, op.order)]
-    order = trunc
-    for j in range(1, op.order + 1):
-        r = op.apply(basis.first_row[j - 1].truncate(trunc))
-        for t in range(1, j):
-            r = r + derivatives[t - 1].apply(basis.first_row[j - t - 1])
-        fn = r.first_nonzero()
-        if fn is not None and fn < order:
-            order = fn
-    return order
+    columns = [f.coeffs for f in basis.first_row]
+    rows = _rows(basis.op, trunc)
+    for m in range(trunc):
+        for j in range(len(columns)):
+            r = sum(comb(i, t) * p * (m - k) ** (i - t) * columns[j - t][m - k]
+                    for k, terms in rows if k <= m for i, p in terms for t in range(min(i, j) + 1))
+            if r:
+                return m
+    return trunc

@@ -34,5 +34,10 @@ def quintic_row30(quintic30):
 
 
 @pytest.fixture(scope="session")
+def quintic_y30(quintic30):
+    return uniform_part(quintic30, 30)
+
+
+@pytest.fixture(scope="session")
 def quintic_y20(quintic30):
     return uniform_part(quintic30.truncate(20), 20)

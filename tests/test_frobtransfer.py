@@ -164,32 +164,31 @@ def test_transfer_operator_quintic(quintic30):
 
 def test_iterate_transfer_trivial_operator():
     op = monicize(parse_operator("D^3"), 18)
-    data = iterate_transfer(op, 2, 2)
+    data = iterate_transfer(uniform_part(op, op.trunc), 2, 2)
     assert all(a.is_zero() for a in data.operator.coeffs)
     diag = [F(1), F(4), F(16)]
     assert data.h == SeriesMatrix.diagonal(diag, 18)
     assert data.trunc == 5  # ceil(ceil(18/2)/2)
 
 
-def test_iterate_transfer_level_one_equals_h_matrix(quintic30):
+def test_iterate_transfer_level_one_equals_h_matrix(quintic_y30):
     p = 7
-    data = iterate_transfer(quintic30, p, 1)
-    y = uniform_part(quintic30, 30)
-    assert data.h == h_matrix(y, p, 1)
+    data = iterate_transfer(quintic_y30, p, 1)
+    assert data.h == h_matrix(quintic_y30, p, 1)
     assert data.h.constant_matrix() == tuple(
         tuple(F(p) ** i if i == j else F(0) for j in range(4)) for i in range(4)
     )
 
 
-def test_iterate_transfer_budget_guard(quintic30):
+def test_iterate_transfer_budget_guard(quintic_y30):
     with pytest.raises(InsufficientTruncation):
-        iterate_transfer(quintic30, 7, 2, target_trunc=5)
+        iterate_transfer(quintic_y30, 7, 2, target_trunc=5)
     with pytest.raises(ValueError):
         working_trunc_for(5, 7, 0)
 
 
-def test_transfer_audit_quintic(quintic30):
-    data = iterate_transfer(quintic30, 7, 1)
+def test_transfer_audit_quintic(quintic30, quintic_y30):
+    data = iterate_transfer(quintic_y30, 7, 1)
     audit = transfer_audit(quintic30, data)
     assert audit.h_constant_ok
     assert audit.equation_residual_order == audit.equation_trunc
@@ -205,8 +204,8 @@ def test_iterate_transfer_dual_path_small():
     raw = parse_operator("D^4 - 5*z*(5*D+1)*(5*D+2)*(5*D+3)*(5*D+4)")
     op = monicize(raw, 21)
     y = uniform_part(op, 21)
-    data2 = iterate_transfer(op, p, 2)
-    data1 = iterate_transfer(op, p, 1)
+    data2 = iterate_transfer(y, p, 2)
+    data1 = iterate_transfer(y, p, 1)
     y1 = uniform_part(data1.operator, data1.operator.trunc)
     composed = data1.h * h_matrix(y1, p, 1).substitute_power(p)
     diff = data2.h.truncate(composed.trunc) - composed.truncate(composed.trunc)
@@ -243,9 +242,9 @@ def test_verify_frobenius_construction(quintic30, quintic_y20):
     assert ver.constant_shape_ok
 
 
-def test_verify_frobenius_cross_wired_h1(quintic30):
+def test_verify_frobenius_cross_wired_h1(quintic30, quintic_y30):
     # H1 intertwines A with B1, not with A(z^p): the audit must notice
-    data = iterate_transfer(quintic30, 7, 1)
+    data = iterate_transfer(quintic_y30, 7, 1)
     ver = verify_frobenius(quintic30, FrobeniusCandidate(7, data.h))
     assert ver.residual_order < ver.trunc
     assert not ver.ok
@@ -365,19 +364,20 @@ def test_radius_requires_p_integrality():
 
 def test_reduction_trivial_operator():
     op = monicize(parse_operator("D^3"), 10)
-    assert reduction_congruence_check(op, 2, 1)
-    assert reduction_congruence_check(op, 2, 2)
+    y = uniform_part(op, op.trunc)
+    assert reduction_congruence_check(y, 2, 1)
+    assert reduction_congruence_check(y, 2, 2)
 
 
-def test_reduction_quintic_small_prime(quintic30):
-    assert reduction_congruence_check(quintic30, 2, 1)
-    assert reduction_congruence_check(quintic30, 2, 2)
-    assert reduction_congruence_check(quintic30, 3, 1)
+def test_reduction_quintic_small_prime(quintic_y30):
+    assert reduction_congruence_check(quintic_y30, 2, 1)
+    assert reduction_congruence_check(quintic_y30, 2, 2)
+    assert reduction_congruence_check(quintic_y30, 3, 1)
 
 
-def test_reduction_insufficient_truncation(quintic30):
+def test_reduction_insufficient_truncation(quintic_y30):
     with pytest.raises(InsufficientTruncation):
-        reduction_congruence_check(quintic30, 7, 2)
+        reduction_congruence_check(quintic_y30, 7, 2)
 
 
 def test_bad_prime_detected_on_genuine_example():
@@ -386,7 +386,8 @@ def test_bad_prime_detected_on_genuine_example():
     # operator is not 2-integral and no integral Frobenius constant exists
     raw = hypergeometric_quartic()
     op = monicize(raw, 24)
-    data = iterate_transfer(op, 2, 1)
+    y = uniform_part(op, op.trunc)
+    data = iterate_transfer(y, 2, 1)
     audit = transfer_audit(op, data)
     assert audit.equation_residual_order == audit.equation_trunc
     assert not audit.operator_profile.is_integral
@@ -394,7 +395,7 @@ def test_bad_prime_detected_on_genuine_example():
     fit = fit_frobenius_constant(uniform_part(op, 16), 2)
     assert not fit.found
     # while at p = 7 the same operator behaves
-    data7 = iterate_transfer(op, 7, 1)
+    data7 = iterate_transfer(y, 7, 1)
     assert transfer_audit(op, data7).ok
 
 
@@ -404,8 +405,8 @@ def hypergeometric_quartic():
     return hypergeometric([F(1, 4), F(2, 4), F(3, 4)], [1, 1, 1], 64)
 
 
-def test_reduction_parts_fault_injection(quintic30):
-    data = iterate_transfer(quintic30, 2, 1)
+def test_reduction_parts_fault_injection(quintic30, quintic_y30):
+    data = iterate_transfer(quintic_y30, 2, 1)
     f = solve_f(quintic30, 30)
     h11 = data.h.entries[0][0]
     assert reduction_congruence_parts(h11, f, 2, 1)
