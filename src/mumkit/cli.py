@@ -242,7 +242,8 @@ def load_candidate_file(path) -> FrobeniusCandidate:
     try:
         doc = json.loads(text)
         n, p, trunc = (doc[key] for key in ("n", "p", "trunc"))
-        rows = [[[Fraction(c) for c in coeffs] for coeffs in row] for row in doc["entries"]]
+        rows = [[[_rational_string(c) for c in coeffs] for coeffs in row]
+                for row in doc["entries"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CorpusFormatError(f"{path}: malformed candidate: {exc!r}") from exc
     if any(type(v) is not int for v in (n, p, trunc)) or not is_prime(p) or min(n, trunc) < 1:
@@ -253,6 +254,12 @@ def load_candidate_file(path) -> FrobeniusCandidate:
         raise CorpusFormatError(f"{path}: every coefficient list needs {trunc} entries")
     phi = SeriesMatrix(tuple(tuple(TruncSeries(tuple(c)) for c in row) for row in rows))
     return FrobeniusCandidate(p, phi)
+
+
+def _rational_string(c) -> Fraction:
+    if type(c) is not str:
+        raise TypeError(f"coefficient {c!r} is not a string")
+    return Fraction(c)
 
 
 def dump_candidate(cand: FrobeniusCandidate) -> dict:
@@ -459,6 +466,9 @@ def _transfer(spec, subject, work, p):
 
 
 def _verify(spec, subject, cand, p):
+    if cand.phi.n != subject.raw.order:
+        raise ValueError(f"candidate is {cand.phi.n}x{cand.phi.n} but the operator has "
+                         f"order {subject.raw.order}")
     ver = verify_frobenius(subject.at(max(spec.trunc, cand.trunc)), cand)
     return {
         "prime": cand.p,

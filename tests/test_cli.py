@@ -284,9 +284,16 @@ def test_candidate_file_round_trip(tmp_path, quintic_y20):
     {"n": 1, "p": 3, "trunc": -2, "entries": [[["1", "0", "0"]]]},
     {"n": 1, "p": 3, "trunc": 2, "entries": [[["1"]]]},
     {"n": 1, "p": 3, "trunc": 2, "entries": [[["1", "0", "0"]]]},
+    # coefficients are exact rational strings, never JSON numbers
+    {"n": 1, "p": 7, "trunc": 2, "entries": [[[1, 0.1]]]},
+    {"n": 1, "p": 7, "trunc": 2, "entries": [[["1", 0.5]]]},
+    {"n": 1, "p": 7, "trunc": 2, "entries": [[[1, "0"]]]},
+    {"n": 1, "p": 7, "trunc": 2, "entries": [[["1", True]]]},
+    {"n": 1, "p": 7, "trunc": 2, "entries": [[["1", None]]]},
 ], ids=["missing-key", "wrong-type", "nested-too-deep", "zero-denominator",
         "not-an-object", "p-one", "p-not-prime", "p-float", "trunc-float", "n-zero",
-        "trunc-zero", "trunc-negative", "list-too-short", "list-too-long"])
+        "trunc-zero", "trunc-negative", "list-too-short", "list-too-long",
+        "coeff-numbers", "coeff-float", "coeff-int", "coeff-bool", "coeff-null"])
 def test_malformed_candidate_is_a_format_error(tmp_path, doc):
     path = tmp_path / "phi.json"
     path.write_text(json.dumps(doc))
@@ -318,6 +325,22 @@ def test_verify_frobenius_command(tmp_path, quintic_y20):
     assert status == 0
     assert doc.results[0]["residual_order"] == 10
     assert doc.results[0]["ok"] is True
+
+
+@pytest.mark.parametrize("source,size", [("--builtin quintic", 2), ("--op D^2", 4)])
+def test_candidate_of_wrong_order_is_an_input_error(tmp_path, source, size, capsys):
+    y = uniform_part(monicize(parse_operator(f"D^{size}"), 3), 3)
+    cand = frobenius_from_constant(y, twisted_rows(3, size, [1] + [0] * (size - 1)), 3)
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(dump_candidate(cand)))
+    kind, value = source.split()
+    status = main(["verify-frobenius", kind, value, "--trunc", "3",
+                   "--candidate", str(path), "--format", "json"])
+    assert status == 2
+    error = json.loads(capsys.readouterr().out)["errors"][0]
+    order = 4 if size == 2 else 2
+    assert error == {"code": "INVALID_INPUT", "message":
+                     f"candidate is {size}x{size} but the operator has order {order}"}
 
 
 def test_verify_frobenius_command_rejects_wrong_candidate(tmp_path):

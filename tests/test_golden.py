@@ -102,6 +102,9 @@ CASES = {
     "error_trunc": ["solve", "--builtin", "quintic", "--trunc", "0"],
     "error_hypergeom_shape": ["hypergeom", "--alpha", "1/2", "--beta", "1,1"],
     "error_hypergeom_zero_division": ["hypergeom", "--alpha", "1/0", "--beta", "1"],
+    # a 2x2 candidate against an order-4 operator
+    "error_candidate_order": ["verify-frobenius", "--builtin", "quintic", "--trunc", "6",
+                              "--candidate", "wrong.json"],
     "error_missing_candidate": ["verify-frobenius", "--builtin", "quintic", "--trunc", "4",
                                 "--candidate", "missing.json"],
     "error_missing_corpus": ["solve", "--file", "nowhere.ops", "--trunc", "4"],
