@@ -22,6 +22,8 @@ from mumkit import (
 from tests.conftest import quintic_f_coeff, quintic_g_coeff
 
 F = Fraction
+# non-hypergeometric, deg_z P_i up to 3 and P_n(0) = 2
+NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +277,9 @@ def test_uniform_part_against_matrix_recursion_oracle(quintic30, quintic_raw):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_solution_full_order(quintic30):
-    basis = solution_basis(quintic30.truncate(15), 15)
-    assert verify_solution(basis) == 15
+def test_verify_solution_full_order(quintic30, quintic_raw):
+    for op in (quintic30.truncate(15), quintic_raw, parse_operator(NONHYPER)):
+        assert verify_solution(solution_basis(op, 15)) == 15
 
 
 def test_verify_solution_trivial_operator():
@@ -298,14 +300,33 @@ def test_verify_solution_detects_f3_fault(quintic30):
     assert verify_solution(bad) <= 3
 
 
-def test_verify_solution_detects_any_single_fault(quintic30):
-    basis = solution_basis(quintic30.truncate(10), 10)
-    for column in range(4):
-        for index in range(1, 10, 4):
+def test_verify_solution_detects_any_single_fault(quintic30, quintic_raw):
+    for op in (quintic30.truncate(10), quintic_raw, parse_operator(NONHYPER)):
+        basis = solution_basis(op, 10)
+        for column in range(op.order):
+            for index in range(1, 10, 4):
+                row = list(basis.first_row)
+                row[column] = perturb(row[column], index)
+                bad = type(basis)(basis.op, tuple(row), basis.uniform_part)
+                assert verify_solution(bad) < 10, (op, column, index)
+
+
+@pytest.mark.parametrize("text", ["D^4 - 5*z*(5*D+1)*(5*D+2)*(5*D+3)*(5*D+4)", NONHYPER])
+def test_verify_solution_raw_and_monic_agree(text):
+    # the residual from the parsed rows is P_n times the monic one and
+    # P_n(0) != 0, so every fault shows at the same order in both
+    trunc = 10
+    raw = parse_operator(text)
+    monic = monicize(raw, trunc)
+    basis = solution_basis(raw, trunc)
+    assert basis.first_row == solution_basis(monic, trunc).first_row
+    for column in range(raw.order):
+        for index in range(trunc):
             row = list(basis.first_row)
             row[column] = perturb(row[column], index)
-            bad = type(basis)(basis.op, tuple(row), basis.uniform_part)
-            assert verify_solution(bad) < 10, (column, index)
+            orders = [verify_solution(type(basis)(op, tuple(row), basis.uniform_part))
+                      for op in (raw, monic)]
+            assert orders[0] == orders[1] <= max(index, 1), (column, index, orders)
 
 
 def test_series_solution_is_multiple_of_f(quintic30, quintic_raw):
