@@ -7,6 +7,9 @@ that intertwines the two companion systems.  A p-integral Frobenius
 structure is a matrix Phi with delta(Phi) = A Phi - p Phi A(z^p); by the
 uniqueness of log-structured solutions it always factors as
 Phi = Y C Y(z^p)^{-1} with a constant matrix C satisfying N C = p C N.
+All of these are built from the uniform part Y of L's solutions at z = 0,
+so the constructions (transfer, reduction, H_m, F, Phi and its fit) take Y;
+the audits that read L's companion matrix A take the monic operator.
 
 Truncation budget: every Cartier application divides the known order by p,
 so level-m operator data certified to order T needs a working order of at
