@@ -66,6 +66,15 @@ CASES = {
                     "--primes", "auto:5"],
     "radius_human": ["radius", "--builtin", "quintic", "--trunc", "6", "--max-j", "4",
                      "--primes", "7", "--format", "human"],
+    # only the row j = 0
+    "radius_max_j0": ["radius", "--builtin", "quintic", "--trunc", "6", "--max-j", "0",
+                      "--primes", "5,7"],
+    # A = 0, so every A_j with j >= 1 is the zero matrix: `inf` rows
+    "radius_zero": ["radius", "--op", "D", "--trunc", "4", "--max-j", "3",
+                    "--primes", "auto:7"],
+    # P_n / P_n(0) = 1 + z/3 is not 3-integral, but the monic operator is
+    "radius_lead_not_unit": ["radius", "--op", "(3+z)*D^2 - (3+z)*z*D - (3+z)*z",
+                             "--trunc", "8", "--max-j", "12", "--primes", "auto:5"],
     "hypergeom": ["hypergeom", "--alpha", "1/5,2/5,3/5,4/5", "--beta", "1,1,1,1",
                   "--scale", "3125"],
     "hypergeom_human": ["hypergeom", "--alpha", "1/2,1/2", "--beta", "1,1", "--scale", "16",
@@ -78,11 +87,15 @@ CASES = {
                              "--primes", "auto:7"],
     "fit_nonhyper": ["fit-frobenius", "--op", NONHYPER, "--trunc", "6",
                      "--primes", "3,5,7"],
+    "radius_nonhyper": ["radius", "--op", NONHYPER, "--trunc", "5", "--max-j", "24",
+                        "--primes", "3,7"],
     # errors, exit 2; the mixed corpus fails after some results are in
     "error_check_mixed": ["check", "dieudonne", "--file", "mixed.ops", "--trunc", "6",
                           "--primes", "auto:5"],
     "error_transfer_mixed": ["transfer", "--file", "mixed.ops", "--trunc", "3",
                              "--primes", "2,3"],
+    "error_radius_mixed": ["radius", "--file", "mixed.ops", "--trunc", "6", "--max-j", "4",
+                           "--primes", "2,3"],
     "error_syntax": ["solve", "--op", "D +* z", "--trunc", "4"],
     "error_unknown_builtin": ["solve", "--builtin", "sextic"],
     "error_not_mum": ["check", "dieudonne", "--op", "D - 1", "--trunc", "6", "--primes", "3"],
@@ -92,11 +105,15 @@ CASES = {
     "error_apparent_qcoord": ["qcoord", "--op", "z*D^2 + D - z", "--trunc", "6"],
     "error_apparent_check": ["check", "omega", "--op", "z*D^2 + D - z", "--trunc", "6",
                              "--primes", "3"],
+    "error_apparent_radius": ["radius", "--op", "z*D^2 + D - z", "--trunc", "6",
+                              "--primes", "3"],
     "error_qcoord_order_one": ["qcoord", "--op", "D - z", "--trunc", "6"],
     "error_omega_order_one": ["check", "omega", "--op", "D - z", "--trunc", "6",
                               "--primes", "3"],
     "error_not_p_integral": ["transfer", "--op", "3*D^2 - z^2", "--trunc", "3",
                              "--primes", "3"],
+    "error_radius_not_p_integral": ["radius", "--op", "2*D - z", "--trunc", "6",
+                                    "--primes", "2"],
     "error_invalid_prime": ["check", "dieudonne", "--builtin", "quintic", "--primes", "6"],
     "error_auto_bound": ["radius", "--builtin", "quintic", "--primes", "auto:1"],
     "error_trunc": ["solve", "--builtin", "quintic", "--trunc", "0"],
