@@ -59,6 +59,7 @@ from .frobtransfer import (
     InsufficientTruncation,
     NotPIntegralOperator,
     RadiusDiagnostic,
+    TaylorGcds,
     TransferAudit,
     TransferData,
     certified_trunc,
@@ -71,6 +72,7 @@ from .frobtransfer import (
     radius_diagnostic,
     reduction_congruence_check,
     reduction_congruence_parts,
+    taylor_gcds,
     transfer_audit,
     transfer_operator_L1,
     twisted_rows,

@@ -69,6 +69,7 @@ from .frobtransfer import (
     iterate_transfer,
     radius_diagnostic,
     reduction_congruence_check,
+    taylor_gcds,
     transfer_audit,
     verify_frobenius,
     working_trunc_for,
@@ -293,6 +294,11 @@ class _Subject:
             self._order, self._monic = order, monicize(self.raw, order)
         return self._monic
 
+    def p_integral(self, p: int, order: int) -> bool:
+        """Is the monic operator p-integral up to `order`?  Monicizes only
+        when the order-free test on the polynomial rows cannot tell."""
+        return self.raw.integral_over_lead(p) or self.at(order).p_integrality(p).is_integral
+
 
 def _resolve_operators(spec: JobSpec) -> list[tuple[str, RawOperator]]:
     if spec.source_kind == "op":
@@ -333,7 +339,7 @@ def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
             primes = []
             bound = DEFAULT_PRIME_BOUND if spec.auto_bound is None else spec.auto_bound
             for p in primes_upto(bound):
-                if subject.at(cmd.order(spec, p)).p_integrality(p).is_integral:
+                if subject.p_integral(p, cmd.order(spec, p)):
                     primes.append(p)
                 else:
                     doc.results.append(
@@ -496,8 +502,8 @@ def _fit(spec, subject, y, p):
     return entry, fit.found
 
 
-def _radius(spec, subject, work, p):
-    diag = radius_diagnostic(subject.at(spec.trunc), p, spec.max_index)
+def _radius(spec, subject, taylor, p):
+    diag = radius_diagnostic(taylor, p, spec.max_index)
     return {
         "trunc": diag.trunc,
         "norm_semantics": "exponents of truncated entries; "
@@ -566,6 +572,7 @@ COMMANDS = {
     "radius": Command(
         "Gauss-norm diagnostics of A_j", ("source", "primes", "max_j"), _radius,
         per_prime=True,
+        prepare=lambda spec, subject: taylor_gcds(subject.raw, spec.trunc, spec.max_index),
     ),
     "hypergeom": Command(
         "hypergeometric constructor", ("alpha", "beta", "scale"), _hypergeom,

@@ -15,16 +15,38 @@ Truncation budget: every Cartier application divides the known order by p,
 so level-m operator data certified to order T needs a working order of at
 least p^m (T - 1) + 1.  Gauss norms of truncated series are lower bounds
 on the true norms; the diagnostics below label them as such.
+
+Radius diagnostics read the Taylor matrices A_0 = I,
+A_{j+1} = delta(A_j) + A_j (A - jI) of the companion matrix A without ever
+forming A.  For L = sum_i P_i D^i with integer polynomials P_i, the matrix
+C = P_n A is polynomial (superdiagonal P_n, last row -P_0 .. -P_{n-1}), and
+B_j = P_n^j A_j is an integer polynomial matrix: from
+delta(B_j) = j delta(P_n) P_n^{j-1} A_j + P_n^j delta(A_j) follows
+
+    B_{j+1} = P_n delta(B_j) - j (delta(P_n) + P_n) B_j + B_j C,
+
+where B_j C is B_j's columns shifted right times P_n, plus its last column
+times -P_k in column k.  Let g_j be the gcd of every coefficient of
+B_j mod z^T.  If u = P_n / P_n(0) lies in Z_p[z] it is a unit of Z_p[[z]]
+(u(0) = 1), and multiplying by a unit keeps the least valuation of the
+coefficients below z^T, so
+
+    min v_p(A_j mod z^T) = v_p(g_j) - j v_p(P_n(0)).
+
+The g_j do not depend on p, so they are computed once per operator
+(taylor_gcds); each prime then costs a few integer valuations.  Otherwise
+the prime takes B_j P_n^{-j} mod z^T, which is A_j mod z^T, directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .opalg import DeltaOperator
-from .primes import vp_factorial
-from .series import InternalError, SeriesMatrix, TruncSeries, ValuationProfile, vp
+from .opalg import ApparentSingularityAtZero, DeltaOperator, RawOperator, monicize
+from .primes import vp_factorial, vp_int
+from .series import INF, InternalError, SeriesMatrix, TruncSeries, ValuationProfile, vp
 from .solve import uniform_part
 
 _F0 = Fraction(0)
@@ -130,34 +152,141 @@ class RadiusDiagnostic:
     trending_to_zero: bool  # window heuristic: last 10 norms strictly < 1
 
 
-def radius_diagnostic(op: DeltaOperator, p: int, max_index: int) -> RadiusDiagnostic:
-    """Gauss norms of the Taylor matrices A_0 = I,
-    A_{j+1} = delta(A_j) + A_j (A - jI), as exponents of p.
+@dataclass(frozen=True)
+class TaylorGcds:
+    """The prime-independent part of the radius diagnostic of one operator."""
 
-    Norms of truncated entries are lower bounds on the true Gauss norms.
-    The trend flag realizes the testable consequence of radius >= 1 (the
-    norms tend to zero) and is diagnostic only.
+    rows: tuple[tuple[int, ...], ...]  # P_0 .. P_n, integers with gcd 1
+    trunc: int
+    gcds: tuple[int, ...]  # g_j = gcd of B_j mod z^trunc (0 for B_j = 0)
+
+
+def taylor_gcds(op: RawOperator | DeltaOperator, trunc: int,
+                max_index: int) -> TaylorGcds:
+    """g_0 .. g_max_index for B_j = P_n^j A_j mod z^trunc (module docstring).
+
+    A monic operator is read as the integer rows of its coefficients times
+    the lcm of their denominators, so its P_n is that lcm and `trunc` may
+    not exceed its own order.  Only the current B_j is held; the g_j are
+    all that is kept.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
-    if not op.p_integrality(p).is_integral:
+    if trunc < 1:
+        raise ValueError("truncation order must be positive")
+    if isinstance(op, DeltaOperator):
+        if trunc > op.trunc:
+            raise ValueError(f"operator is known to order {op.trunc} < {trunc}")
+        coeffs = [a.coeffs[:trunc] for a in op.coeffs]
+        den = lcm(*(c.denominator for a in coeffs for c in a))
+        polys = [[int(c * den) for c in a] for a in coeffs] + [[den]]
+    else:
+        polys = op.poly_coeffs
+        if polys[-1][0] == 0:
+            raise ApparentSingularityAtZero(
+                "leading polynomial vanishes at z = 0; shearing is out of scope"
+            )
+    content = gcd(*(c for poly in polys for c in poly))
+    rows = tuple(tuple(c // content for c in poly) for poly in polys)
+    gcds = tuple(
+        gcd(*(c for row in b for entry in row for c in entry))
+        for b in _taylor_matrices(rows, trunc, max_index)
+    )
+    return TaylorGcds(rows, trunc, gcds)
+
+
+def _taylor_matrices(rows, trunc: int, max_index: int):
+    """Yield B_0 .. B_max_index as n x n lists of coefficient lists mod
+    z^trunc; each list is fresh, the previous one is dropped."""
+    n = len(rows) - 1
+    polys = [row[:trunc] for row in rows]
+    lead = polys[n]
+    lead_step = [(k + 1) * c for k, c in enumerate(lead)]  # delta(P_n) + P_n
+    b = [[[int(r == c)] + [0] * (trunc - 1) for c in range(n)] for r in range(n)]
+    for j in range(max_index + 1):
+        yield b
+        if j == max_index:
+            return
+        damp = [-j * c for c in lead_step]
+        nxt = []
+        for row in b:
+            last = row[n - 1]
+            new_row = []
+            for c, entry in enumerate(row):
+                # P_n (delta(B[r][c]) + B[r][c-1]) - j (delta(P_n) + P_n) B[r][c]
+                #   - P_c B[r][n-1]
+                s = [k * x for k, x in enumerate(entry)]
+                if c:
+                    s = [x + y for x, y in zip(s, row[c - 1])]
+                out = [0] * trunc
+                _add_product(out, lead, s)
+                if j:
+                    _add_product(out, damp, entry)
+                _add_product(out, polys[c], last, -1)
+                new_row.append(out)
+            nxt.append(new_row)
+        b = nxt
+
+
+def _add_product(out: list, poly, s: list, sign: int = 1):
+    """out += sign * poly * s mod z^len(out), in place."""
+    size = len(out)
+    for d, c in enumerate(poly):
+        if c and d < size:
+            c *= sign
+            out[d:] = [o + c * x for o, x in zip(out[d:], s)]
+
+
+def radius_diagnostic(source: TaylorGcds | DeltaOperator, p: int,
+                      max_index: int) -> RadiusDiagnostic:
+    """Gauss norms of the Taylor matrices A_0 = I,
+    A_{j+1} = delta(A_j) + A_j (A - jI), as exponents of p, for
+    j = 0 .. max_index; `source` is taylor_gcds of the operator (computed
+    here for a monic operator at its own order).
+
+    The monic operator must be p-integral up to the truncation order.  Norms
+    of truncated entries are lower bounds on the true Gauss norms.  The
+    trend flag realizes the testable consequence of radius >= 1 (the norms
+    tend to zero) and is diagnostic only.
+    """
+    if max_index < 0:
+        raise ValueError("max_index must be >= 0")
+    if isinstance(source, DeltaOperator):
+        source = taylor_gcds(source, source.trunc, max_index)
+    if max_index >= len(source.gcds):
+        raise ValueError(f"gcds are computed up to j = {len(source.gcds) - 1} only")
+    raw, trunc = RawOperator(source.rows), source.trunc
+    if not (raw.integral_over_lead(p)
+            or monicize(raw, trunc).p_integrality(p).is_integral):
         raise NotPIntegralOperator(
             f"operator has a coefficient with negative {p}-adic valuation"
         )
-    a = op.companion()
-    n, trunc = a.n, a.trunc
-    current = SeriesMatrix.identity(n, trunc)
-    rows = []
-    for j in range(max_index + 1):
-        min_val = current.valuation_profile(p).min_valuation
-        # INF - int stays INF, so the zero matrix needs no special case
-        rows.append(RadiusRow(j, min_val, min_val - vp_factorial(j, p)))
-        if j < max_index:
-            shifted = a - SeriesMatrix.diagonal([j] * n, trunc)
-            current = current.delta() + current * shifted
+    lead = source.rows[-1]
+    lead_val = vp_int(lead[0], p)
+    if gcd(*lead) % p**lead_val == 0:  # P_n / P_n(0) lies in Z_p[z]
+        vals = [INF if g == 0 else vp_int(g, p) - j * lead_val
+                for j, g in enumerate(source.gcds[: max_index + 1])]
+    else:
+        vals = _valuations_over_lead(source.rows, trunc, max_index, p)
+    rows = tuple(RadiusRow(j, v, v - vp_factorial(j, p)) for j, v in enumerate(vals))
     window = rows[-min(10, len(rows)) :]
     trending = all(r.min_valuation >= 1 for r in window)
-    return RadiusDiagnostic(p, trunc, tuple(rows), trending)
+    return RadiusDiagnostic(p, trunc, rows, trending)
+
+
+def _valuations_over_lead(rows, trunc: int, max_index: int, p: int) -> list:
+    """min v_p of B_j P_n^{-j} mod z^trunc, which is A_j mod z^trunc, for a
+    prime at which P_n / P_n(0) is not a unit of Z_p[[z]]."""
+    inv_lead = TruncSeries.from_coeffs(rows[-1], trunc).invert()
+    scale = TruncSeries.one(trunc)
+    out = []
+    for b in _taylor_matrices(rows, trunc, max_index):
+        out.append(min(
+            (TruncSeries(tuple(entry)) * scale).valuation_profile(p).min_valuation
+            for row in b for entry in row
+        ))
+        scale = scale * inv_lead
+    return out
 
 
 # ---------------------------------------------------------------------------

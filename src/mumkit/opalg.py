@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
+from .primes import vp_int
 from .series import SeriesMatrix, TruncSeries, ValuationProfile
 
 _F0 = Fraction(0)
@@ -333,6 +334,16 @@ class RawOperator:
     @property
     def order(self) -> int:
         return len(self.poly_coeffs) - 1
+
+    def integral_over_lead(self, p: int) -> bool:
+        """Does every P_i / P_n(0) lie in Z_p[z]?  Then the monic operator
+        is p-integral at every order, because P_n / P_n(0) is a unit of
+        Z_p[[z]]; a False answer decides nothing."""
+        lead = self.poly_coeffs[-1][0]
+        if lead == 0:
+            return False
+        content = gcd(*(c for poly in self.poly_coeffs for c in poly))
+        return content % p ** vp_int(lead, p) == 0
 
 
 @dataclass(frozen=True)

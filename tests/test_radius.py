@@ -1,0 +1,223 @@
+"""Radius diagnostics from the integer Taylor matrices B_j = P_n^j A_j,
+checked against the dense recurrence A_{j+1} = delta(A_j) + A_j (A - jI)
+over the monic operator's companion matrix."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from mumkit import (
+    INF,
+    NotPIntegralOperator,
+    RawOperator,
+    SeriesMatrix,
+    builtin,
+    monicize,
+    parse_operator,
+    radius_diagnostic,
+    taylor_gcds,
+)
+from mumkit import cli, frobtransfer
+from mumkit.cli import JobSpec, cmd_dispatch
+from mumkit.primes import vp_factorial
+
+LEAD_NOT_UNIT = "(3+z)*D^2 - (3+z)*z*D - (3+z)*z"
+NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
+OPS = Path(__file__).resolve().parents[1] / "data" / "operators.ops"
+
+
+def dense_rows(op, p, max_index):
+    """(j, min v_p(A_j), min v_p(A_j / j!)) from dense SeriesMatrix products."""
+    a = op.companion()
+    n, trunc = a.n, a.trunc
+    current = SeriesMatrix.identity(n, trunc)
+    rows = []
+    for j in range(max_index + 1):
+        v = current.valuation_profile(p).min_valuation
+        rows.append((j, v, v - vp_factorial(j, p)))
+        if j < max_index:
+            current = current.delta() + current * (a - SeriesMatrix.diagonal([j] * n, trunc))
+    return rows
+
+
+def rows_of(diag):
+    return [(r.j, r.min_valuation, r.scaled_min_valuation) for r in diag.rows]
+
+
+def random_mum_operator(rng):
+    """Order 1-4, deg_z <= 3, P_n(0) in {1, 2, -3, 5}, P_i(0) = 0 for i < n.
+    Every other operator has P_i = P_n Q_i, so its monic form is polynomial
+    and p-integral even where P_n / P_n(0) is not."""
+    n = rng.randint(1, 4)
+    lead = [rng.choice((1, 2, -3, 5))] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        lower = [[0] + [rng.randint(-6, 6) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+    else:
+        lower = []
+        for _ in range(n):
+            q = [0] + [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
+            lower.append([sum(lead[k] * q[d - k] for k in range(len(lead)) if 0 <= d - k < len(q))
+                          for d in range(len(lead) + len(q) - 1)])
+    polys = [tuple(poly) for poly in lower] + [tuple(lead)]
+    polys = [poly[: max((k + 1 for k, c in enumerate(poly) if c), default=0)] for poly in polys]
+    return RawOperator(tuple(polys))
+
+
+def test_gcds_of_d_squared():
+    # P_n = 1 and A_j = (-1)^{j-1} (j-1)! N for j >= 1
+    gcds = taylor_gcds(parse_operator("D^2"), 5, 8).gcds
+    assert gcds == (1, 1, 1, 2, 6, 24, 120, 720, 5040)
+
+
+def test_zero_matrices_give_inf_rows():
+    diag = radius_diagnostic(taylor_gcds(parse_operator("D"), 4, 3), 2, 3)
+    assert rows_of(diag) == [(0, 0, 0)] + [(j, INF, INF) for j in range(1, 4)]
+    assert not diag.trending_to_zero
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_dense_recurrence_on_random_operators(seed):
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(8):
+        raw = random_mum_operator(rng)
+        trunc, max_index = rng.randint(3, 7), rng.randint(0, 9)
+        monic = monicize(raw, trunc)
+        taylor = taylor_gcds(raw, trunc, max_index)
+        for p in (2, 3, 5, 7):
+            if not monic.p_integrality(p).is_integral:
+                for source in (taylor, monic):
+                    with pytest.raises(NotPIntegralOperator):
+                        radius_diagnostic(source, p, max_index)
+                continue
+            expected = dense_rows(monic, p, max_index)
+            assert rows_of(radius_diagnostic(taylor, p, max_index)) == expected
+            assert rows_of(radius_diagnostic(monic, p, max_index)) == expected
+            checked += 1
+    assert checked
+
+
+def test_order_free_test_is_sound():
+    rng = random.Random(7)
+    hits = 0
+    for _ in range(40):
+        raw = random_mum_operator(rng)
+        for p in (2, 3, 5, 7):
+            if raw.integral_over_lead(p):
+                hits += 1
+                assert all(monicize(raw, t).p_integrality(p).is_integral for t in (1, 4, 9))
+    assert hits
+
+
+@pytest.mark.parametrize("text, prime, expected", [
+    ("D^4 - 5*z*(5*D+1)*(5*D+2)*(5*D+3)*(5*D+4)", 5, True),
+    (NONHYPER, 3, True),
+    (NONHYPER, 2, False),
+    ("2*D - z", 2, False),
+    (LEAD_NOT_UNIT, 3, False),
+    (LEAD_NOT_UNIT, 2, True),
+    ("z*D^2 + D - z", 3, False),
+])
+def test_integral_over_lead(text, prime, expected):
+    assert parse_operator(text).integral_over_lead(prime) is expected
+
+
+def test_lead_not_unit_prime_takes_its_own_path():
+    # P_n / P_n(0) = 1 + z/3 is no unit of Z_3[[z]], but a_1 = a_0 = -z
+    raw = parse_operator(LEAD_NOT_UNIT)
+    taylor = taylor_gcds(raw, 12, 20)
+    diag = radius_diagnostic(taylor, 3, 20)
+    assert rows_of(diag) == dense_rows(monicize(raw, 12), 3, 20)
+
+
+def test_lead_divisible_by_p_beyond_the_order():
+    # a_0 = -z^5 / 2 vanishes mod z^4, so the monic operator is 2-integral
+    # there although P_n(0) = 2: every B_j carries 2^j
+    raw = parse_operator("2*D^2 - 2*z*D - z^5")
+    taylor = taylor_gcds(raw, 4, 12)
+    assert all(g % 2**j == 0 for j, g in enumerate(taylor.gcds))
+    diag = radius_diagnostic(taylor, 2, 12)
+    assert rows_of(diag) == dense_rows(monicize(raw, 4), 2, 12)
+    with pytest.raises(NotPIntegralOperator):
+        radius_diagnostic(taylor_gcds(raw, 6, 12), 2, 12)
+
+
+def test_not_p_integral_operator_raises():
+    raw = parse_operator("2*D - z")
+    for source in (taylor_gcds(raw, 6, 5), monicize(raw, 6)):
+        with pytest.raises(NotPIntegralOperator):
+            radius_diagnostic(source, 2, 5)
+        assert radius_diagnostic(source, 3, 5).rows[0].min_valuation == 0
+
+
+def test_monic_operator_matches_its_polynomial_rows():
+    raw = parse_operator(NONHYPER)
+    for p in (3, 7):
+        by_rows = radius_diagnostic(taylor_gcds(raw, 6, 15), p, 15)
+        by_monic = radius_diagnostic(monicize(raw, 6), p, 15)
+        assert by_rows == by_monic
+
+
+def test_quintic_rows_at_bench_size():
+    raw = builtin("quintic")
+    taylor = taylor_gcds(raw, 16, 24)
+    assert rows_of(radius_diagnostic(taylor, 7, 24)) == dense_rows(monicize(raw, 16), 7, 24)
+
+
+def test_rejects_bad_arguments():
+    raw = parse_operator("D^2 - z")
+    with pytest.raises(ValueError):
+        taylor_gcds(raw, 4, -1)
+    with pytest.raises(ValueError):
+        taylor_gcds(raw, 0, 3)
+    with pytest.raises(ValueError):
+        taylor_gcds(monicize(raw, 4), 5, 3)  # beyond the known order
+    with pytest.raises(ValueError):
+        radius_diagnostic(taylor_gcds(raw, 4, 3), 3, 4)  # beyond the gcds
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_corpus_job_runs_the_recurrence_once_per_operator(monkeypatch):
+    calls = _counting(monkeypatch, cli, "taylor_gcds")
+    doc, status = cmd_dispatch(JobSpec(command="radius", source_kind="file",
+                                       source_value=str(OPS), trunc=8,
+                                       primes=(5, 7), max_index=6))
+    assert status == 0
+    assert len(doc.results) == 8
+    assert len(calls) == 4
+
+
+def test_auto_primes_monicize_once_per_working_order(monkeypatch):
+    calls = _counting(monkeypatch, cli, "monicize")
+    frob_calls = _counting(monkeypatch, frobtransfer, "monicize")
+    doc, status = cmd_dispatch(JobSpec(command="transfer", source_kind="builtin",
+                                       source_value="quintic", trunc=3, auto_bound=7))
+    assert status == 0
+    assert [r["prime"] for r in doc.results] == [2, 3, 5, 7]
+    assert [order for _, order in calls] == [5, 7, 11, 15]
+    assert frob_calls == []
+
+
+def test_auto_primes_skip_verdicts_keep_the_truncated_test():
+    # the order-free test fails at 3 for both operators; monicizing decides
+    for text, skipped in [("3*D^2 - z^2", [3]), (LEAD_NOT_UNIT, [])]:
+        doc, status = cmd_dispatch(JobSpec(command="radius", source_kind="op",
+                                           source_value=text, trunc=6, auto_bound=5,
+                                           max_index=4))
+        assert status == 0
+        assert [r["prime"] for r in doc.results if "skipped" in r] == skipped
+        assert [r["prime"] for r in doc.results if "rows" in r] == sorted(
+            {2, 3, 5} - set(skipped))
+
