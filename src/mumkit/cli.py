@@ -294,11 +294,6 @@ class _Subject:
             self._order, self._monic = order, monicize(self.raw, order)
         return self._monic
 
-    def p_integral(self, p: int, order: int) -> bool:
-        """Is the monic operator p-integral up to `order`?  Monicizes only
-        when the order-free test on the polynomial rows cannot tell."""
-        return self.raw.integral_over_lead(p) or self.at(order).p_integrality(p).is_integral
-
 
 def _resolve_operators(spec: JobSpec) -> list[tuple[str, RawOperator]]:
     if spec.source_kind == "op":
@@ -335,11 +330,13 @@ def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
             primes = list(spec.primes)
         elif cmd.per_prime:
             # under auto:B a prime is skipped iff the operator is not
-            # p-integral at the order the command computes with
+            # p-integral at the order the command computes with; the
+            # order-free test spares the monicize when it can tell
             primes = []
             bound = DEFAULT_PRIME_BOUND if spec.auto_bound is None else spec.auto_bound
             for p in primes_upto(bound):
-                if subject.p_integral(p, cmd.order(spec, p)):
+                if (subject.raw.integral_over_lead(p)
+                        or subject.at(cmd.order(spec, p)).p_integrality(p).is_integral):
                     primes.append(p)
                 else:
                     doc.results.append(

@@ -199,9 +199,9 @@ def _taylor_matrices(rows, trunc: int, max_index: int):
     """Yield B_0 .. B_max_index as n x n lists of coefficient lists mod
     z^trunc; each list is fresh, the previous one is dropped."""
     n = len(rows) - 1
-    polys = [row[:trunc] for row in rows]
-    lead = polys[n]
+    lead = rows[n][:trunc]
     lead_step = [(k + 1) * c for k, c in enumerate(lead)]  # delta(P_n) + P_n
+    last_row = [[-c for c in row[:trunc]] for row in rows[:n]]  # -P_0 .. -P_{n-1}
     b = [[[int(r == c)] + [0] * (trunc - 1) for c in range(n)] for r in range(n)]
     for j in range(max_index + 1):
         yield b
@@ -222,18 +222,16 @@ def _taylor_matrices(rows, trunc: int, max_index: int):
                 _add_product(out, lead, s)
                 if j:
                     _add_product(out, damp, entry)
-                _add_product(out, polys[c], last, -1)
+                _add_product(out, last_row[c], last)
                 new_row.append(out)
             nxt.append(new_row)
         b = nxt
 
 
-def _add_product(out: list, poly, s: list, sign: int = 1):
-    """out += sign * poly * s mod z^len(out), in place."""
-    size = len(out)
+def _add_product(out: list, poly, s: list):
+    """out += poly * s mod z^len(out), in place."""
     for d, c in enumerate(poly):
-        if c and d < size:
-            c *= sign
+        if c:
             out[d:] = [o + c * x for o, x in zip(out[d:], s)]
 
 
