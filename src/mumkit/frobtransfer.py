@@ -163,7 +163,14 @@ class TaylorGcds:
 
 def taylor_gcds(op: RawOperator | DeltaOperator, trunc: int,
                 max_index: int) -> TaylorGcds:
-    """g_0 .. g_max_index for B_j = P_n^j A_j mod z^trunc (module docstring).
+    """g_0 .. g_max_index, g_j the gcd of the coefficients of
+    B_j = P_n^j A_j mod z^trunc (0 when B_j = 0).
+
+    With C = P_n A, B_0 = I and
+    B_{j+1} = P_n delta(B_j) - j (delta(P_n) + P_n) B_j + B_j C, which is
+    P_n^{j+1} (delta(A_j) + A_j (A - jI)) after expanding delta(P_n^j A_j).
+    Whenever P_n / P_n(0) lies in Z_p[z] it is a unit of Z_p[[z]], so
+    min v_p(A_j mod z^trunc) = v_p(g_j) - j v_p(P_n(0)) at every such p.
 
     A monic operator is read as the integer rows of its coefficients times
     the lcm of their denominators, so its P_n is that lcm and `trunc` may
