@@ -26,6 +26,7 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OPS = "data/operators.ops"
 NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
+LEAD_NOT_UNIT = "(3+z)*D^2 - (3+z)*z*D - (3+z)*z"
 
 # name -> argv; paths are relative to the working directory set up by
 # _workdir, so the echoed input is the same on every machine
@@ -89,6 +90,15 @@ CASES = {
                      "--primes", "3,5,7"],
     "radius_nonhyper": ["radius", "--op", NONHYPER, "--trunc", "5", "--max-j", "24",
                         "--primes", "3,7"],
+    # transfer from an operator with P_n(0) = 2, so the residuals of the
+    # audit are scaled by a non-monic P_n
+    "transfer_nonhyper": ["transfer", "--op", NONHYPER, "--trunc", "4", "--primes", "3,5,7"],
+    # P_n / P_n(0) = 1 + z/3 is not 3-integral: the p-integrality test at 3
+    # needs the monic operator
+    "transfer_lead_not_unit": ["transfer", "--op", LEAD_NOT_UNIT, "--trunc", "3",
+                               "--primes", "auto:5"],
+    "transfer_lead_not_unit_level2": ["transfer", "--op", LEAD_NOT_UNIT, "--trunc", "3",
+                                      "--level", "2", "--primes", "auto:5"],
     # errors, exit 2; the mixed corpus fails after some results are in
     "error_check_mixed": ["check", "dieudonne", "--file", "mixed.ops", "--trunc", "6",
                           "--primes", "auto:5"],
