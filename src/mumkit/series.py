@@ -220,15 +220,16 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
+            # only the nonzero coefficients of either operand are visited, so
+            # a dense series times one in z^q costs n * n/q products
             n = min(self.trunc, other.trunc)
+            right = [(j, b) for j, b in enumerate(other.coeffs[:n]) if b]
             out = [_F0] * n
-            for i in range(n):
-                a = self.coeffs[i]
-                if a == 0:
-                    continue
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b != 0:
+            for i, a in enumerate(self.coeffs[:n]):
+                if a:
+                    for j, b in right:
+                        if i + j >= n:
+                            break
                         out[i + j] += a * b
             return TruncSeries(tuple(out))
         c = Fraction(other)
@@ -273,14 +274,17 @@ class TruncSeries:
         """Multiply by z^k.  Output order trunc + k: no knowledge is lost."""
         return TruncSeries((_F0,) * k + self.coeffs)
 
-    def substitute_power(self, q: int) -> "TruncSeries":
-        """f(z^q).  Output order q*(trunc-1) + 1; gaps between surviving
-        exponents are genuinely zero."""
+    def substitute_power(self, q: int, trunc: int | None = None) -> "TruncSeries":
+        """f(z^q).  Output order q*(trunc-1) + 1 by default; gaps between
+        surviving exponents are genuinely zero, so any order up to
+        q*self.trunc may be asked for."""
         if q < 1:
             raise ValueError("substitution exponent must be >= 1")
-        n = q * (self.trunc - 1) + 1
+        n = q * (self.trunc - 1) + 1 if trunc is None else trunc
+        if not 1 <= n <= q * self.trunc:
+            raise ValueError(f"f(z^{q}) is known to order {q * self.trunc} only")
         out = [_F0] * n
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.coeffs[: (n - 1) // q + 1]):
             out[q * i] = c
         return TruncSeries(tuple(out))
 
@@ -492,8 +496,8 @@ class SeriesMatrix:
     def delta(self) -> "SeriesMatrix":
         return self.map(lambda e: e.delta())
 
-    def substitute_power(self, q: int) -> "SeriesMatrix":
-        return self.map(lambda e: e.substitute_power(q))
+    def substitute_power(self, q: int, trunc: int | None = None) -> "SeriesMatrix":
+        return self.map(lambda e: e.substitute_power(q, trunc))
 
     def cartier(self, p: int) -> "SeriesMatrix":
         return self.map(lambda e: e.cartier(p))

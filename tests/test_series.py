@@ -111,6 +111,42 @@ def test_every_operation_against_bruteforce_on_random_polys():
         )
 
 
+def schoolbook(a, b):
+    """c_k = sum_{i+j=k} a_i b_j over every pair below the smaller order."""
+    n = min(a.trunc, b.trunc)
+    return tuple(sum((a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)), F(0))
+                 for k in range(n))
+
+
+@st.composite
+def shaped_series(draw):
+    """Dense, zero-heavy, z^q-sparse, constant or zero, at orders 1..14."""
+    trunc = draw(st.integers(1, 14))
+    shape = draw(st.sampled_from(("dense", "zero_heavy", "sparse", "constant", "zero")))
+    if shape == "dense":
+        cs = draw(st.lists(small_fractions, min_size=trunc, max_size=trunc))
+    elif shape == "zero_heavy":
+        cs = [draw(small_fractions) if draw(st.integers(0, 4)) == 0 else F(0)
+              for _ in range(trunc)]
+    elif shape == "sparse":
+        q = draw(st.integers(2, 5))
+        inner = draw(st.lists(small_fractions, min_size=1, max_size=-(-trunc // q)))
+        return S(inner).substitute_power(q, min(trunc, q * len(inner)))
+    elif shape == "constant":
+        return TruncSeries.constant(draw(small_fractions), trunc)
+    else:
+        return TruncSeries.zero(trunc)
+    return S(cs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_series(), shaped_series())
+def test_mul_matches_schoolbook(a, b):
+    prod = a * b
+    assert prod.trunc == min(a.trunc, b.trunc)
+    assert prod.coeffs == schoolbook(a, b)
+
+
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------
@@ -169,6 +205,16 @@ def test_substitute_power_doubling():
     assert out.trunc == 9
     assert out.coeffs[:5] == (1, 0, 1, 0, 1)
     assert out.coeffs == (1, 0, 1, 0, 1, 0, 1, 0, 1)
+
+
+def test_substitute_power_to_a_chosen_order():
+    # f is known mod z^3, so f(z^2) is known mod z^6: exponent 5 is a gap
+    out = S([1, 2, 3]).substitute_power(2, 6)
+    assert out.coeffs == (1, 0, 2, 0, 3, 0)
+    assert S([1, 2, 3]).substitute_power(2, 2).coeffs == (1, 0)
+    for bad in (0, 7):
+        with pytest.raises(ValueError):
+            S([1, 2, 3]).substitute_power(2, bad)
 
 
 def test_cartier_all_ones_fixed_point():
