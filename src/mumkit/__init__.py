@@ -65,7 +65,6 @@ from .frobtransfer import (
     certified_trunc,
     fit_frobenius_constant,
     frobenius_from_constant,
-    frobenius_quotient_F,
     h0,
     h_matrix,
     iterate_transfer,

@@ -441,14 +441,14 @@ def _transfer_order(spec, p):
 
 def _transfer(spec, subject, work, p):
     working = _transfer_order(spec, p)
-    op = subject.at(working)
-    if not op.p_integrality(p).is_integral:
+    if not (subject.raw.integral_over_lead(p)
+            or subject.at(working).p_integrality(p).is_integral):
         raise NotPIntegralOperator(
             f"operator is not {p}-integral up to order {working}"
         )
     data = iterate_transfer(uniform_part(subject.raw, working), p, spec.level,
                             target_trunc=spec.trunc)
-    audit = transfer_audit(op, data)
+    audit = transfer_audit(subject.raw, data)
     return {
         "level": spec.level,
         "working_trunc": working,
@@ -472,7 +472,7 @@ def _verify(spec, subject, cand, p):
     if cand.phi.n != subject.raw.order:
         raise ValueError(f"candidate is {cand.phi.n}x{cand.phi.n} but the operator has "
                          f"order {subject.raw.order}")
-    ver = verify_frobenius(subject.at(max(spec.trunc, cand.trunc)), cand)
+    ver = verify_frobenius(subject.raw, cand)
     return {
         "prime": cand.p,
         "residual_order": ver.residual_order,

@@ -8,8 +8,17 @@ structure is a matrix Phi with delta(Phi) = A Phi - p Phi A(z^p); by the
 uniqueness of log-structured solutions it always factors as
 Phi = Y C Y(z^p)^{-1} with a constant matrix C satisfying N C = p C N.
 All of these are built from the uniform part Y of L's solutions at z = 0,
-so the constructions (transfer, reduction, H_m, F, Phi and its fit) take Y;
-the audits that read L's companion matrix A take the monic operator.
+so the constructions (transfer, reduction, H_m, F, Phi and its fit) take Y.
+They use the structure they know: Lambda_p^m(Y)(z^q) and Y(z^p) are
+series in z^q and z^p, inverted at the order divided by q or p and then
+substituted, and only the last row of F is formed.
+
+The audits read L's polynomial rows P_0 .. P_n, so they take a parsed
+operator as it is or a monic one (P_n = 1).  With C = P_n A, a product by
+C is a row or column shift times P_n plus the last row or column times
+-P_k.  Each equation is checked times P_n (transfer) or P_n(z) P_n(z^p)
+(Frobenius); the factor has a nonzero constant term, so the residual
+vanishes to exactly the order of the monic one.
 
 Truncation budget: every Cartier application divides the known order by p,
 so level-m operator data certified to order T needs a working order of at
@@ -40,8 +49,10 @@ the prime takes B_j P_n^{-j} mod z^T, which is A_j mod z^T, directly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, RawOperator, monicize
@@ -82,13 +93,6 @@ def certified_trunc(working: int, p: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # admissible constant matrices: N C = p C N
 # ---------------------------------------------------------------------------
-
-
-def _shift_matrix(n: int):
-    """A(0) of any MUM companion system: superdiagonal ones, last row zero."""
-    return tuple(
-        tuple(_F1 if j == i + 1 else _F0 for j in range(n)) for i in range(n)
-    )
 
 
 def twisted_rows(p: int, n: int, gammas):
@@ -306,23 +310,42 @@ def h0(y: SeriesMatrix, p: int) -> SeriesMatrix:
     return y.cartier_pullback(p) * y.invert()
 
 
-def frobenius_quotient_F(y: SeriesMatrix, nilpotent, p: int) -> SeriesMatrix:
-    """F = [delta(Lambda_p(Y)) + (1/p) Lambda_p(Y) N] (Lambda_p(Y))^{-1};
+def _quotient_last_row(y: SeriesMatrix, p: int) -> tuple[TruncSeries, ...]:
+    """Last row of F = [delta(Lambda_p(Y)) + (1/p) Lambda_p(Y) N] Lambda_p(Y)^{-1},
     the companion-side quotient whose system has fundamental matrix
-    Lambda_p(Y) z^{N/p}.  Output order is ceil(Y.trunc / p)."""
+    Lambda_p(Y) z^{N/p}, for the nilpotent shift N.  Output order is
+    ceil(Y.trunc / p).
+
+    Only the bracket's last row r is formed, and x = r Lambda^{-1} is solved
+    from x Lambda = r order by order: Lambda(0) = Y(0) = I, so
+    x_k = r_k - sum_{j >= 1} x_{k-j} Lambda_j."""
     _require_identity_at_zero(y)
     lam = y.cartier(p)
-    nmat = SeriesMatrix.from_constant(nilpotent, lam.trunc)
-    return (lam.delta() + (lam * nmat).scale(Fraction(1, p))) * lam.invert()
+    n, trunc = lam.n, lam.trunc
+    last = lam.entries[n - 1]
+    bracket = [last[0].delta()] + [
+        last[j].delta() + last[j - 1] * Fraction(1, p) for j in range(1, n)
+    ]
+    # the nonzero (j, a, b, Lambda_j[a][b]) with j >= 1, in order of j
+    terms = [(j, a, b, c) for j in range(1, trunc) for a, row in enumerate(lam.entries)
+             for b, e in enumerate(row) if (c := e.coeffs[j])]
+    x = []
+    for k in range(trunc):
+        xk = [r.coeffs[k] for r in bracket]
+        for j, a, b, c in terms:
+            if j > k:
+                break
+            xk[b] -= x[k - j][a] * c
+        x.append(xk)
+    return tuple(TruncSeries(tuple(xk[b] for xk in x)) for b in range(n))
 
 
-def transfer_operator_L1(f_matrix: SeriesMatrix, p: int) -> DeltaOperator:
+def transfer_operator_L1(f_last_row, p: int) -> DeltaOperator:
     """Read the transferred monic operator off the last row of F:
     a_{i-1} = -b_{n,i} / p^{n-i}."""
-    n = f_matrix.n
-    last = f_matrix.entries[n - 1]
+    n = len(f_last_row)
     coeffs = tuple(
-        last[i] * (-Fraction(1, p ** (n - 1 - i))) for i in range(n)
+        f_last_row[i] * (-Fraction(1, p ** (n - 1 - i))) for i in range(n)
     )
     op = DeltaOperator(coeffs)
     if not op.is_mum():
@@ -331,13 +354,21 @@ def transfer_operator_L1(f_matrix: SeriesMatrix, p: int) -> DeltaOperator:
 
 
 def h_matrix(y: SeriesMatrix, p: int, m: int = 1) -> SeriesMatrix:
-    """H_m = Y (Lambda_p^m(Y)(z^{p^m}))^{-1} diag(1, p^m, ..., p^{m(n-1)})."""
+    """H_m = Y (Lambda_p^m(Y)(z^q))^{-1} diag(1, p^m, ..., p^{m(n-1)}), q = p^m.
+
+    The middle factor is a series in z^q, so it is (Lambda_p^m(Y))^{-1}
+    inverted at order ceil(W/q), W = Y.trunc, then substituted: every
+    exponent below W that survives is a multiple q*i with i < ceil(W/q).
+    The diagonal factor scales column i by p^{mi}."""
     _require_identity_at_zero(y)
-    n = y.n
-    diag = SeriesMatrix.diagonal(
-        [Fraction(p) ** (m * i) for i in range(n)], y.trunc
-    )
-    return y * y.cartier_pullback(p, m).invert() * diag
+    lam = y
+    for _ in range(m):
+        lam = lam.cartier(p)
+    prod = y * lam.invert().substitute_power(p**m, y.trunc)
+    return SeriesMatrix(tuple(
+        tuple(e * Fraction(p) ** (m * i) if i else e for i, e in enumerate(row))
+        for row in prod.entries
+    ))
 
 
 def _require_identity_at_zero(y: SeriesMatrix):
@@ -368,6 +399,7 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
 
     The operator chain loses a factor p of known order per level; if a
     target certified order is requested the budget is checked up front.
+    Each level reads L_{k+1} off the last row of its quotient matrix F.
     H_m comes from the closed form via the exact Cartier pullback, so it
     keeps the full working order.
     """
@@ -381,11 +413,9 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
             f"to {certified} < {target_trunc}; need working order >= "
             f"{working_trunc_for(target_trunc, p, m)}"
         )
-    nilpotent = _shift_matrix(y.n)
     y_current = y
     for level in range(m):
-        f = frobenius_quotient_F(y_current, nilpotent, p)
-        current = transfer_operator_L1(f, p)
+        current = transfer_operator_L1(_quotient_last_row(y_current, p), p)
         if level + 1 < m:
             y_current = uniform_part(current, current.trunc)
     h = h_matrix(y, p, m)
@@ -412,8 +442,14 @@ class TransferAudit:
         )
 
 
-def transfer_audit(op: DeltaOperator, data: TransferData) -> TransferAudit:
-    """Check every TransferData invariant that is decidable at this order."""
+def transfer_audit(op: RawOperator | DeltaOperator, data: TransferData) -> TransferAudit:
+    """Check every TransferData invariant that is decidable at this order.
+
+    The intertwining equation delta(H) = A H - q H B(z^q), A and B the
+    companion matrices of L and L_m, is checked times P_n:
+    P_n delta(H) - C H + q P_n H B(z^q) with C = P_n A read off L's
+    polynomial rows.  P_n(0) != 0, so the residual vanishes to the same
+    order as the monic one."""
     p, m = data.p, data.m
     n = op.order
     q = p**m
@@ -422,14 +458,13 @@ def transfer_audit(op: DeltaOperator, data: TransferData) -> TransferAudit:
         for i in range(n)
     )
     h_constant_ok = data.h.constant_matrix() == expected
-    a = op.companion()
-    b_sub = data.operator.companion().substitute_power(q)
-    check_trunc = min(a.trunc, data.h.trunc, b_sub.trunc)
-    residual = (
-        data.h.delta().truncate(check_trunc)
-        - (a * data.h).truncate(check_trunc)
-        + (data.h * b_sub).scale(q).truncate(check_trunc)
-    )
+    b_sub = [b.substitute_power(q) for b in _rows(data.operator, data.operator.trunc)[1]]
+    check_trunc, polys = _rows(op, min(data.h.trunc, b_sub[0].trunc))
+    h = data.h.truncate(check_trunc)
+    b_sub = [b.truncate(check_trunc) for b in b_sub]
+    lead = polys[n]
+    residual = (h.delta() + _times_companion(h, b_sub).scale(q)).map(
+        lambda e: lead * e) - _companion_times(polys, h)
     return TransferAudit(
         h_constant_ok,
         residual.residual_order(),
@@ -438,6 +473,45 @@ def transfer_audit(op: DeltaOperator, data: TransferData) -> TransferAudit:
         data.operator.p_integrality(p),
         data.operator.is_mum(),
     )
+
+
+def _rows(op: RawOperator | DeltaOperator, trunc: int):
+    """(order, [P_0 .. P_n]): the polynomial rows of op = sum_i P_i D^i as
+    series mod z^order, order being trunc capped at a monic operator's own
+    order.  P_n is 1 for a monic operator."""
+    if isinstance(op, DeltaOperator):
+        trunc = min(trunc, op.trunc)
+    polys = [TruncSeries.from_coeffs(poly, trunc) for poly in op.poly_coeffs]
+    if polys[-1].constant_term == 0:
+        raise ApparentSingularityAtZero(
+            "leading polynomial vanishes at z = 0; shearing is out of scope"
+        )
+    return trunc, polys
+
+
+def _companion_times(polys, x: SeriesMatrix) -> SeriesMatrix:
+    """C X for C = P_n A: rows 1.. of X moved up one row times P_n, and the
+    last row -sum_k P_k X[k]."""
+    n = x.n
+    rows = [tuple(polys[n] * e for e in row) for row in x.entries[1:]]
+    rows.append(tuple(
+        -reduce(operator.add, (polys[k] * x.entries[k][j] for k in range(n)))
+        for j in range(n)
+    ))
+    return SeriesMatrix(tuple(rows))
+
+
+def _times_companion(x: SeriesMatrix, polys) -> SeriesMatrix:
+    """X C for C = P_n A: columns of X moved right one column times P_n, plus
+    X's last column times -P_j in column j."""
+    n = x.n
+    return SeriesMatrix(tuple(
+        tuple(
+            polys[n] * row[j - 1] - row[n - 1] * polys[j] if j else -(row[n - 1] * polys[0])
+            for j in range(n)
+        )
+        for row in x.entries
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +551,27 @@ class FrobeniusVerification:
         )
 
 
-def verify_frobenius(op: DeltaOperator, cand: FrobeniusCandidate) -> FrobeniusVerification:
+def verify_frobenius(op: RawOperator | DeltaOperator,
+                     cand: FrobeniusCandidate) -> FrobeniusVerification:
     """Residual audit of delta(Phi) = A Phi - p Phi A(z^p), never raising:
-    all findings are reported as data."""
+    all findings are reported as data.
+
+    The equation is checked times P_n(z) P_n(z^p), with C = P_n A read off
+    L's polynomial rows:
+    P_n P_n(z^p) delta(Phi) - P_n(z^p) C Phi + p P_n Phi C(z^p).
+    The factor has constant term P_n(0)^2 != 0, so the residual vanishes
+    to the same order as the monic one."""
     p = cand.p
-    a = op.companion()
-    check_trunc = min(a.trunc, cand.trunc)
+    check_trunc, polys = _rows(op, cand.trunc)
     phi = cand.phi.truncate(check_trunc)
-    a_cut = a.truncate(check_trunc)
-    a_sub = a.substitute_power(p).truncate(check_trunc)
-    residual = phi.delta() - a_cut * phi + (phi * a_sub).scale(p)
+    polys_sub = [poly.substitute_power(p, check_trunc) for poly in polys]
+    lead, lead_sub = polys[-1], polys_sub[-1]
+    both, p_lead = lead * lead_sub, lead * p
+    residual = (
+        phi.delta().map(lambda e: both * e)
+        - _companion_times(polys, phi).map(lambda e: lead_sub * e)
+        + _times_companion(phi, polys_sub).map(lambda e: p_lead * e)
+    )
     return FrobeniusVerification(
         residual.residual_order(),
         check_trunc,
@@ -497,8 +582,10 @@ def verify_frobenius(op: DeltaOperator, cand: FrobeniusCandidate) -> FrobeniusVe
 
 
 def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int,
-                            op: DeltaOperator | None = None) -> FrobeniusCandidate:
-    """Phi = Y C Y(z^p)^{-1} for an admissible constant C.
+                            op: RawOperator | DeltaOperator | None = None
+                            ) -> FrobeniusCandidate:
+    """Phi = Y C Y(z^p)^{-1} for an admissible constant C, with
+    Y(z^p)^{-1} = (Y^{-1} mod z^{ceil(M/p)})(z^p) at the working order M.
 
     The construction identity Phi * Y(z^p) = Y C is checked; when the
     source operator is supplied the full Frobenius equation is verified
@@ -507,10 +594,9 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int,
     _require_identity_at_zero(y)
     validate_constant_shape(constant_rows, p)
     trunc = y.trunc
-    y_sub = y.substitute_power(p).truncate(trunc)
     c_mat = SeriesMatrix.from_constant(constant_rows, trunc)
-    phi = y * c_mat * y_sub.invert()
-    if (phi * y_sub - y * c_mat).residual_order() != trunc:
+    phi = y * c_mat * _inverse_at_power(y, p)
+    if (phi * y.substitute_power(p, trunc) - y * c_mat).residual_order() != trunc:
         raise InternalError("Phi * Y(z^p) != Y C")
     cand = FrobeniusCandidate(p, phi)
     if cand.constant != tuple(tuple(Fraction(x) for x in row) for row in constant_rows):
@@ -520,6 +606,12 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int,
         if verification.residual_order < verification.trunc:
             raise InternalError("Phi from the constant fails the Frobenius equation")
     return cand
+
+
+def _inverse_at_power(y: SeriesMatrix, p: int) -> SeriesMatrix:
+    """Y(z^p)^{-1} mod z^M, M = Y.trunc: Y^{-1} is needed only below
+    ceil(M/p), the exponents of z^p that fall under M."""
+    return y.truncate(-(-y.trunc // p)).invert().substitute_power(p, y.trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +646,7 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int,
     n = y.n
     M = y.trunc if trunc is None else min(trunc, y.trunc)
     y_cut = y.truncate(M)
-    y_sub_inv = y_cut.substitute_power(p).truncate(M).invert()
+    y_sub_inv = _inverse_at_power(y_cut, p)
 
     def phi_of(gammas) -> SeriesMatrix:
         c = SeriesMatrix.from_constant(twisted_rows(p, n, gammas), M)

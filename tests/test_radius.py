@@ -199,15 +199,28 @@ def test_corpus_job_runs_the_recurrence_once_per_operator(monkeypatch):
     assert len(calls) == 4
 
 
-def test_auto_primes_monicize_once_per_working_order(monkeypatch):
+def _transfer_monicize_orders(monkeypatch, spec):
+    """(status, primes with results, monicize orders) of a transfer job."""
     calls = _counting(monkeypatch, cli, "monicize")
     frob_calls = _counting(monkeypatch, frobtransfer, "monicize")
-    doc, status = cmd_dispatch(JobSpec(command="transfer", source_kind="builtin",
-                                       source_value="quintic", trunc=3, auto_bound=7))
-    assert status == 0
-    assert [r["prime"] for r in doc.results] == [2, 3, 5, 7]
-    assert [order for _, order in calls] == [5, 7, 11, 15]
+    doc, status = cmd_dispatch(spec)
     assert frob_calls == []
+    return status, [r["prime"] for r in doc.results], [order for _, order in calls]
+
+
+def test_auto_primes_monicize_once_per_working_order(monkeypatch):
+    # P_n(0) = 1: the order-free test decides every prime
+    spec = JobSpec(command="transfer", source_kind="builtin", source_value="quintic",
+                   trunc=3, auto_bound=7)
+    assert _transfer_monicize_orders(monkeypatch, spec) == (0, [2, 3, 5, 7], [])
+
+
+def test_auto_primes_monicize_lead_not_unit_once(monkeypatch):
+    # 1 + z/3 is no unit of Z_3[[z]]: p = 3 monicizes at its working order 7,
+    # once for the skip rule and the unit together
+    spec = JobSpec(command="transfer", source_kind="op", source_value=LEAD_NOT_UNIT,
+                   trunc=3, auto_bound=5)
+    assert _transfer_monicize_orders(monkeypatch, spec) == (1, [2, 3, 5], [7])
 
 
 def test_auto_primes_skip_verdicts_keep_the_truncated_test():

@@ -1,0 +1,55 @@
+"""The dense monic forms of the transfer constructions and audits, kept
+as exact oracles for the structure-aware ones in mumkit.frobtransfer.
+
+Each function here multiplies full SeriesMatrix products: by the monic
+companion matrix A = C / P_n, by the full quotient matrix F and by the
+diagonal matrix diag(1, p^m, ...).  They read only the public API.
+"""
+
+from fractions import Fraction
+
+from mumkit import SeriesMatrix
+
+
+def frobenius_quotient_F(y, nilpotent, p):
+    """F = [delta(Lambda_p(Y)) + (1/p) Lambda_p(Y) N] (Lambda_p(Y))^{-1};
+    the companion-side quotient whose system has fundamental matrix
+    Lambda_p(Y) z^{N/p}.  Output order is ceil(Y.trunc / p)."""
+    lam = y.cartier(p)
+    nmat = SeriesMatrix.from_constant(nilpotent, lam.trunc)
+    return (lam.delta() + (lam * nmat).scale(Fraction(1, p))) * lam.invert()
+
+
+def h_matrix_closed_form(y, p, m=1):
+    """H_m = Y (Lambda_p^m(Y)(z^{p^m}))^{-1} diag(1, p^m, ..., p^{m(n-1)}),
+    inverting the pullback at Y's full order."""
+    diag = SeriesMatrix.diagonal([Fraction(p) ** (m * i) for i in range(y.n)], y.trunc)
+    return y * y.cartier_pullback(p, m).invert() * diag
+
+
+def transfer_residual_order(op, data):
+    """(residual order, check order) of delta(H) - A H + q H B(z^q) from the
+    monic operator op and the companion matrices of op and of L_m."""
+    q = data.p**data.m
+    a = op.companion()
+    b_sub = data.operator.companion().substitute_power(q)
+    check_trunc = min(a.trunc, data.h.trunc, b_sub.trunc)
+    residual = (
+        data.h.delta().truncate(check_trunc)
+        - (a * data.h).truncate(check_trunc)
+        + (data.h * b_sub).scale(q).truncate(check_trunc)
+    )
+    return residual.residual_order(), check_trunc
+
+
+def frobenius_residual_order(op, cand):
+    """(residual order, check order) of delta(Phi) - A Phi + p Phi A(z^p)
+    from the monic operator op."""
+    p = cand.p
+    a = op.companion()
+    check_trunc = min(a.trunc, cand.trunc)
+    phi = cand.phi.truncate(check_trunc)
+    a_cut = a.truncate(check_trunc)
+    a_sub = a.substitute_power(p).truncate(check_trunc)
+    residual = phi.delta() - a_cut * phi + (phi * a_sub).scale(p)
+    return residual.residual_order(), check_trunc
