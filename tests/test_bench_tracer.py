@@ -1,0 +1,53 @@
+"""The benchmark's own tests, and its span recorder on the transfer layer.
+
+bench/spans.py wraps mumkit's public functions by name, so a rename in the
+library would silently zero a per-layer metric of the benchmark.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from mumkit import builtin, fit_frobenius_constant, frobenius_from_constant, uniform_part
+from mumkit.cli import dump_candidate, main
+
+REPO = Path(__file__).resolve().parents[1]
+TRANSFER_SPANS = ("frobtransfer.iterate_transfer", "frobtransfer.h_matrix",
+                  "frobtransfer.transfer_audit", "frobtransfer.verify_frobenius")
+LAYER_METRICS = ("frobtransfer.transfer.self_s", "frobtransfer.h_matrix.self_s",
+                 "frobtransfer.audit.self_s", "frobtransfer.verify.self_s")
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", REPO / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_unittests_pass():
+    result = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "bench", "-p", "test_*.py"],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_tracer_records_the_transfer_layer(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    y = uniform_part(builtin("quintic"), 8)
+    cand = frobenius_from_constant(y, fit_frobenius_constant(y, 7).constant, 7)
+    Path("phi.json").write_text(json.dumps(dump_candidate(cand)))
+    spans = load_spans()
+    recorder = spans.Recorder()
+    with spans.Tracer(recorder):
+        for argv in (["transfer", "--builtin", "quintic", "--trunc", "3", "--primes", "5"],
+                     ["verify-frobenius", "--builtin", "quintic", "--trunc", "8",
+                      "--candidate", "phi.json"]):
+            assert main(argv + ["--format", "json", "--out", "report.json"]) == 0
+    recorded = {recorder.names[i] for i in recorder.name}
+    assert set(TRANSFER_SPANS) <= recorded
+    metrics = spans.layer_metrics(recorder, 1.0, 1.0)
+    assert all(metrics[name] > 0 for name in LAYER_METRICS)
