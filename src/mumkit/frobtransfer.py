@@ -359,12 +359,11 @@ def h_matrix(y: SeriesMatrix, p: int, m: int = 1) -> SeriesMatrix:
     The middle factor is a series in z^q, so it is (Lambda_p^m(Y))^{-1}
     inverted at order ceil(W/q), W = Y.trunc, then substituted: every
     exponent below W that survives is a multiple q*i with i < ceil(W/q).
-    The diagonal factor scales column i by p^{mi}."""
+    Lambda_p^m = Lambda_q keeps the coefficients at multiples of q.  The
+    diagonal factor scales column i by p^{mi}."""
     _require_identity_at_zero(y)
-    lam = y
-    for _ in range(m):
-        lam = lam.cartier(p)
-    prod = y * lam.invert().substitute_power(p**m, y.trunc)
+    q = p**m
+    prod = y * y.cartier(q).invert().substitute_power(q, y.trunc)
     return SeriesMatrix(tuple(
         tuple(e * Fraction(p) ** (m * i) if i else e for i, e in enumerate(row))
         for row in prod.entries
@@ -458,8 +457,9 @@ def transfer_audit(op: RawOperator | DeltaOperator, data: TransferData) -> Trans
         for i in range(n)
     )
     h_constant_ok = data.h.constant_matrix() == expected
-    b_sub = [b.substitute_power(q) for b in _rows(data.operator, data.operator.trunc)[1]]
-    check_trunc, polys = _rows(op, min(data.h.trunc, b_sub[0].trunc))
+    _, b_rows = _row_series(data.operator, data.operator.trunc)
+    b_sub = [b.substitute_power(q) for b in b_rows]
+    check_trunc, polys = _row_series(op, min(data.h.trunc, b_sub[0].trunc))
     h = data.h.truncate(check_trunc)
     b_sub = [b.truncate(check_trunc) for b in b_sub]
     lead = polys[n]
@@ -475,7 +475,7 @@ def transfer_audit(op: RawOperator | DeltaOperator, data: TransferData) -> Trans
     )
 
 
-def _rows(op: RawOperator | DeltaOperator, trunc: int):
+def _row_series(op: RawOperator | DeltaOperator, trunc: int):
     """(order, [P_0 .. P_n]): the polynomial rows of op = sum_i P_i D^i as
     series mod z^order, order being trunc capped at a monic operator's own
     order.  P_n is 1 for a monic operator."""
@@ -507,7 +507,8 @@ def _times_companion(x: SeriesMatrix, polys) -> SeriesMatrix:
     n = x.n
     return SeriesMatrix(tuple(
         tuple(
-            polys[n] * row[j - 1] - row[n - 1] * polys[j] if j else -(row[n - 1] * polys[0])
+            polys[n] * row[j - 1] - row[n - 1] * polys[j] if j
+            else -(row[n - 1] * polys[0])
             for j in range(n)
         )
         for row in x.entries
@@ -553,8 +554,9 @@ class FrobeniusVerification:
 
 def verify_frobenius(op: RawOperator | DeltaOperator,
                      cand: FrobeniusCandidate) -> FrobeniusVerification:
-    """Residual audit of delta(Phi) = A Phi - p Phi A(z^p), never raising:
-    all findings are reported as data.
+    """Residual audit of delta(Phi) = A Phi - p Phi A(z^p); every finding
+    about the candidate is reported as data.  An operator with P_n(0) = 0
+    raises ApparentSingularityAtZero.
 
     The equation is checked times P_n(z) P_n(z^p), with C = P_n A read off
     L's polynomial rows:
@@ -562,7 +564,7 @@ def verify_frobenius(op: RawOperator | DeltaOperator,
     The factor has constant term P_n(0)^2 != 0, so the residual vanishes
     to the same order as the monic one."""
     p = cand.p
-    check_trunc, polys = _rows(op, cand.trunc)
+    check_trunc, polys = _row_series(op, cand.trunc)
     phi = cand.phi.truncate(check_trunc)
     polys_sub = [poly.substitute_power(p, check_trunc) for poly in polys]
     lead, lead_sub = polys[-1], polys_sub[-1]

@@ -19,8 +19,8 @@ MUTATIONS = {
                          "lambda e: e) - _companion_times(polys, h)", AUDIT),
     "audit_drops_q": ("_times_companion(h, b_sub).scale(q)", "_times_companion(h, b_sub)",
                       AUDIT),
-    "drops_column_shift": ("polys[n] * row[j - 1] - row[n - 1] * polys[j] if j",
-                           "-(row[n - 1] * polys[j]) if j", VERIFY),
+    "drops_column_shift": ("polys[n] * row[j - 1] - row[n - 1] * polys[j] if j\n",
+                           "-(row[n - 1] * polys[j]) if j\n", VERIFY),
     "drops_row_shift": ("for e in row) for row in x.entries[1:]]",
                         "for e in row) for row in x.entries[:-1]]", AUDIT),
     "verify_drops_lead": ("both, p_lead = lead * lead_sub, lead * p",
