@@ -45,7 +45,7 @@ def main():
                 print(f"   p={p}: skipped, order too small for level {args.level}")
                 continue
             data = iterate_transfer(y, p, args.level)
-            audit = transfer_audit(op, data)
+            audit = transfer_audit(raw, data)
             reduction = reduction_congruence_check(y, p, args.level)
             fit = fit_frobenius_constant(y.truncate(min(args.trunc, 24)), p)
             print(

@@ -72,9 +72,9 @@ def faults(mat, upto, rng, count):
         yield with_fault(mat, i, j, k, Fraction(rng.choice((1, -2, 3)), rng.choice((1, 3, 5))))
 
 
-def transfer_case(rng, p, m, target=3):
+def transfer_case(rng, p, m):
     raw = random_mum_operator(rng)
-    working = working_trunc_for(target, p, m)
+    working = working_trunc_for(3, p, m)
     return raw, monicize(raw, working), iterate_transfer(uniform_part(raw, working), p, m)
 
 
