@@ -38,6 +38,12 @@ class SingularConstantTerm(ValueError):
     """Matrix inversion when the constant-term matrix is singular."""
 
 
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over d, the lcm of their denominators."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def vp(x: Fraction, p: int):
     """p-adic valuation of a rational; INF for zero."""
     if x == 0:
@@ -220,49 +226,66 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
-            # only the nonzero coefficients of either operand are visited, so
-            # a dense series times one in z^q costs n * n/q products
+            # each operand becomes integer numerators over the lcm of its
+            # denominators; only nonzero pairs are visited, so a dense series
+            # times one in z^q costs n * n/q integer products, and each output
+            # coefficient is reduced once
             n = min(self.trunc, other.trunc)
-            right = [(j, b) for j, b in enumerate(other.coeffs[:n]) if b]
-            out = [_F0] * n
-            for i, a in enumerate(self.coeffs[:n]):
-                if a:
-                    for j, b in right:
+            a, da = _numerators(self.coeffs[:n])
+            b, db = _numerators(other.coeffs[:n])
+            right = [(j, y) for j, y in enumerate(b) if y]
+            out = [0] * n
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in right:
                         if i + j >= n:
                             break
-                        out[i + j] += a * b
-            return TruncSeries(tuple(out))
+                        out[i + j] += x * y
+            d = da * db
+            return TruncSeries(tuple(Fraction(c, d) for c in out))
         c = Fraction(other)
         return TruncSeries(tuple(c * x for x in self.coeffs))
 
     __rmul__ = __mul__
 
     def pow_int(self, e: int) -> "TruncSeries":
+        """self**e by binary powering: it starts from self and does not
+        square past the top bit of e."""
         if e < 0:
             return self.invert().pow_int(-e)
-        result = TruncSeries.one(self.trunc)
+        if e == 0:
+            return TruncSeries.one(self.trunc)
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
         return result
 
     def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Newton doubling on the product: if b = 1/a mod z^m, then
+        b + b (1 - a b) = 1/a mod z^2m.  Since 1 - a b vanishes below z^m,
+        the step keeps b's known coefficients and appends the coefficients
+        m .. 2m-1 of -b (a b - 1)."""
         if self.coeffs[0] == 0:
             raise ZeroConstantTerm("cannot invert a series with c0 = 0")
         n = self.trunc
-        inv0 = _F1 / self.coeffs[0]
-        out = [inv0] + [_F0] * (n - 1)
-        for k in range(1, n):
-            acc = _F0
-            for j in range(1, k + 1):
-                if self.coeffs[j] != 0:
-                    acc += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncSeries(tuple(out))
+        b = (_F1 / self.coeffs[0],)
+        while len(b) < n:
+            m = len(b)
+            top = min(2 * m, n)
+            b_pad = TruncSeries(b + (_F0,) * (top - m))
+            err = TruncSeries((_F0,) * m + (self * b_pad).coeffs[m:])  # a b - 1
+            b += tuple(-c for c in (b_pad * err).coeffs[m:])
+        return TruncSeries(b)
 
     # -- calculus and substitutions ------------------------------------------
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mumkit import (
     INF,
+    hypergeometric,
+    solve_first_row,
     BadConstantTerm,
     InternalError,
     SeriesMatrix,
@@ -176,6 +178,66 @@ def test_invert_roundtrip(a):
     if a.constant_term == 0:
         return
     assert (a * a.invert()).coeffs == TruncSeries.one(a.trunc).coeffs
+
+
+def recurrence_inverse(a):
+    """The order-by-order inverse b_k = -(1/a_0) sum_{j=1..k} a_j b_{k-j},
+    in Fraction arithmetic."""
+    inv0 = 1 / a.coeffs[0]
+    out = [inv0]
+    for k in range(1, a.trunc):
+        out.append(-inv0 * sum((a.coeffs[j] * out[k - j] for j in range(1, k + 1)), F(0)))
+    return tuple(out)
+
+
+non_unit_constants = small_fractions.filter(lambda c: c not in (0, 1, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_series(), st.one_of(st.just(F(-3, 7)), non_unit_constants))
+def test_invert_matches_recurrence(a, c0):
+    a = TruncSeries((c0,) + a.coeffs[1:])
+    assert a.invert().coeffs == recurrence_inverse(a)
+
+
+@pytest.fixture(scope="module")
+def tall_fg():
+    # the unscaled quintic: the denominators of f and g are powers of 5
+    # hundreds of bits tall at order 40
+    f, g = solve_first_row(hypergeometric(["1/5", "2/5", "3/5", "4/5"], [1, 1, 1, 1]), 40)[:2]
+    assert max(c.denominator for c in f.coeffs).bit_length() > 200
+    return f, g
+
+
+def test_invert_matches_recurrence_on_tall_series(tall_fg):
+    f, g = tall_fg
+    assert f.invert().coeffs == recurrence_inverse(f)
+    one_plus_g = g + 1
+    assert one_plus_g.invert().coeffs == recurrence_inverse(one_plus_g)
+    for trunc in (1, 2, 3, 17, 33):
+        assert f.truncate(trunc).invert().coeffs == recurrence_inverse(f.truncate(trunc))
+
+
+def test_mul_of_unequal_heights_matches_schoolbook(tall_fg):
+    # tall g against the reduced f^-1, and both against small mixed
+    # denominators, at mixed truncation orders
+    f, g = tall_fg
+    f_inv = f.invert()
+    small = S([F(1, 3), F(-2, 7), 0, F(5, 6), 0, 0, F(-1, 10)] * 4)
+    for a, b in ((g, f_inv), (g.truncate(25), f_inv), (g, f_inv.truncate(31)),
+                 (small, g), (f_inv.truncate(9), small), (g, g), (small, small)):
+        assert (a * b).coeffs == schoolbook(a, b)
+        assert (b * a).coeffs == schoolbook(a, b)
+
+
+@pytest.mark.parametrize("e", range(21))
+def test_pow_int_is_repeated_multiplication(e):
+    a = S([F(2, 3), F(-1, 5), 0, F(7, 2), F(1, 9)], 12)
+    expected = TruncSeries.one(12)
+    for _ in range(e):
+        expected = expected * a
+    assert a.pow_int(e) == expected
+    assert a.pow_int(-e) == expected.invert()
 
 
 # ---------------------------------------------------------------------------

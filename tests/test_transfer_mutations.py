@@ -1,14 +1,12 @@
 """Each residual formula of the structure-aware transfer code, broken on
 purpose in a copy of the package, must fail tests/test_transfer_rows.py."""
 
-import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parents[1]
+from mutants import run_mutated
+
 TARGET = Path("src/mumkit/frobtransfer.py")
 
 AUDIT, VERIFY, CLOSED = "transfer_residual", "frobenius_residual", "closed_forms"
@@ -34,30 +32,14 @@ MUTATIONS = {
 }
 
 
-def run_rows_tests(root: Path, mutation=None) -> subprocess.CompletedProcess:
-    """Copy the package and the rows tests under root, apply the mutation,
-    and run there the tests it names (all without one), stopping at the
-    first failure."""
-    shutil.copytree(REPO / "src", root / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    (root / "tests").mkdir()
-    for name in ("conftest.py", "transfer_oracles.py", "test_transfer_rows.py"):
-        shutil.copy(REPO / "tests" / name, root / "tests" / name)
-    shutil.copy(REPO / "pyproject.toml", root / "pyproject.toml")
-    select = []
-    if mutation is not None:
-        old, new, tests = mutation
-        select = ["-k", tests]
-        path = root / TARGET
-        text = path.read_text()
-        assert text.count(old) == 1, f"mutation target {old!r} is not unique in {TARGET}"
-        path.write_text(text.replace(old, new))
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "--tb=line", "-p", "no:cacheprovider",
-         "tests/test_transfer_rows.py", *select],
-        cwd=root, capture_output=True, text=True, timeout=300,
-        env={"PYTHONDONTWRITEBYTECODE": "1", "PATH": "/usr/bin:/bin"},
-    )
+def run_rows_tests(root: Path, mutation=None):
+    """Run tests/test_transfer_rows.py on a copy of the package under root,
+    after the mutation (all of it without one)."""
+    files = ("test_transfer_rows.py", "conftest.py", "transfer_oracles.py")
+    if mutation is None:
+        return run_mutated(root, files)
+    old, new, tests = mutation
+    return run_mutated(root, files, TARGET, old, new, tests)
 
 
 def test_unmutated_copy_passes(tmp_path):
