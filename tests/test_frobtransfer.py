@@ -234,6 +234,22 @@ def test_verify_frobenius_diagonal_for_trivial_operator():
     assert ver.ok
 
 
+def test_verify_frobenius_det_of_singular_constant():
+    # Phi(0) is singular in both: diag(z, 1) has det z, nonzero mod z^T;
+    # diag(z^2, z^(T-2)) has det z^T, zero mod z^T
+    p, trunc = 5, 6
+    op = parse_operator("D^2")
+    z_pow = lambda k: TruncSeries.z_power(k, trunc)
+    for diag, nonzero in (((z_pow(1), z_pow(0)), True),
+                          ((z_pow(2), z_pow(trunc - 2)), False)):
+        phi = SeriesMatrix.from_rows([[diag[0], TruncSeries.zero(trunc)],
+                                      [TruncSeries.zero(trunc), diag[1]]])
+        assert phi.truncate(1).det().is_zero()
+        ver = verify_frobenius(op, FrobeniusCandidate(p, phi))
+        assert ver.det_nonzero is nonzero
+        assert not ver.ok
+
+
 def test_verify_frobenius_construction(quintic30, quintic_y20):
     cand = frobenius_from_constant(
         quintic_y20, twisted_rows(7, 4, [1, 3, -2, 5]), 7, op=quintic30
