@@ -1,4 +1,5 @@
-"""The benchmark's own tests, and its span recorder on the transfer layer.
+"""The benchmark's own tests, and its span recorder on the transfer and
+series layers.
 
 bench/spans.py wraps mumkit's public functions by name, so a rename in the
 library would silently zero a per-layer metric of the benchmark.
@@ -18,6 +19,7 @@ TRANSFER_SPANS = ("frobtransfer.iterate_transfer", "frobtransfer.h_matrix",
                   "frobtransfer.transfer_audit", "frobtransfer.verify_frobenius")
 LAYER_METRICS = ("frobtransfer.transfer.self_s", "frobtransfer.h_matrix.self_s",
                  "frobtransfer.audit.self_s", "frobtransfer.verify.self_s")
+SERIES_SPANS = ("series.TruncSeries.__mul__", "series.TruncSeries.invert")
 
 
 def load_spans():
@@ -51,3 +53,20 @@ def test_tracer_records_the_transfer_layer(tmp_path, monkeypatch):
     assert set(TRANSFER_SPANS) <= recorded
     metrics = spans.layer_metrics(recorder, 1.0, 1.0)
     assert all(metrics[name] > 0 for name in LAYER_METRICS)
+
+
+def test_tracer_records_the_series_kernel(tmp_path, monkeypatch):
+    # the product's private helpers are not traced: their time must fall to
+    # __mul__, and invert's products must show as __mul__ spans of their own
+    monkeypatch.chdir(tmp_path)
+    spans = load_spans()
+    recorder = spans.Recorder()
+    with spans.Tracer(recorder):
+        argv = ["qcoord", "--builtin", "quintic", "--trunc", "20"]
+        assert main(argv + ["--format", "json", "--out", "report.json"]) == 0
+    assert set(SERIES_SPANS) <= {recorder.names[i] for i in recorder.name}
+    mul, invert = (recorder.names.index(name) for name in SERIES_SPANS)
+    callers_of_mul = {recorder.name[parent] for name, parent in zip(recorder.name, recorder.parent)
+                      if name == mul and parent >= 0}
+    assert invert in callers_of_mul
+    assert spans.layer_metrics(recorder, 1.0, 1.0)["series.mul.self_s"] > 0
