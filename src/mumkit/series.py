@@ -5,7 +5,13 @@ beyond; M is the truncation order.  Binary operations truncate to the
 smaller operand order, except where a sharper output order is provable
 (substitute_power, cartier, cartier_pullback, shift), in which case the
 method documents its exact output order.  Everything is immutable and
-all coefficients are arbitrary-precision rationals.
+all coefficients are reduced Fractions.
+
+A product of two series runs on integers: each operand is scaled to
+integer numerators over the lcm of its denominators, the numerators are
+convolved, and each output coefficient is built once over the product of
+the two lcms.  invert is Newton doubling on that product.  exp, log and
+SeriesMatrix.invert still work coefficient by coefficient in Fractions.
 """
 
 from __future__ import annotations
@@ -225,11 +231,14 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product with a series, to the smaller order, or with a scalar.
+
+        Each series operand becomes integer numerators over the lcm of its
+        denominators.  Only nonzero pairs are multiplied, so a dense series
+        times one in z^q costs n * n/q integer products, and each output
+        coefficient is reduced once, as a Fraction over the product of
+        the two lcms."""
         if isinstance(other, TruncSeries):
-            # each operand becomes integer numerators over the lcm of its
-            # denominators; only nonzero pairs are visited, so a dense series
-            # times one in z^q costs n * n/q integer products, and each output
-            # coefficient is reduced once
             n = min(self.trunc, other.trunc)
             a, da = _numerators(self.coeffs[:n])
             b, db = _numerators(other.coeffs[:n])

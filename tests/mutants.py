@@ -9,20 +9,21 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_mutated(root: Path, test_files, target=None, old=None, new=None,
+def run_mutated(root: Path, test_files, mutation=None,
                 select=None) -> subprocess.CompletedProcess:
     """Copy src/, pyproject.toml and the named files of tests/ under root,
-    replace `old` by `new` in `target` (a path relative to the repository;
-    nothing when target is None), and run pytest there on the first test
-    file, restricted by `-k select` when given, stopping at the first
-    failure."""
+    apply the mutation (target, old, new) by replacing the text `old` in
+    the file `target`, a path relative to the repository, with `new`, and
+    run pytest there on the first test file, restricted by `-k select` when
+    given, stopping at the first failure."""
     shutil.copytree(REPO / "src", root / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     (root / "tests").mkdir()
     for name in test_files:
         shutil.copy(REPO / "tests" / name, root / "tests" / name)
     shutil.copy(REPO / "pyproject.toml", root / "pyproject.toml")
-    if target is not None:
+    if mutation is not None:
+        target, old, new = mutation
         path = root / target
         text = path.read_text()
         assert text.count(old) == 1, f"mutation target {old!r} is not unique in {target}"

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from mumkit import (
     INF,
-    hypergeometric,
-    solve_first_row,
     BadConstantTerm,
     InternalError,
     SeriesMatrix,
@@ -16,6 +14,8 @@ from mumkit import (
     TruncSeries,
     ValuationProfile,
     ZeroConstantTerm,
+    hypergeometric,
+    solve_first_row,
     vp,
 )
 

@@ -27,7 +27,7 @@ def run_series_tests(root: Path, mutation=None):
     if mutation is None:
         return run_mutated(root, ("test_series.py",), select=f"{MUL} or {INVERT}")
     old, new, tests = mutation
-    return run_mutated(root, ("test_series.py",), TARGET, old, new, tests)
+    return run_mutated(root, ("test_series.py",), (TARGET, old, new), tests)
 
 
 def test_unmutated_copy_passes(tmp_path):

@@ -39,7 +39,7 @@ def run_rows_tests(root: Path, mutation=None):
     if mutation is None:
         return run_mutated(root, files)
     old, new, tests = mutation
-    return run_mutated(root, files, TARGET, old, new, tests)
+    return run_mutated(root, files, (TARGET, old, new), tests)
 
 
 def test_unmutated_copy_passes(tmp_path):
