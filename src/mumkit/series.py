@@ -10,8 +10,10 @@ all coefficients are reduced Fractions.
 A product of two series runs on integers: each operand is scaled to
 integer numerators over the lcm of its denominators, the numerators are
 convolved, and each output coefficient is built once over the product of
-the two lcms.  invert is Newton doubling on that product.  exp, log and
-SeriesMatrix.invert still work coefficient by coefficient in Fractions.
+the two lcms.  invert is Newton doubling on that product.  SeriesMatrix
+products and sums of products run the same way, with every entry
+converted once, and SeriesMatrix.invert is Newton doubling on them.  exp
+and log still work coefficient by coefficient in Fractions.
 """
 
 from __future__ import annotations
@@ -508,22 +510,12 @@ class SeriesMatrix:
         return self.map(lambda e: e * c)
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        n = self.n
-        trunc = min(self.trunc, other.trunc)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = TruncSeries.zero(trunc)
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return SeriesMatrix(tuple(rows))
+        return _sum_of_products(((self, other),))
+
+    @staticmethod
+    def sum_of_products(pairs) -> "SeriesMatrix":
+        """Sum of the products A B over the (A, B) pairs, to the smallest order."""
+        return _sum_of_products(pairs)
 
     def delta(self) -> "SeriesMatrix":
         return self.map(lambda e: e.delta())
@@ -538,46 +530,20 @@ class SeriesMatrix:
         return self.map(lambda e: e.cartier_pullback(p, m))
 
     def invert(self) -> "SeriesMatrix":
-        """Order-by-order inverse; needs the constant-term matrix invertible."""
-        n = self.n
-        trunc = self.trunc
-        # order-k coefficient matrices of self, as lists of Fraction rows
-        a = [
-            [[self.entries[i][j].coeffs[k] for j in range(n)] for i in range(n)]
-            for k in range(trunc)
-        ]
-        b0 = invert_constant_matrix(a[0])
-        out = [b0]
-        for k in range(1, trunc):
-            # sum_{j=1..k} A_j B_{k-j}, then B_k = -B_0 * that
-            acc = [[_F0] * n for _ in range(n)]
-            for j in range(1, k + 1):
-                aj = a[j]
-                bk = out[k - j]
-                for i in range(n):
-                    ai = aj[i]
-                    acci = acc[i]
-                    for l in range(n):
-                        c = ai[l]
-                        if c:
-                            bl = bk[l]
-                            for jj in range(n):
-                                acci[jj] += c * bl[jj]
-            bk = [
-                tuple(
-                    -sum(b0[i][l] * acc[l][jj] for l in range(n)) for jj in range(n)
-                )
-                for i in range(n)
-            ]
-            out.append(bk)
-        entries = tuple(
-            tuple(
-                TruncSeries(tuple(out[k][i][j] for k in range(trunc)))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return SeriesMatrix(entries)
+        """Inverse; needs the constant-term matrix invertible.
+
+        Newton doubling on the product, as in TruncSeries.invert: if
+        B = A^{-1} mod z^m, then B + B (I - A B) = A^{-1} mod z^2m.  Since
+        I - A B vanishes below z^m, so does B (A B - I), and the step keeps
+        B's known coefficients."""
+        n = self.trunc
+        b = SeriesMatrix.from_constant(invert_constant_matrix(self.constant_matrix()), 1)
+        while b.trunc < n:
+            m = b.trunc
+            b = b.map(lambda e: TruncSeries(e.coeffs + (_F0,) * (min(2 * m, n) - m)))
+            err = (self * b).map(lambda e: TruncSeries((_F0,) * m + e.coeffs[m:]))  # A B - I
+            b = b - b * err
+        return b
 
     def det(self) -> TruncSeries:
         """Determinant by cofactor expansion (dimensions here are small)."""
@@ -605,3 +571,44 @@ class SeriesMatrix:
         return ValuationProfile.merge(
             e.valuation_profile(p) for row in self.entries for e in row
         )
+
+
+def _sum_of_products(pairs) -> SeriesMatrix:
+    """Sum of A B over the (A, B) pairs, on integers, to the smallest order.
+
+    Each distinct operand is converted once: per entry, the exponents and
+    integer numerators of its nonzero coefficients over d, the lcm of its
+    denominators.  Output entry (i, j) sums the terms A[i][k] B[k][j] over
+    L, the lcm of their products d e, each term scaled by L / (d e).  Zero
+    entries and zero coefficients are skipped, so a product by a sparse
+    matrix visits its nonzero entries only, and each output coefficient is
+    reduced once, as a Fraction over L."""
+    trunc = min(min(a.trunc, b.trunc) for a, b in pairs)
+    sparse = {}
+    for mat in (operand for pair in pairs for operand in pair):
+        if id(mat) not in sparse:
+            nums = [[_numerators(e.coeffs[:trunc]) for e in row] for row in mat.entries]
+            sparse[id(mat)] = [[([k for k, x in enumerate(xs) if x], [x for x in xs if x], d)
+                                for xs, d in row] for row in nums]
+    sides = [(sparse[id(a)], sparse[id(b)]) for a, b in pairs]
+    n = pairs[0][0].n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = [(xk, xv, d * e, yk, yv) for left, right in sides
+                     for (xk, xv, d), (yk, yv, e) in zip(left[i], (r[j] for r in right))
+                     if xk and yk]
+            den = math.lcm(*(term[2] for term in terms))
+            out = [0] * trunc
+            for xk, xv, de, yk, yv in terms:
+                scale = den // de
+                for a, u in zip(xk, xv):
+                    u *= scale
+                    for b, v in zip(yk, yv):
+                        if a + b >= trunc:
+                            break
+                        out[a + b] += u * v
+            row.append(TruncSeries(tuple(Fraction(c, den) if c else _F0 for c in out)))
+        rows.append(tuple(row))
+    return SeriesMatrix(tuple(rows))

@@ -2,8 +2,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import Phase, settings
 
 from mumkit import builtin, monicize, solve_first_row, uniform_part
+
+# tests/mutants.py runs mutated copies under this profile: a mutation check
+# needs one failing example, not the smallest one
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 def harmonic(n: int) -> Fraction:

@@ -15,7 +15,8 @@ def run_mutated(root: Path, test_files, mutation=None,
     apply the mutation (target, old, new) by replacing the text `old` in
     the file `target`, a path relative to the repository, with `new`, and
     run pytest there on the first test file, restricted by `-k select` when
-    given, stopping at the first failure."""
+    given, stopping at the first failure.  Hypothesis does not shrink there
+    (the `mutants` profile of conftest.py, which test_files must include)."""
     shutil.copytree(REPO / "src", root / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     (root / "tests").mkdir()
@@ -30,6 +31,7 @@ def run_mutated(root: Path, test_files, mutation=None,
         path.write_text(text.replace(old, new))
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "--tb=line", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutants",
          f"tests/{test_files[0]}", *(["-k", select] if select else [])],
         cwd=root, capture_output=True, text=True, timeout=300,
         env={"PYTHONDONTWRITEBYTECODE": "1", "PATH": "/usr/bin:/bin"},

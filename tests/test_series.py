@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mumkit import (
@@ -18,6 +18,7 @@ from mumkit import (
     solve_first_row,
     vp,
 )
+from mumkit.series import invert_constant_matrix
 
 F = Fraction
 
@@ -480,6 +481,160 @@ def test_mat_invert_random_roundtrip():
             continue
         assert m * inv == SeriesMatrix.identity(n, trunc)
         assert inv * m == SeriesMatrix.identity(n, trunc)
+
+
+def coefficients(mat):
+    return tuple(tuple(e.coeffs for e in row) for row in mat.entries)
+
+
+def entrywise_product(a, b):
+    """Coefficients of (A B)[i][j] = sum_k A[i][k] B[k][j], each entry
+    product by schoolbook and the sum taken in Fractions, to the smaller
+    order."""
+    n = a.n
+    return tuple(
+        tuple(
+            tuple(sum(terms, F(0)) for terms in zip(*(schoolbook(a.entry(i, k), b.entry(k, j))
+                                                     for k in range(n))))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def add_coefficients(x, y):
+    trunc = min(len(x[0][0]), len(y[0][0]))
+    return tuple(tuple(tuple(u + v for u, v in zip(ex[:trunc], ey[:trunc]))
+                       for ex, ey in zip(rx, ry))
+                 for rx, ry in zip(x, y))
+
+
+def recurrence_matrix_inverse(m):
+    """Coefficients of m^{-1} order by order: B_0 = A_0^{-1} and
+    B_k = -B_0 sum_{j=1..k} A_j B_{k-j}, in Fraction arithmetic."""
+    n, trunc = m.n, m.trunc
+    a = [[[m.entry(i, j).coeffs[k] for j in range(n)] for i in range(n)]
+         for k in range(trunc)]
+    b0 = invert_constant_matrix(a[0])
+    out = [b0]
+    for k in range(1, trunc):
+        acc = [[sum((a[j][i][l] * out[k - j][l][c] for j in range(1, k + 1)
+                     for l in range(n)), F(0))
+                for c in range(n)] for i in range(n)]
+        out.append([[-sum((b0[i][l] * acc[l][c] for l in range(n)), F(0))
+                     for c in range(n)] for i in range(n)])
+    return tuple(tuple(tuple(out[k][i][j] for k in range(trunc)) for j in range(n))
+                 for i in range(n))
+
+
+TALL_DENOMINATORS = (1, 7, 2**61 - 1, 5**40, 3**60 * 7, 5**90)
+
+
+def mixed_fraction(rng):
+    """A small fraction, or a tall one: numerators up to 10^40 over
+    denominators up to 5^90."""
+    if rng.random() < 0.5:
+        return F(rng.randint(-20, 20), rng.randint(1, 12))
+    return F(rng.randint(-10**40, 10**40), rng.choice(TALL_DENOMINATORS))
+
+
+def matrix_entry(rng, shape, trunc):
+    """Dense, zero-heavy, z^q-sparse, constant or zero, at order trunc."""
+    cs = [mixed_fraction(rng) for _ in range(trunc)]
+    if shape == "zero_heavy":
+        cs = [c if rng.random() < 0.3 else 0 for c in cs]
+    elif shape == "sparse":
+        q = rng.randint(2, 4)
+        cs = [c if k % q == 0 else 0 for k, c in enumerate(cs)]
+    elif shape == "constant":
+        cs = cs[:1]
+    elif shape == "zero":
+        cs = []
+    return S(cs, trunc)
+
+
+entry_shapes = st.sampled_from(("dense", "zero_heavy", "sparse", "constant", "zero"))
+sizes, orders = st.integers(1, 4), st.integers(1, 9)
+
+
+def draw_matrix(draw, n, trunc):
+    """An n x n matrix at order trunc: each entry's shape is drawn, its
+    coefficients come from a drawn Random, and one row may be zero."""
+    rng = draw(st.randoms(use_true_random=False))
+    zero_row = draw(st.sampled_from((None,) + tuple(range(n))))
+    return SeriesMatrix.from_rows(
+        [TruncSeries.zero(trunc) if i == zero_row else matrix_entry(rng, draw(entry_shapes), trunc)
+         for _ in range(n)]
+        for i in range(n))
+
+
+@st.composite
+def matrix_pairs(draw, count):
+    """`count` (A, B) pairs of one size n in 1..4, every operand at its
+    own order in 1..9."""
+    n = draw(sizes)
+    return [(draw_matrix(draw, n, draw(orders)), draw_matrix(draw, n, draw(orders)))
+            for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs(1))
+def test_matmul_matches_entrywise_product(pairs):
+    (a, b), = pairs
+    prod = a * b
+    assert prod.trunc == min(a.trunc, b.trunc)
+    assert coefficients(prod) == entrywise_product(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3).flatmap(matrix_pairs))
+def test_sum_of_products_matches_entrywise_sum(pairs):
+    expected = entrywise_product(*pairs[0])
+    for a, b in pairs[1:]:
+        expected = add_coefficients(expected, entrywise_product(a, b))
+    assert coefficients(SeriesMatrix.sum_of_products(pairs)) == expected
+
+
+@st.composite
+def invertible_matrices(draw):
+    """A series matrix whose constant term is an invertible matrix other
+    than the identity."""
+    n = draw(sizes)
+    m = draw_matrix(draw, n, draw(orders))
+    rng = draw(st.randoms(use_true_random=False))
+    const = [[mixed_fraction(rng) for _ in range(n)] for _ in range(n)]
+    try:
+        invert_constant_matrix(const)
+    except SingularConstantTerm:
+        assume(False)
+    assume(const != [[int(i == j) for j in range(n)] for i in range(n)])
+    return SeriesMatrix.from_rows(
+        [TruncSeries((F(const[i][j]),) + m.entry(i, j).coeffs[1:]) for j in range(n)]
+        for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(invertible_matrices())
+def test_matinv_against_recurrence_oracle(m):
+    assert coefficients(m.invert()) == recurrence_matrix_inverse(m)
+
+
+def test_matmul_and_matinv_on_quintic_y(quintic_y30):
+    y = quintic_y30
+    y_inv = y.invert()
+    assert coefficients(y_inv) == recurrence_matrix_inverse(y)
+    assert coefficients(y * y_inv) == coefficients(SeriesMatrix.identity(4, 30))
+    for q in (3, 9):
+        lam = y.cartier(q)
+        lam_inv = lam.invert()
+        assert coefficients(lam_inv) == recurrence_matrix_inverse(lam)
+        lam_sub = lam_inv.substitute_power(q, 30)
+        assert coefficients(y * lam_sub) == entrywise_product(y, lam_sub)
+        assert coefficients(lam_sub * y) == entrywise_product(lam_sub, y)
+        assert coefficients(y * lam) == entrywise_product(y, lam)
+        pairs = ((y, lam_sub), (y_inv, y.cartier_pullback(q)))
+        assert coefficients(SeriesMatrix.sum_of_products(pairs)) == add_coefficients(
+            entrywise_product(*pairs[0]), entrywise_product(*pairs[1]))
 
 
 def test_matrix_det_and_profiles():

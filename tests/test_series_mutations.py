@@ -1,5 +1,6 @@
-"""The integer product and the Newton inverse, each broken on purpose in a
-copy of the package, must fail their oracle tests in tests/test_series.py."""
+"""The integer product kernels and the Newton inverses, each broken on
+purpose in a copy of the package, must fail their oracle tests in
+tests/test_series.py."""
 
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from mutants import run_mutated
 TARGET = Path("src/mumkit/series.py")
 MUL = "schoolbook or unequal_heights"
 INVERT = "matches_recurrence"
+MATMUL = "matmul or sum_of_products"
+MATINV = "matinv"
 
 # name -> (text in series.py, its broken replacement, tests that must fail)
 MUTATIONS = {
@@ -20,14 +23,21 @@ MUTATIONS = {
         MUL),
     "invert_skips_first_newton_step": ("b = (_F1 / self.coeffs[0],)",
                                        "b = (_F1 / self.coeffs[0], _F0)[:n]", INVERT),
+    "matmul_drops_term_scale": ("scale = den // de", "scale = 1", MATMUL),
+    "matmul_uses_left_lcm_for_both": ("(xk, xv, d * e, yk, yv)", "(xk, xv, d * d, yk, yv)",
+                                      MATMUL),
+    "matinv_skips_first_newton_step": (
+        "invert_constant_matrix(self.constant_matrix()), 1)",
+        "invert_constant_matrix(self.constant_matrix()), min(2, n))", MATINV),
 }
 
 
 def run_series_tests(root: Path, mutation=None):
+    files = ("test_series.py", "conftest.py")
     if mutation is None:
-        return run_mutated(root, ("test_series.py",), select=f"{MUL} or {INVERT}")
+        return run_mutated(root, files, select=f"{MUL} or {INVERT} or {MATMUL} or {MATINV}")
     old, new, tests = mutation
-    return run_mutated(root, ("test_series.py",), (TARGET, old, new), tests)
+    return run_mutated(root, files, (TARGET, old, new), tests)
 
 
 def test_unmutated_copy_passes(tmp_path):
