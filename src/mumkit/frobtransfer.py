@@ -14,11 +14,12 @@ series in z^q and z^p, inverted at the order divided by q or p and then
 substituted, and only the last row of F is formed.
 
 The audits read L's polynomial rows P_0 .. P_n, so they take a parsed
-operator as it is or a monic one (P_n = 1).  With C = P_n A, a product by
-C is a row or column shift times P_n plus the last row or column times
--P_k.  Each equation is checked times P_n (transfer) or P_n(z) P_n(z^p)
-(Frobenius); the factor has a nonzero constant term, so the residual
-vanishes to exactly the order of the monic one.
+operator as it is or a monic one (P_n = 1).  C = P_n A is a sparse
+SeriesMatrix, P_n on the superdiagonal and -P_k in the last row, and the
+matrix products skip its zero entries.  Each equation is checked times
+P_n (transfer) or P_n(z) P_n(z^p) (Frobenius); the factor has a nonzero
+constant term, so the residual vanishes to exactly the order of the
+monic one.
 
 Truncation budget: every Cartier application divides the known order by p,
 so level-m operator data certified to order T needs a working order of at
@@ -49,10 +50,8 @@ the prime takes B_j P_n^{-j} mod z^T, which is A_j mod z^T, directly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, RawOperator, monicize
@@ -360,7 +359,8 @@ def h_matrix(y: SeriesMatrix, p: int, m: int = 1) -> SeriesMatrix:
     inverted at order ceil(W/q), W = Y.trunc, then substituted: every
     exponent below W that survives is a multiple q*i with i < ceil(W/q).
     Lambda_p^m = Lambda_q keeps the coefficients at multiples of q.  The
-    diagonal factor scales column i by p^{mi}."""
+    product by Y skips that factor's zero coefficients, and the diagonal
+    factor scales column i by p^{mi}."""
     _require_identity_at_zero(y)
     q = p**m
     prod = y * y.cartier(q).invert().substitute_power(q, y.trunc)
@@ -448,23 +448,25 @@ def transfer_audit(op: RawOperator | DeltaOperator, data: TransferData) -> Trans
     companion matrices of L and L_m, is checked times P_n:
     P_n delta(H) - C H + q P_n H B(z^q) with C = P_n A read off L's
     polynomial rows.  P_n(0) != 0, so the residual vanishes to the same
-    order as the monic one."""
+    order as the monic one.  It is one sum of three matrix products,
+    delta(H) (P_n I) + H C_m - C H, C_m the companion matrix built from
+    q P_n B(z^q), which skip the zero entries of the sparse factors."""
     p, m = data.p, data.m
     n = op.order
     q = p**m
-    expected = tuple(
-        tuple(Fraction(p) ** (m * i) if i == j else _F0 for j in range(n))
-        for i in range(n)
-    )
-    h_constant_ok = data.h.constant_matrix() == expected
+    expected = SeriesMatrix.diagonal([Fraction(p) ** (m * i) for i in range(n)], 1)
+    h_constant_ok = data.h.constant_matrix() == expected.constant_matrix()
     _, b_rows = _row_series(data.operator, data.operator.trunc)
     b_sub = [b.substitute_power(q) for b in b_rows]
     check_trunc, polys = _row_series(op, min(data.h.trunc, b_sub[0].trunc))
     h = data.h.truncate(check_trunc)
     b_sub = [b.truncate(check_trunc) for b in b_sub]
     lead = polys[n]
-    residual = (h.delta() + _times_companion(h, b_sub).scale(q)).map(
-        lambda e: lead * e) - _companion_times(polys, h)
+    residual = SeriesMatrix.sum_of_products((
+        (h.delta(), _scalar_matrix(lead, n)),
+        (h, _companion(b_sub, lead * q)),
+        (_companion(polys, -1), h),
+    ))
     return TransferAudit(
         h_constant_ok,
         residual.residual_order(),
@@ -489,30 +491,22 @@ def _row_series(op: RawOperator | DeltaOperator, trunc: int):
     return trunc, polys
 
 
-def _companion_times(polys, x: SeriesMatrix) -> SeriesMatrix:
-    """C X for C = P_n A: rows 1.. of X moved up one row times P_n, and the
-    last row -sum_k P_k X[k]."""
-    n = x.n
-    rows = [tuple(polys[n] * e for e in row) for row in x.entries[1:]]
-    rows.append(tuple(
-        -reduce(operator.add, (polys[k] * x.entries[k][j] for k in range(n)))
-        for j in range(n)
-    ))
+def _companion(polys, factor) -> SeriesMatrix:
+    """factor C for C = P_n A, A the companion matrix of sum_k P_k D^k:
+    factor P_n on the superdiagonal, -factor P_k in column k of the last
+    row and zero elsewhere."""
+    n = len(polys) - 1
+    lead = polys[n] * factor
+    zero = TruncSeries.zero(lead.trunc)
+    rows = [tuple(lead if j == i + 1 else zero for j in range(n)) for i in range(n - 1)]
+    rows.append(tuple(-(poly * factor) for poly in polys[:n]))
     return SeriesMatrix(tuple(rows))
 
 
-def _times_companion(x: SeriesMatrix, polys) -> SeriesMatrix:
-    """X C for C = P_n A: columns of X moved right one column times P_n, plus
-    X's last column times -P_j in column j."""
-    n = x.n
-    return SeriesMatrix(tuple(
-        tuple(
-            polys[n] * row[j - 1] - row[n - 1] * polys[j] if j
-            else -(row[n - 1] * polys[0])
-            for j in range(n)
-        )
-        for row in x.entries
-    ))
+def _scalar_matrix(s: TruncSeries, n: int) -> SeriesMatrix:
+    """s times the n x n identity matrix."""
+    zero = TruncSeries.zero(s.trunc)
+    return SeriesMatrix(tuple(tuple(s if i == j else zero for j in range(n)) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +556,8 @@ def verify_frobenius(op: RawOperator | DeltaOperator,
     L's polynomial rows:
     P_n P_n(z^p) delta(Phi) - P_n(z^p) C Phi + p P_n Phi C(z^p).
     The factor has constant term P_n(0)^2 != 0, so the residual vanishes
-    to the same order as the monic one.  det(Phi) mod z^T is nonzero when
+    to the same order as the monic one; it is one sum of three matrix
+    products, as in transfer_audit.  det(Phi) mod z^T is nonzero when
     det(Phi(0)) is; only a singular Phi(0) needs the full determinant."""
     p = cand.p
     check_trunc, polys = _row_series(op, cand.trunc)
@@ -570,11 +565,11 @@ def verify_frobenius(op: RawOperator | DeltaOperator,
     polys_sub = [poly.substitute_power(p, check_trunc) for poly in polys]
     lead, lead_sub = polys[-1], polys_sub[-1]
     both, p_lead = lead * lead_sub, lead * p
-    residual = (
-        phi.delta().map(lambda e: both * e)
-        - _companion_times(polys, phi).map(lambda e: lead_sub * e)
-        + _times_companion(phi, polys_sub).map(lambda e: p_lead * e)
-    )
+    residual = SeriesMatrix.sum_of_products((
+        (phi.delta(), _scalar_matrix(both, phi.n)),
+        (_companion(polys, -lead_sub), phi),
+        (phi, _companion(polys_sub, p_lead)),
+    ))
     return FrobeniusVerification(
         residual.residual_order(),
         check_trunc,
@@ -597,9 +592,9 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int,
     _require_identity_at_zero(y)
     validate_constant_shape(constant_rows, p)
     trunc = y.trunc
-    c_mat = SeriesMatrix.from_constant(constant_rows, trunc)
-    phi = y * c_mat * _inverse_at_power(y, p)
-    if (phi * y.substitute_power(p, trunc) - y * c_mat).residual_order() != trunc:
+    yc = y * SeriesMatrix.from_constant(constant_rows, trunc)
+    phi = yc * _inverse_at_power(y, p)
+    if (phi * y.substitute_power(p, trunc) - yc).residual_order() != trunc:
         raise InternalError("Phi * Y(z^p) != Y C")
     cand = FrobeniusCandidate(p, phi)
     if cand.constant != tuple(tuple(Fraction(x) for x in row) for row in constant_rows):

@@ -20,6 +20,8 @@ TRANSFER_SPANS = ("frobtransfer.iterate_transfer", "frobtransfer.h_matrix",
 LAYER_METRICS = ("frobtransfer.transfer.self_s", "frobtransfer.h_matrix.self_s",
                  "frobtransfer.audit.self_s", "frobtransfer.verify.self_s")
 SERIES_SPANS = ("series.TruncSeries.__mul__", "series.TruncSeries.invert")
+MATRIX_SPANS = ("series.SeriesMatrix.__mul__", "series.SeriesMatrix.invert",
+                "series.SeriesMatrix.sum_of_products")
 
 
 def load_spans():
@@ -70,3 +72,22 @@ def test_tracer_records_the_series_kernel(tmp_path, monkeypatch):
                       if name == mul and parent >= 0}
     assert invert in callers_of_mul
     assert spans.layer_metrics(recorder, 1.0, 1.0)["series.mul.self_s"] > 0
+
+
+def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):
+    # products and the Newton inverse run through SeriesMatrix.__mul__; the
+    # transfer audit's residual is one sum_of_products span, whose time
+    # falls outside series.matmul.self_s
+    monkeypatch.chdir(tmp_path)
+    spans = load_spans()
+    recorder = spans.Recorder()
+    with spans.Tracer(recorder):
+        argv = ["transfer", "--builtin", "quintic", "--trunc", "4", "--primes", "7"]
+        assert main(argv + ["--format", "json", "--out", "report.json"]) == 0
+    assert set(MATRIX_SPANS) <= {recorder.names[i] for i in recorder.name}
+    mul, invert, _ = (recorder.names.index(name) for name in MATRIX_SPANS)
+    callers_of_mul = {recorder.name[parent] for name, parent in zip(recorder.name, recorder.parent)
+                      if name == mul and parent >= 0}
+    assert invert in callers_of_mul
+    metrics = spans.layer_metrics(recorder, 1.0, 1.0)
+    assert metrics["series.self_s"] > 0 and metrics["series.matmul.self_s"] > 0

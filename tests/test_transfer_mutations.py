@@ -1,5 +1,9 @@
 """Each residual formula of the structure-aware transfer code, broken on
-purpose in a copy of the package, must fail tests/test_transfer_rows.py."""
+purpose in a copy of the package, must fail tests/test_transfer_rows.py.
+
+The residuals are sums of products by the sparse companion matrices of
+_companion: a dropped column shift zeroes the superdiagonal of every such
+matrix, a dropped row shift that of the left factor C in C H only."""
 
 from pathlib import Path
 
@@ -13,14 +17,13 @@ AUDIT, VERIFY, CLOSED = "transfer_residual", "frobenius_residual", "closed_forms
 
 # name -> (text in frobtransfer.py, its broken replacement, tests that must fail)
 MUTATIONS = {
-    "audit_drops_lead": ("lambda e: lead * e) - _companion_times(polys, h)",
-                         "lambda e: e) - _companion_times(polys, h)", AUDIT),
-    "audit_drops_q": ("_times_companion(h, b_sub).scale(q)", "_times_companion(h, b_sub)",
+    "audit_drops_lead": ("(h.delta(), _scalar_matrix(lead, n))",
+                         "(h.delta(), SeriesMatrix.identity(n, check_trunc))", AUDIT),
+    "audit_drops_q": ("(h, _companion(b_sub, lead * q))", "(h, _companion(b_sub, lead))",
                       AUDIT),
-    "drops_column_shift": ("polys[n] * row[j - 1] - row[n - 1] * polys[j] if j\n",
-                           "-(row[n - 1] * polys[j]) if j\n", VERIFY),
-    "drops_row_shift": ("for e in row) for row in x.entries[1:]]",
-                        "for e in row) for row in x.entries[:-1]]", AUDIT),
+    "drops_column_shift": ("lead if j == i + 1 else zero", "zero", VERIFY),
+    "drops_row_shift": ("(_companion(polys, -1), h)",
+                        "(_companion(polys[:n] + [0 * polys[n]], -1), h)", AUDIT),
     "verify_drops_lead": ("both, p_lead = lead * lead_sub, lead * p",
                           "both, p_lead = lead_sub, p", VERIFY),
     "verify_drops_lead_sub": ("both, p_lead = lead * lead_sub, lead * p",
