@@ -13,6 +13,7 @@ from mumkit import (
     builtin,
     canonical_coordinate,
     dieudonne_check,
+    g_over_f,
     monicize,
     n_integrality_report,
     omega_congruence_check,
@@ -30,6 +31,7 @@ def main():
     raw = builtin("quintic")
     f, g, *_ = solve_first_row(raw, args.trunc)
     op = monicize(raw, args.trunc)  # for the op in Z_p column only
+    h = g_over_f(f, g)
 
     print(f"quintic at truncation order {args.trunc}")
     print(f"{'p':>4} {'op in Z_p':>10} {'dieudonne':>10} {'omega':>6} {'exp(g/f)':>9}")
@@ -39,8 +41,8 @@ def main():
             print(f"{p:>4} {'no':>10} {'-':>10} {'-':>6} {'-':>9}")
             continue
         dieu, _ = dieudonne_check(f, p)
-        omega, _ = omega_congruence_check(f, g, p)
-        expint = (g * f.invert()).exp().valuation_profile(p).is_integral
+        omega, _ = omega_congruence_check(h, p)
+        expint = h.exp().valuation_profile(p).is_integral
         print(
             f"{p:>4} {'yes':>10} {str(dieu).lower():>10}"
             f" {str(omega).lower():>6} {str(expint).lower():>9}"

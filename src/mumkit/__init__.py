@@ -29,6 +29,7 @@ from .qcoord import (
     canonical_coordinate,
     dieudonne_check,
     exp_integrality_check,
+    g_over_f,
     n_integrality_report,
     omega_congruence_check,
 )

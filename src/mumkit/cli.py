@@ -47,6 +47,7 @@ from .qcoord import (
     canonical_coordinate,
     dieudonne_check,
     exp_integrality_check,
+    g_over_f,
     n_integrality_report,
     omega_congruence_check,
 )
@@ -403,14 +404,14 @@ def _check_order(spec, p):
 
 
 def _check_prepare(spec, subject):
-    """The first row (f, g, ...) at the job's order; g/f for expint."""
+    """The first row (f, g, ...) at the job's order; g/f for omega, expint."""
     kind = spec.check_kind
     if kind == "reduction":
         return None
     if subject.raw.order < 2 and kind in ("omega", "expint"):
         raise NotMUM(f"{kind} needs an operator of order >= 2")
     row = solve_first_row(subject.raw, spec.trunc)
-    return row[1] * row[0].invert() if kind == "expint" else row
+    return g_over_f(row[0], row[1]) if kind in ("omega", "expint") else row
 
 
 def _check(spec, subject, work, p):
@@ -424,7 +425,7 @@ def _check(spec, subject, work, p):
         ok, profile = dieudonne_check(work[0], p)
         entry["profile"] = profile_payload(profile)
     elif spec.check_kind == "omega":
-        ok, profile = omega_congruence_check(work[0], work[1], p)
+        ok, profile = omega_congruence_check(work, p)
         entry["profile"] = profile_payload(profile)
     elif spec.check_kind == "expint":
         ok = exp_integrality_check(work, p)

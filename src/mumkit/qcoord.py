@@ -26,11 +26,16 @@ def _require_fg(f: TruncSeries, g: TruncSeries):
         raise BadNormalization("g must have constant term 0")
 
 
+def g_over_f(f: TruncSeries, g: TruncSeries) -> TruncSeries:
+    """h = g/f, to order min(f.trunc, g.trunc); needs f(0) = 1, g(0) = 0."""
+    _require_fg(f, g)
+    return g * f.invert()
+
+
 def canonical_coordinate(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """q = z * exp(g/f); the mirror-map coordinate.  Output order is
     min(f.trunc, g.trunc) + 1 because the z-shift loses nothing."""
-    _require_fg(f, g)
-    return (g * f.invert()).exp().shift(1)
+    return g_over_f(f, g).exp().shift(1)
 
 
 def dieudonne_check(f: TruncSeries, p: int, trunc: int | None = None):
@@ -64,19 +69,17 @@ def exp_integrality_check(h: TruncSeries, p: int, trunc: int | None = None) -> b
     return ok
 
 
-def omega_congruence_check(f: TruncSeries, g: TruncSeries, p: int,
-                           trunc: int | None = None):
-    """Is (g/f)(z^p) - p*(g/f) in z Z_p[[z]] up to the requested order?
-    This is the log-free form of the omega congruence."""
-    _require_fg(f, g)
-    M = min(f.trunc, g.trunc) if trunc is None else min(trunc, f.trunc, g.trunc)
-    fM, gM = f.truncate(M), g.truncate(M)
-    pulled = (gM.substitute_power(p).truncate(M)
-              * fM.substitute_power(p).truncate(M).invert())
-    d = pulled - p * (gM * fM.invert())
+def omega_congruence_check(h: TruncSeries, p: int, trunc: int | None = None):
+    """Is h(z^p) - p*h in z Z_p[[z]] up to the requested order, for
+    h = g_over_f(f, g)?  This is the log-free form of the omega congruence;
+    (g/f)(z^p) is h(z^p), so h is formed once for every prime."""
+    if h.constant_term != 0:
+        raise BadNormalization("h must have constant term 0")
+    M = h.trunc if trunc is None else min(trunc, h.trunc)
+    hM = h.truncate(M)
+    d = hM.substitute_power(p).truncate(M) - p * hM
     profile = d.valuation_profile(p)
-    ok = profile.is_integral and d.constant_term == 0
-    return ok, profile
+    return profile.is_integral, profile
 
 
 @dataclass(frozen=True)

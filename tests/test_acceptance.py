@@ -20,6 +20,7 @@ from mumkit import (
     canonical_coordinate,
     dieudonne_check,
     frobenius_from_constant,
+    g_over_f,
     h0,
     h_matrix,
     iterate_transfer,
@@ -219,7 +220,7 @@ def test_criterion_13_omega_congruence():
     with Timer(13, "omega congruence for quintic at p in {7,11}, M=60", 30):
         row = solve_first_row(quintic_at(60), 60)
         for p in (7, 11):
-            ok, profile = omega_congruence_check(row[0], row[1], p)
+            ok, profile = omega_congruence_check(g_over_f(row[0], row[1]), p)
             assert ok, profile
 
 

@@ -11,8 +11,10 @@ from mumkit import (
     canonical_coordinate,
     dieudonne_check,
     exp_integrality_check,
+    g_over_f,
     n_integrality_report,
     omega_congruence_check,
+    solve_first_row,
 )
 
 F = Fraction
@@ -173,33 +175,64 @@ def test_expint_requires_zero_constant():
 
 
 def test_omega_trivial():
-    ok, _ = omega_congruence_check(TruncSeries.one(6), TruncSeries.zero(6), 5)
+    ok, _ = omega_congruence_check(g_over_f(TruncSeries.one(6), TruncSeries.zero(6)), 5)
     assert ok
 
 
 def test_omega_quintic_small(quintic_row30):
     f, g = quintic_row30[0], quintic_row30[1]
     for p in (7, 11):
-        ok, profile = omega_congruence_check(f, g, p)
+        ok, profile = omega_congruence_check(g_over_f(f, g), p)
         assert ok, profile
 
 
 def test_omega_rejects_denominator():
     # the offending term of g(z^p)/f(z^p) sits at z^p, so keep p < trunc
-    ok, profile = omega_congruence_check(
-        TruncSeries.one(5), S([0, F(1, 2)], 5), 2
-    )
+    ok, profile = omega_congruence_check(g_over_f(TruncSeries.one(5), S([0, F(1, 2)], 5)), 2)
     assert not ok
     assert profile.min_valuation < 0
+
+
+def two_quotient_omega(f, g, p, trunc):
+    """The omega congruence as (g/f)(z^p) - p (g/f), with g(z^p) / f(z^p)
+    formed from the substituted series."""
+    fM, gM = f.truncate(trunc), g.truncate(trunc)
+    pulled = (gM.substitute_power(p).truncate(trunc)
+              * fM.substitute_power(p).truncate(trunc).invert())
+    d = pulled - p * (gM * fM.invert())
+    profile = d.valuation_profile(p)
+    return profile.is_integral and d.constant_term == 0, profile
+
+
+@pytest.mark.parametrize("trunc", (20, 100))
+def test_omega_matches_the_two_quotient_formula(quintic_raw, trunc):
+    f, g = solve_first_row(quintic_raw, trunc)[:2]
+    h = g_over_f(f, g)
+    for p in (5, 7):
+        assert omega_congruence_check(h, p) == two_quotient_omega(f, g, p, trunc)
+        assert omega_congruence_check(h, p, 13) == two_quotient_omega(f, g, p, 13)
+    # g + z^2/7 puts 1/7 at z^14 in h(z^7), which -7 h cannot cancel
+    bad_g = g + S([0, 0, F(1, 7)], trunc)
+    expected = two_quotient_omega(f, bad_g, 7, trunc)
+    assert not expected[0]
+    assert omega_congruence_check(g_over_f(f, bad_g), 7) == expected
+
+
+def test_omega_normalization():
+    with pytest.raises(BadNormalization):
+        omega_congruence_check(TruncSeries.one(4), 5)
+    for f, g in ((S([2, 1], 4), TruncSeries.zero(4)), (TruncSeries.one(4), S([1, 1], 4))):
+        with pytest.raises(BadNormalization):
+            g_over_f(f, g)
 
 
 def test_omega_implies_exp_integrality(quintic_row30):
     # an omega congruence that holds forces exp(g/f) to stay p-integral
     f, g = quintic_row30[0], quintic_row30[1]
+    h = g_over_f(f, g)
     for p in (7, 11, 13):
-        ok, _ = omega_congruence_check(f, g, p)
+        ok, _ = omega_congruence_check(h, p)
         if ok:
-            h = g * f.invert()
             assert h.exp().valuation_profile(p).is_integral
 
 
