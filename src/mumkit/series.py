@@ -536,11 +536,11 @@ class SeriesMatrix:
         B = A^{-1} mod z^m, then B + B (I - A B) = A^{-1} mod z^2m.  Since
         I - A B vanishes below z^m, so does B (A B - I), and the step keeps
         B's known coefficients."""
-        n = self.trunc
+        trunc = self.trunc
         b = SeriesMatrix.from_constant(invert_constant_matrix(self.constant_matrix()), 1)
-        while b.trunc < n:
+        while b.trunc < trunc:
             m = b.trunc
-            b = b.map(lambda e: TruncSeries(e.coeffs + (_F0,) * (min(2 * m, n) - m)))
+            b = b.map(lambda e: TruncSeries(e.coeffs + (_F0,) * (min(2 * m, trunc) - m)))
             err = (self * b).map(lambda e: TruncSeries((_F0,) * m + e.coeffs[m:]))  # A B - I
             b = b - b * err
         return b

@@ -28,7 +28,7 @@ MUTATIONS = {
                                       MATMUL),
     "matinv_skips_first_newton_step": (
         "invert_constant_matrix(self.constant_matrix()), 1)",
-        "invert_constant_matrix(self.constant_matrix()), min(2, n))", MATINV),
+        "invert_constant_matrix(self.constant_matrix()), min(2, trunc))", MATINV),
 }
 
 
