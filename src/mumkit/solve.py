@@ -11,13 +11,19 @@ Q_0(s) = P_{n,0} s^n with P_{n,0} != 0.  Put c_0 = 1 and, for m >= 1,
 Then L(sum_m c_m(e) z^{m+e}) = P_{n,0} e^n z^e; expanding z^e in e log z gives
 f_{1,j+1} = sum_m [e^j]c_m z^m for j < n.  Only the k with Q_k != 0 enter:
 deg_z + 1 of them for a parsed operator, every k for a monic series operator.
+
+The recurrence runs on Python ints.  The rows are scaled to integers by the
+lcm of the P_{i,k} denominators (1 for a parsed operator); each c_m is kept
+as integer vectors over one denominator d_m, the right-hand side is summed
+over the lcm of the d_{m-k} it needs, and the vector and d_m are reduced by
+one gcd.  Each output coefficient is built once, as a Fraction over d_m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, NotMUM, RawOperator
 from .series import SeriesMatrix, TruncSeries
@@ -54,7 +60,7 @@ def _rows(op, trunc: int) -> list[tuple[int, list]]:
 
 
 def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
-    """sum_m [e^j]c_m z^m for j < width, from the recurrence above."""
+    """sum_m [e^j]c_m z^m for j < width, from the recurrence above, on integers."""
     if trunc < 1:
         raise ValueError("truncation order must be positive")
     if isinstance(op, DeltaOperator) and op.trunc < trunc:
@@ -68,24 +74,39 @@ def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
     if any(P[0] for P in op.poly_coeffs[:n] if P):
         raise NotMUM("operator coefficients must vanish at z = 0")
     support = [row for row in _rows(op, trunc) if row[0]]
-    # shifted[m][i] = (m+e)^i c_m(e) mod e^width, i = 0..n; c_0 = 1
-    shifted = [[[Fraction(int(t == i)) for t in range(width)] for i in range(n + 1)]]
+    # the recurrence times s, the lcm of the P_{i,k} denominators
+    s = lcm(lead.denominator, *(p.denominator for _, terms in support for _, p in terms))
+    support = [(k, [(i, p.numerator * (s // p.denominator)) for i, p in terms])
+               for k, terms in support]
+    lead = lead.numerator * (s // lead.denominator)
+    # shifted[m][i] = d_m (m+e)^i c_m(e) mod e^width, i = 0..n, as integers; c_0 = 1
+    dens = [1]
+    shifted = [[[int(t == i) for t in range(width)] for i in range(n + 1)]]
     for m in range(1, trunc):
-        rhs = [Fraction(0)] * width
-        for k, terms in support:
-            if k > m:
-                break
+        active = [(k, terms) for k, terms in support if k <= m]
+        den = lcm(*(dens[m - k] for k, _ in active))
+        rhs = [0] * width  # over den
+        for k, terms in active:
+            part = [0] * width
             for i, p in terms:
                 for t, x in enumerate(shifted[m - k][i]):
-                    rhs[t] -= p * x
-        # 1/(P_{n,0} (m+e)^n) = sum_u (-1)^u C(n+u-1, u) e^u / (P_{n,0} m^{n+u})
-        inv = [Fraction((-1) ** u * comb(n + u - 1, u), lead * m ** (n + u))
-               for u in range(width)]
-        powers = [[sum(inv[u] * rhs[t - u] for u in range(t + 1)) for t in range(width)]]
+                    part[t] += p * x
+            scale = den // dens[m - k]
+            for t, x in enumerate(part):
+                rhs[t] -= scale * x
+        # 1/(P_{n,0} (m+e)^n) = sum_u (-1)^u C(n+u-1, u) m^(width-1-u) e^u
+        #                       / (P_{n,0} m^(n+width-1))
+        inv = [(-1) ** u * comb(n + u - 1, u) * m ** (width - 1 - u) for u in range(width)]
+        c = [sum(inv[u] * rhs[t - u] for u in range(t + 1)) for t in range(width)]
+        den *= lead * m ** (n + width - 1)
+        g = gcd(den, *c) if den > 0 else -gcd(den, *c)
+        powers = [[x // g for x in c]]
         for _ in range(n):
             powers.append([m * x + y for x, y in zip(powers[-1], [0] + powers[-1])])
+        dens.append(den // g)
         shifted.append(powers)
-    return tuple(TruncSeries(tuple(s[0][t] for s in shifted)) for t in range(width))
+    return tuple(TruncSeries(tuple(Fraction(s[0][t], d) for s, d in zip(shifted, dens)))
+                 for t in range(width))
 
 
 def solve_f(op: DeltaOperator | RawOperator, trunc: int) -> TruncSeries:

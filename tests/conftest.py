@@ -4,11 +4,21 @@ from math import factorial
 import pytest
 from hypothesis import Phase, settings
 
-from mumkit import builtin, monicize, solve_first_row, uniform_part
+from mumkit import RawOperator, builtin, monicize, solve_first_row, uniform_part
 
 # tests/mutants.py runs mutated copies under this profile: a mutation check
 # needs one failing example, not the smallest one
 settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+def random_mum_operator(rng):
+    """Order 2-4, deg_z <= 3, P_n(0) in {1, 2, -3, 5}, P_i(0) = 0 for i < n."""
+    n = rng.randint(2, 4)
+    lead = [rng.choice((1, 2, -3, 5))] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+    lower = [[0] + [rng.randint(-6, 6) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+    polys = [tuple(poly) for poly in lower] + [tuple(lead)]
+    polys = [poly[: max((k + 1 for k, c in enumerate(poly) if c), default=0)] for poly in polys]
+    return RawOperator(tuple(polys))
 
 
 def harmonic(n: int) -> Fraction:

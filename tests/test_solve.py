@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,7 +20,8 @@ from mumkit import (
     uniform_part,
     verify_solution,
 )
-from tests.conftest import quintic_f_coeff, quintic_g_coeff
+from mumkit.solve import _frobenius, _rows
+from tests.conftest import quintic_f_coeff, quintic_g_coeff, random_mum_operator
 
 F = Fraction
 # non-hypergeometric, deg_z P_i up to 3 and P_n(0) = 2
@@ -83,6 +85,55 @@ def test_solve_needs_enough_operator_order():
     for source in (op, parse_operator("D^2")):
         with pytest.raises(ValueError):
             solve_first_row(source, 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer recurrence against the Fraction recurrence
+# ---------------------------------------------------------------------------
+
+
+def recurrence_frobenius(op, trunc, width):
+    """sum_m [e^j]c_m z^m for j < width from
+    P_{n,0} (m+e)^n c_m(e) = -sum_{k>=1} Q_k(m-k+e) c_{m-k}(e) mod e^width,
+    order by order in Fraction arithmetic; shifted[m][i] = (m+e)^i c_m(e)."""
+    n = op.order
+    lead = op.poly_coeffs[n][0]
+    support = [row for row in _rows(op, trunc) if row[0]]
+    shifted = [[[F(int(t == i)) for t in range(width)] for i in range(n + 1)]]
+    for m in range(1, trunc):
+        rhs = [F(0)] * width
+        for k, terms in support:
+            if k > m:
+                break
+            for i, p in terms:
+                for t, x in enumerate(shifted[m - k][i]):
+                    rhs[t] -= p * x
+        inv = [F((-1) ** u * comb(n + u - 1, u), lead * m ** (n + u)) for u in range(width)]
+        powers = [[sum(inv[u] * rhs[t - u] for u in range(t + 1)) for t in range(width)]]
+        for _ in range(n):
+            powers.append([m * x + y for x, y in zip(powers[-1], [0] + powers[-1])])
+        shifted.append(powers)
+    return tuple(TruncSeries(tuple(s[0][t] for s in shifted)) for t in range(width))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_frobenius_matches_recurrence_on_random_mum_operators(seed):
+    # rows of different denominators meet: P_n(0) in {1, 2, -3, 5}, deg_z <= 3
+    rng = random.Random(300 + seed)
+    raw = random_mum_operator(rng)
+    for trunc in (1, 2, rng.randint(3, 8), 16):
+        for op in (raw, monicize(raw, trunc)):
+            for width in (1, op.order):
+                assert _frobenius(op, trunc, width) == recurrence_frobenius(op, trunc, width)
+            assert solve_f(op, trunc) == recurrence_frobenius(op, trunc, 1)[0]
+            assert solve_first_row(op, trunc) == recurrence_frobenius(op, trunc, op.order)
+
+
+def test_frobenius_matches_recurrence_on_the_unscaled_quintic():
+    # denominators of c_m are powers of 5, hundreds of bits tall at order 40
+    raw = hypergeometric(["1/5", "2/5", "3/5", "4/5"], [1, 1, 1, 1])
+    for op in (raw, monicize(raw, 40)):
+        assert solve_first_row(op, 40) == recurrence_frobenius(op, 40, 4)
 
 
 # ---------------------------------------------------------------------------

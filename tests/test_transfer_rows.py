@@ -31,6 +31,7 @@ from mumkit import (
 )
 from mumkit import frobtransfer
 
+from tests.conftest import random_mum_operator
 from transfer_oracles import (
     frobenius_quotient_F,
     frobenius_residual_order,
@@ -39,16 +40,6 @@ from transfer_oracles import (
 )
 
 LEVELS = [(3, 1), (5, 1), (7, 1), (3, 2)]
-
-
-def random_mum_operator(rng):
-    """Order 2-4, deg_z <= 3, P_n(0) in {1, 2, -3, 5}, P_i(0) = 0 for i < n."""
-    n = rng.randint(2, 4)
-    lead = [rng.choice((1, 2, -3, 5))] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
-    lower = [[0] + [rng.randint(-6, 6) for _ in range(rng.randint(0, 3))] for _ in range(n)]
-    polys = [tuple(poly) for poly in lower] + [tuple(lead)]
-    polys = [poly[: max((k + 1 for k, c in enumerate(poly) if c), default=0)] for poly in polys]
-    return RawOperator(tuple(polys))
 
 
 def shift_rows(n):
