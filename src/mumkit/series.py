@@ -13,7 +13,11 @@ convolved, and each output coefficient is built once over the product of
 the two lcms.  invert is Newton doubling on that product.  SeriesMatrix
 products and sums of products run the same way, with every entry
 converted once, and SeriesMatrix.invert is Newton doubling on them.  exp
-and log still work coefficient by coefficient in Fractions.
+and log run their order-by-order recurrences on integers: the fixed
+series as numerators over the lcm of its denominators, the coefficients
+found so far as numerators over one running denominator, rescaled only
+when a new coefficient's denominator does not divide it; each output
+coefficient is reduced once.
 """
 
 from __future__ import annotations
@@ -50,6 +54,14 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     """Integer numerators of coeffs over d, the lcm of their denominators."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _over_lcm(nums: list[int], v: int, den: int) -> tuple[int, list[int]]:
+    """nums over v restated over lcm(v, den); unchanged when den divides v."""
+    if v % den == 0:
+        return v, nums
+    scale = den // math.gcd(v, den)
+    return v * scale, [x * scale for x in nums]
 
 
 def vp(x: Fraction, p: int):
@@ -337,33 +349,49 @@ class TruncSeries:
         )
 
     def exp(self) -> "TruncSeries":
-        """Formal exponential; requires c0 = 0."""
+        """Formal exponential; requires c0 = 0.
+
+        delta(E) = E * delta(self) gives k E_k = sum_j (j c_j) E_{k-j}, run on
+        integers: the j c_j are numerators over b, E_0 .. E_{k-1} numerators
+        over a running v, and E_k = acc / (b v k) is reduced once."""
         if self.coeffs[0] != 0:
             raise BadConstantTerm("exp needs a series with c0 = 0")
-        n = self.trunc
-        out = [_F1] + [_F0] * (n - 1)
-        # delta(E) = E * delta(self) gives k*E_k = sum_j (j c_j) E_{k-j}
-        for k in range(1, n):
-            acc = _F0
-            for j in range(1, k + 1):
-                if self.coeffs[j] != 0:
-                    acc += j * self.coeffs[j] * out[k - j]
-            out[k] = acc / k
+        h, b = _numerators([j * c for j, c in enumerate(self.coeffs)])
+        terms = [(j, x) for j, x in enumerate(h) if x]
+        out, nums, v = [_F1], [1], 1
+        for k in range(1, self.trunc):
+            acc = 0
+            for j, x in terms:
+                if j > k:
+                    break
+                acc += x * nums[k - j]
+            e = Fraction(acc, b * v * k)
+            out.append(e)
+            v, nums = _over_lcm(nums, v, e.denominator)
+            nums.append(e.numerator * (v // e.denominator))
         return TruncSeries(tuple(out))
 
     def log(self) -> "TruncSeries":
-        """Formal logarithm; requires c0 = 1."""
+        """Formal logarithm; requires c0 = 1.
+
+        delta(self) = self * delta(L) gives k L_k = k a_k - sum_j (j L_j) a_{k-j},
+        run on integers as in exp: the a_k are numerators over d, the j L_j
+        numerators over a running v, and L_k = acc / (d v k) is reduced once."""
         if self.coeffs[0] != 1:
             raise BadConstantTerm("log needs a series with c0 = 1")
-        n = self.trunc
-        out = [_F0] * n
-        # delta(self) = self * delta(L) gives k a_k = sum_j (j L_j) a_{k-j}
-        for k in range(1, n):
-            acc = Fraction(k) * self.coeffs[k]
-            for j in range(1, k):
-                if out[j] != 0 and self.coeffs[k - j] != 0:
-                    acc -= j * out[j] * self.coeffs[k - j]
-            out[k] = acc / k
+        a, d = _numerators(self.coeffs)
+        terms = [(j, x) for j, x in enumerate(a) if x and j]
+        out, nums, v = [_F0], [0], 1
+        for k in range(1, self.trunc):
+            acc = k * a[k] * v
+            for j, x in terms:
+                if j >= k:
+                    break
+                acc -= x * nums[k - j]
+            lk = Fraction(acc, d * v * k)
+            out.append(lk)
+            v, nums = _over_lcm(nums, v, lk.denominator)
+            nums.append(k * lk.numerator * (v // lk.denominator))
         return TruncSeries(tuple(out))
 
     # -- p-adic audit ---------------------------------------------------------

@@ -14,6 +14,7 @@ from mumkit import (
     TruncSeries,
     ValuationProfile,
     ZeroConstantTerm,
+    g_over_f,
     hypergeometric,
     solve_first_row,
     vp,
@@ -358,6 +359,79 @@ def test_exp_bad_constant_term():
         TruncSeries.one(3).exp()
     with pytest.raises(BadConstantTerm):
         TruncSeries.zero(3).log()
+
+
+def recurrence_exp(a):
+    """k E_k = sum_{j=1..k} (j a_j) E_{k-j}, order by order in Fraction
+    arithmetic."""
+    out = [F(1)]
+    for k in range(1, a.trunc):
+        out.append(sum((j * a.coeffs[j] * out[k - j] for j in range(1, k + 1)), F(0)) / k)
+    return tuple(out)
+
+
+def recurrence_log(a):
+    """k L_k = k a_k - sum_{j=1..k-1} (j L_j) a_{k-j}, order by order in
+    Fraction arithmetic."""
+    out = [F(0)]
+    for k in range(1, a.trunc):
+        acc = k * a.coeffs[k] - sum((j * out[j] * a.coeffs[k - j] for j in range(1, k)), F(0))
+        out.append(acc / k)
+    return tuple(out)
+
+
+@st.composite
+def tall_mixed_series(draw):
+    """Dense, zero-heavy or z^q-sparse, with denominators mixing small
+    primes and tall prime powers, at orders 1..24."""
+    trunc = draw(st.integers(1, 24))
+    dens = st.sampled_from((1, 2, 3, 7, 12, 5**9, 2**31 - 1, 3**15 * 7))
+    coeff = st.builds(F, st.integers(-10**6, 10**6), dens)
+    shape = draw(st.sampled_from(("dense", "zero_heavy", "sparse")))
+    if shape == "sparse":
+        q = draw(st.integers(2, 5))
+        inner = draw(st.lists(coeff, min_size=1, max_size=-(-trunc // q)))
+        return S(inner).substitute_power(q, min(trunc, q * len(inner)))
+    if shape == "zero_heavy":
+        return S([draw(coeff) if draw(st.integers(0, 3)) == 0 else 0 for _ in range(trunc)])
+    return S(draw(st.lists(coeff, min_size=trunc, max_size=trunc)))
+
+
+exp_log_inputs = st.one_of(shaped_series(), tall_mixed_series())
+
+
+@settings(max_examples=200, deadline=None)
+@given(exp_log_inputs)
+def test_exp_matches_recurrence(a):
+    a = TruncSeries((F(0),) + a.coeffs[1:])
+    assert a.exp().coeffs == recurrence_exp(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exp_log_inputs)
+def test_log_matches_recurrence(a):
+    a = TruncSeries((F(1),) + a.coeffs[1:])
+    assert a.log().coeffs == recurrence_log(a)
+
+
+@pytest.mark.parametrize("tail", [(), (F(5, 3),), (F(-7, 2), F(1, 9)), (0, F(2, 5))])
+def test_exp_log_match_recurrence_at_orders_1_and_2(tail):
+    for trunc in (1, 2):
+        a = S([0, *tail], trunc)
+        assert a.exp().coeffs == recurrence_exp(a)
+        b = S([1, *tail], trunc)
+        assert b.log().coeffs == recurrence_log(b)
+
+
+def test_exp_log_match_recurrence_on_unscaled_quintic_h():
+    # h = g/f of the unscaled quintic: denominators about 1900 bits tall at 150
+    f, g = solve_first_row(hypergeometric(["1/5", "2/5", "3/5", "4/5"], [1, 1, 1, 1]), 150)[:2]
+    h = g_over_f(f, g)
+    assert max(c.denominator for c in h.coeffs).bit_length() > 1500
+    e = h.exp()
+    assert e.coeffs == recurrence_exp(h)
+    assert e.log() == h
+    assert f.log().coeffs == recurrence_log(f)
 
 
 @given(st.lists(small_fractions, min_size=0, max_size=9))
