@@ -283,17 +283,27 @@ def dump_candidate(cand: FrobeniusCandidate) -> dict:
 @dataclass
 class _Subject:
     """One operator of a job; keeps its monic form at the order last asked
-    for, so a run of calls at one order monicizes once."""
+    for, so a run of calls at one order monicizes once, and its uniform part
+    at `top`, the largest working order of the job's primes, so a job solves
+    for Y once."""
 
     label: str | None
     raw: RawOperator
+    top: int = 1
     _order: int | None = None
     _monic: DeltaOperator | None = None
+    _y: SeriesMatrix | None = None
 
     def at(self, order: int) -> DeltaOperator:
         if order != self._order:
             self._order, self._monic = order, monicize(self.raw, order)
         return self._monic
+
+    def uniform_part(self, order: int) -> SeriesMatrix:
+        """Y mod z^order, truncated from the one solve at the top order."""
+        if self._y is None or self._y.trunc < order:
+            self._y = uniform_part(self.raw, max(order, self.top))
+        return self._y.truncate(order)
 
 
 def _resolve_operators(spec: JobSpec) -> list[tuple[str, RawOperator]]:
@@ -343,6 +353,7 @@ def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
                     doc.results.append(
                         {"label": label, "prime": p, "skipped": "bad prime for operator"}
                     )
+        subject.top = max((cmd.order(spec, p) for p in primes if p is not None), default=1)
         work = cmd.prepare(spec, subject)
         for p in primes:
             entry = {} if label is None else {"label": label}
@@ -418,7 +429,7 @@ def _check(spec, subject, work, p):
     entry = {"check": spec.check_kind}
     if spec.check_kind == "reduction":
         working = _check_order(spec, p)
-        ok = reduction_congruence_check(uniform_part(subject.raw, working), p, spec.level)
+        ok = reduction_congruence_check(subject.uniform_part(working), p, spec.level)
         entry["working_trunc"] = working
         entry["congruence_order"] = p**spec.level + 1
     elif spec.check_kind == "dieudonne":
@@ -447,7 +458,7 @@ def _transfer(spec, subject, work, p):
         raise NotPIntegralOperator(
             f"operator is not {p}-integral up to order {working}"
         )
-    data = iterate_transfer(uniform_part(subject.raw, working), p, spec.level,
+    data = iterate_transfer(subject.uniform_part(working), p, spec.level,
                             target_trunc=spec.trunc)
     audit = transfer_audit(subject.raw, data)
     return {
@@ -501,7 +512,9 @@ def _fit(spec, subject, y, p):
 
 
 def _radius(spec, subject, taylor, p):
-    diag = radius_diagnostic(taylor, p, spec.max_index)
+    # the monic form the auto:B rule made at this order, if the guard needs it
+    monic = None if subject.raw.integral_over_lead(p) else subject.at(taylor.trunc)
+    diag = radius_diagnostic(taylor, p, spec.max_index, monic)
     return {
         "trunc": diag.trunc,
         "norm_semantics": "exponents of truncated entries; "

@@ -245,14 +245,16 @@ def _add_product(out: list, poly, s: list):
             out[d:] = [o + c * x for o, x in zip(out[d:], s)]
 
 
-def radius_diagnostic(source: TaylorGcds | DeltaOperator, p: int,
-                      max_index: int) -> RadiusDiagnostic:
+def radius_diagnostic(source: TaylorGcds | DeltaOperator, p: int, max_index: int,
+                      monic: DeltaOperator | None = None) -> RadiusDiagnostic:
     """Gauss norms of the Taylor matrices A_0 = I,
     A_{j+1} = delta(A_j) + A_j (A - jI), as exponents of p, for
     j = 0 .. max_index; `source` is taylor_gcds of the operator (computed
     here for a monic operator at its own order).
 
-    The monic operator must be p-integral up to the truncation order.  Norms
+    The monic operator must be p-integral up to the truncation order; it is
+    monicized to check that unless the order-free test decides or the caller
+    passes it as `monic`, at the truncation order.  Norms
     of truncated entries are lower bounds on the true Gauss norms.  The
     trend flag realizes the testable consequence of radius >= 1 (the norms
     tend to zero) and is diagnostic only.
@@ -265,7 +267,7 @@ def radius_diagnostic(source: TaylorGcds | DeltaOperator, p: int,
         raise ValueError(f"gcds are computed up to j = {len(source.gcds) - 1} only")
     raw, trunc = RawOperator(source.rows), source.trunc
     if not (raw.integral_over_lead(p)
-            or monicize(raw, trunc).p_integrality(p).is_integral):
+            or (monic or monicize(raw, trunc)).p_integrality(p).is_integral):
         raise NotPIntegralOperator(
             f"operator has a coefficient with negative {p}-adic valuation"
         )

@@ -3,6 +3,7 @@ checked against the dense recurrence A_{j+1} = delta(A_j) + A_j (A - jI)
 over the monic operator's companion matrix."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,50 @@ def test_auto_primes_monicize_lead_not_unit_once(monkeypatch):
     spec = JobSpec(command="transfer", source_kind="op", source_value=LEAD_NOT_UNIT,
                    trunc=3, auto_bound=5)
     assert _transfer_monicize_orders(monkeypatch, spec) == (1, [2, 3, 5], [7])
+
+
+def _radius_monicize_orders(monkeypatch, spec):
+    """(status, monicize orders in cli, in frobtransfer) of a radius job."""
+    calls = _counting(monkeypatch, cli, "monicize")
+    frob_calls = _counting(monkeypatch, frobtransfer, "monicize")
+    _, status = cmd_dispatch(spec)
+    return status, [order for _, order in calls], [order for _, order in frob_calls]
+
+
+def test_radius_monicizes_lead_not_unit_once(monkeypatch):
+    # p = 3 needs the monic form at order 6: the auto:B rule makes it, and
+    # the unit's p-integrality guard reuses it
+    for primes, bound in (((2, 3, 5), None), (None, 5)):
+        spec = JobSpec(command="radius", source_kind="op", source_value=LEAD_NOT_UNIT,
+                       trunc=6, max_index=4, primes=primes, auto_bound=bound)
+        assert _radius_monicize_orders(monkeypatch, spec) == (0, [6], [])
+    # a library caller that passes no monic form is still guarded
+    calls = _counting(monkeypatch, frobtransfer, "monicize")
+    radius_diagnostic(taylor_gcds(parse_operator(LEAD_NOT_UNIT), 6, 4), 3, 4)
+    assert [order for _, order in calls] == [6]
+    with pytest.raises(NotPIntegralOperator):
+        radius_diagnostic(taylor_gcds(parse_operator("3*D^2 - z^2"), 6, 4), 3, 4)
+    spec = JobSpec(command="radius", source_kind="op", source_value="3*D^2 - z^2",
+                   trunc=6, max_index=4, primes=(3,))
+    assert _radius_monicize_orders(monkeypatch, spec)[0] == 2
+
+
+@pytest.mark.parametrize("spec, orders", [
+    (JobSpec(command="transfer", source_kind="builtin", source_value="quintic",
+             trunc=8, primes=(7, 11)), [78]),
+    (JobSpec(command="check", check_kind="reduction", source_kind="builtin",
+             source_value="quintic", trunc=8, primes=(3, 5), level=2), [26]),
+])
+def test_per_prime_units_share_one_uniform_part(monkeypatch, spec, orders):
+    # Y is solved once, at the largest working order of the job's primes,
+    # and each prime's unit reads it truncated to its own order
+    calls = _counting(monkeypatch, cli, "uniform_part")
+    doc, status = cmd_dispatch(spec)
+    assert status == 0
+    assert [order for _, order in calls] == orders
+    for p, entry in zip(spec.primes, doc.results):
+        alone, _ = cmd_dispatch(replace(spec, primes=(p,)))
+        assert alone.results == [entry]
 
 
 def test_auto_primes_skip_verdicts_keep_the_truncated_test():
