@@ -20,6 +20,10 @@ TRANSFER_SPANS = ("frobtransfer.iterate_transfer", "frobtransfer.h_matrix",
 LAYER_METRICS = ("frobtransfer.transfer.self_s", "frobtransfer.h_matrix.self_s",
                  "frobtransfer.audit.self_s", "frobtransfer.verify.self_s")
 SERIES_SPANS = ("series.TruncSeries.__mul__", "series.TruncSeries.invert")
+# spans whose private integer kernels (_frobenius, exp's recurrence) must be
+# charged to them, and the self-time metrics that read them
+KERNEL_SPANS = ("solve.solve_first_row", "series.TruncSeries.exp")
+KERNEL_METRICS = ("solve.first_row.self_s", "series.exp_log.self_s")
 MATRIX_SPANS = ("series.SeriesMatrix.__mul__", "series.SeriesMatrix.invert",
                 "series.SeriesMatrix.sum_of_products")
 
@@ -58,20 +62,22 @@ def test_tracer_records_the_transfer_layer(tmp_path, monkeypatch):
 
 
 def test_tracer_records_the_series_kernel(tmp_path, monkeypatch):
-    # the product's private helpers are not traced: their time must fall to
-    # __mul__, and invert's products must show as __mul__ spans of their own
+    # the private helpers of the product, the Frobenius recurrence and exp
+    # are not traced: their time must fall to __mul__, solve_first_row and
+    # exp, and invert's products must show as __mul__ spans of their own
     monkeypatch.chdir(tmp_path)
     spans = load_spans()
     recorder = spans.Recorder()
     with spans.Tracer(recorder):
         argv = ["qcoord", "--builtin", "quintic", "--trunc", "20"]
         assert main(argv + ["--format", "json", "--out", "report.json"]) == 0
-    assert set(SERIES_SPANS) <= {recorder.names[i] for i in recorder.name}
+    assert set(SERIES_SPANS + KERNEL_SPANS) <= {recorder.names[i] for i in recorder.name}
     mul, invert = (recorder.names.index(name) for name in SERIES_SPANS)
     callers_of_mul = {recorder.name[parent] for name, parent in zip(recorder.name, recorder.parent)
                       if name == mul and parent >= 0}
     assert invert in callers_of_mul
-    assert spans.layer_metrics(recorder, 1.0, 1.0)["series.mul.self_s"] > 0
+    metrics = spans.layer_metrics(recorder, 1.0, 1.0)
+    assert all(metrics[name] > 0 for name in ("series.mul.self_s",) + KERNEL_METRICS)
 
 
 def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
-"""The integer product kernels and the Newton inverses, each broken on
-purpose in a copy of the package, must fail their oracle tests in
-tests/test_series.py."""
+"""The integer kernels (products, Newton inverses, exp, log and the Frobenius
+recurrence), each broken on purpose in a copy of the package, must fail
+their oracle tests in tests/test_series.py or tests/test_solve.py."""
 
 from pathlib import Path
 
@@ -8,45 +8,68 @@ import pytest
 
 from mutants import run_mutated
 
-TARGET = Path("src/mumkit/series.py")
+SERIES = (Path("src/mumkit/series.py"), "test_series.py")
+SOLVE = (Path("src/mumkit/solve.py"), "test_solve.py")
 MUL = "schoolbook or unequal_heights"
-INVERT = "matches_recurrence"
+INVERT = "matches_recurrence and invert"
 MATMUL = "matmul or sum_of_products"
 MATINV = "matinv"
+EXP = "exp_matches_recurrence or exp_log_match"
+LOG = "log_matches_recurrence or exp_log_match"
+FROBENIUS = "frobenius_matches_recurrence"
+ORACLES = {SERIES: f"{MUL} or {INVERT} or {MATMUL} or {MATINV} or {EXP} or {LOG}",
+           SOLVE: FROBENIUS}
 
-# name -> (text in series.py, its broken replacement, tests that must fail)
+# name -> (target file and its test file, text in the target, its broken
+# replacement, tests that must fail)
 MUTATIONS = {
-    "mul_drops_right_denominator": ("d = da * db", "d = da", MUL),
+    "mul_drops_right_denominator": (SERIES, "d = da * db", "d = da", MUL),
     "mul_scales_both_over_left_lcm": (
-        "b, db = _numerators(other.coeffs[:n])",
+        SERIES, "b, db = _numerators(other.coeffs[:n])",
         "b, db = [c.numerator * (da // c.denominator) for c in other.coeffs[:n]], da",
         MUL),
-    "invert_skips_first_newton_step": ("b = (_F1 / self.coeffs[0],)",
+    "invert_skips_first_newton_step": (SERIES, "b = (_F1 / self.coeffs[0],)",
                                        "b = (_F1 / self.coeffs[0], _F0)[:n]", INVERT),
-    "matmul_drops_term_scale": ("scale = den // de", "scale = 1", MATMUL),
-    "matmul_uses_left_lcm_for_both": ("(xk, xv, d * e, yk, yv)", "(xk, xv, d * d, yk, yv)",
-                                      MATMUL),
+    "matmul_drops_term_scale": (SERIES, "scale = den // de", "scale = 1", MATMUL),
+    "matmul_uses_left_lcm_for_both": (SERIES, "(xk, xv, d * e, yk, yv)",
+                                      "(xk, xv, d * d, yk, yv)", MATMUL),
     "matinv_skips_first_newton_step": (
-        "invert_constant_matrix(self.constant_matrix()), 1)",
+        SERIES, "invert_constant_matrix(self.constant_matrix()), 1)",
         "invert_constant_matrix(self.constant_matrix()), min(2, trunc))", MATINV),
+    "exp_keeps_numerators_when_v_grows": (
+        SERIES, "v, nums = _over_lcm(nums, v, e.denominator)",
+        "v = _over_lcm(nums, v, e.denominator)[0]", EXP),
+    "log_keeps_numerators_when_v_grows": (
+        SERIES, "v, nums = _over_lcm(nums, v, lk.denominator)",
+        "v = _over_lcm(nums, v, lk.denominator)[0]", LOG),
+    "frobenius_scales_rows_by_the_lcm": (SOLVE, "scale = den // dens[m - k]", "scale = den",
+                                         FROBENIUS),
+    "frobenius_drops_power_of_m": (SOLVE, " * m ** (width - 1 - u)", "", FROBENIUS),
 }
 
 
-def run_series_tests(root: Path, mutation=None):
-    files = ("test_series.py", "conftest.py")
+def run_oracle_tests(root: Path, target, mutation=None):
+    """Run the oracle tests of one target on a copy of the package under
+    root, after the mutation (old, new, selection) when one is given."""
+    path, test_file = target
+    files = (test_file, "conftest.py")
     if mutation is None:
-        return run_mutated(root, files, select=f"{MUL} or {INVERT} or {MATMUL} or {MATINV}")
+        return run_mutated(root, files, select=ORACLES[target])
     old, new, tests = mutation
-    return run_mutated(root, files, (TARGET, old, new), tests)
+    return run_mutated(root, files, (path, old, new), tests)
 
 
 def test_unmutated_copy_passes(tmp_path):
-    result = run_series_tests(tmp_path)
-    assert result.returncode == 0, result.stdout[-2000:]
+    for target in (SERIES, SOLVE):
+        root = tmp_path / target[0].stem
+        root.mkdir()
+        result = run_oracle_tests(root, target)
+        assert result.returncode == 0, result.stdout[-2000:]
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_mutation_fails_the_series_oracles(name, tmp_path):
-    result = run_series_tests(tmp_path, MUTATIONS[name])
+    target, *mutation = MUTATIONS[name]
+    result = run_oracle_tests(tmp_path, target, mutation)
     # exit status 1: tests ran and one failed (2 and up are usage errors)
     assert result.returncode == 1, result.stdout[-2000:]
