@@ -284,8 +284,7 @@ def dump_candidate(cand: FrobeniusCandidate) -> dict:
 class _Subject:
     """One operator of a job; keeps its monic form at the order last asked
     for, so a run of calls at one order monicizes once, and its uniform part
-    at `top`, the largest working order of the job's primes, so a job solves
-    for Y once."""
+    at `top`, the largest working order of the job's primes."""
 
     label: str | None
     raw: RawOperator

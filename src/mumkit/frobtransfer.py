@@ -252,9 +252,8 @@ def radius_diagnostic(source: TaylorGcds | DeltaOperator, p: int, max_index: int
     j = 0 .. max_index; `source` is taylor_gcds of the operator (computed
     here for a monic operator at its own order).
 
-    The monic operator must be p-integral up to the truncation order; it is
-    monicized to check that unless the order-free test decides or the caller
-    passes it as `monic`, at the truncation order.  Norms
+    The monic operator must be p-integral up to the truncation order (checked
+    on `monic`, the monic form at that order, when given).  Norms
     of truncated entries are lower bounds on the true Gauss norms.  The
     trend flag realizes the testable consequence of radius >= 1 (the norms
     tend to zero) and is diagnostic only.

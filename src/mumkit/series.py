@@ -13,11 +13,8 @@ convolved, and each output coefficient is built once over the product of
 the two lcms.  invert is Newton doubling on that product.  SeriesMatrix
 products and sums of products run the same way, with every entry
 converted once, and SeriesMatrix.invert is Newton doubling on them.  exp
-and log run their order-by-order recurrences on integers: the fixed
-series as numerators over the lcm of its denominators, the coefficients
-found so far as numerators over one running denominator, rescaled only
-when a new coefficient's denominator does not divide it; each output
-coefficient is reduced once.
+and log run their recurrences on integers, keeping the coefficients found
+so far as numerators over one running denominator.
 """
 
 from __future__ import annotations
@@ -349,11 +346,8 @@ class TruncSeries:
         )
 
     def exp(self) -> "TruncSeries":
-        """Formal exponential; requires c0 = 0.
-
-        delta(E) = E * delta(self) gives k E_k = sum_j (j c_j) E_{k-j}, run on
-        integers: the j c_j are numerators over b, E_0 .. E_{k-1} numerators
-        over a running v, and E_k = acc / (b v k) is reduced once."""
+        """Formal exponential; requires c0 = 0.  k E_k = sum_j (j c_j) E_{k-j}
+        on integers: j c_j over b, E_0 .. E_{k-1} over a running v."""
         if self.coeffs[0] != 0:
             raise BadConstantTerm("exp needs a series with c0 = 0")
         h, b = _numerators([j * c for j, c in enumerate(self.coeffs)])
@@ -372,11 +366,8 @@ class TruncSeries:
         return TruncSeries(tuple(out))
 
     def log(self) -> "TruncSeries":
-        """Formal logarithm; requires c0 = 1.
-
-        delta(self) = self * delta(L) gives k L_k = k a_k - sum_j (j L_j) a_{k-j},
-        run on integers as in exp: the a_k are numerators over d, the j L_j
-        numerators over a running v, and L_k = acc / (d v k) is reduced once."""
+        """Formal logarithm; requires c0 = 1.  k L_k = k a_k - sum_j (j L_j) a_{k-j}
+        on integers: a_k over d, j L_j over a running v."""
         if self.coeffs[0] != 1:
             raise BadConstantTerm("log needs a series with c0 = 1")
         a, d = _numerators(self.coeffs)

@@ -12,11 +12,9 @@ Then L(sum_m c_m(e) z^{m+e}) = P_{n,0} e^n z^e; expanding z^e in e log z gives
 f_{1,j+1} = sum_m [e^j]c_m z^m for j < n.  Only the k with Q_k != 0 enter:
 deg_z + 1 of them for a parsed operator, every k for a monic series operator.
 
-The recurrence runs on Python ints.  The rows are scaled to integers by the
-lcm of the P_{i,k} denominators (1 for a parsed operator); each c_m is kept
-as integer vectors over one denominator d_m, the right-hand side is summed
-over the lcm of the d_{m-k} it needs, and the vector and d_m are reduced by
-one gcd.  Each output coefficient is built once, as a Fraction over d_m.
+It runs on ints: the rows are scaled by the lcm of their denominators, and
+each c_m is kept as integer vectors over one denominator d_m, reduced by one
+gcd; the right-hand side is summed over the lcm of the d_{m-k} it needs.
 """
 
 from __future__ import annotations
@@ -105,7 +103,7 @@ def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
             powers.append([m * x + y for x, y in zip(powers[-1], [0] + powers[-1])])
         dens.append(den // g)
         shifted.append(powers)
-    return tuple(TruncSeries(tuple(Fraction(s[0][t], d) for s, d in zip(shifted, dens)))
+    return tuple(TruncSeries(tuple(Fraction(row[0][t], d) for row, d in zip(shifted, dens)))
                  for t in range(width))
 
 

@@ -255,7 +255,7 @@ def test_radius_monicizes_lead_not_unit_once(monkeypatch):
              trunc=8, primes=(7, 11)), [78]),
     (JobSpec(command="check", check_kind="reduction", source_kind="builtin",
              source_value="quintic", trunc=8, primes=(3, 5), level=2), [26]),
-])
+], ids=["transfer", "check_reduction"])
 def test_per_prime_units_share_one_uniform_part(monkeypatch, spec, orders):
     # Y is solved once, at the largest working order of the job's primes,
     # and each prime's unit reads it truncated to its own order
