@@ -511,7 +511,7 @@ def _fit(spec, subject, y, p):
 
 
 def _radius(spec, subject, taylor, p):
-    # the monic form the auto:B rule made at this order, if the guard needs it
+    # the guard's monic form, from the cache the auto:B rule fills
     monic = None if subject.raw.integral_over_lead(p) else subject.at(taylor.trunc)
     diag = radius_diagnostic(taylor, p, spec.max_index, monic)
     return {

@@ -424,7 +424,7 @@ def test_exp_log_match_recurrence_at_orders_1_and_2(tail):
 
 
 def test_exp_log_match_recurrence_on_unscaled_quintic_h():
-    # h = g/f of the unscaled quintic: denominators about 1900 bits tall at 150
+    # h = g/f of the unscaled quintic: denominators about 1700 bits tall at 150
     f, g = solve_first_row(hypergeometric(["1/5", "2/5", "3/5", "4/5"], [1, 1, 1, 1]), 150)[:2]
     h = g_over_f(f, g)
     assert max(c.denominator for c in h.coeffs).bit_length() > 1500
