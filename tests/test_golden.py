@@ -54,6 +54,14 @@ CASES = {
     "transfer_corpus_auto": ["transfer", "--file", OPS, "--trunc", "3", "--primes", "auto:5"],
     "transfer_level2": ["transfer", "--builtin", "quintic", "--trunc", "2", "--level", "2",
                         "--primes", "2"],
+    "transfer_level3": ["transfer", "--builtin", "quintic", "--trunc", "3", "--level", "3",
+                        "--primes", "2,3"],
+    "check_reduction_level3": ["check", "reduction", "--builtin", "quintic", "--trunc", "4",
+                               "--level", "3", "--primes", "2,3"],
+    # neither H_2 nor L_2 is 3- or 5-integral: `ok: false` and exit 1, with
+    # the transferred coefficients still reported
+    "transfer_nonhyper_level2": ["transfer", "--op", NONHYPER, "--trunc", "3", "--level", "2",
+                                 "--primes", "3,5"],
     "verify_ok": ["verify-frobenius", "--builtin", "quintic", "--trunc", "8",
                   "--candidate", "phi.json"],
     "verify_wrong": ["verify-frobenius", "--op", "D^2 - z*D", "--trunc", "6",
