@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Level-by-level Frobenius transfer audit for operators in a corpus file.
+"""Frobenius transfer audit at one level for operators in a corpus file.
 
-For each operator and prime this builds the transfer data up to the given
+For each operator and prime this builds the transfer data at the given
 level, checks every decidable invariant (gauge constant, intertwining
 equation, integrality profiles), runs the reduction congruence, and
 searches for an integral Frobenius constant.

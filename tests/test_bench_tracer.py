@@ -44,6 +44,8 @@ def test_bench_unittests_pass():
 
 
 def test_tracer_records_the_transfer_layer(tmp_path, monkeypatch):
+    # transfer shares one inverse between L_m and H_m and does not call the
+    # public h_matrix; the reduction check does
     monkeypatch.chdir(tmp_path)
     y = uniform_part(builtin("quintic"), 8)
     cand = frobenius_from_constant(y, fit_frobenius_constant(y, 7).constant, 7)
@@ -52,6 +54,8 @@ def test_tracer_records_the_transfer_layer(tmp_path, monkeypatch):
     recorder = spans.Recorder()
     with spans.Tracer(recorder):
         for argv in (["transfer", "--builtin", "quintic", "--trunc", "3", "--primes", "5"],
+                     ["check", "reduction", "--builtin", "quintic", "--trunc", "4",
+                      "--primes", "3"],
                      ["verify-frobenius", "--builtin", "quintic", "--trunc", "8",
                       "--candidate", "phi.json"]):
             assert main(argv + ["--format", "json", "--out", "report.json"]) == 0

@@ -9,6 +9,7 @@ from mumkit import (
     NotPIntegralOperator,
     SeriesMatrix,
     TruncSeries,
+    certified_trunc,
     fit_frobenius_constant,
     frobenius_from_constant,
     h0,
@@ -179,6 +180,16 @@ def test_iterate_transfer_level_one_equals_h_matrix(quintic_y30):
     assert data.h.constant_matrix() == tuple(
         tuple(F(p) ** i if i == j else F(0) for j in range(4)) for i in range(4)
     )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_certified_trunc_is_m_nested_ceilings(p, m):
+    for working in range(1, 201):
+        nested = working
+        for _ in range(m):
+            nested = -(-nested // p)
+        assert certified_trunc(working, p, m) == nested
 
 
 def test_iterate_transfer_budget_guard(quintic_y30):

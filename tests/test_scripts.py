@@ -1,5 +1,6 @@
 """Smoke tests: each experiment script in scripts/ runs at a small order,
-exits 0 and prints its header line."""
+exits 0, prints its header line and neither skips a prime nor fails an
+audit."""
 
 import os
 import subprocess
@@ -18,6 +19,9 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
      "== quintic (order 4, working order 12)"),
     ("quintic_integrality.py", ["--trunc", "20", "--prime-bound", "7"],
      "quintic at truncation order 20"),
+    # level-2 transfer and reduction
+    ("transfer_sweep.py", ["--trunc", "12", "--primes", "3", "--level", "2"],
+     "== quintic (order 4, working order 12)"),
 ])
 def test_script_runs(script, args, header):
     # the child imports the same mumkit as this process, installed or not
@@ -29,3 +33,4 @@ def test_script_runs(script, args, header):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == header
+    assert "skipped" not in result.stdout and "FAILED" not in result.stdout

@@ -14,6 +14,7 @@ from mutants import run_mutated
 TARGET = Path("src/mumkit/frobtransfer.py")
 
 AUDIT, VERIFY, CLOSED = "transfer_residual", "frobenius_residual", "closed_forms"
+LEVELS = "level_by_level_oracle"
 
 # name -> (text in frobtransfer.py, its broken replacement, tests that must fail)
 MUTATIONS = {
@@ -30,8 +31,13 @@ MUTATIONS = {
                               "both, p_lead = lead, lead * p", VERIFY),
     "verify_drops_p": ("both, p_lead = lead * lead_sub, lead * p",
                        "both, p_lead = lead * lead_sub, lead", VERIFY),
-    "h_drops_level": ("e * Fraction(p) ** (m * i)", "e * Fraction(p) ** i", CLOSED),
-    "last_row_drops_1_over_p": ("last[j - 1] * Fraction(1, p)", "last[j - 1]", CLOSED),
+    "h_drops_level": ("e * Fraction(q) ** i", "e * Fraction(p) ** i", CLOSED),
+    "last_row_drops_1_over_p": ("last[j - 1] * Fraction(1, q)", "last[j - 1]", CLOSED),
+    # a level-m bracket built with 1/p where it needs 1/q = 1/p^m
+    "bracket_uses_1_over_p": ("_quotient_last_row(lam, lam_inv, q), q)",
+                              "_quotient_last_row(lam, lam_inv, p), q)", LEVELS),
+    "read_off_at_p": ("_quotient_last_row(lam, lam_inv, q), q)",
+                      "_quotient_last_row(lam, lam_inv, q), p)", LEVELS),
 }
 
 

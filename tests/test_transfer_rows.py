@@ -1,6 +1,9 @@
 """Transfer constructions and audits that use the structure they know,
 checked against the dense monic forms in transfer_oracles.
 
+L_m is read off the last row of F_q, q = p^m, in one step; the oracle
+transfers one prime at a time and solves every intermediate level.
+
 The audits read L's polynomial rows: the residuals are the monic ones times
 P_n (transfer_audit) or P_n(z) P_n(z^p) (verify_frobenius), whose constant
 terms are nonzero, so every residual order must equal the oracle's, for the
@@ -36,6 +39,7 @@ from transfer_oracles import (
     frobenius_quotient_F,
     frobenius_residual_order,
     h_matrix_closed_form,
+    iterate_transfer_levels,
     transfer_residual_order,
 )
 
@@ -87,8 +91,29 @@ def test_h_matrix_and_last_row_of_f_match_the_closed_forms(seed):
         y = uniform_part(raw, working_trunc_for(3, p, m))
         for level in (1, 2):
             assert h_matrix(y, p, level) == h_matrix_closed_form(y, p, level)
-        full = frobenius_quotient_F(y, shift_rows(raw.order), p)
-        assert frobtransfer._quotient_last_row(y, p) == full.entries[-1]
+            q = p**level
+            lam = y.cartier(q)
+            full = frobenius_quotient_F(y, shift_rows(raw.order), q)
+            assert frobtransfer._quotient_last_row(lam, lam.invert(), q) == full.entries[-1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_transfer_operator_matches_the_level_by_level_oracle(p):
+    rng = random.Random(300 + p)
+    for m in (1, 2, 3):
+        raw = random_mum_operator(rng)
+        y = uniform_part(raw, working_trunc_for(3, p, m))
+        data = iterate_transfer(y, p, m)
+        assert data.operator == iterate_transfer_levels(y, p, m)
+        # Y_{L_m} = S Lambda_q(Y) S^{-1}, S = diag(1, q^-1, ...): entry (i, j)
+        # is q^(j-i) Lambda_q(Y)_ij
+        q = p**m
+        lam = y.cartier(q)
+        conjugated = SeriesMatrix(tuple(
+            tuple(e * Fraction(q) ** (j - i) for j, e in enumerate(row))
+            for i, row in enumerate(lam.entries)
+        ))
+        assert uniform_part(data.operator, data.trunc) == conjugated
 
 
 @pytest.mark.parametrize("seed", range(4))

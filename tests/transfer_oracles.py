@@ -3,12 +3,14 @@ as exact oracles for the structure-aware ones in mumkit.frobtransfer.
 
 Each function here multiplies full SeriesMatrix products: by the monic
 companion matrix A = C / P_n, by the full quotient matrix F and by the
-diagonal matrix diag(1, p^m, ...).  They read only the public API.
+diagonal matrix diag(1, p^m, ...).  The level-m operator is transferred
+one prime at a time, solving each monic level for its uniform part.  They
+read only the public API.
 """
 
 from fractions import Fraction
 
-from mumkit import SeriesMatrix
+from mumkit import SeriesMatrix, transfer_operator_L1, uniform_part
 
 
 def frobenius_quotient_F(y, nilpotent, p):
@@ -18,6 +20,19 @@ def frobenius_quotient_F(y, nilpotent, p):
     lam = y.cartier(p)
     nmat = SeriesMatrix.from_constant(nilpotent, lam.trunc)
     return (lam.delta() + (lam * nmat).scale(Fraction(1, p))) * lam.invert()
+
+
+def iterate_transfer_levels(y, p, m):
+    """L_m by m single steps at p: each level reads L_{k+1} off the last
+    row of the full F and solves the monic L_{k+1} for the uniform part
+    that the next level transfers.  Output order is ceil(Y.trunc / p^m)."""
+    n = y.n
+    shift = tuple(tuple(Fraction(int(j == i + 1)) for j in range(n)) for i in range(n))
+    for level in range(m):
+        if level:
+            y = uniform_part(op, op.trunc)
+        op = transfer_operator_L1(frobenius_quotient_F(y, shift, p).entries[-1], p)
+    return op
 
 
 def h_matrix_closed_form(y, p, m=1):
