@@ -293,7 +293,7 @@ def radius_diagnostic(source: TaylorGcds | DeltaOperator, p: int, max_index: int
 def _valuations_over_lead(rows, trunc: int, max_index: int, p: int) -> list:
     """min v_p of B_j P_n^{-j} mod z^trunc, which is A_j mod z^trunc, for a
     prime at which P_n / P_n(0) is not a unit of Z_p[[z]]."""
-    inv_lead = TruncSeries.from_coeffs(rows[-1], trunc).invert()
+    lead = TruncSeries.from_coeffs(rows[-1], trunc)
     scale = TruncSeries.one(trunc)
     out = []
     for b in _taylor_matrices(rows, trunc, max_index):
@@ -301,7 +301,7 @@ def _valuations_over_lead(rows, trunc: int, max_index: int, p: int) -> list:
             (TruncSeries(tuple(entry)) * scale).valuation_profile(p).min_valuation
             for row in b for entry in row
         ))
-        scale = scale * inv_lead
+        scale = scale.divide(lead)
     return out
 
 

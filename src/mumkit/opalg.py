@@ -501,7 +501,7 @@ def monicize(raw: RawOperator, trunc: int) -> DeltaOperator:
         raise ApparentSingularityAtZero(
             "leading polynomial vanishes at z = 0; shearing is out of scope"
         )
-    inv = lead.invert()
+    inv = TruncSeries.one(trunc).divide(lead)
     return DeltaOperator(
         tuple(
             TruncSeries.from_coeffs(raw.poly_coeffs[i], trunc) * inv

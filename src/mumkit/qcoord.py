@@ -29,7 +29,7 @@ def _require_fg(f: TruncSeries, g: TruncSeries):
 def g_over_f(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """h = g/f, to order min(f.trunc, g.trunc); needs f(0) = 1, g(0) = 0."""
     _require_fg(f, g)
-    return g * f.invert()
+    return g.divide(f)
 
 
 def canonical_coordinate(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -42,13 +42,15 @@ def dieudonne_check(f: TruncSeries, p: int, trunc: int | None = None):
     """Is f(z)^p / f(z^p) in 1 + p z Z_p[[z]] up to the requested order?
 
     Returns (ok, profile) where profile audits (f^p/f(z^p) - 1)/p, so the
-    check passes exactly when profile.min_valuation >= 0.
+    check passes exactly when profile.min_valuation >= 0.  The ratio is
+    exp(p L - L(z^p)) with L = log f, which is exact because f(0) = 1.
     """
     if f.constant_term != 1:
         raise BadNormalization("f must have constant term 1")
     M = f.trunc if trunc is None else min(trunc, f.trunc)
     fM = f.truncate(M)
-    ratio = fM.pow_int(p) * fM.substitute_power(p).truncate(M).invert()
+    log_f = fM.log()
+    ratio = (p * log_f - log_f.substitute_power(p).truncate(M)).exp()
     scaled = (ratio - TruncSeries.one(M)) * Fraction(1, p)
     profile = scaled.valuation_profile(p)
     return profile.is_integral, profile

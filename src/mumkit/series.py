@@ -10,11 +10,11 @@ all coefficients are reduced Fractions.
 A product of two series runs on integers: each operand is scaled to
 integer numerators over the lcm of its denominators, the numerators are
 convolved, and each output coefficient is built once over the product of
-the two lcms.  invert is Newton doubling on that product.  SeriesMatrix
-products and sums of products run the same way, with every entry
-converted once, and SeriesMatrix.invert is Newton doubling on them.  exp
-and log run their recurrences on integers, keeping the coefficients found
-so far as numerators over one running denominator.
+the two lcms.  SeriesMatrix products and sums of products run the same
+way, with every entry converted once, and SeriesMatrix.invert is Newton
+doubling on them.  divide, exp and log share one recurrence on integers,
+which keeps the coefficients found so far as numerators over one running
+denominator; coefficient k of log(a) is that of delta(a) / a over k.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class InternalError(RuntimeError):
 
 
 class ZeroConstantTerm(ValueError):
-    """Inversion of a series with vanishing constant term."""
+    """Division by a series with vanishing constant term."""
 
 
 class BadConstantTerm(ValueError):
@@ -59,6 +59,30 @@ def _over_lcm(nums: list[int], v: int, den: int) -> tuple[int, list[int]]:
         return v, nums
     scale = den // math.gcd(v, den)
     return v * scale, [x * scale for x in nums]
+
+
+def _recurrence(lead, rhs, w) -> tuple[Fraction, ...]:
+    """x_0 .. x_{n-1}, n = len(rhs), from lead_k x_k = rhs_k + sum_{j>=1} w_j x_{k-j}.
+
+    lead holds nonzero integers.  rhs and w become integer numerators over
+    the lcm of their denominators, x_0 .. x_{k-1} are kept as numerators
+    over one running denominator v, and zero w_j are skipped, so each x_k
+    costs one integer sum and is reduced once, as a Fraction."""
+    r, dr = _numerators(rhs)
+    w, dw = _numerators(w)
+    terms = [(j, x) for j, x in enumerate(w) if x and j]
+    out, nums, v = [], [], 1
+    for k, rk in enumerate(r):
+        acc = 0
+        for j, x in terms:
+            if j > k:
+                break
+            acc += x * nums[k - j]
+        xk = Fraction(dr * acc + dw * rk * v, dr * dw * v * lead[k])
+        out.append(xk)
+        v, nums = _over_lcm(nums, v, xk.denominator)
+        nums.append(xk.numerator * (v // xk.denominator))
+    return tuple(out)
 
 
 def vp(x: Fraction, p: int):
@@ -268,44 +292,19 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def pow_int(self, e: int) -> "TruncSeries":
-        """self**e by binary powering: it starts from self and does not
-        square past the top bit of e."""
-        if e < 0:
-            return self.invert().pow_int(-e)
-        if e == 0:
-            return TruncSeries.one(self.trunc)
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        result = base
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                result = result * base
-            e >>= 1
-        return result
+    def divide(self, other: "TruncSeries") -> "TruncSeries":
+        """self / other, to the smaller order; requires other(0) != 0.
 
-    def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term.
-
-        Newton doubling on the product: if b = 1/a mod z^m, then
-        b + b (1 - a b) = 1/a mod z^2m.  Since 1 - a b vanishes below z^m,
-        the step keeps b's known coefficients and appends the coefficients
-        m .. 2m-1 of -b (a b - 1)."""
-        if self.coeffs[0] == 0:
-            raise ZeroConstantTerm("cannot invert a series with c0 = 0")
-        n = self.trunc
-        b = (_F1 / self.coeffs[0],)
-        while len(b) < n:
-            m = len(b)
-            top = min(2 * m, n)
-            b_pad = TruncSeries(b + (_F0,) * (top - m))
-            err = TruncSeries((_F0,) * m + (self * b_pad).coeffs[m:])  # a b - 1
-            b += tuple(-c for c in (b_pad * err).coeffs[m:])
-        return TruncSeries(b)
+        b_0 h_k = a_k - sum_{j>=1} b_j h_{k-j}, run on b's integer
+        numerators B over their lcm d as B_0 h_k = d a_k - sum B_j h_{k-j}.
+        Zero b_j are skipped, so dividing by a polynomial of degree e costs
+        about n * e integer products."""
+        if other.coeffs[0] == 0:
+            raise ZeroConstantTerm("cannot divide by a series with c0 = 0")
+        n = min(self.trunc, other.trunc)
+        b, d = _numerators(other.coeffs[:n])
+        return TruncSeries(_recurrence([b[0]] * n, [d * c for c in self.coeffs[:n]],
+                                       [-x for x in b]))
 
     # -- calculus and substitutions ------------------------------------------
 
@@ -346,44 +345,21 @@ class TruncSeries:
         )
 
     def exp(self) -> "TruncSeries":
-        """Formal exponential; requires c0 = 0.  k E_k = sum_j (j c_j) E_{k-j}
-        on integers: j c_j over b, E_0 .. E_{k-1} over a running v."""
+        """Formal exponential; requires c0 = 0.  k E_k = sum_{j>=1} (j c_j) E_{k-j}
+        with E_0 = 1."""
         if self.coeffs[0] != 0:
             raise BadConstantTerm("exp needs a series with c0 = 0")
-        h, b = _numerators([j * c for j, c in enumerate(self.coeffs)])
-        terms = [(j, x) for j, x in enumerate(h) if x]
-        out, nums, v = [_F1], [1], 1
-        for k in range(1, self.trunc):
-            acc = 0
-            for j, x in terms:
-                if j > k:
-                    break
-                acc += x * nums[k - j]
-            e = Fraction(acc, b * v * k)
-            out.append(e)
-            v, nums = _over_lcm(nums, v, e.denominator)
-            nums.append(e.numerator * (v // e.denominator))
-        return TruncSeries(tuple(out))
+        n = self.trunc
+        return TruncSeries(_recurrence([1, *range(1, n)], [_F1] + [_F0] * (n - 1),
+                                       [j * c for j, c in enumerate(self.coeffs)]))
 
     def log(self) -> "TruncSeries":
-        """Formal logarithm; requires c0 = 1.  k L_k = k a_k - sum_j (j L_j) a_{k-j}
-        on integers: a_k over d, j L_j over a running v."""
+        """Formal logarithm; requires c0 = 1.  delta(log a) = delta(a) / a, so
+        L_k = u_k / k for u = delta(a) / a."""
         if self.coeffs[0] != 1:
             raise BadConstantTerm("log needs a series with c0 = 1")
-        a, d = _numerators(self.coeffs)
-        terms = [(j, x) for j, x in enumerate(a) if x and j]
-        out, nums, v = [_F0], [0], 1
-        for k in range(1, self.trunc):
-            acc = k * a[k] * v
-            for j, x in terms:
-                if j >= k:
-                    break
-                acc -= x * nums[k - j]
-            lk = Fraction(acc, d * v * k)
-            out.append(lk)
-            v, nums = _over_lcm(nums, v, lk.denominator)
-            nums.append(k * lk.numerator * (v // lk.denominator))
-        return TruncSeries(tuple(out))
+        u = self.delta().divide(self)
+        return TruncSeries((_F0,) + tuple(u[k] / k for k in range(1, self.trunc)))
 
     # -- p-adic audit ---------------------------------------------------------
 
@@ -551,10 +527,10 @@ class SeriesMatrix:
     def invert(self) -> "SeriesMatrix":
         """Inverse; needs the constant-term matrix invertible.
 
-        Newton doubling on the product, as in TruncSeries.invert: if
-        B = A^{-1} mod z^m, then B + B (I - A B) = A^{-1} mod z^2m.  Since
-        I - A B vanishes below z^m, so does B (A B - I), and the step keeps
-        B's known coefficients."""
+        Newton doubling on the product: if B = A^{-1} mod z^m, then
+        B + B (I - A B) = A^{-1} mod z^2m.  Since I - A B vanishes below
+        z^m, so does B (A B - I), and the step keeps B's known
+        coefficients."""
         trunc = self.trunc
         b = SeriesMatrix.from_constant(invert_constant_matrix(self.constant_matrix()), 1)
         while b.trunc < trunc:

@@ -19,10 +19,11 @@ TRANSFER_SPANS = ("frobtransfer.iterate_transfer", "frobtransfer.h_matrix",
                   "frobtransfer.transfer_audit", "frobtransfer.verify_frobenius")
 LAYER_METRICS = ("frobtransfer.transfer.self_s", "frobtransfer.h_matrix.self_s",
                  "frobtransfer.audit.self_s", "frobtransfer.verify.self_s")
-SERIES_SPANS = ("series.TruncSeries.__mul__", "series.TruncSeries.invert")
-# spans whose private integer kernels (_frobenius, exp's recurrence) must be
-# charged to them, and the self-time metrics that read them
-KERNEL_SPANS = ("solve.solve_first_row", "series.TruncSeries.exp")
+SERIES_SPANS = ("series.TruncSeries.divide", "series.TruncSeries.exp")
+# spans whose private integer kernels (_frobenius, the recurrence behind
+# divide, exp and log) must be charged to them, and the self-time metrics
+# that read them
+KERNEL_SPANS = ("solve.solve_first_row", "series.TruncSeries.exp", "series.TruncSeries.log")
 KERNEL_METRICS = ("solve.first_row.self_s", "series.exp_log.self_s")
 MATRIX_SPANS = ("series.SeriesMatrix.__mul__", "series.SeriesMatrix.invert",
                 "series.SeriesMatrix.sum_of_products")
@@ -66,22 +67,27 @@ def test_tracer_records_the_transfer_layer(tmp_path, monkeypatch):
 
 
 def test_tracer_records_the_series_kernel(tmp_path, monkeypatch):
-    # the private helpers of the product, the Frobenius recurrence and exp
-    # are not traced: their time must fall to __mul__, solve_first_row and
-    # exp, and invert's products must show as __mul__ spans of their own
+    # the private recurrence behind divide, exp and log and the Frobenius
+    # recurrence are not traced: their time must fall to divide, exp, log
+    # and solve_first_row, and log's quotient must show as a divide span of
+    # its own.  qcoord forms g/f and exp(g/f); the Dieudonne check forms
+    # log f and the exp of p log f - (log f)(z^p)
     monkeypatch.chdir(tmp_path)
     spans = load_spans()
     recorder = spans.Recorder()
     with spans.Tracer(recorder):
-        argv = ["qcoord", "--builtin", "quintic", "--trunc", "20"]
-        assert main(argv + ["--format", "json", "--out", "report.json"]) == 0
+        for argv in (["qcoord", "--builtin", "quintic", "--trunc", "20"],
+                     ["check", "dieudonne", "--builtin", "quintic", "--trunc", "20",
+                      "--primes", "7"]):
+            assert main(argv + ["--format", "json", "--out", "report.json"]) == 0
     assert set(SERIES_SPANS + KERNEL_SPANS) <= {recorder.names[i] for i in recorder.name}
-    mul, invert = (recorder.names.index(name) for name in SERIES_SPANS)
-    callers_of_mul = {recorder.name[parent] for name, parent in zip(recorder.name, recorder.parent)
-                      if name == mul and parent >= 0}
-    assert invert in callers_of_mul
+    divide, log = (recorder.names.index(f"series.TruncSeries.{m}") for m in ("divide", "log"))
+    callers_of_divide = {recorder.name[parent]
+                         for name, parent in zip(recorder.name, recorder.parent)
+                         if name == divide and parent >= 0}
+    assert log in callers_of_divide
     metrics = spans.layer_metrics(recorder, 1.0, 1.0)
-    assert all(metrics[name] > 0 for name in ("series.mul.self_s",) + KERNEL_METRICS)
+    assert all(metrics[name] > 0 for name in ("series.self_s",) + KERNEL_METRICS)
 
 
 def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from mumkit import (
     BadNormalization,
     TruncSeries,
+    builtin,
     canonical_coordinate,
     dieudonne_check,
     exp_integrality_check,
     g_over_f,
+    hypergeometric,
     n_integrality_report,
     omega_congruence_check,
     solve_first_row,
 )
+from series_oracles import power_by_products, quotient_by_products, recurrence_inverse
 
 F = Fraction
 
@@ -44,7 +47,7 @@ def test_q_quintic_prefix(quintic_row30):
 def test_q_quintic_against_bruteforce_exp(quintic_row30):
     f = quintic_row30[0].truncate(12)
     g = quintic_row30[1].truncate(12)
-    h = g * f.invert()
+    h = quotient_by_products(g, f)
     acc = TruncSeries.one(12)
     power = TruncSeries.one(12)
     fact = 1
@@ -110,13 +113,34 @@ def test_dieudonne_geometric_binomial_oracle():
     # direct check: ratio coefficients are binomial alternating sums
     geo = S([1] * 10)
     p = 3
-    ratio = geo.pow_int(p) * geo.substitute_power(p).truncate(10).invert()
+    log_geo = geo.log()  # the ratio as dieudonne_check forms it
+    ratio = (p * log_geo - log_geo.substitute_power(p).truncate(10)).exp()
     # (1-z)^{-p} * ... recompute from scratch with integer binomials
     from math import comb
 
     direct_num = [F(comb(p + k - 1, k)) for k in range(10)]  # 1/(1-z)^p
     expansion = S(direct_num) * S([1] + [0] * (p - 1) + [-1], 10)
     assert ratio.coeffs == expansion.coeffs
+
+
+@pytest.mark.parametrize("raw", (
+    builtin("quintic"),
+    hypergeometric(["1/12", "5/12", "7/12", "11/12"], [1, 1, 1, 1], 2**12 * 3**6),  # hg09
+    hypergeometric(["1/5", "2/5", "3/5", "4/5"], [1, 1, 1, 1]),
+), ids=("quintic", "hg09", "quintic_unscaled"))
+def test_dieudonne_ratio_matches_power_over_recurrence_inverse(raw):
+    # f^p / f(z^p) = exp(p L - L(z^p)), L = log f, against p products and the
+    # order-by-order inverse of f(z^p)
+    M = 60
+    f = solve_first_row(raw, M)[0]
+    log_f = f.log()
+    for p in (2, 3, 5, 7, 13):
+        ratio = (p * log_f - log_f.substitute_power(p).truncate(M)).exp()
+        expected = power_by_products(f, p) * TruncSeries(
+            recurrence_inverse(f.substitute_power(p).truncate(M)))
+        assert ratio == expected
+        profile = ((expected - TruncSeries.one(M)) * F(1, p)).valuation_profile(p)
+        assert dieudonne_check(f, p) == (profile.is_integral, profile)
 
 
 def test_dieudonne_detects_denominator():
@@ -197,9 +221,9 @@ def two_quotient_omega(f, g, p, trunc):
     """The omega congruence as (g/f)(z^p) - p (g/f), with g(z^p) / f(z^p)
     formed from the substituted series."""
     fM, gM = f.truncate(trunc), g.truncate(trunc)
-    pulled = (gM.substitute_power(p).truncate(trunc)
-              * fM.substitute_power(p).truncate(trunc).invert())
-    d = pulled - p * (gM * fM.invert())
+    pulled = quotient_by_products(gM.substitute_power(p).truncate(trunc),
+                                  fM.substitute_power(p).truncate(trunc))
+    d = pulled - p * quotient_by_products(gM, fM)
     profile = d.valuation_profile(p)
     return profile.is_integral and d.constant_term == 0, profile
 
@@ -279,7 +303,7 @@ def test_report_quintic_q_is_integral(quintic_row30):
 def test_report_same_bad_primes_with_or_without_z_shift(quintic_row30):
     f = quintic_row30[0].truncate(12)
     g = quintic_row30[1].truncate(12)
-    e = (g * f.invert()).exp()
+    e = quotient_by_products(g, f).exp()
     assert (
         n_integrality_report(e).bad_primes
         == n_integrality_report(e.shift(1)).bad_primes

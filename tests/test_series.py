@@ -20,6 +20,7 @@ from mumkit import (
     vp,
 )
 from mumkit.series import invert_constant_matrix
+from series_oracles import power_by_products, quotient_by_products, recurrence_inverse
 
 F = Fraction
 
@@ -152,26 +153,32 @@ def test_mul_matches_schoolbook(a, b):
 
 
 # ---------------------------------------------------------------------------
-# inversion
+# division; the inverse 1/a is one.divide(a)
 # ---------------------------------------------------------------------------
 
 
+def inverse(a):
+    return TruncSeries.one(a.trunc).divide(a)
+
+
 def test_invert_geometric():
-    assert S([1, -1], 6).invert().coeffs == (1, 1, 1, 1, 1, 1)
+    assert inverse(S([1, -1], 6)).coeffs == (1, 1, 1, 1, 1, 1)
 
 
 def test_invert_one():
-    assert TruncSeries.one(4).invert().coeffs == (1, 0, 0, 0)
+    assert inverse(TruncSeries.one(4)).coeffs == (1, 0, 0, 0)
 
 
 def test_invert_quintic_denominator():
-    inv = S([1, -3125], 5).invert()
+    inv = inverse(S([1, -3125], 5))
     assert inv.coeffs == tuple(F(3125) ** k for k in range(5))
 
 
 def test_invert_zero_constant_term():
     with pytest.raises(ZeroConstantTerm):
-        S([0, 1], 3).invert()
+        S([1, 2, 3]).divide(S([0, 1], 3))
+    with pytest.raises(ZeroConstantTerm):
+        TruncSeries.one(1).divide(TruncSeries.zero(1))
 
 
 @given(series_strategy)
@@ -179,17 +186,7 @@ def test_invert_zero_constant_term():
 def test_invert_roundtrip(a):
     if a.constant_term == 0:
         return
-    assert (a * a.invert()).coeffs == TruncSeries.one(a.trunc).coeffs
-
-
-def recurrence_inverse(a):
-    """The order-by-order inverse b_k = -(1/a_0) sum_{j=1..k} a_j b_{k-j},
-    in Fraction arithmetic."""
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0]
-    for k in range(1, a.trunc):
-        out.append(-inv0 * sum((a.coeffs[j] * out[k - j] for j in range(1, k + 1)), F(0)))
-    return tuple(out)
+    assert (a * inverse(a)).coeffs == TruncSeries.one(a.trunc).coeffs
 
 
 non_unit_constants = small_fractions.filter(lambda c: c not in (0, 1, -1))
@@ -199,7 +196,24 @@ non_unit_constants = small_fractions.filter(lambda c: c not in (0, 1, -1))
 @given(shaped_series(), st.one_of(st.just(F(-3, 7)), non_unit_constants))
 def test_invert_matches_recurrence(a, c0):
     a = TruncSeries((c0,) + a.coeffs[1:])
-    assert a.invert().coeffs == recurrence_inverse(a)
+    assert inverse(a).coeffs == recurrence_inverse(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_series(), shaped_series(), st.one_of(st.just(F(-3, 7)), non_unit_constants))
+def test_divide_matches_recurrence(a, b, c0):
+    b = TruncSeries((c0,) + b.coeffs[1:])
+    quotient = a.divide(b)
+    assert quotient.trunc == min(a.trunc, b.trunc)
+    assert quotient.coeffs == quotient_by_products(a, b).coeffs
+
+
+def test_divide_matches_recurrence_at_unequal_orders():
+    a = S([F(1, 3), F(-2, 7), 0, F(5, 6), 0, F(-1, 10), 4, F(9, 2), 0])
+    b = S([F(5, 2), 0, F(1, 3), F(-7, 4), 0])
+    for x, y in ((a, b), (b, a), (a.truncate(5), b), (a, b.truncate(1))):
+        assert x.divide(y).trunc == min(x.trunc, y.trunc)
+        assert x.divide(y).coeffs == quotient_by_products(x, y).coeffs
 
 
 @pytest.fixture(scope="module")
@@ -213,18 +227,44 @@ def tall_fg():
 
 def test_invert_matches_recurrence_on_tall_series(tall_fg):
     f, g = tall_fg
-    assert f.invert().coeffs == recurrence_inverse(f)
+    assert inverse(f).coeffs == recurrence_inverse(f)
     one_plus_g = g + 1
-    assert one_plus_g.invert().coeffs == recurrence_inverse(one_plus_g)
+    assert inverse(one_plus_g).coeffs == recurrence_inverse(one_plus_g)
     for trunc in (1, 2, 3, 17, 33):
-        assert f.truncate(trunc).invert().coeffs == recurrence_inverse(f.truncate(trunc))
+        assert inverse(f.truncate(trunc)).coeffs == recurrence_inverse(f.truncate(trunc))
+
+
+def test_divide_matches_recurrence_on_tall_series(tall_fg):
+    f, g = tall_fg
+    one_plus_g = g + 1
+    for a, b in ((g, f), (f, one_plus_g), (one_plus_g, f), (g.truncate(25), f),
+                 (f, one_plus_g.truncate(31))):
+        assert a.divide(b).coeffs == quotient_by_products(a, b).coeffs
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_divide_matches_recurrence_by_sparse_divisor(tall_fg, p):
+    # f(z^p), as in the Dieudonne ratio: only every p-th divisor term is nonzero
+    f, g = tall_fg
+    sparse = f.substitute_power(p).truncate(f.trunc)
+    for a in (g, f, g + 1):
+        assert a.divide(sparse).coeffs == quotient_by_products(a, sparse).coeffs
+
+
+def test_divide_matches_recurrence_by_short_divisors(tall_fg):
+    # two-term leading polynomials, as monicize and the radius fallback divide by
+    f, g = tall_fg
+    small = S([F(1, 3), F(-2, 7), 0, F(5, 6), 0, 0, F(-1, 10)] * 4)
+    for b in (S([3, 1], 40), S([1, -3125], 40)):
+        for a in (f, g, small, S([2, 0, -1], 40)):
+            assert a.divide(b).coeffs == quotient_by_products(a, b).coeffs
 
 
 def test_mul_of_unequal_heights_matches_schoolbook(tall_fg):
     # tall g against the reduced f^-1, and both against small mixed
     # denominators, at mixed truncation orders
     f, g = tall_fg
-    f_inv = f.invert()
+    f_inv = TruncSeries(recurrence_inverse(f))
     small = S([F(1, 3), F(-2, 7), 0, F(5, 6), 0, 0, F(-1, 10)] * 4)
     for a, b in ((g, f_inv), (g.truncate(25), f_inv), (g, f_inv.truncate(31)),
                  (small, g), (f_inv.truncate(9), small), (g, g), (small, small)):
@@ -234,12 +274,11 @@ def test_mul_of_unequal_heights_matches_schoolbook(tall_fg):
 
 @pytest.mark.parametrize("e", range(21))
 def test_pow_int_is_repeated_multiplication(e):
-    a = S([F(2, 3), F(-1, 5), 0, F(7, 2), F(1, 9)], 12)
-    expected = TruncSeries.one(12)
-    for _ in range(e):
-        expected = expected * a
-    assert a.pow_int(e) == expected
-    assert a.pow_int(-e) == expected.invert()
+    # the integer power as dieudonne_check forms it: exp(e log a), a(0) = 1
+    a = S([1, F(-1, 5), 0, F(7, 2), F(1, 9)], 12)
+    expected = power_by_products(a, e)
+    assert (e * a.log()).exp() == expected
+    assert (-e * a.log()).exp().coeffs == recurrence_inverse(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The integer kernels (products, Newton inverses, exp, log and the Frobenius
-recurrence), each broken on purpose in a copy of the package, must fail
-their oracle tests in tests/test_series.py or tests/test_solve.py."""
+"""The integer kernels (products, the matrix Newton inverse, the recurrence
+behind divide, exp and log, and the Frobenius recurrence), each broken on
+purpose in a copy of the package, must fail their oracle tests in
+tests/test_series.py or tests/test_solve.py."""
 
 from pathlib import Path
 
@@ -11,14 +12,18 @@ from mutants import run_mutated
 SERIES = (Path("src/mumkit/series.py"), "test_series.py")
 SOLVE = (Path("src/mumkit/solve.py"), "test_solve.py")
 MUL = "schoolbook or unequal_heights"
-INVERT = "matches_recurrence and invert"
+DIVIDE = "divide_matches or invert_matches"
 MATMUL = "matmul or sum_of_products"
 MATINV = "matinv"
 EXP = "exp_matches_recurrence or exp_log_match"
 LOG = "log_matches_recurrence or exp_log_match"
 FROBENIUS = "frobenius_matches_recurrence"
-ORACLES = {SERIES: f"{MUL} or {INVERT} or {MATMUL} or {MATINV} or {EXP} or {LOG}",
+ORACLES = {SERIES: f"{MUL} or {DIVIDE} or {MATMUL} or {MATINV} or {EXP} or {LOG}",
            SOLVE: FROBENIUS}
+
+# divide, exp and log share this line of the recurrence
+KEEP_NUMERATORS = "v, nums = _over_lcm(nums, v, xk.denominator)"
+KEPT_NUMERATORS = "v = _over_lcm(nums, v, xk.denominator)[0]"
 
 # name -> (target file and its test file, text in the target, its broken
 # replacement, tests that must fail)
@@ -28,20 +33,18 @@ MUTATIONS = {
         SERIES, "b, db = _numerators(other.coeffs[:n])",
         "b, db = [c.numerator * (da // c.denominator) for c in other.coeffs[:n]], da",
         MUL),
-    "invert_skips_first_newton_step": (SERIES, "b = (_F1 / self.coeffs[0],)",
-                                       "b = (_F1 / self.coeffs[0], _F0)[:n]", INVERT),
+    "divide_drops_dividend_lcm": (
+        SERIES, "Fraction(dr * acc + dw * rk * v, dr * dw * v * lead[k])",
+        "Fraction(acc + dw * rk * v, dw * v * lead[k])", DIVIDE),
     "matmul_drops_term_scale": (SERIES, "scale = den // de", "scale = 1", MATMUL),
     "matmul_uses_left_lcm_for_both": (SERIES, "(xk, xv, d * e, yk, yv)",
                                       "(xk, xv, d * d, yk, yv)", MATMUL),
     "matinv_skips_first_newton_step": (
         SERIES, "invert_constant_matrix(self.constant_matrix()), 1)",
         "invert_constant_matrix(self.constant_matrix()), min(2, trunc))", MATINV),
-    "exp_keeps_numerators_when_v_grows": (
-        SERIES, "v, nums = _over_lcm(nums, v, e.denominator)",
-        "v = _over_lcm(nums, v, e.denominator)[0]", EXP),
-    "log_keeps_numerators_when_v_grows": (
-        SERIES, "v, nums = _over_lcm(nums, v, lk.denominator)",
-        "v = _over_lcm(nums, v, lk.denominator)[0]", LOG),
+    "exp_keeps_numerators_when_v_grows": (SERIES, KEEP_NUMERATORS, KEPT_NUMERATORS, EXP),
+    "log_keeps_numerators_when_v_grows": (SERIES, KEEP_NUMERATORS, KEPT_NUMERATORS, LOG),
+    "log_drops_1_over_k": (SERIES, "u[k] / k for k", "u[k] for k", LOG),
     "frobenius_scales_rows_by_the_lcm": (SOLVE, "scale = den // dens[m - k]", "scale = den",
                                          FROBENIUS),
     "frobenius_drops_power_of_m": (SOLVE, " * m ** (width - 1 - u)", "", FROBENIUS),
@@ -52,7 +55,7 @@ def run_oracle_tests(root: Path, target, mutation=None):
     """Run the oracle tests of one target on a copy of the package under
     root, after the mutation (old, new, selection) when one is given."""
     path, test_file = target
-    files = (test_file, "conftest.py")
+    files = (test_file, "conftest.py", "series_oracles.py")
     if mutation is None:
         return run_mutated(root, files, select=ORACLES[target])
     old, new, tests = mutation
