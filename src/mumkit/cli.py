@@ -79,6 +79,9 @@ from .frobtransfer import (
 SCHEMA_VERSION = "1"
 DEFAULT_TRUNC = 64
 DEFAULT_PRIME_BOUND = 100
+# the largest working order a unit may ask for: p^m (T-1) + 1 grows fast in
+# p and m, and a job far above it would run until memory runs out
+MAX_WORKING_TRUNC = 20000
 
 
 class CorpusFormatError(ValueError):
@@ -90,6 +93,10 @@ class DuplicateLabel(ValueError):
 
 
 class InvalidPrime(ValueError):
+    pass
+
+
+class WorkingOrderTooLarge(ValueError):
     pass
 
 
@@ -109,6 +116,7 @@ _ERROR_CODES = {
     CorpusFormatError: "CORPUS_FORMAT_ERROR",
     DuplicateLabel: "DUPLICATE_LABEL",
     InvalidPrime: "INVALID_PRIME",
+    WorkingOrderTooLarge: "WORKING_ORDER_TOO_LARGE",
 }
 
 
@@ -330,21 +338,33 @@ def cmd_dispatch(spec: JobSpec) -> tuple[ReportDocument, int]:
 
 def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
     """Runs every (operator, prime) unit of the job; an operator's skipped
-    primes are listed before its results.  Returns 1 if a unit failed."""
+    primes are listed before its results.  Returns 1 if a unit failed.
+    Refuses the whole job before any work if a unit's working order is
+    above MAX_WORKING_TRUNC."""
     cmd = COMMANDS[spec.command]
+    candidates = [None]
+    if cmd.per_prime and spec.primes is not None:
+        candidates = list(spec.primes)
+    elif cmd.per_prime:
+        candidates = primes_upto(DEFAULT_PRIME_BOUND if spec.auto_bound is None
+                                 else spec.auto_bound)
+    for p in candidates:
+        order = cmd.order(spec, p)
+        if order > MAX_WORKING_TRUNC:
+            at = "" if p is None else f" at prime {p}"
+            raise WorkingOrderTooLarge(
+                f"working order {order}{at} is above the limit {MAX_WORKING_TRUNC}"
+            )
     failures = 0
     for label, raw in cmd.operators(spec):
         subject = _Subject(label, raw)
-        primes = [None]
-        if cmd.per_prime and spec.primes is not None:
-            primes = list(spec.primes)
-        elif cmd.per_prime:
+        primes = candidates
+        if cmd.per_prime and spec.primes is None:
             # under auto:B a prime is skipped iff the operator is not
             # p-integral at the order the command computes with; the
             # order-free test spares the monicize when it can tell
             primes = []
-            bound = DEFAULT_PRIME_BOUND if spec.auto_bound is None else spec.auto_bound
-            for p in primes_upto(bound):
+            for p in candidates:
                 if (subject.raw.integral_over_lead(p)
                         or subject.at(cmd.order(spec, p)).p_integrality(p).is_integral):
                     primes.append(p)

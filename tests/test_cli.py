@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -401,6 +402,46 @@ def test_transfer_command_reports_orders():
     assert result["certified_trunc"] == 3
     assert result["h_constant_diagonal"] == ["1", "2", "4", "8"]
     assert result["ok"] is True
+
+
+def refuse_work(*args):
+    raise AssertionError("a unit monicized or solved")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 97^3 (2 - 1) + 1 terms: without the limit this job runs until memory runs out
+    (["transfer", "--builtin", "quintic", "--primes", "97", "--level", "3", "--trunc", "2"],
+     "working order 912674 at prime 97 is above the limit 20000"),
+    # under auto:B every prime up to B is planned before the skip rule
+    # monicizes; 29 is the first with 29^3 + 1 > 20000
+    (["check", "reduction", "--op", "3*D^2 - z^2", "--primes", "auto:97", "--level", "3",
+      "--trunc", "2"], "working order 24390 at prime 29 is above the limit 20000"),
+], ids=["transfer", "reduction-auto"])
+def test_working_order_above_the_limit_is_refused_before_any_unit(tmp_path, monkeypatch,
+                                                                  argv, message):
+    for name in ("monicize", "uniform_part", "solve_first_row"):
+        monkeypatch.setattr(mumkit.cli, name, refuse_work)
+    out = tmp_path / "r.json"
+    started = time.perf_counter()
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 2
+    assert time.perf_counter() - started < 0.5
+    report = json.loads(out.read_text())
+    assert report["errors"] == [{"code": "WORKING_ORDER_TOO_LARGE", "message": message}]
+    assert report["results"] == []
+
+
+@pytest.mark.parametrize("limit, status", [(49, 2), (50, 0)])
+def test_working_order_limit_is_inclusive(tmp_path, monkeypatch, limit, status):
+    # transfer at trunc 8 and p = 7 works at order 7 (8 - 1) + 1 = 50
+    monkeypatch.setattr(mumkit.cli, "MAX_WORKING_TRUNC", limit)
+    out = tmp_path / "r.json"
+    argv = ["transfer", "--builtin", "quintic", "--trunc", "8", "--primes", "7"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == status
+    report = json.loads(out.read_text())
+    if status:
+        assert [e["code"] for e in report["errors"]] == ["WORKING_ORDER_TOO_LARGE"]
+    else:
+        assert report["errors"] == [] and report["results"][0]["working_trunc"] == 50
 
 
 def test_fit_command_finds_quintic_constant():
