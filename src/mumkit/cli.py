@@ -16,6 +16,7 @@ over the units of every command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -705,7 +706,10 @@ _LOWER_BOUNDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and no flag has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="mumkit",
         description="exact arithmetic for MUM operators in D = z*d/dz",

@@ -194,9 +194,9 @@ def taylor_gcds(op: RawOperator | DeltaOperator, trunc: int,
     if isinstance(op, DeltaOperator):
         if trunc > op.trunc:
             raise ValueError(f"operator is known to order {op.trunc} < {trunc}")
-        coeffs = [a.coeffs[:trunc] for a in op.coeffs]
-        den = lcm(*(c.denominator for a in coeffs for c in a))
-        polys = [[int(c * den) for c in a] for a in coeffs] + [[den]]
+        coeffs = [a.truncate(trunc) for a in op.coeffs]
+        den = lcm(*(a.den for a in coeffs))
+        polys = [[x * (den // a.den) for x in a.nums] for a in coeffs] + [[den]]
     else:
         polys = op.poly_coeffs
         if polys[-1][0] == 0:
@@ -366,7 +366,7 @@ def _h_from_inverse(y: SeriesMatrix, lam_inv: SeriesMatrix, q: int) -> SeriesMat
     by q^i."""
     prod = y * lam_inv.substitute_power(q, y.trunc)
     return SeriesMatrix(tuple(
-        tuple(e * Fraction(q) ** i if i else e for i, e in enumerate(row))
+        tuple(e * q**i if i else e for i, e in enumerate(row))
         for row in prod.entries
     ))
 
@@ -651,7 +651,8 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int,
         return y_cut * c * y_sub_inv
 
     phi0 = phi_of([_F1] + [_F0] * (n - 1))
-    # phi_of is linear in the gammas, so unit vectors give the basis
+    # phi_of is linear in the gammas, so unit vectors give the basis and the
+    # candidate for gammas (1, x_1, ..., x_{n-1}) is phi0 + sum x_r basis_r
     basis = [phi_of(_unit_gammas(n, r)) for r in range(1, n)]
 
     conditions_by_order = _congruence_conditions(phi0, basis, p, M)
@@ -662,7 +663,10 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int,
         if solution is None:
             continue
         gammas = [_F1] + [Fraction(x) for x in solution]
-        phi = phi_of(gammas)
+        phi = phi0
+        for x, mat in zip(solution, basis):
+            if x:
+                phi = phi + mat.scale(x)
         profile = phi.valuation_profile(p)
         candidate = FrobeniusFit(
             profile.is_integral,
@@ -692,23 +696,23 @@ def _congruence_conditions(phi0: SeriesMatrix, basis, p: int, M: int):
     the order-k coefficient of every entry of phi0 + sum x_r basis_r has
     nonnegative p-adic valuation, given integral unknowns x_r."""
     n = phi0.n
+    # per entry (i, j): phi0's entry, then the basis entries, each with v_p(den)
+    entries = [[(s, vp_int(s.den, p))
+                for s in (phi0.entries[i][j], *(mat.entries[i][j] for mat in basis))]
+               for i in range(n) for j in range(n)]
     by_order = []
     for k in range(M):
         rows = []
-        for i in range(n):
-            for j in range(n):
-                b = phi0.entries[i][j].coeffs[k]
-                a = [mat.entries[i][j].coeffs[k] for mat in basis]
-                vals = [vp(b, p)] + [vp(x, p) for x in a]
-                vmin = min(vals)
-                if vmin >= 0:
-                    continue  # holds for every integral assignment
-                e = -int(vmin)
-                mod = p**e
-                scale = Fraction(p) ** e
-                coeffs = [_rational_mod(x * scale, mod) for x in a]
-                rhs = (-_rational_mod(b * scale, mod)) % mod
-                rows.append((coeffs, rhs, e))
+        for series in entries:
+            vmin = min((vp_int(s.nums[k], p) - vd for s, vd in series if s.nums[k]), default=0)
+            if vmin >= 0:
+                continue  # holds for every integral assignment
+            e = -vmin
+            mod = p**e
+            b, *a = (s[k] * p**e for s, _ in series)
+            coeffs = [_rational_mod(x, mod) for x in a]
+            rhs = (-_rational_mod(b, mod)) % mod
+            rows.append((coeffs, rhs, e))
         by_order.append(rows)
     return by_order
 
@@ -812,7 +816,7 @@ def reduction_congruence_parts(h11: TruncSeries, f: TruncSeries, p: int,
     if not d.is_zero():
         return False
     for k in range(1, q):
-        if f.coeffs[k] != h11.coeffs[k] or vp(f.coeffs[k], p) < 0:
+        if f[k] != h11[k] or vp(f[k], p) < 0:
             return False
     return True
 

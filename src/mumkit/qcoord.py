@@ -8,7 +8,6 @@ infinite tail.  Every report records the order it certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from fractions import Fraction
 
 from .primes import factor
@@ -110,14 +109,14 @@ def n_integrality_report(s: TruncSeries, prime_bound: int = 100,
                          subject: str = "series") -> IntegralityReport:
     """Factor every coefficient denominator of s up to the requested order."""
     M = s.trunc if trunc is None else min(trunc, s.trunc)
-    den_lcm = lcm(*(c.denominator for c in s.coeffs[:M]))
-    if den_lcm == 1:
+    s = s.truncate(M)
+    if s.den == 1:
         return IntegralityReport(subject, M, (), 1, (), (), 1)
-    exps, residue = factor(den_lcm)
+    exps, residue = factor(s.den)
     bad = tuple(sorted(exps))
     worst = tuple((p, -e) for p, e in sorted(exps.items()))
     per_prime = tuple(
-        (p, ValuationProfile.of_coefficients(s.coeffs[:M], p))
+        (p, s.valuation_profile(p))
         for p in bad
         if p <= prime_bound
     )

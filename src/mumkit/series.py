@@ -4,23 +4,24 @@ A TruncSeries knows its coefficients c_0 .. c_{M-1} exactly and nothing
 beyond; M is the truncation order.  Binary operations truncate to the
 smaller operand order, except where a sharper output order is provable
 (substitute_power, cartier, cartier_pullback, shift), in which case the
-method documents its exact output order.  Everything is immutable and
-all coefficients are reduced Fractions.
+method documents its exact output order.  Everything is immutable.
 
-A product of two series runs on integers: each operand is scaled to
-integer numerators over the lcm of its denominators, the numerators are
-convolved, and each output coefficient is built once over the product of
-the two lcms.  SeriesMatrix products and sums of products run the same
-way, with every entry converted once, and SeriesMatrix.invert is Newton
-doubling on them.  divide, exp and log share one recurrence on integers,
-which keeps the coefficients found so far as numerators over one running
-denominator; coefficient k of log(a) is that of delta(a) / a over k.
+A series is stored as integer numerators over one denominator, reduced as
+a whole, and every operation runs on those integers: sums over the lcm of
+the two denominators, products as integer convolutions over the product
+of the denominators, with one running gcd per result.  The coefficients
+as reduced Fractions are built only when read.  SeriesMatrix products and
+sums of products run the same way, skipping zero entries and
+coefficients, and SeriesMatrix.invert is Newton doubling on them.
+divide, exp and log share one recurrence on integers, which keeps the
+coefficients found so far as numerators over one running denominator;
+coefficient k of log(a) is that of delta(a) / a over k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .primes import vp_int
@@ -47,12 +48,6 @@ class SingularConstantTerm(ValueError):
     """Matrix inversion when the constant-term matrix is singular."""
 
 
-def _numerators(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of coeffs over d, the lcm of their denominators."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
 def _over_lcm(nums: list[int], v: int, den: int) -> tuple[int, list[int]]:
     """nums over v restated over lcm(v, den); unchanged when den divides v."""
     if v % den == 0:
@@ -61,15 +56,15 @@ def _over_lcm(nums: list[int], v: int, den: int) -> tuple[int, list[int]]:
     return v * scale, [x * scale for x in nums]
 
 
-def _recurrence(lead, rhs, w) -> tuple[Fraction, ...]:
-    """x_0 .. x_{n-1}, n = len(rhs), from lead_k x_k = rhs_k + sum_{j>=1} w_j x_{k-j}.
+def _recurrence(lead, r, dr: int, w, dw: int) -> "TruncSeries":
+    """x_0 .. x_{n-1}, n = len(r), from lead_k x_k = r_k / dr + sum_{j>=1} (w_j / dw) x_{k-j}.
 
-    lead holds nonzero integers.  rhs and w become integer numerators over
-    the lcm of their denominators, x_0 .. x_{k-1} are kept as numerators
-    over one running denominator v, and zero w_j are skipped, so each x_k
-    costs one integer sum and is reduced once, as a Fraction."""
-    r, dr = _numerators(rhs)
-    w, dw = _numerators(w)
+    lead, r and w hold integers, lead nonzero ones; r over dr and w over dw
+    should be reduced, as their denominators enter every step.  x_0 ..
+    x_{k-1} are kept as numerators over one running denominator v, the lcm
+    of their denominators, and zero w_j are skipped, so each x_k costs one
+    integer sum and is reduced once, as a Fraction.  Those Fractions come
+    with the series as its coefficients."""
     terms = [(j, x) for j, x in enumerate(w) if x and j]
     out, nums, v = [], [], 1
     for k, rk in enumerate(r):
@@ -82,7 +77,7 @@ def _recurrence(lead, rhs, w) -> tuple[Fraction, ...]:
         out.append(xk)
         v, nums = _over_lcm(nums, v, xk.denominator)
         nums.append(xk.numerator * (v // xk.denominator))
-    return tuple(out)
+    return TruncSeries._from_nums(nums, v, tuple(out))
 
 
 def vp(x: Fraction, p: int):
@@ -110,18 +105,6 @@ class ValuationProfile:
         return self.min_valuation >= 0
 
     @staticmethod
-    def of_coefficients(coeffs, p: int) -> "ValuationProfile":
-        min_v = INF
-        neg = []
-        for k, c in enumerate(coeffs):
-            v = vp(c, p)
-            if v < min_v:
-                min_v = v
-            if v < 0:
-                neg.append((k, v))
-        return ValuationProfile(p, min_v, tuple(neg))
-
-    @staticmethod
     def merge(profiles) -> "ValuationProfile":
         """Merge profiles at one prime: per-exponent minimum valuation."""
         profiles = list(profiles)
@@ -140,19 +123,52 @@ class ValuationProfile:
         return ValuationProfile(p, min_v, neg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class TruncSeries:
-    """Power series known exactly modulo z^trunc, with trunc = len(coeffs)."""
+    """Power series known exactly modulo z^trunc, with trunc = len(nums).
 
-    coeffs: tuple[Fraction, ...]
+    Coefficient k is nums[k] / den, reduced as a whole: den >= 1,
+    gcd(den, *nums) = 1, and den = 1 for the zero series.  So den is the
+    lcm of the coefficient denominators, and two series are equal exactly
+    when their coefficients are.  `coeffs`, the coefficients as reduced
+    Fractions, is built on first read and kept."""
 
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
+    nums: tuple[int, ...]
+    den: int
+    _coeffs: tuple[Fraction, ...] | None = field(compare=False, repr=False)
+
+    def __init__(self, coeffs):
+        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        if not cs:
             raise ValueError("truncation order must be positive")
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
-            object.__setattr__(
-                self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-            )
+        # the lcm of reduced denominators leaves no factor common to all
+        den = math.lcm(*(c.denominator for c in cs))
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", cs)
+
+    @staticmethod
+    def _from_nums(nums, den: int, coeffs=None) -> "TruncSeries":
+        """The series nums[k] / den, den >= 1, reduced by one running gcd
+        that stops once it reaches 1.  coeffs, when given, are its
+        coefficients as reduced Fractions."""
+        if not nums:
+            raise ValueError("truncation order must be positive")
+        g = den
+        if g != 1:
+            for x in nums:
+                if x:
+                    g = math.gcd(g, x)
+                    if g == 1:
+                        break
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
+        s = object.__new__(TruncSeries)
+        object.__setattr__(s, "nums", tuple(nums))
+        object.__setattr__(s, "den", den)
+        object.__setattr__(s, "_coeffs", coeffs)
+        return s
 
     # -- constructors ------------------------------------------------------
 
@@ -161,69 +177,79 @@ class TruncSeries:
         """Build from an explicit coefficient list; when trunc exceeds the
         list length the series is a polynomial and the tail is genuinely
         zero, so zero-padding is knowledge, not a guess."""
-        cs = [Fraction(c) for c in coeffs]
-        if trunc is not None:
-            if trunc < 1:
-                raise ValueError("truncation order must be positive")
-            if trunc < len(cs):
-                cs = cs[:trunc]
-            else:
-                cs.extend([_F0] * (trunc - len(cs)))
-        if not cs:
-            cs = [_F0]
-        return TruncSeries(tuple(cs))
+        cs = list(coeffs)
+        if trunc is None:
+            return TruncSeries(cs or [0])
+        if trunc < 1:
+            raise ValueError("truncation order must be positive")
+        s = TruncSeries(cs[:trunc] or [0])
+        return TruncSeries._from_nums(s.nums + (0,) * (trunc - s.trunc), s.den)
 
     @staticmethod
     def zero(trunc: int) -> "TruncSeries":
-        return TruncSeries((_F0,) * trunc)
+        return TruncSeries._from_nums((0,) * trunc, 1)
 
     @staticmethod
     def one(trunc: int) -> "TruncSeries":
-        return TruncSeries((_F1,) + (_F0,) * (trunc - 1))
+        return TruncSeries._from_nums((1,) + (0,) * (trunc - 1), 1)
 
     @staticmethod
     def constant(c, trunc: int) -> "TruncSeries":
-        return TruncSeries((Fraction(c),) + (_F0,) * (trunc - 1))
+        c = Fraction(c)
+        return TruncSeries._from_nums((c.numerator,) + (0,) * (trunc - 1), c.denominator)
 
     @staticmethod
     def z_power(k: int, trunc: int) -> "TruncSeries":
-        cs = [_F0] * trunc
+        nums = [0] * trunc
         if k < trunc:
-            cs[k] = _F1
-        return TruncSeries(tuple(cs))
+            nums[k] = 1
+        return TruncSeries._from_nums(nums, 1)
 
     # -- basics ------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = self._coeffs
+        if cs is None:
+            d = self.den
+            cs = tuple(Fraction(x, d) if x else _F0 for x in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
     def trunc(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
 
     def __getitem__(self, k: int) -> Fraction:
+        if self._coeffs is None and isinstance(k, int):
+            return Fraction(self.nums[k], self.den)
         return self.coeffs[k]
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return self[0]
 
     def truncate(self, trunc: int) -> "TruncSeries":
         if trunc > self.trunc:
             raise ValueError("cannot extend knowledge by truncating")
-        return TruncSeries(self.coeffs[:trunc])
+        if trunc == self.trunc:
+            return self
+        cs = self._coeffs
+        return TruncSeries._from_nums(self.nums[:trunc], self.den,
+                                      None if cs is None else cs[:trunc])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def first_nonzero(self) -> int | None:
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return None
+        return next((k for k, x in enumerate(self.nums) if x), None)
 
     def agrees_with(self, other: "TruncSeries", upto: int | None = None) -> bool:
         n = min(self.trunc, other.trunc)
         if upto is not None:
             n = min(n, upto)
-        return self.coeffs[:n] == other.coeffs[:n]
+        da, db = self.den, other.den
+        return all(x * db == y * da for x, y in zip(self.nums[:n], other.nums[:n]))
 
     def __str__(self) -> str:
         parts = []
@@ -241,25 +267,29 @@ class TruncSeries:
 
     # -- ring operations (min-trunc rule) -----------------------------------
 
+    def _plus(self, other: "TruncSeries", sign: int) -> "TruncSeries":
+        """self + sign * other over the lcm of the two denominators."""
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        return TruncSeries._from_nums(
+            [x * sa + y * sb for x, y in zip(self.nums, other.nums)], da * sa)
+
     def __add__(self, other):
         if isinstance(other, TruncSeries):
-            n = min(self.trunc, other.trunc)
-            return TruncSeries(
-                tuple(self.coeffs[k] + other.coeffs[k] for k in range(n))
-            )
+            return self._plus(other, 1)
         return self + TruncSeries.constant(other, self.trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(tuple(-c for c in self.coeffs))
+        cs = self._coeffs
+        return TruncSeries._from_nums(tuple(-x for x in self.nums), self.den,
+                                      None if cs is None else tuple(-c for c in cs))
 
     def __sub__(self, other):
         if isinstance(other, TruncSeries):
-            n = min(self.trunc, other.trunc)
-            return TruncSeries(
-                tuple(self.coeffs[k] - other.coeffs[k] for k in range(n))
-            )
+            return self._plus(other, -1)
         return self - TruncSeries.constant(other, self.trunc)
 
     def __rsub__(self, other):
@@ -268,53 +298,53 @@ class TruncSeries:
     def __mul__(self, other):
         """Product with a series, to the smaller order, or with a scalar.
 
-        Each series operand becomes integer numerators over the lcm of its
+        The numerators are convolved over the product of the two
         denominators.  Only nonzero pairs are multiplied, so a dense series
-        times one in z^q costs n * n/q integer products, and each output
-        coefficient is reduced once, as a Fraction over the product of
-        the two lcms."""
+        times one in z^q costs n * n/q integer products, and the result is
+        reduced once."""
         if isinstance(other, TruncSeries):
             n = min(self.trunc, other.trunc)
-            a, da = _numerators(self.coeffs[:n])
-            b, db = _numerators(other.coeffs[:n])
-            right = [(j, y) for j, y in enumerate(b) if y]
+            right = [(j, y) for j, y in enumerate(other.nums[:n]) if y]
             out = [0] * n
-            for i, x in enumerate(a):
+            for i, x in enumerate(self.nums[:n]):
                 if x:
                     for j, y in right:
                         if i + j >= n:
                             break
                         out[i + j] += x * y
-            d = da * db
-            return TruncSeries(tuple(Fraction(c, d) for c in out))
+            return TruncSeries._from_nums(out, self.den * other.den)
         c = Fraction(other)
-        return TruncSeries(tuple(c * x for x in self.coeffs))
+        return TruncSeries._from_nums([c.numerator * x for x in self.nums],
+                                      c.denominator * self.den)
 
     __rmul__ = __mul__
 
     def divide(self, other: "TruncSeries") -> "TruncSeries":
         """self / other, to the smaller order; requires other(0) != 0.
 
-        b_0 h_k = a_k - sum_{j>=1} b_j h_{k-j}, run on b's integer
-        numerators B over their lcm d as B_0 h_k = d a_k - sum B_j h_{k-j}.
-        Zero b_j are skipped, so dividing by a polynomial of degree e costs
-        about n * e integer products."""
-        if other.coeffs[0] == 0:
+        b_0 h_k = a_k - sum_{j>=1} b_j h_{k-j}, run on b's numerators B over
+        its denominator d as B_0 h_k = d a_k - sum B_j h_{k-j}.  Zero b_j are
+        skipped, so dividing by a polynomial of degree e costs about n * e
+        integer products."""
+        if not other.nums[0]:
             raise ZeroConstantTerm("cannot divide by a series with c0 = 0")
         n = min(self.trunc, other.trunc)
-        b, d = _numerators(other.coeffs[:n])
-        return TruncSeries(_recurrence([b[0]] * n, [d * c for c in self.coeffs[:n]],
-                                       [-x for x in b]))
+        a, b = self.truncate(n), other.truncate(n)
+        g = math.gcd(a.den, b.den)
+        return _recurrence([b.nums[0]] * n, [x * (b.den // g) for x in a.nums], a.den // g,
+                           [-x for x in b.nums], 1)
 
     # -- calculus and substitutions ------------------------------------------
 
     def delta(self) -> "TruncSeries":
         """The Euler derivative z*d/dz: coefficient k maps to k*c_k."""
-        return TruncSeries(tuple(k * c for k, c in enumerate(self.coeffs)))
+        return TruncSeries._from_nums([k * x for k, x in enumerate(self.nums)], self.den)
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by z^k.  Output order trunc + k: no knowledge is lost."""
-        return TruncSeries((_F0,) * k + self.coeffs)
+        cs = self._coeffs
+        return TruncSeries._from_nums((0,) * k + self.nums, self.den,
+                                      None if cs is None else (_F0,) * k + cs)
 
     def substitute_power(self, q: int, trunc: int | None = None) -> "TruncSeries":
         """f(z^q).  Output order q*(trunc-1) + 1 by default; gaps between
@@ -325,38 +355,37 @@ class TruncSeries:
         n = q * (self.trunc - 1) + 1 if trunc is None else trunc
         if not 1 <= n <= q * self.trunc:
             raise ValueError(f"f(z^{q}) is known to order {q * self.trunc} only")
-        out = [_F0] * n
-        for i, c in enumerate(self.coeffs[: (n - 1) // q + 1]):
-            out[q * i] = c
-        return TruncSeries(tuple(out))
+        kept = self.truncate((n - 1) // q + 1)
+        out = [0] * n
+        out[::q] = kept.nums
+        return TruncSeries._from_nums(out, kept.den)
 
     def cartier(self, p: int) -> "TruncSeries":
         """Coefficient extraction sum a_{ip} z^i.  Output order ceil(trunc/p)."""
-        n = (self.trunc + p - 1) // p
-        return TruncSeries(tuple(self.coeffs[i * p] for i in range(n)))
+        return TruncSeries._from_nums(self.nums[::p], self.den)
 
     def cartier_pullback(self, p: int, m: int = 1) -> "TruncSeries":
         """Lambda_p^m(f)(z^{p^m}): keep exponents divisible by p^m, zero the
         rest.  Output order = trunc, which is sharp (every retained
         coefficient is one of ours, every dropped one is exactly zero)."""
         q = p**m
-        return TruncSeries(
-            tuple(c if k % q == 0 else _F0 for k, c in enumerate(self.coeffs))
-        )
+        out = [0] * self.trunc
+        out[::q] = self.nums[::q]
+        return TruncSeries._from_nums(out, self.den)
 
     def exp(self) -> "TruncSeries":
         """Formal exponential; requires c0 = 0.  k E_k = sum_{j>=1} (j c_j) E_{k-j}
         with E_0 = 1."""
-        if self.coeffs[0] != 0:
+        if self.nums[0]:
             raise BadConstantTerm("exp needs a series with c0 = 0")
         n = self.trunc
-        return TruncSeries(_recurrence([1, *range(1, n)], [_F1] + [_F0] * (n - 1),
-                                       [j * c for j, c in enumerate(self.coeffs)]))
+        d = self.delta()
+        return _recurrence([1, *range(1, n)], [1] + [0] * (n - 1), 1, d.nums, d.den)
 
     def log(self) -> "TruncSeries":
         """Formal logarithm; requires c0 = 1.  delta(log a) = delta(a) / a, so
         L_k = u_k / k for u = delta(a) / a."""
-        if self.coeffs[0] != 1:
+        if self.nums[0] != self.den:
             raise BadConstantTerm("log needs a series with c0 = 1")
         u = self.delta().divide(self)
         return TruncSeries((_F0,) + tuple(u[k] / k for k in range(1, self.trunc)))
@@ -364,7 +393,18 @@ class TruncSeries:
     # -- p-adic audit ---------------------------------------------------------
 
     def valuation_profile(self, p: int) -> ValuationProfile:
-        return ValuationProfile.of_coefficients(self.coeffs, p)
+        """v_p of each coefficient as v_p(numerator) - v_p(den)."""
+        vd = vp_int(self.den, p)
+        min_v = INF
+        neg = []
+        for k, x in enumerate(self.nums):
+            if x:
+                v = vp_int(x, p) - vd
+                if v < min_v:
+                    min_v = v
+                if v < 0:
+                    neg.append((k, v))
+        return ValuationProfile(p, min_v, tuple(neg))
 
 
 def invert_constant_matrix(rows):
@@ -535,8 +575,9 @@ class SeriesMatrix:
         b = SeriesMatrix.from_constant(invert_constant_matrix(self.constant_matrix()), 1)
         while b.trunc < trunc:
             m = b.trunc
-            b = b.map(lambda e: TruncSeries(e.coeffs + (_F0,) * (min(2 * m, trunc) - m)))
-            err = (self * b).map(lambda e: TruncSeries((_F0,) * m + e.coeffs[m:]))  # A B - I
+            pad = (0,) * (min(2 * m, trunc) - m)
+            b = b.map(lambda e: TruncSeries._from_nums(e.nums + pad, e.den))
+            err = (self * b).map(lambda e: TruncSeries._from_nums((0,) * m + e.nums[m:], e.den))  # A B - I
             b = b - b * err
         return b
 
@@ -571,18 +612,17 @@ class SeriesMatrix:
 def _sum_of_products(pairs) -> SeriesMatrix:
     """Sum of A B over the (A, B) pairs, on integers, to the smallest order.
 
-    Each distinct operand is converted once: per entry, the exponents and
-    integer numerators of its nonzero coefficients over d, the lcm of its
-    denominators.  Output entry (i, j) sums the terms A[i][k] B[k][j] over
-    L, the lcm of their products d e, each term scaled by L / (d e).  Zero
-    entries and zero coefficients are skipped, so a product by a sparse
-    matrix visits its nonzero entries only, and each output coefficient is
-    reduced once, as a Fraction over L."""
+    Each distinct operand is read once: per entry, the exponents and
+    numerators of its nonzero coefficients and its denominator d.  Output
+    entry (i, j) sums the terms A[i][k] B[k][j] over L, the lcm of their
+    products d e, each term scaled by L / (d e).  Zero entries and zero
+    coefficients are skipped, so a product by a sparse matrix visits its
+    nonzero entries only, and each output entry is reduced once."""
     trunc = min(min(a.trunc, b.trunc) for a, b in pairs)
     sparse = {}
     for mat in (operand for pair in pairs for operand in pair):
         if id(mat) not in sparse:
-            nums = [[_numerators(e.coeffs[:trunc]) for e in row] for row in mat.entries]
+            nums = [[(e.nums[:trunc], e.den) for e in row] for row in mat.entries]
             sparse[id(mat)] = [[([k for k, x in enumerate(xs) if x], [x for x in xs if x], d)
                                 for xs, d in row] for row in nums]
     sides = [(sparse[id(a)], sparse[id(b)]) for a, b in pairs]
@@ -604,6 +644,6 @@ def _sum_of_products(pairs) -> SeriesMatrix:
                         if a + b >= trunc:
                             break
                         out[a + b] += u * v
-            row.append(TruncSeries(tuple(Fraction(c, den) if c else _F0 for c in out)))
+            row.append(TruncSeries._from_nums(out, den))
         rows.append(tuple(row))
     return SeriesMatrix(tuple(rows))

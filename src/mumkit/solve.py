@@ -20,7 +20,6 @@ gcd; the right-hand side is summed over the lcm of the d_{m-k} it needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, NotMUM, RawOperator
@@ -57,6 +56,14 @@ def _rows(op, trunc: int) -> list[tuple[int, list]]:
     return [row for row in rows if row[1]]
 
 
+def _integer_rows(op, trunc: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The rows of s L, s the lcm of the P_{i,k} denominators, on integers."""
+    rows = _rows(op, trunc)
+    s = lcm(*(p.denominator for _, terms in rows for _, p in terms))
+    return [(k, [(i, p.numerator * (s // p.denominator)) for i, p in terms])
+            for k, terms in rows]
+
+
 def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
     """sum_m [e^j]c_m z^m for j < width, from the recurrence above, on integers."""
     if trunc < 1:
@@ -71,12 +78,8 @@ def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
         )
     if any(P[0] for P in op.poly_coeffs[:n] if P):
         raise NotMUM("operator coefficients must vanish at z = 0")
-    support = [row for row in _rows(op, trunc) if row[0]]
-    # the recurrence times s, the lcm of the P_{i,k} denominators
-    s = lcm(lead.denominator, *(p.denominator for _, terms in support for _, p in terms))
-    support = [(k, [(i, p.numerator * (s // p.denominator)) for i, p in terms])
-               for k, terms in support]
-    lead = lead.numerator * (s // lead.denominator)
+    # row 0 of a MUM operator is P_{n,0} D^n alone
+    (_, [(_, lead)]), *support = _integer_rows(op, trunc)
     # shifted[m][i] = d_m (m+e)^i c_m(e) mod e^width, i = 0..n, as integers; c_0 = 1
     dens = [1]
     shifted = [[[int(t == i) for t in range(width)] for i in range(n + 1)]]
@@ -103,7 +106,9 @@ def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
             powers.append([m * x + y for x, y in zip(powers[-1], [0] + powers[-1])])
         dens.append(den // g)
         shifted.append(powers)
-    return tuple(TruncSeries(tuple(Fraction(row[0][t], d) for row, d in zip(shifted, dens)))
+    den = lcm(*dens)
+    scales = [den // d for d in dens]
+    return tuple(TruncSeries._from_nums([row[0][t] * s for row, s in zip(shifted, scales)], den)
                  for t in range(width))
 
 
@@ -141,10 +146,13 @@ def verify_solution(basis: SolutionBasis) -> int:
     """Largest M' <= trunc such that sum_{t<=j} L^[t](f_{1,j+1-t}) = 0 mod z^{M'}
     for every column j, L^[t] = sum_i C(i,t) P_i D^{i-t} read from the rows of
     L = sum_i P_i(z) D^i; equals trunc on correct input.  From a parsed L the
-    residual is P_n times the monic one, and P_n(0) != 0."""
+    residual is P_n times the monic one, and P_n(0) != 0.  It runs on
+    integers: the rows of s L, and the columns as numerators over the lcm
+    of their denominators."""
     trunc = basis.trunc
-    columns = [f.coeffs for f in basis.first_row]
-    rows = _rows(basis.op, trunc)
+    den = lcm(*(f.den for f in basis.first_row))
+    columns = [[x * (den // f.den) for x in f.nums] for f in basis.first_row]
+    rows = _integer_rows(basis.op, trunc)
     for m in range(trunc):
         for j in range(len(columns)):
             r = sum(comb(i, t) * p * (m - k) ** (i - t) * columns[j - t][m - k]

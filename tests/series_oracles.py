@@ -1,10 +1,9 @@
-"""Fraction-arithmetic forms of the series quotient and power, kept as exact
-oracles for the integer recurrence behind TruncSeries.divide, exp and log.
-They read only the public API."""
+"""Fraction-arithmetic forms of the series operations, kept as exact oracles
+for the integer forms behind TruncSeries.  They read only the public API."""
 
 from fractions import Fraction
 
-from mumkit import TruncSeries
+from mumkit import TruncSeries, vp
 
 
 def recurrence_inverse(a):
@@ -29,3 +28,57 @@ def power_by_products(a, e):
     for _ in range(e):
         out = out * a
     return out
+
+
+# Fraction-by-Fraction references for every TruncSeries operation, on
+# tuples of Fractions: the form a series had before it was stored as
+# integer numerators over one denominator.
+
+
+def ref_add(a, b, sign=1):
+    return tuple(x + sign * y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    n = min(len(a), len(b))
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n))
+
+
+def ref_divide(a, b):
+    n = min(len(a), len(b))
+    out = []
+    for k in range(n):
+        acc = a[k] - sum((b[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
+        out.append(acc / b[0])
+    return tuple(out)
+
+
+def ref_delta(a):
+    return tuple(k * c for k, c in enumerate(a))
+
+
+def ref_exp(a):
+    """k E_k = sum_{j=1..k} j a_j E_{k-j}, E_0 = 1."""
+    out = [Fraction(1)]
+    for k in range(1, len(a)):
+        out.append(sum((j * a[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)) / k)
+    return tuple(out)
+
+
+def ref_log(a):
+    u = ref_divide(ref_delta(a), a)
+    return (Fraction(0),) + tuple(u[k] / k for k in range(1, len(a)))
+
+
+def ref_substitute_power(a, q, n):
+    return tuple(a[e // q] if e % q == 0 else Fraction(0) for e in range(n))
+
+
+def ref_cartier_pullback(a, q):
+    return tuple(c if e % q == 0 else Fraction(0) for e, c in enumerate(a))
+
+
+def ref_valuation_profile(a, p):
+    """(min valuation, ((exponent, valuation) for negative valuations))."""
+    vals = [(k, vp(c, p)) for k, c in enumerate(a)]
+    return min(v for _, v in vals), tuple((k, v) for k, v in vals if v < 0)

@@ -156,6 +156,17 @@ def test_main_exit_codes(tmp_path):
     ]) == 2
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    out = tmp_path / "r.json"
+    common = ["--builtin", "quintic", "--primes", "3", "--trunc", "3",
+              "--format", "json", "--out", str(out)]
+    assert main(["transfer", "--level", "2", *common]) == 0
+    assert json.loads(out.read_text())["input"]["level"] == 2
+    assert main(["transfer", *common]) == 0
+    assert json.loads(out.read_text())["input"]["level"] == 1
+    assert mumkit.cli.build_parser() is mumkit.cli.build_parser()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["radius", "--builtin", "quintic", "--max-j", "-1"], "--max-j must be >= 0"),
     (["transfer", "--builtin", "quintic", "--level", "-1", "--primes", "3"],

@@ -333,6 +333,23 @@ def test_fit_quintic(quintic_y20):
     assert cand.phi.valuation_profile(7).is_integral
 
 
+@pytest.mark.parametrize("solution", [[0, 0, 0], [3, 0, -2], [1, -4, 5]])
+def test_fit_candidate_is_phi_of_its_gammas(quintic_y20, monkeypatch, solution):
+    # the fit forms each candidate from phi0 and the unit-gamma basis; it
+    # must equal Y C Y(z^p)^{-1} built directly from the twisted constant
+    import mumkit.frobtransfer as ft
+
+    seen = []
+    profile = SeriesMatrix.valuation_profile
+    monkeypatch.setattr(ft, "_solve_congruences", lambda rows, unknowns, p: list(solution))
+    monkeypatch.setattr(SeriesMatrix, "valuation_profile",
+                        lambda self, p: seen.append(self) or profile(self, p))
+    y = quintic_y20.truncate(12)
+    fit_frobenius_constant(y, 7)
+    direct = frobenius_from_constant(y, twisted_rows(7, 4, [1, *solution]), 7).phi
+    assert seen and all(phi == direct for phi in seen)
+
+
 def test_fit_fault_injected_uniform_part(quintic_y20):
     # corrupt one coefficient with a deep denominator: no admissible constant
     # can repair it, so the verified search must come back empty-handed

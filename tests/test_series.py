@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,20 @@ from mumkit import (
     vp,
 )
 from mumkit.series import invert_constant_matrix
-from series_oracles import power_by_products, quotient_by_products, recurrence_inverse
+from series_oracles import (
+    power_by_products,
+    quotient_by_products,
+    recurrence_inverse,
+    ref_add,
+    ref_cartier_pullback,
+    ref_delta,
+    ref_divide,
+    ref_exp,
+    ref_log,
+    ref_mul,
+    ref_substitute_power,
+    ref_valuation_profile,
+)
 
 F = Fraction
 
@@ -142,6 +156,89 @@ def shaped_series(draw):
     else:
         return TruncSeries.zero(trunc)
     return S(cs)
+
+
+# ---------------------------------------------------------------------------
+# the stored form: integer numerators over one denominator, reduced
+# ---------------------------------------------------------------------------
+
+
+def fresh(s):
+    """s with its coefficients not yet read as Fractions."""
+    return s + TruncSeries.zero(s.trunc)
+
+
+def assert_reduced(s, expected):
+    """s is stored reduced as a whole and has the coefficients expected."""
+    assert s.den >= 1 and math.gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == s.trunc
+    assert s.coeffs == tuple(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_series(), shaped_series(), small_fractions, st.integers(1, 4),
+       st.sampled_from([2, 3, 5]))
+def test_operations_stay_reduced_and_match_fraction_reference(a, b, c, k, p):
+    A, B = a.coeffs, b.coeffs
+    mat = lambda s: SeriesMatrix(((s,),))
+    for x in (a, fresh(a)):
+        cases = [
+            (x + b, ref_add(A, B)),
+            (x - b, ref_add(A, B, -1)),
+            (-x, tuple(-y for y in A)),
+            (x * b, ref_mul(A, B)),
+            (x * c, tuple(c * y for y in A)),
+            (c - x, (c - A[0],) + tuple(-y for y in A[1:])),
+            ((mat(x) * mat(b)).entry(0, 0), ref_mul(A, B)),
+            (SeriesMatrix.sum_of_products(((mat(x), mat(b)), (mat(b), mat(x)))).entry(0, 0),
+             ref_add(ref_mul(A, B), ref_mul(B, A))),
+            (x.delta(), ref_delta(A)),
+            (x.shift(k), (F(0),) * k + A),
+            (x.truncate(min(k, x.trunc)), A[:k]),
+            (x.substitute_power(k), ref_substitute_power(A, k, k * (len(A) - 1) + 1)),
+            (x.cartier(p), A[::p]),
+            (x.cartier_pullback(p), ref_cartier_pullback(A, p)),
+            (x.cartier_pullback(p, 2), ref_cartier_pullback(A, p * p)),
+            ((x - x[0]).exp(), ref_exp((F(0),) + A[1:])),
+            ((x - x[0] + 1).log(), ref_log((F(1),) + A[1:])),
+        ]
+        if B[0]:
+            cases.append((x.divide(b), ref_divide(A, B)))
+        for s, expected in cases:
+            assert_reduced(s, expected)
+        assert [x[j] for j in range(x.trunc)] == list(A)
+        assert x.is_zero() == (not any(A))
+        assert x.first_nonzero() == next((j for j, y in enumerate(A) if y), None)
+        assert x.agrees_with(b) == (A[:b.trunc] == B[:a.trunc])
+        profile = x.valuation_profile(p)
+        assert (profile.min_valuation, profile.negative_valuations) == \
+            ref_valuation_profile(A, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_series())
+def test_eq_and_hash_follow_the_coefficients(a):
+    n = a.trunc
+    same = [fresh(a), TruncSeries(a.coeffs), TruncSeries.from_coeffs(list(a.coeffs), n),
+            a * TruncSeries.one(n), -(-a), (a * 2) * F(1, 2), a.substitute_power(3).cartier(3),
+            (a.shift(2) * F(1, 3)).cartier_pullback(1).truncate(n + 2).cartier(1) * 3]
+    for s in same[:-1]:
+        assert s == a and hash(s) == hash(a) and s.coeffs == a.coeffs
+    assert same[-1] == a.shift(2) and hash(same[-1]) == hash(a.shift(2))
+    bumped = a + TruncSeries.z_power(n - 1, n) * F(1, 7)
+    assert bumped != a and bumped.coeffs != a.coeffs
+    assert a != a.shift(1)
+
+
+def test_eq_and_hash_of_zero_series_built_differently():
+    zeros = [TruncSeries.zero(3), TruncSeries((0, 0, 0)), S([0], 3), S([], 3),
+             S([F(1, 2), 3, F(5, 7)]) - S([F(1, 2), 3, F(5, 7)]), TruncSeries.constant(0, 3),
+             S([F(1, 3), F(2, 9)], 3) * TruncSeries.zero(3), S([F(1, 6)], 3) * 0]
+    for z in zeros:
+        assert (z.nums, z.den) == ((0, 0, 0), 1)
+        assert z == zeros[0] and hash(z) == hash(zeros[0])
+    assert TruncSeries.zero(3) != TruncSeries.zero(4)
+    assert len({*zeros, TruncSeries.zero(4)}) == 2
 
 
 @settings(max_examples=200, deadline=None)

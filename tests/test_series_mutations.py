@@ -1,6 +1,7 @@
-"""The integer kernels (products, the matrix Newton inverse, the recurrence
-behind divide, exp and log, and the Frobenius recurrence), each broken on
-purpose in a copy of the package, must fail their oracle tests in
+"""The integer kernels (the reduced numerators-over-denominator form of a
+series, sums, products, valuations, the matrix Newton inverse, the
+recurrence behind divide, exp and log, and the Frobenius recurrence), each
+broken on purpose in a copy of the package, must fail their oracle tests in
 tests/test_series.py or tests/test_solve.py."""
 
 from pathlib import Path
@@ -18,7 +19,8 @@ MATINV = "matinv"
 EXP = "exp_matches_recurrence or exp_log_match"
 LOG = "log_matches_recurrence or exp_log_match"
 FROBENIUS = "frobenius_matches_recurrence"
-ORACLES = {SERIES: f"{MUL} or {DIVIDE} or {MATMUL} or {MATINV} or {EXP} or {LOG}",
+FORM = "stay_reduced or eq_and_hash"
+ORACLES = {SERIES: f"{MUL} or {DIVIDE} or {MATMUL} or {MATINV} or {EXP} or {LOG} or {FORM}",
            SOLVE: FROBENIUS}
 
 # divide, exp and log share this line of the recurrence
@@ -28,11 +30,15 @@ KEPT_NUMERATORS = "v = _over_lcm(nums, v, xk.denominator)[0]"
 # name -> (target file and its test file, text in the target, its broken
 # replacement, tests that must fail)
 MUTATIONS = {
-    "mul_drops_right_denominator": (SERIES, "d = da * db", "d = da", MUL),
-    "mul_scales_both_over_left_lcm": (
-        SERIES, "b, db = _numerators(other.coeffs[:n])",
-        "b, db = [c.numerator * (da // c.denominator) for c in other.coeffs[:n]], da",
-        MUL),
+    "mul_drops_right_denominator": (SERIES, "out, self.den * other.den)", "out, self.den)",
+                                    MUL),
+    "mul_scales_both_over_left_lcm": (SERIES, "out, self.den * other.den)",
+                                      "out, self.den * self.den)", MUL),
+    "skips_the_reduction": (SERIES, "        if g != 1:\n            for x in nums:",
+                            "        if False:\n            for x in nums:", FORM),
+    "valuation_drops_den": (SERIES, "v = vp_int(x, p) - vd", "v = vp_int(x, p)", FORM),
+    "add_swaps_the_scales": (SERIES, "sa, sb = db // g, sign * (da // g)",
+                             "sa, sb = da // g, sign * (db // g)", FORM),
     "divide_drops_dividend_lcm": (
         SERIES, "Fraction(dr * acc + dw * rk * v, dr * dw * v * lead[k])",
         "Fraction(acc + dw * rk * v, dw * v * lead[k])", DIVIDE),

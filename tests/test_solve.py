@@ -362,6 +362,36 @@ def test_verify_solution_detects_any_single_fault(quintic30, quintic_raw):
                 assert verify_solution(bad) < 10, (op, column, index)
 
 
+def verify_solution_by_fractions(basis):
+    """verify_solution in Fraction arithmetic, on the unscaled rows of L."""
+    trunc = basis.trunc
+    columns = [f.coeffs for f in basis.first_row]
+    rows = _rows(basis.op, trunc)
+    for m in range(trunc):
+        for j in range(len(columns)):
+            r = sum(comb(i, t) * p * (m - k) ** (i - t) * columns[j - t][m - k]
+                    for k, terms in rows if k <= m for i, p in terms for t in range(min(i, j) + 1))
+            if r:
+                return m
+    return trunc
+
+
+@pytest.mark.parametrize("text", ["D^4 - 5*z*(5*D+1)*(5*D+2)*(5*D+3)*(5*D+4)", NONHYPER])
+def test_verify_solution_matches_fraction_form(text):
+    trunc = 9
+    raw = parse_operator(text)
+    for op in (raw, monicize(raw, trunc)):
+        basis = solution_basis(op, trunc)
+        assert verify_solution(basis) == verify_solution_by_fractions(basis) == trunc
+        for column in range(raw.order):
+            for index in range(trunc):
+                for amount in (F(1), F(1, 7), F(-3, 2)):
+                    row = list(basis.first_row)
+                    row[column] = perturb(row[column], index, amount)
+                    bad = type(basis)(op, tuple(row), basis.uniform_part)
+                    assert verify_solution(bad) == verify_solution_by_fractions(bad)
+
+
 @pytest.mark.parametrize("text", ["D^4 - 5*z*(5*D+1)*(5*D+2)*(5*D+3)*(5*D+4)", NONHYPER])
 def test_verify_solution_raw_and_monic_agree(text):
     # the residual from the parsed rows is P_n times the monic one and

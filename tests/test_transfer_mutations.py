@@ -31,7 +31,7 @@ MUTATIONS = {
                               "both, p_lead = lead, lead * p", VERIFY),
     "verify_drops_p": ("both, p_lead = lead * lead_sub, lead * p",
                        "both, p_lead = lead * lead_sub, lead", VERIFY),
-    "h_drops_level": ("e * Fraction(q) ** i", "e * Fraction(p) ** i", CLOSED),
+    "h_drops_level": ("e * q**i", "e * p**i", CLOSED),
     "last_row_drops_1_over_p": ("last[j - 1] * Fraction(1, q)", "last[j - 1]", CLOSED),
     # a level-m bracket built with 1/p where it needs 1/q = 1/p^m
     "bracket_uses_1_over_p": ("_quotient_last_row(lam, lam_inv, q), q)",
