@@ -330,6 +330,7 @@ class TruncSeries:
             raise ZeroConstantTerm("cannot divide by a series with c0 = 0")
         n = min(self.trunc, other.trunc)
         a, b = self.truncate(n), other.truncate(n)
+        # d a over a's denominator, reduced as a is: d/g and a.den/g are coprime
         g = math.gcd(a.den, b.den)
         return _recurrence([b.nums[0]] * n, [x * (b.den // g) for x in a.nums], a.den // g,
                            [-x for x in b.nums], 1)
