@@ -45,8 +45,8 @@ from .opalg import (
 from .primes import is_prime, primes_upto
 from .qcoord import (
     BadNormalization,
+    _dieudonne_from_log,
     canonical_coordinate,
-    dieudonne_check,
     exp_integrality_check,
     g_over_f,
     n_integrality_report,
@@ -61,7 +61,7 @@ from .series import (
     ValuationProfile,
     ZeroConstantTerm,
 )
-from .solve import solution_basis, solve_first_row, uniform_part, verify_solution
+from .solve import solution_basis, solve_f, solve_first_row, uniform_part, verify_solution
 from .frobtransfer import (
     BadConstantShape,
     FrobeniusCandidate,
@@ -408,8 +408,8 @@ def _qcoord(spec, subject, work, p):
         bound = max(spec.primes) if spec.primes else DEFAULT_PRIME_BOUND
     if subject.raw.order < 2:
         raise NotMUM("the canonical coordinate needs an operator of order >= 2")
-    row = solve_first_row(subject.raw, spec.trunc)
-    q = canonical_coordinate(row[0], row[1])
+    f, g = solve_first_row(subject.raw, spec.trunc, 2)
+    q = canonical_coordinate(f, g)
     report = n_integrality_report(
         q, prime_bound=bound, subject=f"canonical_coordinate({subject.label})"
     )
@@ -435,14 +435,16 @@ def _check_order(spec, p):
 
 
 def _check_prepare(spec, subject):
-    """The first row (f, g, ...) at the job's order; g/f for omega, expint."""
+    """The prime-independent series at the job's order: log f for
+    dieudonne, g/f for omega and expint."""
     kind = spec.check_kind
     if kind == "reduction":
         return None
-    if subject.raw.order < 2 and kind in ("omega", "expint"):
+    if kind == "dieudonne":
+        return solve_f(subject.raw, spec.trunc).log()
+    if subject.raw.order < 2:
         raise NotMUM(f"{kind} needs an operator of order >= 2")
-    row = solve_first_row(subject.raw, spec.trunc)
-    return g_over_f(row[0], row[1]) if kind in ("omega", "expint") else row
+    return g_over_f(*solve_first_row(subject.raw, spec.trunc, 2))
 
 
 def _check(spec, subject, work, p):
@@ -453,7 +455,7 @@ def _check(spec, subject, work, p):
         entry["working_trunc"] = working
         entry["congruence_order"] = p**spec.level + 1
     elif spec.check_kind == "dieudonne":
-        ok, profile = dieudonne_check(work[0], p)
+        ok, profile = _dieudonne_from_log(work, p)
         entry["profile"] = profile_payload(profile)
     elif spec.check_kind == "omega":
         ok, profile = omega_congruence_check(work, p)

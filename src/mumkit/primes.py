@@ -53,25 +53,44 @@ def factor(n: int, trial_cap: int = 10**6) -> tuple[dict[int, int], int]:
         raise ValueError("factor() expects a positive integer")
     exps: dict[int, int] = {}
     for p in (2, 3, 5):
-        while n % p == 0:
-            exps[p] = exps.get(p, 0) + 1
-            n //= p
+        v, n = _strip(n, p)
+        if v:
+            exps[p] = v
     d = 7
     # wheel over numbers coprime to 2,3,5
     increments = (4, 2, 4, 2, 4, 6, 2, 6)
     idx = 0
     while d * d <= n and d <= trial_cap:
         if n % d == 0:
-            exps[d] = exps.get(d, 0) + 1
-            n //= d
-        else:
-            d += increments[idx]
-            idx = (idx + 1) % 8
+            exps[d], n = _strip(n, d)
+        d += increments[idx]
+        idx = (idx + 1) % 8
     if n > 1:
         if d * d > n or is_prime(n):
             exps[n] = exps.get(n, 0) + 1
             n = 1
     return exps, n
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) with v the multiplicity of p >= 2 in n != 0.
+
+    Divides by p, p^2, p^4, ... while they divide, then descends through
+    the same powers, so it takes O(log v) big divisions instead of v."""
+    powers = []
+    pk = p
+    while not n % pk:
+        n //= pk
+        powers.append(pk)
+        pk *= pk
+    # p^(2^k - 1) is out, k = len(powers), and v_p(n) < 2^k is left: one
+    # bit of it per power, from the largest down
+    v = (1 << len(powers)) - 1
+    for i in range(len(powers) - 1, -1, -1):
+        if not n % powers[i]:
+            n //= powers[i]
+            v += 1 << i
+    return v, n
 
 
 def vp_int(n: int, p: int) -> int:
@@ -80,12 +99,9 @@ def vp_int(n: int, p: int) -> int:
         raise ValueError(f"vp_int needs p >= 2, got {p}")
     if n == 0:
         raise ValueError("vp_int of zero is infinite")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    if n % p:
+        return 0  # the common case costs one remainder
+    return _strip(n, p)[0]
 
 
 def vp_factorial(j: int, p: int) -> int:

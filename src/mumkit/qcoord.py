@@ -47,8 +47,13 @@ def dieudonne_check(f: TruncSeries, p: int, trunc: int | None = None):
     if f.constant_term != 1:
         raise BadNormalization("f must have constant term 1")
     M = f.trunc if trunc is None else min(trunc, f.trunc)
-    fM = f.truncate(M)
-    log_f = fM.log()
+    return _dieudonne_from_log(f.truncate(M).log(), p)
+
+
+def _dieudonne_from_log(log_f: TruncSeries, p: int):
+    """dieudonne_check from L = log f, to L's order.  L does not depend on
+    p, so a caller checking several primes forms it once."""
+    M = log_f.trunc
     ratio = (p * log_f - log_f.substitute_power(p).truncate(M)).exp()
     scaled = (ratio - TruncSeries.one(M)) * Fraction(1, p)
     profile = scaled.valuation_profile(p)

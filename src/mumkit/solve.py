@@ -117,10 +117,18 @@ def solve_f(op: DeltaOperator | RawOperator, trunc: int) -> TruncSeries:
     return _frobenius(op, trunc, 1)[0]
 
 
-def solve_first_row(op: DeltaOperator | RawOperator, trunc: int) -> tuple[TruncSeries, ...]:
-    """f_{1,1} .. f_{1,n} with f_{1,j}(0) = 0 for j > 1, making each
-    log-column of the fundamental matrix a solution of L."""
-    return _frobenius(op, trunc, op.order)
+def solve_first_row(op: DeltaOperator | RawOperator, trunc: int,
+                    count: int | None = None) -> tuple[TruncSeries, ...]:
+    """f_{1,1} .. f_{1,count} (count defaults to n) with f_{1,j}(0) = 0 for
+    j > 1, making each log-column of the fundamental matrix a solution of L.
+    The result is exactly the first count entries of the full row; a
+    narrower row is cheaper, since the recurrence runs mod e^count."""
+    n = op.order
+    if count is None:
+        count = n
+    if not 1 <= count <= n:
+        raise ValueError(f"count must be in 1..{n}, got {count}")
+    return _frobenius(op, trunc, count)
 
 
 def uniform_part(op: DeltaOperator | RawOperator, trunc: int) -> SeriesMatrix:

@@ -1,0 +1,71 @@
+"""The mirror jobs do only the work their reports read: a first row solved
+to fewer columns is exactly the prefix of the full row, and the Dieudonne
+check from a log f formed once per operator equals dieudonne_check."""
+
+from pathlib import Path
+
+import pytest
+
+from mumkit import (
+    dieudonne_check,
+    hypergeometric,
+    monicize,
+    parse_operator,
+    solve_f,
+    solve_first_row,
+)
+from mumkit.cli import load_corpus_file
+from mumkit.qcoord import _dieudonne_from_log
+
+NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
+# (alpha, scale) of the 14 order-4 hypergeometric families with beta = (1, 1, 1, 1)
+HG_FAMILIES = {
+    "hg01": ("1/5,2/5,3/5,4/5", 5**5), "hg02": ("1/10,3/10,7/10,9/10", 2**8 * 5**5),
+    "hg03": ("1/2,1/2,1/2,1/2", 2**8), "hg04": ("1/3,1/3,2/3,2/3", 3**6),
+    "hg05": ("1/3,1/2,1/2,2/3", 2**4 * 3**3), "hg06": ("1/4,1/2,1/2,3/4", 2**10),
+    "hg07": ("1/8,3/8,5/8,7/8", 2**16), "hg08": ("1/6,1/3,2/3,5/6", 2**4 * 3**6),
+    "hg09": ("1/12,5/12,7/12,11/12", 2**12 * 3**6), "hg10": ("1/4,1/3,2/3,3/4", 2**6 * 3**3),
+    "hg11": ("1/6,1/2,1/2,5/6", 2**8 * 3**3), "hg12": ("1/4,1/4,3/4,3/4", 2**12),
+    "hg13": ("1/6,1/4,3/4,5/6", 2**10 * 3**3), "hg14": ("1/6,1/6,5/6,5/6", 2**8 * 3**6),
+}
+OPERATORS = {
+    **dict(load_corpus_file(Path(__file__).resolve().parents[1] / "data" / "operators.ops")),
+    **{label: hypergeometric(alpha.split(","), [1] * 4, scale)
+       for label, (alpha, scale) in HG_FAMILIES.items()},
+    "quintic_unscaled": hypergeometric(["1/5", "2/5", "3/5", "4/5"], [1] * 4),
+    "nonhyper": parse_operator(NONHYPER),
+    "lead_not_unit": parse_operator("(3+z)*D^2 - (3+z)*z*D - (3+z)*z"),
+    "monic_quintic": monicize(parse_operator("D^4 - 5*z*(5*D+1)*(5*D+2)*(5*D+3)*(5*D+4)"), 30),
+}
+
+
+@pytest.mark.parametrize("label", sorted(OPERATORS))
+def test_narrow_first_row_is_the_prefix_of_the_full_row(label):
+    # the recurrence mod e^w is the full one truncated, and each series is
+    # stored reduced, so the narrow row must match in nums and den alike
+    op = OPERATORS[label]
+    full = solve_first_row(op, 30)
+    assert solve_first_row(op, 30, op.order) == full
+    for width in range(1, op.order + 1):
+        row = solve_first_row(op, 30, width)
+        assert [(s.nums, s.den) for s in row] == [(s.nums, s.den) for s in full[:width]]
+    assert solve_f(op, 30) == full[0]
+
+
+def test_first_row_count_out_of_range():
+    op = parse_operator(NONHYPER)
+    for count in (0, -1, op.order + 1):
+        with pytest.raises(ValueError):
+            solve_first_row(op, 8, count)
+
+
+
+
+@pytest.mark.parametrize("label", ["quintic", "legendre", "quartic3", "hg09",
+                                   "quintic_unscaled", "nonhyper", "lead_not_unit"])
+def test_dieudonne_from_log_f_matches_dieudonne_check(label):
+    f = solve_f(OPERATORS[label], 30)
+    log_f = f.log()
+    for p in (2, 3, 5, 7, 13):
+        assert _dieudonne_from_log(log_f, p) == dieudonne_check(f, p)
+        assert _dieudonne_from_log(log_f.truncate(12), p) == dieudonne_check(f, p, 12)

@@ -1,8 +1,9 @@
 """The integer kernels (the reduced numerators-over-denominator form of a
 series, sums, products, valuations, the matrix Newton inverse, the
-recurrence behind divide, exp and log, and the Frobenius recurrence), each
-broken on purpose in a copy of the package, must fail their oracle tests in
-tests/test_series.py or tests/test_solve.py."""
+recurrence behind divide, exp and log, the Frobenius recurrence and the
+ladder of squares behind vp_int), each broken on purpose in a copy of the
+package, must fail their oracle tests in tests/test_series.py,
+tests/test_solve.py or tests/test_primes.py."""
 
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from mutants import run_mutated
 
 SERIES = (Path("src/mumkit/series.py"), "test_series.py")
 SOLVE = (Path("src/mumkit/solve.py"), "test_solve.py")
+PRIMES = (Path("src/mumkit/primes.py"), "test_primes.py")
 MUL = "schoolbook or unequal_heights"
 DIVIDE = "divide_matches or invert_matches"
 MATMUL = "matmul or sum_of_products"
@@ -20,8 +22,9 @@ EXP = "exp_matches_recurrence or exp_log_match"
 LOG = "log_matches_recurrence or exp_log_match"
 FROBENIUS = "frobenius_matches_recurrence"
 FORM = "stay_reduced or eq_and_hash"
+VP = "vp_int_matches_the_division_loop"
 ORACLES = {SERIES: f"{MUL} or {DIVIDE} or {MATMUL} or {MATINV} or {EXP} or {LOG} or {FORM}",
-           SOLVE: FROBENIUS}
+           SOLVE: FROBENIUS, PRIMES: VP}
 
 # divide, exp and log share this line of the recurrence
 KEEP_NUMERATORS = "v, nums = _over_lcm(nums, v, xk.denominator)"
@@ -54,6 +57,11 @@ MUTATIONS = {
     "frobenius_scales_rows_by_the_lcm": (SOLVE, "scale = den // dens[m - k]", "scale = den",
                                          FROBENIUS),
     "frobenius_drops_power_of_m": (SOLVE, " * m ** (width - 1 - u)", "", FROBENIUS),
+    "vp_ascent_counts_one_per_power": (PRIMES, "v = (1 << len(powers)) - 1", "v = len(powers)",
+                                       VP),
+    "vp_descent_adds_the_index": (PRIMES, "v += 1 << i", "v += i", VP),
+    "vp_descent_skips_the_last_step": (PRIMES, "range(len(powers) - 1, -1, -1)",
+                                       "range(len(powers) - 1, 0, -1)", VP),
 }
 
 
@@ -69,7 +77,7 @@ def run_oracle_tests(root: Path, target, mutation=None):
 
 
 def test_unmutated_copy_passes(tmp_path):
-    for target in (SERIES, SOLVE):
+    for target in ORACLES:
         root = tmp_path / target[0].stem
         root.mkdir()
         result = run_oracle_tests(root, target)
