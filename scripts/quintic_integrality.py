@@ -12,6 +12,7 @@ import argparse
 from mumkit import (
     builtin,
     canonical_coordinate,
+    dieudonne_check,
     g_over_f,
     monicize,
     n_integrality_report,
@@ -19,7 +20,6 @@ from mumkit import (
     solve_first_row,
 )
 from mumkit.primes import primes_upto
-from mumkit.qcoord import _dieudonne_from_log
 
 
 def main():
@@ -44,7 +44,7 @@ def main():
         if not op_ok:
             print(f"{p:>4} {'no':>10} {'-':>10} {'-':>6} {'-':>9}")
             continue
-        dieu, _ = _dieudonne_from_log(log_f, p)
+        dieu, _ = dieudonne_check(log_f, p)
         omega, _ = omega_congruence_check(h, p)
         expint = q.valuation_profile(p).is_integral
         print(

@@ -45,8 +45,6 @@ from .series import (
     vp,
 )
 from .solve import (
-    SolutionBasis,
-    solution_basis,
     solve_f,
     solve_first_row,
     uniform_part,

@@ -45,8 +45,8 @@ from .opalg import (
 from .primes import is_prime, primes_upto
 from .qcoord import (
     BadNormalization,
-    _dieudonne_from_log,
     canonical_coordinate,
+    dieudonne_check,
     exp_integrality_check,
     g_over_f,
     n_integrality_report,
@@ -61,7 +61,7 @@ from .series import (
     ValuationProfile,
     ZeroConstantTerm,
 )
-from .solve import solution_basis, solve_f, solve_first_row, uniform_part, verify_solution
+from .solve import solve_f, solve_first_row, uniform_part, verify_solution
 from .frobtransfer import (
     BadConstantShape,
     FrobeniusCandidate,
@@ -392,13 +392,13 @@ def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
 
 
 def _solve(spec, subject, work, p):
-    basis = solution_basis(subject.raw, spec.trunc)
+    first_row = solve_first_row(subject.raw, spec.trunc)
     return {
         "operator": format_operator(subject.raw),
         "trunc": spec.trunc,
-        "f": series_payload(basis.f),
-        "first_row": [series_payload(s) for s in basis.first_row],
-        "residual_order": verify_solution(basis),
+        "f": series_payload(first_row[0]),
+        "first_row": [series_payload(s) for s in first_row],
+        "residual_order": verify_solution(subject.raw, first_row),
     }, True
 
 
@@ -455,7 +455,7 @@ def _check(spec, subject, work, p):
         entry["working_trunc"] = working
         entry["congruence_order"] = p**spec.level + 1
     elif spec.check_kind == "dieudonne":
-        ok, profile = _dieudonne_from_log(work, p)
+        ok, profile = dieudonne_check(work, p)
         entry["profile"] = profile_payload(profile)
     elif spec.check_kind == "omega":
         ok, profile = omega_congruence_check(work, p)

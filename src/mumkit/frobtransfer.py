@@ -134,14 +134,6 @@ def constant_shape_ok(rows, p: int) -> bool:
     return True
 
 
-def validate_constant_shape(rows, p: int):
-    if not constant_shape_ok(rows, p):
-        raise BadConstantShape(
-            "constant matrix must be upper triangular with C[i+1][j+1] = "
-            "p*C[i][j] and nonzero pivot"
-        )
-
-
 # ---------------------------------------------------------------------------
 # radius-of-convergence diagnostics
 # ---------------------------------------------------------------------------
@@ -579,18 +571,19 @@ def verify_frobenius(op: RawOperator | DeltaOperator,
     )
 
 
-def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int,
-                            op: RawOperator | DeltaOperator | None = None
-                            ) -> FrobeniusCandidate:
+def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int) -> FrobeniusCandidate:
     """Phi = Y C Y(z^p)^{-1} for an admissible constant C, with
     Y(z^p)^{-1} = (Y^{-1} mod z^{ceil(M/p)})(z^p) at the working order M.
 
-    The construction identity Phi * Y(z^p) = Y C is checked; when the
-    source operator is supplied the full Frobenius equation is verified
-    through verify_frobenius as well.
+    The construction identity Phi * Y(z^p) = Y C is checked; the Frobenius
+    equation itself is verify_frobenius's to check.
     """
     _require_identity_at_zero(y)
-    validate_constant_shape(constant_rows, p)
+    if not constant_shape_ok(constant_rows, p):
+        raise BadConstantShape(
+            "constant matrix must be upper triangular with C[i+1][j+1] = "
+            "p*C[i][j] and nonzero pivot"
+        )
     trunc = y.trunc
     yc = y * SeriesMatrix.from_constant(constant_rows, trunc)
     phi = yc * _inverse_at_power(y, p)
@@ -599,10 +592,6 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int,
     cand = FrobeniusCandidate(p, phi)
     if cand.constant != tuple(tuple(Fraction(x) for x in row) for row in constant_rows):
         raise InternalError("Phi(0) differs from the constant matrix")
-    if op is not None:
-        verification = verify_frobenius(op, cand)
-        if verification.residual_order < verification.trunc:
-            raise InternalError("Phi from the constant fails the Frobenius equation")
     return cand
 
 
@@ -628,12 +617,11 @@ class FrobeniusFit:
     unit_pivot: bool
 
 
-def fit_frobenius_constant(y: SeriesMatrix, p: int,
-                           trunc: int | None = None) -> FrobeniusFit:
+def fit_frobenius_constant(y: SeriesMatrix, p: int) -> FrobeniusFit:
     """Search the admissible constant family for a p-integral Phi.
 
     With the pivot fixed at 1, Phi depends affinely on the n-1 free twist
-    parameters; p-integrality of every coefficient up to the working order
+    parameters; p-integrality of every coefficient up to Y's order
     is a system of linear congruences mod powers of p, assembled order by
     order and solved exactly.  On an inconsistent system the most recent
     order is dropped (one level of backtracking) until a solvable prefix
@@ -641,14 +629,12 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int,
     a not-found answer is inconclusive.
     """
     _require_identity_at_zero(y)
-    n = y.n
-    M = y.trunc if trunc is None else min(trunc, y.trunc)
-    y_cut = y.truncate(M)
-    y_sub_inv = _inverse_at_power(y_cut, p)
+    n, M = y.n, y.trunc
+    y_sub_inv = _inverse_at_power(y, p)
 
     def phi_of(gammas) -> SeriesMatrix:
         c = SeriesMatrix.from_constant(twisted_rows(p, n, gammas), M)
-        return y_cut * c * y_sub_inv
+        return y * c * y_sub_inv
 
     phi0 = phi_of([_F1] + [_F0] * (n - 1))
     # phi_of is linear in the gammas, so unit vectors give the basis and the

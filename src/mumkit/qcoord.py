@@ -37,53 +37,43 @@ def canonical_coordinate(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return g_over_f(f, g).exp().shift(1)
 
 
-def dieudonne_check(f: TruncSeries, p: int, trunc: int | None = None):
-    """Is f(z)^p / f(z^p) in 1 + p z Z_p[[z]] up to the requested order?
+def dieudonne_check(log_f: TruncSeries, p: int):
+    """Is f(z)^p / f(z^p) in 1 + p z Z_p[[z]] up to the order of L = log f?
 
     Returns (ok, profile) where profile audits (f^p/f(z^p) - 1)/p, so the
     check passes exactly when profile.min_valuation >= 0.  The ratio is
-    exp(p L - L(z^p)) with L = log f, which is exact because f(0) = 1.
+    exp(p L - L(z^p)), which is exact because f(0) = 1, i.e. L(0) = 0.  L
+    does not depend on p, so a caller checking several primes forms it once.
     """
-    if f.constant_term != 1:
-        raise BadNormalization("f must have constant term 1")
-    M = f.trunc if trunc is None else min(trunc, f.trunc)
-    return _dieudonne_from_log(f.truncate(M).log(), p)
-
-
-def _dieudonne_from_log(log_f: TruncSeries, p: int):
-    """dieudonne_check from L = log f, to L's order.  L does not depend on
-    p, so a caller checking several primes forms it once."""
+    if log_f.constant_term != 0:
+        raise BadNormalization("log f must have constant term 0")
     M = log_f.trunc
-    ratio = (p * log_f - log_f.substitute_power(p).truncate(M)).exp()
+    ratio = (p * log_f - log_f.substitute_power(p, M)).exp()
     scaled = (ratio - TruncSeries.one(M)) * Fraction(1, p)
     profile = scaled.valuation_profile(p)
     return profile.is_integral, profile
 
 
-def exp_integrality_check(h: TruncSeries, p: int, trunc: int | None = None) -> bool:
-    """Does (1/p) h(z^p) - h have nonnegative p-adic valuations up to M?
-    When it does, exp(h) is p-integral; that consequence is re-checked
-    directly as a guard against arithmetic slips."""
+def exp_integrality_check(h: TruncSeries, p: int) -> bool:
+    """Does (1/p) h(z^p) - h have nonnegative p-adic valuations up to h's
+    order?  When it does, exp(h) is p-integral; that consequence is
+    re-checked directly as a guard against arithmetic slips."""
     if h.constant_term != 0:
         raise BadNormalization("h must have constant term 0")
-    M = h.trunc if trunc is None else min(trunc, h.trunc)
-    hM = h.truncate(M)
-    d = hM.substitute_power(p).truncate(M) * Fraction(1, p) - hM
+    d = h.substitute_power(p, h.trunc) * Fraction(1, p) - h
     ok = d.valuation_profile(p).is_integral
-    if ok and not hM.exp().valuation_profile(p).is_integral:
+    if ok and not h.exp().valuation_profile(p).is_integral:
         raise InternalError(f"exp(h) is not {p}-integral although h passed")
     return ok
 
 
-def omega_congruence_check(h: TruncSeries, p: int, trunc: int | None = None):
-    """Is h(z^p) - p*h in z Z_p[[z]] up to the requested order, for
-    h = g_over_f(f, g)?  This is the log-free form of the omega congruence;
-    (g/f)(z^p) is h(z^p), so h is formed once for every prime."""
+def omega_congruence_check(h: TruncSeries, p: int):
+    """Is h(z^p) - p*h in z Z_p[[z]] up to h's order, for h = g_over_f(f, g)?
+    This is the log-free form of the omega congruence; (g/f)(z^p) is
+    h(z^p), so h is formed once for every prime."""
     if h.constant_term != 0:
         raise BadNormalization("h must have constant term 0")
-    M = h.trunc if trunc is None else min(trunc, h.trunc)
-    hM = h.truncate(M)
-    d = hM.substitute_power(p).truncate(M) - p * hM
+    d = h.substitute_power(p, h.trunc) - p * h
     profile = d.valuation_profile(p)
     return profile.is_integral, profile
 
@@ -110,13 +100,10 @@ class IntegralityReport:
 
 
 def n_integrality_report(s: TruncSeries, prime_bound: int = 100,
-                         trunc: int | None = None,
                          subject: str = "series") -> IntegralityReport:
-    """Factor every coefficient denominator of s up to the requested order."""
-    M = s.trunc if trunc is None else min(trunc, s.trunc)
-    s = s.truncate(M)
+    """Factor every coefficient denominator of s up to its order."""
     if s.den == 1:
-        return IntegralityReport(subject, M, (), 1, (), (), 1)
+        return IntegralityReport(subject, s.trunc, (), 1, (), (), 1)
     exps, residue = factor(s.den)
     bad = tuple(sorted(exps))
     worst = tuple((p, -e) for p, e in sorted(exps.items()))
@@ -128,4 +115,4 @@ def n_integrality_report(s: TruncSeries, prime_bound: int = 100,
     n = 1
     for p in bad:
         n *= p
-    return IntegralityReport(subject, M, bad, n, worst, per_prime, residue)
+    return IntegralityReport(subject, s.trunc, bad, n, worst, per_prime, residue)

@@ -19,34 +19,10 @@ gcd; the right-hand side is summed over the lcm of the d_{m-k} it needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, NotMUM, RawOperator
 from .series import SeriesMatrix, TruncSeries
-
-
-@dataclass(frozen=True)
-class SolutionBasis:
-    op: DeltaOperator | RawOperator
-    first_row: tuple[TruncSeries, ...]
-    uniform_part: SeriesMatrix
-
-    @property
-    def trunc(self) -> int:
-        return self.first_row[0].trunc
-
-    @property
-    def f(self) -> TruncSeries:
-        """The holomorphic solution, normalized f(0) = 1."""
-        return self.first_row[0]
-
-    @property
-    def g(self) -> TruncSeries:
-        """The single-log companion: f*log(z) + g solves L, g(0) = 0."""
-        if len(self.first_row) < 2:
-            raise ValueError("order-1 operator has no log solution")
-        return self.first_row[1]
 
 
 def _rows(op, trunc: int) -> list[tuple[int, list]]:
@@ -145,22 +121,19 @@ def uniform_part(op: DeltaOperator | RawOperator, trunc: int) -> SeriesMatrix:
     return SeriesMatrix(tuple(rows))
 
 
-def solution_basis(op: DeltaOperator | RawOperator, trunc: int) -> SolutionBasis:
-    y = uniform_part(op, trunc)
-    return SolutionBasis(op, y.entries[0], y)
-
-
-def verify_solution(basis: SolutionBasis) -> int:
-    """Largest M' <= trunc such that sum_{t<=j} L^[t](f_{1,j+1-t}) = 0 mod z^{M'}
-    for every column j, L^[t] = sum_i C(i,t) P_i D^{i-t} read from the rows of
+def verify_solution(op: DeltaOperator | RawOperator,
+                    first_row: tuple[TruncSeries, ...]) -> int:
+    """Largest M' <= trunc, the order of first_row, such that
+    sum_{t<=j} L^[t](f_{1,j+1-t}) = 0 mod z^{M'} for every column j,
+    L^[t] = sum_i C(i,t) P_i D^{i-t} read from the rows of
     L = sum_i P_i(z) D^i; equals trunc on correct input.  From a parsed L the
     residual is P_n times the monic one, and P_n(0) != 0.  It runs on
     integers: the rows of s L, and the columns as numerators over the lcm
     of their denominators."""
-    trunc = basis.trunc
-    den = lcm(*(f.den for f in basis.first_row))
-    columns = [[x * (den // f.den) for x in f.nums] for f in basis.first_row]
-    rows = _integer_rows(basis.op, trunc)
+    trunc = first_row[0].trunc
+    den = lcm(*(f.den for f in first_row))
+    columns = [[x * (den // f.den) for x in f.nums] for f in first_row]
+    rows = _integer_rows(op, trunc)
     for m in range(trunc):
         for j in range(len(columns)):
             r = sum(comb(i, t) * p * (m - k) ** (i - t) * columns[j - t][m - k]

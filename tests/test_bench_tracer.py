@@ -107,3 +107,16 @@ def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):
     assert invert in callers_of_mul
     metrics = spans.layer_metrics(recorder, 1.0, 1.0)
     assert metrics["series.self_s"] > 0 and metrics["series.matmul.self_s"] > 0
+
+
+def test_tracer_charges_the_dieudonne_check_to_the_checks_layer(tmp_path, monkeypatch):
+    # check dieudonne forms log f once per operator and runs the public
+    # dieudonne_check per prime, so the ratio's work is a span of its own
+    monkeypatch.chdir(tmp_path)
+    spans = load_spans()
+    recorder = spans.Recorder()
+    with spans.Tracer(recorder):
+        argv = ["check", "dieudonne", "--builtin", "quintic", "--trunc", "20", "--primes", "7"]
+        assert main(argv + ["--format", "json", "--out", "report.json"]) == 0
+    assert "qcoord.dieudonne_check" in {recorder.names[i] for i in recorder.name}
+    assert spans.layer_metrics(recorder, 1.0, 1.0)["qcoord.checks.self_s"] > 0

@@ -184,7 +184,7 @@ def test_internal_failure_exits_three(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise InternalError("residual check failed")
 
-    monkeypatch.setattr(mumkit.cli, "solution_basis", broken)
+    monkeypatch.setattr(mumkit.cli, "verify_solution", broken)
     doc, status = cmd_dispatch(spec("solve", trunc=4))
     assert status == 3
     assert doc.errors == [

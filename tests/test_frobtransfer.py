@@ -262,9 +262,7 @@ def test_verify_frobenius_det_of_singular_constant():
 
 
 def test_verify_frobenius_construction(quintic30, quintic_y20):
-    cand = frobenius_from_constant(
-        quintic_y20, twisted_rows(7, 4, [1, 3, -2, 5]), 7, op=quintic30
-    )
+    cand = frobenius_from_constant(quintic_y20, twisted_rows(7, 4, [1, 3, -2, 5]), 7)
     ver = verify_frobenius(quintic30, cand)
     assert ver.residual_order == ver.trunc == 20
     assert ver.constant_shape_ok

@@ -1,21 +1,27 @@
 """The mirror jobs do only the work their reports read: a first row solved
-to fewer columns is exactly the prefix of the full row, and the Dieudonne
-check from a log f formed once per operator equals dieudonne_check."""
+to fewer columns is exactly the prefix of the full row, the solve job builds
+no uniform part, and the Dieudonne check from a log f formed once per
+operator equals the ratio formed from the fully substituted series."""
 
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import mumkit.cli
+import mumkit.solve
 from mumkit import (
+    TruncSeries,
     dieudonne_check,
+    g_over_f,
     hypergeometric,
     monicize,
     parse_operator,
     solve_f,
     solve_first_row,
 )
-from mumkit.cli import load_corpus_file
-from mumkit.qcoord import _dieudonne_from_log
+from mumkit.cli import load_corpus_file, main
 
 NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
 # (alpha, scale) of the 14 order-4 hypergeometric families with beta = (1, 1, 1, 1)
@@ -59,6 +65,26 @@ def test_first_row_count_out_of_range():
             solve_first_row(op, 8, count)
 
 
+def test_solve_job_builds_no_uniform_part(tmp_path, monkeypatch):
+    # the report and verify_solution read the first row alone
+    def unread(*args, **kwargs):
+        raise AssertionError("the solve job built the uniform part")
+
+    monkeypatch.setattr(mumkit.solve, "uniform_part", unread)
+    monkeypatch.setattr(mumkit.cli, "uniform_part", unread)
+    out = tmp_path / "r.json"
+    assert main(["solve", "--builtin", "quintic", "--trunc", "12", "--format", "json",
+                 "--out", str(out)]) == 0
+    [entry] = json.loads(out.read_text())["results"]
+    assert entry["residual_order"] == 12 and len(entry["first_row"]) == 4
+
+
+def dieudonne_by_full_substitution(log_f, p):
+    """The Dieudonne check with L(z^p) formed to order p(M-1)+1, then cut."""
+    M = log_f.trunc
+    ratio = (p * log_f - log_f.substitute_power(p).truncate(M)).exp()
+    profile = ((ratio - TruncSeries.one(M)) * Fraction(1, p)).valuation_profile(p)
+    return profile.is_integral, profile
 
 
 @pytest.mark.parametrize("label", ["quintic", "legendre", "quartic3", "hg09",
@@ -67,5 +93,20 @@ def test_dieudonne_from_log_f_matches_dieudonne_check(label):
     f = solve_f(OPERATORS[label], 30)
     log_f = f.log()
     for p in (2, 3, 5, 7, 13):
-        assert _dieudonne_from_log(log_f, p) == dieudonne_check(f, p)
-        assert _dieudonne_from_log(log_f.truncate(12), p) == dieudonne_check(f, p, 12)
+        assert dieudonne_check(log_f, p) == dieudonne_by_full_substitution(log_f, p)
+        # a caller wanting fewer orders truncates log f, or f before its log
+        assert (dieudonne_check(log_f.truncate(12), p)
+                == dieudonne_check(f.truncate(12).log(), p)
+                == dieudonne_by_full_substitution(f.truncate(12).log(), p))
+
+
+@pytest.mark.parametrize("label", ["quintic", "hg09", "quintic_unscaled", "nonhyper"])
+def test_substitution_to_the_check_order_is_the_cut_full_substitution(label):
+    # the checks form x(z^p) mod z^M directly; it must be the same reduced
+    # series as the full p(M-1)+1 substitution cut to M
+    f, g = solve_first_row(OPERATORS[label], 30, 2)
+    for x in (f.log(), g_over_f(f, g)):
+        for p in (2, 3, 5, 7, 13, 29, 31):
+            direct = x.substitute_power(p, x.trunc)
+            cut = x.substitute_power(p).truncate(x.trunc)
+            assert (direct.nums, direct.den) == (cut.nums, cut.den)

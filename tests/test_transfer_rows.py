@@ -158,8 +158,9 @@ def test_frobenius_residual_matches_the_monic_oracle(seed):
         y = uniform_part(raw, trunc)
         monic = monicize(raw, trunc)
         constant = twisted_rows(p, n, [1] + [rng.randint(-3, 3) for _ in range(n - 1)])
-        for op in (None, raw, monic):
-            cand = frobenius_from_constant(y, constant, p, op=op)
+        cand = frobenius_from_constant(y, constant, p)
+        for op in (raw, monic):
+            assert verify_frobenius(op, cand).residual_order == cand.trunc
         assert frobenius_residual_order(monic, cand) == (trunc, trunc)
         assert verify_order(raw, cand) == verify_order(monic, cand) == (trunc, trunc)
         # a monic operator known to a lower order caps the check order
