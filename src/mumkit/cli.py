@@ -83,6 +83,9 @@ DEFAULT_PRIME_BOUND = 100
 # the largest working order a unit may ask for: p^m (T-1) + 1 grows fast in
 # p and m, and a job far above it would run until memory runs out
 MAX_WORKING_TRUNC = 20000
+# the largest B of --primes auto:B for a per-prime command: its primes come
+# from a sieve of B + 1 bytes
+MAX_AUTO_PRIME_BOUND = 10**6
 
 
 class CorpusFormatError(ValueError):
@@ -341,12 +344,17 @@ def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
     """Runs every (operator, prime) unit of the job; an operator's skipped
     primes are listed before its results.  Returns 1 if a unit failed.
     Refuses the whole job before any work if a unit's working order is
-    above MAX_WORKING_TRUNC."""
+    above MAX_WORKING_TRUNC, or a per-prime job's auto bound above
+    MAX_AUTO_PRIME_BOUND."""
     cmd = COMMANDS[spec.command]
     candidates = [None]
     if cmd.per_prime and spec.primes is not None:
         candidates = list(spec.primes)
     elif cmd.per_prime:
+        if (spec.auto_bound or 0) > MAX_AUTO_PRIME_BOUND:
+            raise InvalidPrime(
+                f"auto bound {spec.auto_bound} is above the limit {MAX_AUTO_PRIME_BOUND}"
+            )
         candidates = primes_upto(DEFAULT_PRIME_BOUND if spec.auto_bound is None
                                  else spec.auto_bound)
     for p in candidates:

@@ -117,21 +117,11 @@ def twisted_rows(p: int, n: int, gammas):
 
 
 def constant_shape_ok(rows, p: int) -> bool:
-    """Check upper triangularity, diagonal (mu, p mu, ..., p^{n-1} mu) with
-    mu != 0 and the twist N C = p C N that any Frobenius constant obeys."""
+    """C is admissible: square, with a nonzero pivot mu = C[0][0], and the
+    twisted_rows of its own first row, so N C = p C N."""
     n = len(rows)
-    mu = rows[0][0]
-    if mu == 0:
-        return False
-    for i in range(n):
-        for j in range(n):
-            if j < i and rows[i][j] != 0:
-                return False
-            if i > 0 and j > 0 and rows[i][j] != p * rows[i - 1][j - 1]:
-                return False
-            if i > 0 and j == 0 and rows[i][j] != 0:
-                return False
-    return True
+    return (len(rows[0]) == n and rows[0][0] != 0
+            and tuple(map(tuple, rows)) == twisted_rows(p, n, rows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +296,7 @@ def h0(y: SeriesMatrix, p: int) -> SeriesMatrix:
     """H_0 = Lambda_p(Y)(z^p) Y^{-1}; p-integral with H_0(0) = I whenever Y
     is the uniform part of a p-integral MUM system of radius >= 1."""
     _require_identity_at_zero(y)
-    return y.cartier_pullback(p) * y.invert()
+    return y.cartier(p).substitute_power(p, y.trunc) * y.invert()
 
 
 def _quotient_last_row(lam: SeriesMatrix, lam_inv: SeriesMatrix,
@@ -581,7 +571,7 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int) -> Frobenius
     _require_identity_at_zero(y)
     if not constant_shape_ok(constant_rows, p):
         raise BadConstantShape(
-            "constant matrix must be upper triangular with C[i+1][j+1] = "
+            "constant matrix must be square, upper triangular with C[i+1][j+1] = "
             "p*C[i][j] and nonzero pivot"
         )
     trunc = y.trunc
@@ -611,7 +601,7 @@ class FrobeniusFit:
     found: bool
     constant: tuple | None  # rows of Fractions when found
     gammas: tuple | None
-    profile: ValuationProfile  # profile of the best candidate built
+    profile: ValuationProfile  # profile of the Phi the fit built
     trunc: int
     orders_used: int  # congruence conditions absorbed from this many orders
     unit_pivot: bool
@@ -621,12 +611,12 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int) -> FrobeniusFit:
     """Search the admissible constant family for a p-integral Phi.
 
     With the pivot fixed at 1, Phi depends affinely on the n-1 free twist
-    parameters; p-integrality of every coefficient up to Y's order
-    is a system of linear congruences mod powers of p, assembled order by
-    order and solved exactly.  On an inconsistent system the most recent
-    order is dropped (one level of backtracking) until a solvable prefix
-    remains.  The contract is one-sided: a returned constant is verified,
-    a not-found answer is inconclusive.
+    parameters; p-integrality of every coefficient below Y's order M is a
+    system of linear congruences mod powers of p, assembled order by order
+    and solved exactly.  found is false only when no admissible constant
+    with a unit pivot makes Phi p-integral mod z^M: the conditions on each
+    coefficient are exact, the solver is complete, and Phi(0) = C forces
+    integral twists.  orders_used counts the longest solvable prefix.
     """
     _require_identity_at_zero(y)
     n, M = y.n, y.trunc
@@ -642,33 +632,22 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int) -> FrobeniusFit:
     basis = [phi_of(_unit_gammas(n, r)) for r in range(1, n)]
 
     conditions_by_order = _congruence_conditions(phi0, basis, p, M)
-    best = None
+    # a solution of a prefix solves every shorter one, so the first solvable
+    # prefix counted down is the longest; the empty one (0 orders) always is
     for orders_used in range(M, -1, -1):
         rows = [row for k in range(orders_used) for row in conditions_by_order[k]]
         solution = _solve_congruences(rows, n - 1, p)
-        if solution is None:
-            continue
-        gammas = [_F1] + [Fraction(x) for x in solution]
-        phi = phi0
-        for x, mat in zip(solution, basis):
-            if x:
-                phi = phi + mat.scale(x)
-        profile = phi.valuation_profile(p)
-        candidate = FrobeniusFit(
-            profile.is_integral,
-            twisted_rows(p, n, gammas) if profile.is_integral else None,
-            tuple(gammas) if profile.is_integral else None,
-            profile,
-            M,
-            orders_used,
-            True,
-        )
-        if candidate.found:
-            return candidate
-        if best is None:
-            best = candidate
-    # orders_used = 0 always yields the empty system, so `best` is set
-    return best
+        if solution is not None:
+            break
+    gammas = (_F1, *(Fraction(x) for x in solution))
+    phi = phi0
+    for x, mat in zip(solution, basis):
+        if x:
+            phi = phi + mat.scale(x)
+    profile = phi.valuation_profile(p)
+    found = profile.is_integral
+    return FrobeniusFit(found, twisted_rows(p, n, gammas) if found else None,
+                        gammas if found else None, profile, M, orders_used, True)
 
 
 def _unit_gammas(n: int, r: int):
@@ -709,77 +688,45 @@ def _rational_mod(x: Fraction, mod: int) -> int:
 
 
 def _solve_congruences(rows, unknowns: int, p: int):
-    """Solve linear congruences with per-row moduli p^e over the integers.
+    """Solve linear congruences sum_j a_j x_j = b (mod p^e), one modulus per
+    row, in integers x_j.  Returns a solution vector, or None when none
+    exists.
 
-    Rows are lifted to the largest modulus and eliminated with minimum-
-    valuation pivoting.  Returns an integer solution vector or None.
+    Rows are lifted to the largest modulus p^E and eliminated over Z/p^E
+    with full pivoting: each pivot is an entry of least valuation v among
+    the remaining rows and free columns, so p^v divides the rest of its row
+    and its column, and every row operation can be undone.  The system is
+    solvable exactly when the rows left over have right-hand side 0 and
+    each pivot row's own right-hand side is divisible by p^v.
     """
-    if not rows:
-        return [0] * unknowns
-    e_max = max(e for _, _, e in rows)
-    modulus = p**e_max
-    lifted = []
-    for coeffs, rhs, e in rows:
-        lift = p ** (e_max - e)
-        lifted.append(([c * lift for c in coeffs], rhs * lift))
-    a = [list(c) + [r] for c, r in lifted]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    used_rows: set[int] = set()
-    for col in range(unknowns):
-        pivot_row, pivot_val = None, None
-        for r in range(len(a)):
-            if r in used_rows:
-                continue
-            entry = a[r][col] % modulus
-            if entry == 0:
-                continue
-            v = _vp_mod(entry, p, e_max)
-            if pivot_val is None or v < pivot_val:
-                pivot_row, pivot_val = r, v
-        if pivot_row is None:
-            continue
-        used_rows.add(pivot_row)
-        pivots.append((pivot_row, col))
-        unit = a[pivot_row][col] // p**pivot_val
-        inv_unit = pow(unit, -1, modulus)
-        a[pivot_row] = [x * inv_unit % modulus for x in a[pivot_row]]
-        # forward elimination only: used pivot rows keep their tails, which
-        # the back substitution consumes; touching them here could meet
-        # entries of smaller valuation than the pivot
-        for r in range(len(a)):
-            if r in used_rows:
-                continue
-            entry = a[r][col] % modulus
-            if entry == 0:
-                continue
-            factor = entry // p**pivot_val
-            a[r] = [
-                (x - factor * yv) % modulus for x, yv in zip(a[r], a[pivot_row])
-            ]
-    for r in range(len(a)):
-        if r in used_rows:
-            continue
-        if a[r][-1] % modulus != 0:
-            return None
+    e_max = max((e for _, _, e in rows), default=0)
+    mod = p**e_max
+    a = [[x * p ** (e_max - e) % mod for x in (*coeffs, rhs)] for coeffs, rhs, e in rows]
+    free = list(range(unknowns))
+    pivots = []  # (row, column, valuation) in elimination order
+    while free:
+        nonzero = [(vp_int(row[c], p), c, r) for r, row in enumerate(a) for c in free if row[c]]
+        if not nonzero:
+            break
+        v, c, r = min(nonzero)
+        row = a.pop(r)
+        free.remove(c)
+        unit_inv = pow(row[c] // p**v, -1, mod)
+        row = [x * unit_inv % mod for x in row]
+        for other in a:
+            if other[c]:
+                factor = other[c] // p**v
+                other[:] = [(x - factor * y) % mod for x, y in zip(other, row)]
+        pivots.append((row, c, v))
+    if any(row[-1] for row in a):
+        return None
     solution = [0] * unknowns
-    for pivot_row, col in reversed(pivots):
-        row = a[pivot_row]
-        acc = row[-1] % modulus
-        for c in range(col + 1, unknowns):
-            acc = (acc - row[c] * solution[c]) % modulus
-        v = _vp_mod(row[col], p, e_max)
-        if acc % p**v != 0:
+    for row, c, v in reversed(pivots):
+        if row[-1] % p**v:
             return None
-        solution[col] = (acc // p**v) % (modulus // p**v)
+        acc = (row[-1] - sum(x * s for x, s in zip(row, solution))) % mod
+        solution[c] = acc // p**v
     return solution
-
-
-def _vp_mod(x: int, p: int, cap: int) -> int:
-    v = 0
-    while v < cap and x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +744,7 @@ def reduction_congruence_parts(h11: TruncSeries, f: TruncSeries, p: int,
         raise InsufficientTruncation(
             f"need order {q + 1} coefficients, have {check}"
         )
-    lhs = h11 * f.cartier_pullback(p, m)
+    lhs = h11 * f.cartier(q).substitute_power(q, f.trunc)
     d = (lhs - f).truncate(q + 1)
     if not d.is_zero():
         return False

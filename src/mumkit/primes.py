@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 
+# factor() divides by trial divisors up to this bound only
+TRIAL_CAP = 10**6
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
@@ -41,8 +44,8 @@ def primes_upto(bound: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def factor(n: int, trial_cap: int = 10**6) -> tuple[dict[int, int], int]:
-    """Factor n > 0 by trial division up to trial_cap.
+def factor(n: int) -> tuple[dict[int, int], int]:
+    """Factor n > 0 by trial division up to TRIAL_CAP.
 
     Returns (exponents, residue).  residue == 1 means the factorization is
     complete; otherwise residue is the unfactored cofactor (it is recorded,
@@ -60,7 +63,7 @@ def factor(n: int, trial_cap: int = 10**6) -> tuple[dict[int, int], int]:
     # wheel over numbers coprime to 2,3,5
     increments = (4, 2, 4, 2, 4, 6, 2, 6)
     idx = 0
-    while d * d <= n and d <= trial_cap:
+    while d * d <= n and d <= TRIAL_CAP:
         if n % d == 0:
             exps[d], n = _strip(n, d)
         d += increments[idx]

@@ -3,8 +3,8 @@
 A TruncSeries knows its coefficients c_0 .. c_{M-1} exactly and nothing
 beyond; M is the truncation order.  Binary operations truncate to the
 smaller operand order, except where a sharper output order is provable
-(substitute_power, cartier, cartier_pullback, shift), in which case the
-method documents its exact output order.  Everything is immutable.
+(substitute_power, cartier, shift), in which case the method documents
+its exact output order.  Everything is immutable.
 
 A series is stored as integer numerators over one denominator, reduced as
 a whole, and every operation runs on those integers: sums over the lcm of
@@ -365,15 +365,6 @@ class TruncSeries:
         """Coefficient extraction sum a_{ip} z^i.  Output order ceil(trunc/p)."""
         return TruncSeries._from_nums(self.nums[::p], self.den)
 
-    def cartier_pullback(self, p: int, m: int = 1) -> "TruncSeries":
-        """Lambda_p^m(f)(z^{p^m}): keep exponents divisible by p^m, zero the
-        rest.  Output order = trunc, which is sharp (every retained
-        coefficient is one of ours, every dropped one is exactly zero)."""
-        q = p**m
-        out = [0] * self.trunc
-        out[::q] = self.nums[::q]
-        return TruncSeries._from_nums(out, self.den)
-
     def exp(self) -> "TruncSeries":
         """Formal exponential; requires c0 = 0.  k E_k = sum_{j>=1} (j c_j) E_{k-j}
         with E_0 = 1."""
@@ -561,9 +552,6 @@ class SeriesMatrix:
 
     def cartier(self, p: int) -> "SeriesMatrix":
         return self.map(lambda e: e.cartier(p))
-
-    def cartier_pullback(self, p: int, m: int = 1) -> "SeriesMatrix":
-        return self.map(lambda e: e.cartier_pullback(p, m))
 
     def invert(self) -> "SeriesMatrix":
         """Inverse; needs the constant-term matrix invertible.

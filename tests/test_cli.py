@@ -455,6 +455,41 @@ def test_working_order_limit_is_inclusive(tmp_path, monkeypatch, limit, status):
         assert report["errors"] == [] and report["results"][0]["working_trunc"] == 50
 
 
+HUGE_AUTO = "auto:1000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [["check", "omega"], ["transfer"]], ids=["omega", "transfer"])
+def test_huge_auto_bound_is_refused_before_the_sieve(tmp_path, monkeypatch, argv):
+    # the sieve of 10^18 + 1 bytes would raise MemoryError, an internal error
+    monkeypatch.setattr(mumkit.cli, "primes_upto", refuse_work)
+    out = tmp_path / "r.json"
+    argv = argv + ["--builtin", "quintic", "--trunc", "5", "--primes", HUGE_AUTO]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["errors"] == [{
+        "code": "INVALID_PRIME",
+        "message": "auto bound 1000000000000000000 is above the limit 1000000",
+    }]
+    assert report["results"] == []
+
+
+def test_qcoord_accepts_a_huge_auto_bound(tmp_path):
+    # qcoord reads the bound as a filter on the primes it factors out
+    out = tmp_path / "r.json"
+    argv = ["qcoord", "--builtin", "quintic", "--trunc", "5", "--primes", HUGE_AUTO]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("limit, status", [(4, 2), (5, 0)])
+def test_auto_bound_limit_is_inclusive(tmp_path, monkeypatch, limit, status):
+    monkeypatch.setattr(mumkit.cli, "MAX_AUTO_PRIME_BOUND", limit)
+    out = tmp_path / "r.json"
+    argv = ["check", "omega", "--builtin", "quintic", "--trunc", "5", "--primes", "auto:5"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == status
+    report = json.loads(out.read_text())
+    assert [e["code"] for e in report["errors"]] == (["INVALID_PRIME"] if status else [])
+
+
 def test_fit_command_finds_quintic_constant():
     doc, status = cmd_dispatch(spec("fit-frobenius", trunc=12, primes=(7,)))
     assert status == 0

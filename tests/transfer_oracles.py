@@ -39,7 +39,8 @@ def h_matrix_closed_form(y, p, m=1):
     """H_m = Y (Lambda_p^m(Y)(z^{p^m}))^{-1} diag(1, p^m, ..., p^{m(n-1)}),
     inverting the pullback at Y's full order."""
     diag = SeriesMatrix.diagonal([Fraction(p) ** (m * i) for i in range(y.n)], y.trunc)
-    return y * y.cartier_pullback(p, m).invert() * diag
+    q = p**m
+    return y * y.cartier(q).substitute_power(q, y.trunc).invert() * diag
 
 
 def transfer_residual_order(op, data):
