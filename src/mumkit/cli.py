@@ -83,6 +83,8 @@ DEFAULT_PRIME_BOUND = 100
 # the largest working order a unit may ask for: p^m (T-1) + 1 grows fast in
 # p and m, and a job far above it would run until memory runs out
 MAX_WORKING_TRUNC = 20000
+# the largest --max-j: radius work grows about as J^2, and it keeps every g_j
+MAX_TAYLOR_INDEX = 10**4
 # the largest B of --primes auto:B for a per-prime command: its primes come
 # from a sieve of B + 1 bytes
 MAX_AUTO_PRIME_BOUND = 10**6
@@ -344,9 +346,11 @@ def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
     """Runs every (operator, prime) unit of the job; an operator's skipped
     primes are listed before its results.  Returns 1 if a unit failed.
     Refuses the whole job before any work if a unit's working order is
-    above MAX_WORKING_TRUNC, or a per-prime job's auto bound above
-    MAX_AUTO_PRIME_BOUND."""
+    above MAX_WORKING_TRUNC, a per-prime job's auto bound above
+    MAX_AUTO_PRIME_BOUND, or a radius job's --max-j above MAX_TAYLOR_INDEX."""
     cmd = COMMANDS[spec.command]
+    if "max_j" in cmd.flags and spec.max_index > MAX_TAYLOR_INDEX:
+        raise ValueError(f"--max-j {spec.max_index} is above the limit {MAX_TAYLOR_INDEX}")
     candidates = [None]
     if cmd.per_prime and spec.primes is not None:
         candidates = list(spec.primes)

@@ -43,16 +43,23 @@ delta(B_j) = j delta(P_n) P_n^{j-1} A_j + P_n^j delta(A_j) follows
     B_{j+1} = P_n delta(B_j) - j (delta(P_n) + P_n) B_j + B_j C,
 
 where B_j C is B_j's columns shifted right times P_n, plus its last column
-times -P_k in column k.  Let g_j be the gcd of every coefficient of
-B_j mod z^T.  If u = P_n / P_n(0) lies in Z_p[z] it is a unit of Z_p[[z]]
-(u(0) = 1), and multiplying by a unit keeps the least valuation of the
-coefficients below z^T, so
+times -P_k in column k.  Only row 0 is needed.  With nabla v = delta(v) + v A
+on row vectors, row r of A_j is nabla^(j falling) nabla^r e_0, and
+x^(j falling) x^r = sum_{m <= r} c_m x^(j+m falling) with integers c_m, so
+row r of A_j lies in the Z-span of row 0 of A_j .. A_{j+r}.  Where A mod z^T
+is p-integral, row 0 of A_{j+1} = (nabla - j)(row 0 of A_j) has no smaller
+valuation, so row 0 carries min v_p(A_j mod z^T).  radius_diagnostic refuses
+other primes (2 D^2 - z at p = 2: row 0 of A_1 is integral, row 1 is z/2).
+Let g_j be the gcd of row 0 of B_j mod z^T.  If u = P_n / P_n(0) lies in
+Z_p[z] it is a unit of Z_p[[z]] (u(0) = 1), and multiplying by a unit
+keeps the least valuation of the coefficients below z^T, so
 
     min v_p(A_j mod z^T) = v_p(g_j) - j v_p(P_n(0)).
 
 The g_j do not depend on p, so they are computed once per operator
-(taylor_gcds); each prime then costs a few integer valuations.  Otherwise
-the prime takes B_j P_n^{-j} mod z^T, which is A_j mod z^T, directly.
+(taylor_gcds), n entries per step; each prime then costs a few integer
+valuations.  Otherwise the prime takes row 0 of B_j P_n^{-j} mod z^T,
+which is row 0 of A_j mod z^T, directly.
 """
 
 from __future__ import annotations
@@ -150,24 +157,18 @@ class TaylorGcds:
 
     rows: tuple[tuple[int, ...], ...]  # P_0 .. P_n, integers with gcd 1
     trunc: int
-    gcds: tuple[int, ...]  # g_j = gcd of B_j mod z^trunc (0 for B_j = 0)
+    gcds: tuple[int, ...]  # g_j = gcd of row 0 of B_j mod z^trunc (0 if it is 0)
 
 
 def taylor_gcds(op: RawOperator | DeltaOperator, trunc: int,
                 max_index: int) -> TaylorGcds:
-    """g_0 .. g_max_index, g_j the gcd of the coefficients of
-    B_j = P_n^j A_j mod z^trunc (0 when B_j = 0).
-
-    With C = P_n A, B_0 = I and
-    B_{j+1} = P_n delta(B_j) - j (delta(P_n) + P_n) B_j + B_j C, which is
-    P_n^{j+1} (delta(A_j) + A_j (A - jI)) after expanding delta(P_n^j A_j).
-    Whenever P_n / P_n(0) lies in Z_p[z] it is a unit of Z_p[[z]], so
-    min v_p(A_j mod z^trunc) = v_p(g_j) - j v_p(P_n(0)) at every such p.
+    """g_0 .. g_max_index, g_j the gcd of the coefficients of row 0 of
+    B_j = P_n^j A_j mod z^trunc (0 when that row is 0); the module docstring
+    gives the row recurrence and why row 0 fixes every valuation.
 
     A monic operator is read as the integer rows of its coefficients times
     the lcm of their denominators, so its P_n is that lcm and `trunc` may
-    not exceed its own order.  Only the current B_j is held; the g_j are
-    all that is kept.
+    not exceed its own order.  Only the current row is held.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
@@ -187,43 +188,37 @@ def taylor_gcds(op: RawOperator | DeltaOperator, trunc: int,
             )
     content = gcd(*(c for poly in polys for c in poly))
     rows = tuple(tuple(c // content for c in poly) for poly in polys)
-    gcds = tuple(
-        gcd(*(c for row in b for entry in row for c in entry))
-        for b in _taylor_matrices(rows, trunc, max_index)
-    )
+    gcds = tuple(gcd(*(c for entry in b for c in entry))
+                 for b in _first_rows(rows, trunc, max_index))
     return TaylorGcds(rows, trunc, gcds)
 
 
-def _taylor_matrices(rows, trunc: int, max_index: int):
-    """Yield B_0 .. B_max_index as n x n lists of coefficient lists mod
-    z^trunc; each list is fresh, the previous one is dropped."""
+def _first_rows(rows, trunc: int, max_index: int):
+    """Yield row 0 of B_0 .. B_max_index as n coefficient lists mod z^trunc;
+    each row is fresh, the previous one is dropped."""
     n = len(rows) - 1
     lead = rows[n][:trunc]
     lead_step = [(k + 1) * c for k, c in enumerate(lead)]  # delta(P_n) + P_n
     last_row = [[-c for c in row[:trunc]] for row in rows[:n]]  # -P_0 .. -P_{n-1}
-    b = [[[int(r == c)] + [0] * (trunc - 1) for c in range(n)] for r in range(n)]
+    b = [[int(c == 0)] + [0] * (trunc - 1) for c in range(n)]  # e_0
     for j in range(max_index + 1):
         yield b
         if j == max_index:
             return
         damp = [-j * c for c in lead_step]
+        last = b[n - 1]
         nxt = []
-        for row in b:
-            last = row[n - 1]
-            new_row = []
-            for c, entry in enumerate(row):
-                # P_n (delta(B[r][c]) + B[r][c-1]) - j (delta(P_n) + P_n) B[r][c]
-                #   - P_c B[r][n-1]
-                s = [k * x for k, x in enumerate(entry)]
-                if c:
-                    s = [x + y for x, y in zip(s, row[c - 1])]
-                out = [0] * trunc
-                _add_product(out, lead, s)
-                if j:
-                    _add_product(out, damp, entry)
-                _add_product(out, last_row[c], last)
-                new_row.append(out)
-            nxt.append(new_row)
+        for c, entry in enumerate(b):
+            # P_n (delta(b_c) + b_{c-1}) - j (delta(P_n) + P_n) b_c - P_c b_{n-1}
+            s = [k * x for k, x in enumerate(entry)]
+            if c:
+                s = [x + y for x, y in zip(s, b[c - 1])]
+            out = [0] * trunc
+            _add_product(out, lead, s)
+            if j:
+                _add_product(out, damp, entry)
+            _add_product(out, last_row[c], last)
+            nxt.append(out)
         b = nxt
 
 
@@ -273,15 +268,15 @@ def radius_diagnostic(source: TaylorGcds | DeltaOperator, p: int, max_index: int
 
 
 def _valuations_over_lead(rows, trunc: int, max_index: int, p: int) -> list:
-    """min v_p of B_j P_n^{-j} mod z^trunc, which is A_j mod z^trunc, for a
-    prime at which P_n / P_n(0) is not a unit of Z_p[[z]]."""
+    """min v_p of row 0 of B_j P_n^{-j} mod z^trunc (row 0 of A_j) at a
+    prime where P_n / P_n(0) is not a unit of Z_p[[z]]."""
     lead = TruncSeries.from_coeffs(rows[-1], trunc)
     scale = TruncSeries.one(trunc)
     out = []
-    for b in _taylor_matrices(rows, trunc, max_index):
+    for b in _first_rows(rows, trunc, max_index):
         out.append(min(
             (TruncSeries(tuple(entry)) * scale).valuation_profile(p).min_valuation
-            for row in b for entry in row
+            for entry in b
         ))
         scale = scale.divide(lead)
     return out

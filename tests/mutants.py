@@ -11,7 +11,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 def run_mutated(root: Path, test_files, mutation=None,
                 select=None) -> subprocess.CompletedProcess:
-    """Copy src/, pyproject.toml and the named files of tests/ under root,
+    """Copy src/, data/, pyproject.toml and the named files of tests/ under root,
     apply the mutation (target, old, new) by replacing the text `old` in
     the file `target`, a path relative to the repository, with `new`, and
     run pytest there on the first test file, restricted by `-k select` when
@@ -19,6 +19,7 @@ def run_mutated(root: Path, test_files, mutation=None,
     (the `mutants` profile of conftest.py, which test_files must include)."""
     shutil.copytree(REPO / "src", root / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(REPO / "data", root / "data")
     (root / "tests").mkdir()
     for name in test_files:
         shutil.copy(REPO / "tests" / name, root / "tests" / name)

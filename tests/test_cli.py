@@ -455,6 +455,33 @@ def test_working_order_limit_is_inclusive(tmp_path, monkeypatch, limit, status):
         assert report["errors"] == [] and report["results"][0]["working_trunc"] == 50
 
 
+def test_max_j_above_the_limit_is_refused_before_any_unit(tmp_path, monkeypatch):
+    # radius work grows about as J^2, and every g_j is kept
+    monkeypatch.setattr(mumkit.cli, "taylor_gcds", refuse_work)
+    out = tmp_path / "r.json"
+    argv = ["radius", "--builtin", "quintic", "--primes", "7",
+            "--max-j", str(mumkit.cli.MAX_TAYLOR_INDEX + 1)]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["errors"] == [{"code": "INVALID_INPUT",
+                                 "message": "--max-j 10001 is above the limit 10000"}]
+    assert report["results"] == []
+
+
+@pytest.mark.parametrize("max_j, status", [(5, 2), (4, 0)])
+def test_max_j_limit_is_inclusive(tmp_path, monkeypatch, max_j, status):
+    monkeypatch.setattr(mumkit.cli, "MAX_TAYLOR_INDEX", 4)
+    out = tmp_path / "r.json"
+    argv = ["radius", "--builtin", "quintic", "--trunc", "4", "--primes", "7",
+            "--max-j", str(max_j)]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == status
+    report = json.loads(out.read_text())
+    if status:
+        assert [e["code"] for e in report["errors"]] == ["INVALID_INPUT"]
+    else:
+        assert report["errors"] == [] and len(report["results"][0]["rows"]) == 5
+
+
 HUGE_AUTO = "auto:1000000000000000000"
 
 

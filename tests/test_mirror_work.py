@@ -23,17 +23,9 @@ from mumkit import (
 )
 from mumkit.cli import load_corpus_file, main
 
+from conftest import HG_FAMILIES
+
 NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
-# (alpha, scale) of the 14 order-4 hypergeometric families with beta = (1, 1, 1, 1)
-HG_FAMILIES = {
-    "hg01": ("1/5,2/5,3/5,4/5", 5**5), "hg02": ("1/10,3/10,7/10,9/10", 2**8 * 5**5),
-    "hg03": ("1/2,1/2,1/2,1/2", 2**8), "hg04": ("1/3,1/3,2/3,2/3", 3**6),
-    "hg05": ("1/3,1/2,1/2,2/3", 2**4 * 3**3), "hg06": ("1/4,1/2,1/2,3/4", 2**10),
-    "hg07": ("1/8,3/8,5/8,7/8", 2**16), "hg08": ("1/6,1/3,2/3,5/6", 2**4 * 3**6),
-    "hg09": ("1/12,5/12,7/12,11/12", 2**12 * 3**6), "hg10": ("1/4,1/3,2/3,3/4", 2**6 * 3**3),
-    "hg11": ("1/6,1/2,1/2,5/6", 2**8 * 3**3), "hg12": ("1/4,1/4,3/4,3/4", 2**12),
-    "hg13": ("1/6,1/4,3/4,5/6", 2**10 * 3**3), "hg14": ("1/6,1/6,5/6,5/6", 2**8 * 3**6),
-}
 OPERATORS = {
     **dict(load_corpus_file(Path(__file__).resolve().parents[1] / "data" / "operators.ops")),
     **{label: hypergeometric(alpha.split(","), [1] * 4, scale)

@@ -1,9 +1,11 @@
-"""Radius diagnostics from the integer Taylor matrices B_j = P_n^j A_j,
-checked against the dense recurrence A_{j+1} = delta(A_j) + A_j (A - jI)
-over the monic operator's companion matrix."""
+"""Radius diagnostics from row 0 of the integer Taylor matrices
+B_j = P_n^j A_j, checked against the dense recurrence
+A_{j+1} = delta(A_j) + A_j (A - jI) over the monic operator's companion
+matrix, and against the full-matrix B_j recurrence."""
 
 import random
 from dataclasses import replace
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -14,32 +16,78 @@ from mumkit import (
     RawOperator,
     SeriesMatrix,
     builtin,
+    hypergeometric,
     monicize,
     parse_operator,
     radius_diagnostic,
     taylor_gcds,
 )
 from mumkit import cli, frobtransfer
-from mumkit.cli import JobSpec, cmd_dispatch
+from mumkit.cli import JobSpec, cmd_dispatch, load_corpus_file
 from mumkit.primes import vp_factorial
+
+from conftest import HG_FAMILIES
 
 LEAD_NOT_UNIT = "(3+z)*D^2 - (3+z)*z*D - (3+z)*z"
 NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
 OPS = Path(__file__).resolve().parents[1] / "data" / "operators.ops"
 
 
-def dense_rows(op, p, max_index):
-    """(j, min v_p(A_j), min v_p(A_j / j!)) from dense SeriesMatrix products."""
+def dense_taylor(op, max_index):
+    """A_0 .. A_max_index of a monic operator by dense SeriesMatrix products."""
     a = op.companion()
     n, trunc = a.n, a.trunc
     current = SeriesMatrix.identity(n, trunc)
-    rows = []
     for j in range(max_index + 1):
-        v = current.valuation_profile(p).min_valuation
-        rows.append((j, v, v - vp_factorial(j, p)))
+        yield current
         if j < max_index:
             current = current.delta() + current * (a - SeriesMatrix.diagonal([j] * n, trunc))
+
+
+def dense_rows(op, p, max_index):
+    """(j, min v_p(A_j), min v_p(A_j / j!)) from dense SeriesMatrix products."""
+    rows = []
+    for j, a_j in enumerate(dense_taylor(op, max_index)):
+        v = a_j.valuation_profile(p).min_valuation
+        rows.append((j, v, v - vp_factorial(j, p)))
     return rows
+
+
+def row0_valuation(a_j, p):
+    return min(e.valuation_profile(p).min_valuation for e in a_j.entries[0])
+
+
+def full_matrix_taylor(rows, trunc, max_index):
+    """B_0 .. B_max_index as n x n lists of coefficient lists mod z^trunc,
+    from B_{j+1} = P_n delta(B_j) - j (delta(P_n) + P_n) B_j + B_j C on every
+    entry; taylor_gcds runs this recurrence on row 0 only."""
+    n = len(rows) - 1
+    lead = rows[n][:trunc]
+    lead_step = [(k + 1) * c for k, c in enumerate(lead)]  # delta(P_n) + P_n
+    last_row = [[-c for c in row[:trunc]] for row in rows[:n]]  # -P_0 .. -P_{n-1}
+    b = [[[int(r == c)] + [0] * (trunc - 1) for c in range(n)] for r in range(n)]
+    for j in range(max_index + 1):
+        yield b
+        if j == max_index:
+            return
+        damp = [-j * c for c in lead_step]
+        nxt = []
+        for row in b:
+            last = row[n - 1]
+            new_row = []
+            for c, entry in enumerate(row):
+                # P_n (delta(B[r][c]) + B[r][c-1]) - j (delta(P_n) + P_n) B[r][c]
+                #   - P_c B[r][n-1]
+                s = [k * x for k, x in enumerate(entry)]
+                if c:
+                    s = [x + y for x, y in zip(s, row[c - 1])]
+                out = [0] * trunc
+                for poly, series in ((lead, s), (damp, entry), (last_row[c], last)):
+                    for d, coeff in enumerate(poly):
+                        out[d:] = [o + coeff * x for o, x in zip(out[d:], series)]
+                new_row.append(out)
+            nxt.append(new_row)
+        b = nxt
 
 
 def rows_of(diag):
@@ -75,6 +123,53 @@ def test_zero_matrices_give_inf_rows():
     diag = radius_diagnostic(taylor_gcds(parse_operator("D"), 4, 3), 2, 3)
     assert rows_of(diag) == [(0, 0, 0)] + [(j, INF, INF) for j in range(1, 4)]
     assert not diag.trending_to_zero
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_zero_carries_the_least_valuation(seed):
+    # where the monic form is p-integral, v_p(row 0 of A_j) never falls as j
+    # grows, and rows 1 .. n-1 of A_j lie in the Z-span of later rows 0
+    rng = random.Random(100 + seed)
+    checked = 0
+    for _ in range(8):
+        raw = random_mum_operator(rng)
+        monic = monicize(raw, rng.randint(3, 7))
+        matrices = list(dense_taylor(monic, rng.randint(1, 12)))
+        for p in (2, 3, 5, 7):
+            if not monic.p_integrality(p).is_integral:
+                continue
+            row0 = [row0_valuation(a_j, p) for a_j in matrices]
+            assert row0 == [a_j.valuation_profile(p).min_valuation for a_j in matrices]
+            assert row0 == sorted(row0)
+            checked += 1
+    assert checked
+
+
+def test_row_zero_needs_a_p_integral_operator():
+    # a_0 = -z/2: row 0 of A_1 = A is e_1, row 1 holds z/2
+    raw = parse_operator("2*D^2 - z")
+    a_1 = list(dense_taylor(monicize(raw, 4), 1))[1]
+    assert row0_valuation(a_1, 2) == 0
+    assert a_1.valuation_profile(2).min_valuation == -1
+    with pytest.raises(NotPIntegralOperator):
+        radius_diagnostic(taylor_gcds(raw, 4, 1), 2, 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gcds_are_row_zero_of_the_full_matrices(seed):
+    # each g_j is the gcd of row 0 of the full B_j, so a multiple of the gcd
+    # of all of B_j
+    rng = random.Random(200 + seed)
+    for _ in range(8):
+        raw = random_mum_operator(rng)
+        trunc, max_index = rng.randint(1, 8), rng.randint(0, 12)
+        taylor = taylor_gcds(raw, trunc, max_index)
+        full = list(full_matrix_taylor(taylor.rows, trunc, max_index))
+        assert len(full) == len(taylor.gcds)
+        for g, b in zip(taylor.gcds, full):
+            assert g == gcd(*(c for entry in b[0] for c in entry))
+            whole = gcd(*(c for row in b for entry in row for c in entry))
+            assert g % whole == 0 if whole else g == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -164,6 +259,22 @@ def test_quintic_rows_at_bench_size():
     raw = builtin("quintic")
     taylor = taylor_gcds(raw, 16, 24)
     assert rows_of(radius_diagnostic(taylor, 7, 24)) == dense_rows(monicize(raw, 16), 7, 24)
+
+
+CORPUS = dict(load_corpus_file(OPS))
+BENCH_OPERATORS = {
+    **{label: hypergeometric(alpha.split(","), [1] * 4, scale)
+       for label, (alpha, scale) in HG_FAMILIES.items()},
+    **{label: CORPUS[label] for label in ("cubic2f1", "legendre", "quartic3")},
+}
+
+
+@pytest.mark.parametrize("index, label", enumerate(sorted(BENCH_OPERATORS)))
+def test_rows_at_bench_size(index, label):
+    # the radius workload's size: T = 32, J = 40, one good prime each
+    raw, p = BENCH_OPERATORS[label], (7, 11, 13)[index % 3]
+    diag = radius_diagnostic(taylor_gcds(raw, 32, 40), p, 40)
+    assert rows_of(diag) == dense_rows(monicize(raw, 32), p, 40)
 
 
 def test_rejects_bad_arguments():
