@@ -9,6 +9,10 @@ F_q = [delta(Lambda_q(Y)) + (1/q) Lambda_q(Y) N] Lambda_q(Y)^{-1} has the
 fundamental matrix Lambda_q(Y) z^{N/q}, and conjugating by
 S = diag(1, q^-1, ..., q^-(n-1)) turns N/q into N.  So
 Y_{L_m} = S Lambda_q(Y) S^{-1}, and L_m is read off the last row of F_q.
+H_m is built from its first row by rows 0 .. n-2 of the intertwining
+equation delta(H) = A H - q H B(z^q), A and B the companion matrices of L
+and L_m: H_{i+1} = delta(H_i) + q H_i B(z^q).  The equation's last row,
+which ties H to L's P_0 .. P_n, is then the audit's real check.
 
 A p-integral Frobenius structure is a matrix Phi with
 delta(Phi) = A Phi - p Phi A(z^p); by the uniqueness of log-structured
@@ -326,26 +330,28 @@ def transfer_operator_L1(f_last_row, q: int) -> DeltaOperator:
 
 
 def h_matrix(y: SeriesMatrix, p: int, m: int = 1) -> SeriesMatrix:
-    """H_m = Y (Lambda_q(Y)(z^q))^{-1} diag(1, q, ..., q^(n-1)), q = p^m.
-
-    Lambda_p^m = Lambda_q keeps the coefficients at multiples of q.  The
-    middle factor is a series in z^q, so Lambda_q(Y) is inverted at its own
-    order ceil(W/q), W = Y.trunc, and then substituted: every exponent
-    below W that survives is a multiple q*i with i < ceil(W/q)."""
-    _require_identity_at_zero(y)
-    q = p**m
-    return _h_from_inverse(y, y.cartier(q).invert(), q)
+    """H_m = Y (Lambda_q(Y)(z^q))^{-1} diag(1, q, ..., q^(n-1)), q = p^m, as
+    iterate_transfer builds it."""
+    return iterate_transfer(y, p, m).h
 
 
-def _h_from_inverse(y: SeriesMatrix, lam_inv: SeriesMatrix, q: int) -> SeriesMatrix:
-    """H_m from lam_inv = Lambda_q(Y)^{-1}.  The product by Y skips the zero
-    coefficients of lam_inv(z^q), and the diagonal factor scales column i
-    by q^i."""
-    prod = y * lam_inv.substitute_power(q, y.trunc)
-    return SeriesMatrix(tuple(
-        tuple(e * q**i if i else e for i, e in enumerate(row))
-        for row in prod.entries
-    ))
+def _h_rows(y: SeriesMatrix, lam_inv: SeriesMatrix, op: DeltaOperator, q: int) -> SeriesMatrix:
+    """H_m from lam_inv = Lambda_q(Y)^{-1} and L_m = op, row by row at the
+    working order W: row 0 is row 0 of Y times lam_inv(z^q) diag(1, q, ...),
+    then H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion matrix of L_m,
+    whose a_j(z^q) are known to order q ceil(W/q) >= W.  Column j of
+    q H_i B(z^q) is q H_{i,j-1} - q a_j(z^q) H_{i,n-1}."""
+    n, trunc = y.n, y.trunc
+    zero, one, q_one = (TruncSeries.constant(c, trunc) for c in (0, 1, q))
+    cols = [[(lam_inv.entries[k][j] * q**j).substitute_power(q, trunc) for k in range(n)]
+            for j in range(n)]
+    rows = [[TruncSeries.sum_of_products(tuple(zip(y.entries[0], col))) for col in cols]]
+    tail = [(a * -q).substitute_power(q, trunc) for a in op.coeffs]
+    for _ in range(n - 1):
+        row = rows[-1]
+        rows.append([TruncSeries.sum_of_products(((h.delta(), one), (left, q_one), (row[-1], t)))
+                     for h, left, t in zip(row, [zero, *row[:-1]], tail)])
+    return SeriesMatrix(tuple(map(tuple, rows)))
 
 
 def _require_identity_at_zero(y: SeriesMatrix):
@@ -377,8 +383,8 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
     Lambda_q(Y), q = p^m, is known to order ceil(W/q), the order L_m is
     certified to (a requested target is checked up front).  It is inverted
     once: L_m is read off the last row of F_q, as Y_{L_m} =
-    S Lambda_q(Y) S^{-1}, and H_m substitutes the same inverse at z^q and
-    keeps the full working order.
+    S Lambda_q(Y) S^{-1}, and H_m, at the full working order, starts from
+    row 0 of Y times the same inverse at z^q and takes its other rows from L_m.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -395,7 +401,7 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
     lam = y.cartier(q)
     lam_inv = lam.invert()
     operator = transfer_operator_L1(_quotient_last_row(lam, lam_inv, q), q)
-    return TransferData(p, m, operator, _h_from_inverse(y, lam_inv, q), certified)
+    return TransferData(p, m, operator, _h_rows(y, lam_inv, operator, q), certified)
 
 
 @dataclass(frozen=True)
@@ -751,7 +757,7 @@ def reduction_congruence_parts(h11: TruncSeries, f: TruncSeries, p: int,
 
 def reduction_congruence_check(y: SeriesMatrix, p: int, m: int) -> bool:
     """The level-m reduction congruence at working order Y.trunc for the
-    operator with uniform part Y, from H_m alone (no L_m is built);
+    operator with uniform part Y, from the corner H_m[0][0] of h_matrix;
     implies f_k lies in Z_p for every k < p^m."""
     if p**m >= y.trunc:
         raise InsufficientTruncation(

@@ -10,9 +10,10 @@ A series is stored as integer numerators over one denominator, reduced as
 a whole, and every operation runs on those integers: sums over the lcm of
 the two denominators, products as integer convolutions over the product
 of the denominators, with one running gcd per result.  The coefficients
-as reduced Fractions are built only when read.  SeriesMatrix products and
-sums of products run the same way, skipping zero entries and
-coefficients, and SeriesMatrix.invert is Newton doubling on them.
+as reduced Fractions are built only when read.  Sums of products of
+series and of SeriesMatrix entries run the same way, skipping zero entries
+and coefficients, each term looping over its sparser operand on the
+outside.  SeriesMatrix.invert is the order-by-order recurrence on integers.
 divide, exp and log share one recurrence on integers, which keeps the
 coefficients found so far as numerators over one running denominator;
 coefficient k of log(a) is that of delta(a) / a over k.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .primes import vp_int
 
@@ -319,6 +321,13 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def sum_of_products(pairs) -> "TruncSeries":
+        """Sum of the products a b over the (a, b) pairs, to the smallest
+        order, reduced once."""
+        trunc = min(min(a.trunc, b.trunc) for a, b in pairs)
+        return _dot([(_sparse(a, trunc), _sparse(b, trunc)) for a, b in pairs], trunc)
+
     def divide(self, other: "TruncSeries") -> "TruncSeries":
         """self / other, to the smaller order; requires other(0) != 0.
 
@@ -385,8 +394,13 @@ class TruncSeries:
     # -- p-adic audit ---------------------------------------------------------
 
     def valuation_profile(self, p: int) -> ValuationProfile:
-        """v_p of each coefficient as v_p(numerator) - v_p(den)."""
+        """v_p of each coefficient as v_p(numerator) - v_p(den).  When p does
+        not divide den no valuation is negative, and the least is that of
+        the gcd of the numerators."""
         vd = vp_int(self.den, p)
+        if not vd:
+            g = math.gcd(*self.nums)
+            return ValuationProfile(p, vp_int(g, p) if g else INF, ())
         min_v = INF
         neg = []
         for k, x in enumerate(self.nums):
@@ -556,19 +570,36 @@ class SeriesMatrix:
     def invert(self) -> "SeriesMatrix":
         """Inverse; needs the constant-term matrix invertible.
 
-        Newton doubling on the product: if B = A^{-1} mod z^m, then
-        B + B (I - A B) = A^{-1} mod z^2m.  Since I - A B vanishes below
-        z^m, so does B (A B - I), and the step keeps B's known
-        coefficients."""
-        trunc = self.trunc
-        b = SeriesMatrix.from_constant(invert_constant_matrix(self.constant_matrix()), 1)
-        while b.trunc < trunc:
-            m = b.trunc
-            pad = (0,) * (min(2 * m, trunc) - m)
-            b = b.map(lambda e: TruncSeries._from_nums(e.nums + pad, e.den))
-            err = (self * b).map(lambda e: TruncSeries._from_nums((0,) * m + e.nums[m:], e.den))  # A B - I
-            b = b - b * err
-        return b
+        B_0 = A_0^{-1}, B_k = -B_0 sum_{j=1..k} A_j B_{k-j}, on integers: A
+        over one denominator d and B_0 .. B_{k-1} over one running
+        denominator v, so the sum is an integer matrix over d v.  Zero
+        coefficients of A are skipped; each entry of B_k is reduced once."""
+        n, trunc = self.n, self.trunc
+        d = math.lcm(*(e.den for row in self.entries for e in row))
+        # per order j: the nonzero entries (i, l, numerator over d) of A_j
+        terms = [[(i, l, e.nums[j] * (d // e.den)) for i, row in enumerate(self.entries)
+                  for l, e in enumerate(row) if e.nums[j]] for j in range(trunc)]
+        out = [invert_constant_matrix(self.constant_matrix())]
+        v = math.lcm(*(x.denominator for row in out[0] for x in row))
+        nums = [[[x.numerator * (v // x.denominator) for x in row] for row in out[0]]]
+        b0, den0 = nums[0], -v * d
+        for k in range(1, trunc):
+            acc = [[0] * n for _ in range(n)]
+            for j in range(1, k + 1):
+                for i, l, x in terms[j]:
+                    acc[i] = [s + x * y for s, y in zip(acc[i], nums[k - j][l])]
+            out.append([[Fraction(sum(map(mul, row, col)), den0 * v) for col in zip(*acc)]
+                        for row in b0])
+            w = math.lcm(v, *(x.denominator for row in out[k] for x in row))
+            if w != v:
+                nums = [[[x * (w // v) for x in row] for row in mat] for mat in nums]
+                v = w
+            nums.append([[x.numerator * (v // x.denominator) for x in row] for row in out[k]])
+        return SeriesMatrix(tuple(
+            tuple(TruncSeries._from_nums([mat[i][c] for mat in nums], v,
+                                         tuple(mat[i][c] for mat in out))
+                  for c in range(n))
+            for i in range(n)))
 
     def det(self) -> TruncSeries:
         """Determinant by cofactor expansion (dimensions here are small)."""
@@ -598,41 +629,47 @@ class SeriesMatrix:
         )
 
 
+def _sparse(e: TruncSeries, trunc: int):
+    """e's nonzero coefficients below trunc: (exponents, numerators, den)."""
+    xs = e.nums[:trunc]
+    return [k for k, x in enumerate(xs) if x], [x for x in xs if x], e.den
+
+
+def _dot(terms, trunc: int) -> TruncSeries:
+    """Sum of x y over the pairs of _sparse operands, mod z^trunc, over L,
+    the lcm of the products d e of their denominators.  Each term loops
+    over its sparser operand on the outside and scales that one by
+    L / (d e); the result is reduced once."""
+    terms = [(x, y) if len(x[0]) <= len(y[0]) else (y, x) for x, y in terms if x[0] and y[0]]
+    den = math.lcm(*(x[2] * y[2] for x, y in terms))
+    out = [0] * trunc
+    for (xk, xv, d), (yk, yv, e) in terms:
+        scale = den // (d * e)
+        for a, u in zip(xk, xv):
+            u *= scale
+            for b, v in zip(yk, yv):
+                if a + b >= trunc:
+                    break
+                out[a + b] += u * v
+    return TruncSeries._from_nums(out, den)
+
+
 def _sum_of_products(pairs) -> SeriesMatrix:
     """Sum of A B over the (A, B) pairs, on integers, to the smallest order.
 
-    Each distinct operand is read once: per entry, the exponents and
-    numerators of its nonzero coefficients and its denominator d.  Output
-    entry (i, j) sums the terms A[i][k] B[k][j] over L, the lcm of their
-    products d e, each term scaled by L / (d e).  Zero entries and zero
+    Each distinct operand is read once, as _sparse entries; output entry
+    (i, j) is the _dot of the terms A[i][k] B[k][j].  Zero entries and
     coefficients are skipped, so a product by a sparse matrix visits its
-    nonzero entries only, and each output entry is reduced once."""
+    nonzero entries only."""
     trunc = min(min(a.trunc, b.trunc) for a, b in pairs)
     sparse = {}
     for mat in (operand for pair in pairs for operand in pair):
         if id(mat) not in sparse:
-            nums = [[(e.nums[:trunc], e.den) for e in row] for row in mat.entries]
-            sparse[id(mat)] = [[([k for k, x in enumerate(xs) if x], [x for x in xs if x], d)
-                                for xs, d in row] for row in nums]
+            sparse[id(mat)] = [[_sparse(e, trunc) for e in row] for row in mat.entries]
     sides = [(sparse[id(a)], sparse[id(b)]) for a, b in pairs]
     n = pairs[0][0].n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = [(xk, xv, d * e, yk, yv) for left, right in sides
-                     for (xk, xv, d), (yk, yv, e) in zip(left[i], (r[j] for r in right))
-                     if xk and yk]
-            den = math.lcm(*(term[2] for term in terms))
-            out = [0] * trunc
-            for xk, xv, de, yk, yv in terms:
-                scale = den // de
-                for a, u in zip(xk, xv):
-                    u *= scale
-                    for b, v in zip(yk, yv):
-                        if a + b >= trunc:
-                            break
-                        out[a + b] += u * v
-            row.append(TruncSeries._from_nums(out, den))
-        rows.append(tuple(row))
-    return SeriesMatrix(tuple(rows))
+    return SeriesMatrix(tuple(
+        tuple(_dot([(x, y) for left, right in sides
+                    for x, y in zip(left[i], (r[j] for r in right))], trunc)
+              for j in range(n))
+        for i in range(n)))

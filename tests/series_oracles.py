@@ -1,9 +1,12 @@
 """Fraction-arithmetic forms of the series operations, kept as exact oracles
-for the integer forms behind TruncSeries.  They read only the public API."""
+for the integer forms behind TruncSeries, and Newton doubling for the
+matrix inverse, an algorithm independent of SeriesMatrix.invert's
+order-by-order recurrence.  They read only the public API."""
 
 from fractions import Fraction
 
-from mumkit import TruncSeries, vp
+from mumkit import SeriesMatrix, TruncSeries, vp
+from mumkit.series import invert_constant_matrix
 
 
 def recurrence_inverse(a):
@@ -15,6 +18,22 @@ def recurrence_inverse(a):
         out.append(-inv0 * sum((a.coeffs[j] * out[k - j] for j in range(1, k + 1)),
                                Fraction(0)))
     return tuple(out)
+
+
+def newton_matrix_inverse(a):
+    """A^{-1} by Newton doubling on SeriesMatrix products: if B = A^{-1}
+    mod z^m, then B + B (I - A B) = A^{-1} mod z^2m.  I - A B vanishes below
+    z^m, so B (A B - I) does too, and each step keeps B's known
+    coefficients."""
+    trunc = a.trunc
+    b = SeriesMatrix.from_constant(invert_constant_matrix(a.constant_matrix()), 1)
+    while b.trunc < trunc:
+        m = b.trunc
+        b = b.map(lambda e: TruncSeries.from_coeffs(e.coeffs, min(2 * m, trunc)))
+        err = (a * b).map(lambda e: TruncSeries.from_coeffs(
+            (0,) * m + e.coeffs[m:], e.trunc))  # A B - I
+        b = b - b * err
+    return b
 
 
 def quotient_by_products(a, b):

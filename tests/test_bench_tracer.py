@@ -46,7 +46,8 @@ def test_bench_unittests_pass():
 
 def test_tracer_records_the_transfer_layer(tmp_path, monkeypatch):
     # transfer shares one inverse between L_m and H_m and does not call the
-    # public h_matrix; the reduction check does
+    # public h_matrix; the reduction check does, and h_matrix returns the
+    # H_m of iterate_transfer
     monkeypatch.chdir(tmp_path)
     y = uniform_part(builtin("quintic"), 8)
     cand = frobenius_from_constant(y, fit_frobenius_constant(y, 7).constant, 7)
@@ -91,9 +92,10 @@ def test_tracer_records_the_series_kernel(tmp_path, monkeypatch):
 
 
 def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):
-    # products and the Newton inverse run through SeriesMatrix.__mul__; the
-    # transfer audit's residual is one sum_of_products span, whose time
-    # falls outside series.matmul.self_s
+    # the last row of F_q is a SeriesMatrix.__mul__ span; the inverse is an
+    # order-by-order recurrence with no SeriesMatrix product, so its time
+    # is series.matinv.self_s alone; the transfer audit's residual is one
+    # sum_of_products span, whose time falls outside series.matmul.self_s
     monkeypatch.chdir(tmp_path)
     spans = load_spans()
     recorder = spans.Recorder()
@@ -104,9 +106,10 @@ def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):
     mul, invert, _ = (recorder.names.index(name) for name in MATRIX_SPANS)
     callers_of_mul = {recorder.name[parent] for name, parent in zip(recorder.name, recorder.parent)
                       if name == mul and parent >= 0}
-    assert invert in callers_of_mul
+    assert callers_of_mul and invert not in callers_of_mul
     metrics = spans.layer_metrics(recorder, 1.0, 1.0)
     assert metrics["series.self_s"] > 0 and metrics["series.matmul.self_s"] > 0
+    assert metrics["series.matinv.self_s"] > 0
 
 
 def test_tracer_charges_the_dieudonne_check_to_the_checks_layer(tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ from mumkit import (
 )
 from mumkit.primes import vp_factorial
 
-from transfer_oracles import frobenius_quotient_F
+from transfer_oracles import frobenius_quotient_F, h_matrix_closed_form
 
 F = Fraction
 
@@ -176,7 +176,8 @@ def test_iterate_transfer_trivial_operator():
 def test_iterate_transfer_level_one_equals_h_matrix(quintic_y30):
     p = 7
     data = iterate_transfer(quintic_y30, p, 1)
-    assert data.h == h_matrix(quintic_y30, p, 1)
+    # h_matrix is iterate_transfer's H_m, which the product form must match
+    assert data.h == h_matrix(quintic_y30, p, 1) == h_matrix_closed_form(quintic_y30, p, 1)
     assert data.h.constant_matrix() == tuple(
         tuple(F(p) ** i if i == j else F(0) for j in range(4)) for i in range(4)
     )

@@ -22,6 +22,7 @@ from mumkit import (
 )
 from mumkit.series import invert_constant_matrix
 from series_oracles import (
+    newton_matrix_inverse,
     power_by_products,
     quotient_by_products,
     recurrence_inverse,
@@ -247,6 +248,50 @@ def test_mul_matches_schoolbook(a, b):
     prod = a * b
     assert prod.trunc == min(a.trunc, b.trunc)
     assert prod.coeffs == schoolbook(a, b)
+
+
+@st.composite
+def sparse_and_dense(draw):
+    """A dense series and a sparse one (a constant, a polynomial or a series
+    in z^q) at one order, each over its own denominator."""
+    trunc = draw(st.integers(1, 16))
+    rng = draw(st.randoms(use_true_random=False))
+    dens = (1, 2, 9, 5**3, 7 * 11, 2**40 - 87)
+
+    def series(keep):
+        den = rng.choice(dens)
+        return S([F(rng.randint(-10**6, 10**6), den) if keep(k) else 0 for k in range(trunc)])
+
+    q = draw(st.integers(2, 5))
+    shape = draw(st.sampled_from((lambda k: k == 0, lambda k: k < 3, lambda k: k % q == 0)))
+    return series(lambda k: True), series(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_and_dense(), sparse_and_dense())
+def test_sparse_times_dense_sums_match_schoolbook(first, second):
+    # each term loops over its sparser operand, on either side, and scales
+    # it to the lcm of the terms' denominators
+    (d1, s1), (d2, s2) = first, second
+    pairs = ((d1, s1), (s2, d2))
+    expected = ref_add(schoolbook(d1, s1), schoolbook(s2, d2))
+    assert TruncSeries.sum_of_products(pairs).coeffs == expected[:min(d1.trunc, d2.trunc)]
+    mat = lambda x: SeriesMatrix(((x,),))
+    assert SeriesMatrix.sum_of_products(tuple((mat(x), mat(y)) for x, y in pairs)) \
+        .entry(0, 0).coeffs == expected[:min(d1.trunc, d2.trunc)]
+
+
+def test_sparse_times_dense_with_unequal_denominators():
+    # the terms' denominators differ, so at least one is scaled (scale != 1)
+    dense = S([F(k + 1, 3) for k in range(10)])
+    sparse = S([F(5, 7) if k % 3 == 0 else 0 for k in range(10)])
+    const = S([F(2, 9)], 10)
+    for pairs in (((dense, sparse),), ((sparse, dense),), ((dense, sparse), (const, dense)),
+                  ((dense, const), (sparse, dense), (dense, dense))):
+        expected = schoolbook(*pairs[0])
+        for x, y in pairs[1:]:
+            expected = ref_add(expected, schoolbook(x, y))
+        assert TruncSeries.sum_of_products(pairs).coeffs == expected
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +670,60 @@ def test_valuation_profile_zero_series():
     assert profile.is_integral
 
 
+@st.composite
+def profiled_series(draw):
+    """(series, p): numerators divisible by p^i, over a denominator prime
+    to p or divisible by p, or the zero series; dense, zero-heavy or
+    sparse."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    trunc = draw(st.integers(1, 16))
+    if draw(st.integers(0, 5)) == 0:
+        return TruncSeries.zero(trunc), p
+    rng = draw(st.randoms(use_true_random=False))
+    unit = draw(st.sampled_from([1, 11, 13 * 17, 2**5 * 3**4 * 5**2 * 7]))
+    den = unit // math.gcd(unit, p**20) * p ** draw(st.integers(0, 3))
+    scale = p ** draw(st.integers(0, 4))
+    keep = draw(st.sampled_from((1, 2, 3)))
+    cs = [F(rng.randint(-50, 50) * scale, den) if rng.randrange(keep) == 0 else 0
+          for _ in range(trunc)]
+    return S(cs), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(profiled_series())
+def test_valuation_profile_matches_the_per_coefficient_oracle(case):
+    a, p = case
+    profile = a.valuation_profile(p)
+    assert (profile.min_valuation, profile.negative_valuations) == \
+        ref_valuation_profile(a.coeffs, p)
+
+
+def test_valuation_profile_of_columns_divisible_by_powers_of_q():
+    # H_m's shape: column j a multiple of q^j, q = p^m, over a denominator
+    # prime to p (a gcd) or divisible by p (per coefficient)
+    rng = random.Random(17)
+    for p, m in ((2, 1), (3, 2), (5, 1)):
+        q = p**m
+        for den in (7, 7 * p, 7 * p**3):
+            mat = SeriesMatrix.from_rows(
+                [S([F(rng.randint(-40, 40) * q**j, den) for _ in range(9)]) for j in range(3)]
+                for _ in range(3))
+            profile = mat.valuation_profile(p)
+            refs = [ref_valuation_profile(e.coeffs, p) for row in mat.entries for e in row]
+            assert profile.min_valuation == min(v for v, _ in refs)
+            by_exp = {}
+            for _, neg in refs:
+                for k, v in neg:
+                    by_exp[k] = min(v, by_exp.get(k, 0))
+            assert profile.negative_valuations == tuple(sorted(by_exp.items()))
+            if den == 7:
+                # column j alone: v_p of the gcd of its numerators, at least j m
+                for j in range(3):
+                    column = ValuationProfile.merge(row[j].valuation_profile(p)
+                                                    for row in mat.entries)
+                    assert column.min_valuation >= j * m and column.negative_valuations == ()
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -826,6 +925,50 @@ def invertible_matrices(draw):
 @given(invertible_matrices())
 def test_matinv_against_recurrence_oracle(m):
     assert coefficients(m.invert()) == recurrence_matrix_inverse(m)
+
+
+@st.composite
+def newton_inputs(draw):
+    """(matrix, singular): n <= 4, order 1..20, small fractional entries in
+    dense, zero-heavy or z^q-sparse shapes.  A(0) is neither the identity
+    nor diagonal (for n >= 2) and has a fractional entry; when singular,
+    its last row is a multiple of its first."""
+    n, trunc = draw(st.integers(1, 4)), draw(st.integers(1, 20))
+    rng = draw(st.randoms(use_true_random=False))
+    singular = n > 1 and draw(st.booleans())
+    const = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+    if singular:
+        c = F(rng.randint(-3, 3), 2)
+        const[-1] = [x * c for x in const[0]]
+    else:
+        try:
+            invert_constant_matrix(const)
+        except SingularConstantTerm:
+            assume(False)
+    assume(any(x.denominator > 1 for row in const for x in row))
+    assume(n == 1 or any(const[i][j] for i in range(n) for j in range(n) if i != j))
+    assume(const != [[int(i == j) for j in range(n)] for i in range(n)])
+
+    def tail():
+        shape, q = rng.choice(("dense", "zero_heavy", "sparse")), rng.randint(2, 4)
+        return [F(rng.randint(-20, 20), rng.randint(1, 12))
+                if shape == "dense" or (shape == "sparse" and k % q == 0)
+                or (shape == "zero_heavy" and rng.random() < 0.3) else 0
+                for k in range(1, trunc)]
+
+    return SeriesMatrix.from_rows([S([const[i][j]] + tail()) for j in range(n)]
+                                  for i in range(n)), singular
+
+
+@settings(max_examples=100, deadline=None)
+@given(newton_inputs())
+def test_matinv_matches_newton_doubling(case):
+    m, singular = case
+    if singular:
+        with pytest.raises(SingularConstantTerm):
+            m.invert()
+        return
+    assert coefficients(m.invert()) == coefficients(newton_matrix_inverse(m))
 
 
 def test_matmul_and_matinv_on_quintic_y(quintic_y30):

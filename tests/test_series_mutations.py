@@ -1,9 +1,9 @@
 """The integer kernels (the reduced numerators-over-denominator form of a
-series, sums, products, valuations, the matrix Newton inverse, the
-recurrence behind divide, exp and log, the Frobenius recurrence and the
-ladder of squares behind vp_int), each broken on purpose in a copy of the
-package, must fail their oracle tests in tests/test_series.py,
-tests/test_solve.py or tests/test_primes.py."""
+series, sums, products and sums of products, valuations, the matrix
+inverse's order-by-order recurrence, the recurrence behind divide, exp and
+log, the Frobenius recurrence and the ladder of squares behind vp_int),
+each broken on purpose in a copy of the package, must fail their oracle
+tests in tests/test_series.py, tests/test_solve.py or tests/test_primes.py."""
 
 from pathlib import Path
 
@@ -16,14 +16,16 @@ SOLVE = (Path("src/mumkit/solve.py"), "test_solve.py")
 PRIMES = (Path("src/mumkit/primes.py"), "test_primes.py")
 MUL = "schoolbook or unequal_heights"
 DIVIDE = "divide_matches or invert_matches"
-MATMUL = "matmul or sum_of_products"
+MATMUL = "matmul or sum_of_products or sparse_times_dense"
 MATINV = "matinv"
+PROFILE = "valuation_profile"
 EXP = "exp_matches_recurrence or exp_log_match"
 LOG = "log_matches_recurrence or exp_log_match"
 FROBENIUS = "frobenius_matches_recurrence"
 FORM = "stay_reduced or eq_and_hash"
 VP = "vp_int_matches_the_division_loop"
-ORACLES = {SERIES: f"{MUL} or {DIVIDE} or {MATMUL} or {MATINV} or {EXP} or {LOG} or {FORM}",
+ORACLES = {SERIES: f"{MUL} or {DIVIDE} or {MATMUL} or {MATINV} or {EXP} or {LOG} or {FORM}"
+                  f" or {PROFILE}",
            SOLVE: FROBENIUS, PRIMES: VP}
 
 # divide, exp and log share this line of the recurrence
@@ -45,12 +47,21 @@ MUTATIONS = {
     "divide_drops_dividend_lcm": (
         SERIES, "Fraction(dr * acc + dw * rk * v, dr * dw * v * lead[k])",
         "Fraction(acc + dw * rk * v, dw * v * lead[k])", DIVIDE),
-    "matmul_drops_term_scale": (SERIES, "scale = den // de", "scale = 1", MATMUL),
-    "matmul_uses_left_lcm_for_both": (SERIES, "(xk, xv, d * e, yk, yv)",
-                                      "(xk, xv, d * d, yk, yv)", MATMUL),
-    "matinv_skips_first_newton_step": (
-        SERIES, "invert_constant_matrix(self.constant_matrix()), 1)",
-        "invert_constant_matrix(self.constant_matrix()), min(2, trunc))", MATINV),
+    "matmul_drops_term_scale": (SERIES, "scale = den // (d * e)", "scale = 1", MATMUL),
+    "matmul_uses_left_lcm_for_both": (SERIES, "x[2] * y[2] for x, y in terms",
+                                      "x[2] * x[2] for x, y in terms", MATMUL),
+    # the recurrence B_k = -B_0 sum_{j=1..k} A_j B_{k-j} over a running denominator
+    "matinv_keeps_numerators_when_v_grows": (
+        SERIES, "nums = [[[x * (w // v) for x in row] for row in mat] for mat in nums]",
+        "nums = nums", MATINV),
+    "matinv_skips_a_1": (SERIES, "for j in range(1, k + 1):", "for j in range(2, k + 1):",
+                         MATINV),
+    # the gcd of the numerators stands for every coefficient only when p
+    # does not divide den, and its own valuation is the least
+    "valuation_takes_the_gcd_when_p_divides_den": (SERIES, "        if not vd:\n",
+                                                   "        if True:\n", PROFILE),
+    "valuation_gcd_reads_0": (SERIES, "vp_int(g, p) if g else INF", "0 if g else INF",
+                              PROFILE),
     "exp_keeps_numerators_when_v_grows": (SERIES, KEEP_NUMERATORS, KEPT_NUMERATORS, EXP),
     "log_keeps_numerators_when_v_grows": (SERIES, KEEP_NUMERATORS, KEPT_NUMERATORS, LOG),
     "log_drops_1_over_k": (SERIES, "u[k] / k for k", "u[k] for k", LOG),

@@ -1,9 +1,12 @@
-"""Each residual formula of the structure-aware transfer code, broken on
-purpose in a copy of the package, must fail tests/test_transfer_rows.py.
+"""Each residual formula of the structure-aware transfer code, and each
+step of H_m's row recursion, broken on purpose in a copy of the package,
+must fail tests/test_transfer_rows.py.
 
 The residuals are sums of products by the sparse companion matrices of
 _companion: a dropped column shift zeroes the superdiagonal of every such
-matrix, a dropped row shift that of the left factor C in C H only."""
+matrix, a dropped row shift that of the left factor C in C H only.  H_m's
+rows H_{i+1} = delta(H_i) + q H_i B(z^q) start from row 0 of Y times
+Lambda_q(Y)^{-1}(z^q) diag(1, q, ...)."""
 
 from pathlib import Path
 
@@ -31,7 +34,13 @@ MUTATIONS = {
                               "both, p_lead = lead, lead * p", VERIFY),
     "verify_drops_p": ("both, p_lead = lead * lead_sub, lead * p",
                        "both, p_lead = lead * lead_sub, lead", VERIFY),
-    "h_drops_level": ("e * q**i", "e * p**i", CLOSED),
+    # H_m's rows built with p where they need q = p^m
+    "h_drops_level": ("_h_rows(y, lam_inv, operator, q)", "_h_rows(y, lam_inv, operator, p)",
+                      CLOSED),
+    "h_shift_drops_q": ("for c in (0, 1, q))", "for c in (0, 1, 1))", CLOSED),
+    "h_tail_drops_q": ("(a * -q).substitute_power", "(-a).substitute_power", CLOSED),
+    "h_drops_column_shift": ("[zero, *row[:-1]]", "[zero] * n", CLOSED),
+    "h_row_0_drops_q_powers": ("* q**j).substitute_power", ").substitute_power", CLOSED),
     "last_row_drops_1_over_p": ("last[j - 1] * Fraction(1, q)", "last[j - 1]", CLOSED),
     # a level-m bracket built with 1/p where it needs 1/q = 1/p^m
     "bracket_uses_1_over_p": ("_quotient_last_row(lam, lam_inv, q), q)",

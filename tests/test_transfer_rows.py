@@ -2,7 +2,9 @@
 checked against the dense monic forms in transfer_oracles.
 
 L_m is read off the last row of F_q, q = p^m, in one step; the oracle
-transfers one prime at a time and solves every intermediate level.
+transfers one prime at a time and solves every intermediate level.  H_m is
+built from its first row by the companion recursion of L_m; the oracle is
+the product Y (Lambda_q(Y)(z^q))^{-1} diag(1, q, ...) at Y's full order.
 
 The audits read L's polynomial rows: the residuals are the monic ones times
 P_n (transfer_audit) or P_n(z) P_n(z^p) (verify_frobenius), whose constant
@@ -19,22 +21,25 @@ import pytest
 from mumkit import (
     ApparentSingularityAtZero,
     FrobeniusCandidate,
+    INF,
     RawOperator,
     SeriesMatrix,
     TruncSeries,
     frobenius_from_constant,
     h_matrix,
+    hypergeometric,
     iterate_transfer,
     monicize,
     transfer_audit,
     twisted_rows,
     uniform_part,
     verify_frobenius,
+    vp,
     working_trunc_for,
 )
 from mumkit import frobtransfer
 
-from tests.conftest import random_mum_operator
+from tests.conftest import HG_FAMILIES, random_mum_operator
 from transfer_oracles import (
     frobenius_quotient_F,
     frobenius_residual_order,
@@ -95,6 +100,32 @@ def test_h_matrix_and_last_row_of_f_match_the_closed_forms(seed):
             lam = y.cartier(q)
             full = frobenius_quotient_F(y, shift_rows(raw.order), q)
             assert frobtransfer._quotient_last_row(lam, lam.invert(), q) == full.entries[-1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_h_rows_match_the_closed_forms_at_levels_1_to_3(p):
+    rng = random.Random(400 + p)
+    for m in (1, 2, 3):
+        raw = random_mum_operator(rng)
+        y = uniform_part(raw, working_trunc_for(3, p, m))
+        data = iterate_transfer(y, p, m)
+        assert data.h == h_matrix_closed_form(y, p, m)
+        # rows 0 .. n-2 of the residual vanish by construction, the last row
+        # because H is the true H_m
+        expected = transfer_residual_order(monicize(raw, y.trunc), data)
+        assert audit_order(raw, data) == expected == (expected[1],) * 2
+        valuations = [vp(c, p) for row in data.h.entries for e in row for c in e.coeffs]
+        assert data.h.valuation_profile(p).min_valuation == min(valuations, default=INF)
+
+
+@pytest.mark.parametrize("label", sorted(HG_FAMILIES))
+def test_h_rows_match_the_closed_forms_at_bench_size(label):
+    # the transfer workload's size: T = 8 at p = 7 and 11, W = 50 and 78
+    alpha, scale = HG_FAMILIES[label]
+    raw = hypergeometric(alpha.split(","), [1] * 4, scale)
+    for p in (7, 11):
+        y = uniform_part(raw, working_trunc_for(8, p, 1))
+        assert iterate_transfer(y, p, 1).h == h_matrix_closed_form(y, p, 1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
