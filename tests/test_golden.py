@@ -58,6 +58,13 @@ CASES = {
                         "--primes", "2,3"],
     "check_reduction_level3": ["check", "reduction", "--builtin", "quintic", "--trunc", "4",
                                "--level", "3", "--primes", "2,3"],
+    # f_2 = 1/4 and f_3 = 1/36: the level-2 verdict is false at 2 and at 3
+    "check_reduction_not_integral_level2": ["check", "reduction", "--op", "D^2 - z",
+                                            "--trunc", "8", "--level", "2",
+                                            "--primes", "2,3"],
+    # f_k = 1/(2^k k!^2): false at 2 (f_1 = 1/2), true at 3 (f_1, f_2 3-integral)
+    "check_reduction_mixed": ["check", "reduction", "--op", "2*D^2 - z", "--trunc", "4",
+                              "--primes", "2,3"],
     # neither H_2 nor L_2 is 3- or 5-integral: `ok: false` and exit 1, with
     # the transferred coefficients still reported
     "transfer_nonhyper_level2": ["transfer", "--op", NONHYPER, "--trunc", "3", "--level", "2",
