@@ -65,7 +65,6 @@ from .frobtransfer import (
     fit_frobenius_constant,
     frobenius_from_constant,
     h0,
-    h_matrix,
     iterate_transfer,
     radius_diagnostic,
     reduction_congruence_check,

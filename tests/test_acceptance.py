@@ -22,7 +22,6 @@ from mumkit import (
     frobenius_from_constant,
     g_over_f,
     h0,
-    h_matrix,
     iterate_transfer,
     monicize,
     n_integrality_report,
@@ -157,7 +156,7 @@ def test_criterion_08_iteration_consistency():
         data2 = iterate_transfer(y, 7, 2)
         data1 = iterate_transfer(y, 7, 1)
         y1 = uniform_part(data1.operator, data1.operator.trunc)
-        composed = data1.h * h_matrix(y1, 7, 1).substitute_power(7)
+        composed = data1.h * iterate_transfer(y1, 7, 1).h.substitute_power(7)
         trunc = min(data2.h.trunc, composed.trunc)
         diff = data2.h.truncate(trunc) - composed.truncate(trunc)
         assert trunc >= 49

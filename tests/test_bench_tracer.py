@@ -15,10 +15,10 @@ from mumkit import builtin, fit_frobenius_constant, frobenius_from_constant, uni
 from mumkit.cli import dump_candidate, main
 
 REPO = Path(__file__).resolve().parents[1]
-TRANSFER_SPANS = ("frobtransfer.iterate_transfer", "frobtransfer.h_matrix",
+TRANSFER_SPANS = ("frobtransfer.iterate_transfer", "frobtransfer.reduction_congruence_check",
                   "frobtransfer.transfer_audit", "frobtransfer.verify_frobenius")
-LAYER_METRICS = ("frobtransfer.transfer.self_s", "frobtransfer.h_matrix.self_s",
-                 "frobtransfer.audit.self_s", "frobtransfer.verify.self_s")
+LAYER_METRICS = ("frobtransfer.transfer.self_s", "frobtransfer.audit.self_s",
+                 "frobtransfer.verify.self_s")
 SERIES_SPANS = ("series.TruncSeries.divide", "series.TruncSeries.exp")
 # spans whose private integer kernels (_frobenius, the recurrence behind
 # divide, exp and log) must be charged to them, and the self-time metrics
@@ -45,9 +45,8 @@ def test_bench_unittests_pass():
 
 
 def test_tracer_records_the_transfer_layer(tmp_path, monkeypatch):
-    # transfer shares one inverse between L_m and H_m and does not call the
-    # public h_matrix; the reduction check does, and h_matrix returns the
-    # H_m of iterate_transfer
+    # transfer builds L_m and H_m in iterate_transfer; the reduction check
+    # reads its verdict off f and calls no transfer function
     monkeypatch.chdir(tmp_path)
     y = uniform_part(builtin("quintic"), 8)
     cand = frobenius_from_constant(y, fit_frobenius_constant(y, 7).constant, 7)

@@ -1,6 +1,7 @@
 """The Frobenius-constant layer: the congruence solver of the fit against
-brute force, and the admissible constant shape against the element-wise
-rules it replaced."""
+brute force, the admissible constant shape against the element-wise
+rules it replaced, and the identities Phi = Y C Y(z^p)^{-1} holds by
+construction."""
 
 import itertools
 import random
@@ -8,8 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from mumkit import BadConstantShape, SeriesMatrix, frobenius_from_constant, twisted_rows
+from mumkit import (
+    BadConstantShape,
+    SeriesMatrix,
+    frobenius_from_constant,
+    twisted_rows,
+    uniform_part,
+)
 from mumkit.frobtransfer import _solve_congruences, constant_shape_ok
+
+from conftest import random_mum_operator
 
 F = Fraction
 
@@ -119,3 +128,21 @@ def test_non_square_constant_is_refused(rows):
     assert not constant_shape_ok(rows, 3)
     with pytest.raises(BadConstantShape):
         frobenius_from_constant(SeriesMatrix.identity(2, 4), rows, 3)
+
+
+def test_phi_times_y_at_z_p_is_y_c_and_phi_at_zero_is_c():
+    # frobenius_from_constant does not re-check these: Y^{-1} is exact below
+    # ceil(M/p), and Y(0) = I
+    rng = random.Random(20231019)
+    for _ in range(40):
+        p = rng.choice((2, 3, 5, 7))
+        raw = random_mum_operator(rng)
+        n, trunc = raw.order, rng.randint(2, 16)
+        y = uniform_part(raw, trunc)
+        pivot = rng.choice((F(1), F(-1), F(2), F(1, p), F(3, 7)))
+        gammas = [pivot] + [F(rng.randint(-5, 5), rng.choice((1, 2, p))) for _ in range(n - 1)]
+        rows = twisted_rows(p, n, gammas)
+        phi = frobenius_from_constant(y, rows, p).phi
+        yc = y * SeriesMatrix.from_constant(rows, trunc)
+        assert (phi * y.substitute_power(p, trunc) - yc).residual_order() == trunc
+        assert phi.constant_matrix() == rows

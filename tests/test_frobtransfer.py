@@ -13,7 +13,6 @@ from mumkit import (
     fit_frobenius_constant,
     frobenius_from_constant,
     h0,
-    h_matrix,
     iterate_transfer,
     monicize,
     parse_operator,
@@ -173,11 +172,11 @@ def test_iterate_transfer_trivial_operator():
     assert data.trunc == 5  # ceil(ceil(18/2)/2)
 
 
-def test_iterate_transfer_level_one_equals_h_matrix(quintic_y30):
+def test_iterate_transfer_level_one_equals_the_closed_form(quintic_y30):
     p = 7
     data = iterate_transfer(quintic_y30, p, 1)
-    # h_matrix is iterate_transfer's H_m, which the product form must match
-    assert data.h == h_matrix(quintic_y30, p, 1) == h_matrix_closed_form(quintic_y30, p, 1)
+    # H_m from its first row must match the product form
+    assert data.h == h_matrix_closed_form(quintic_y30, p, 1)
     assert data.h.constant_matrix() == tuple(
         tuple(F(p) ** i if i == j else F(0) for j in range(4)) for i in range(4)
     )
@@ -220,7 +219,7 @@ def test_iterate_transfer_dual_path_small():
     data2 = iterate_transfer(y, p, 2)
     data1 = iterate_transfer(y, p, 1)
     y1 = uniform_part(data1.operator, data1.operator.trunc)
-    composed = data1.h * h_matrix(y1, p, 1).substitute_power(p)
+    composed = data1.h * iterate_transfer(y1, p, 1).h.substitute_power(p)
     diff = data2.h.truncate(composed.trunc) - composed.truncate(composed.trunc)
     assert diff.residual_order() == composed.trunc
     # solution law at level 2
@@ -422,6 +421,13 @@ def test_reduction_quintic_small_prime(quintic_y30):
 def test_reduction_insufficient_truncation(quintic_y30):
     with pytest.raises(InsufficientTruncation):
         reduction_congruence_check(quintic_y30, 7, 2)
+
+
+def test_reduction_refuses_level_0_and_a_y_other_than_i_at_zero(quintic_y30):
+    with pytest.raises(ValueError, match="level"):
+        reduction_congruence_check(quintic_y30, 7, 0)
+    with pytest.raises(ValueError, match="constant term I"):
+        reduction_congruence_check(SeriesMatrix.diagonal([F(1), F(2)], 5), 2, 1)
 
 
 def test_bad_prime_detected_on_genuine_example():

@@ -26,7 +26,6 @@ from mumkit import (
     SeriesMatrix,
     TruncSeries,
     frobenius_from_constant,
-    h_matrix,
     hypergeometric,
     iterate_transfer,
     monicize,
@@ -95,7 +94,7 @@ def test_h_matrix_and_last_row_of_f_match_the_closed_forms(seed):
         raw = random_mum_operator(rng)
         y = uniform_part(raw, working_trunc_for(3, p, m))
         for level in (1, 2):
-            assert h_matrix(y, p, level) == h_matrix_closed_form(y, p, level)
+            assert iterate_transfer(y, p, level).h == h_matrix_closed_form(y, p, level)
             q = p**level
             lam = y.cartier(q)
             full = frobenius_quotient_F(y, shift_rows(raw.order), q)
