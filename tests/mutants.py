@@ -15,8 +15,9 @@ def run_mutated(root: Path, test_files, mutation=None,
     tests/ under root, apply the mutation (target, old, new) by replacing
     the text `old` in the file `target`, a path relative to the repository,
     with `new`, and run pytest there on the first test file, restricted by
-    `-k select` when given, stopping at the first failure.  Hypothesis does not shrink there
-    (the `mutants` profile of conftest.py, which test_files must include)."""
+    `-k select` when given, stopping at the first failure.  Hypothesis does
+    not shrink there (the `mutants` profile of conftest.py, which
+    test_files must include)."""
     shutil.copytree(REPO / "src", root / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(REPO / "data", root / "data")

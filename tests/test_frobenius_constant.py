@@ -1,7 +1,7 @@
 """The Frobenius-constant layer: the congruence solver of the fit against
 brute force, the admissible constant shape against the element-wise
-rules it replaced, and the identities Phi = Y C Y(z^p)^{-1} holds by
-construction."""
+rules it replaced, and the two identities that Phi = Y C Y(z^p)^{-1}
+satisfies by construction."""
 
 import itertools
 import random
