@@ -64,11 +64,9 @@ from .frobtransfer import (
     certified_trunc,
     fit_frobenius_constant,
     frobenius_from_constant,
-    h0,
     iterate_transfer,
     radius_diagnostic,
     reduction_congruence_check,
-    reduction_congruence_parts,
     taylor_gcds,
     transfer_audit,
     transfer_operator_L1,

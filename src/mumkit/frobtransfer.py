@@ -9,10 +9,12 @@ F_q = [delta(Lambda_q(Y)) + (1/q) Lambda_q(Y) N] Lambda_q(Y)^{-1} has the
 fundamental matrix Lambda_q(Y) z^{N/q}, and conjugating by
 S = diag(1, q^-1, ..., q^-(n-1)) turns N/q into N.  So
 Y_{L_m} = S Lambda_q(Y) S^{-1}, and L_m is read off the last row of F_q.
-H_m is built from its first row by rows 0 .. n-2 of the intertwining
-equation delta(H) = A H - q H B(z^q), A and B the companion matrices of L
-and L_m: H_{i+1} = delta(H_i) + q H_i B(z^q).  The equation's last row,
-which ties H to L's P_0 .. P_n, is then the audit's real check.
+TransferData holds L_m and row 0 of H_m and derives the other rows by
+rows 0 .. n-2 of the intertwining equation delta(H) = A H - q H B(z^q), A
+and B the companion matrices of L and L_m: H_{i+1} = delta(H_i) +
+q H_i B(z^q).  The equation's last row, sum_k P_k H_k = 0 over L's
+polynomial rows P_0 .. P_n with H_n one more step, is the only one that
+can fail, and the only one transfer_audit checks.
 
 The level-m reduction congruence H_m[0][0] Lambda_q(f)(z^q) == f
 mod z^{q+1}, f = Y[0][0], holds whenever Y(0) = I, so all it decides is
@@ -29,12 +31,13 @@ inverted at the order divided by q or p and then substituted, and only
 the last row of F_q is formed.
 
 The audits read L's polynomial rows P_0 .. P_n, so they take a parsed
-operator as it is or a monic one (P_n = 1).  C = P_n A is a sparse
-SeriesMatrix, P_n on the superdiagonal and -P_k in the last row, and the
-matrix products skip its zero entries.  Each equation is checked times
-P_n (transfer) or P_n(z) P_n(z^p) (Frobenius); the factor has a nonzero
-constant term, so the residual vanishes to exactly the order of the
-monic one.
+operator as it is or a monic one (P_n = 1).  Each equation is checked
+times P_n (transfer) or P_n(z) P_n(z^p) (Frobenius); the factor has a
+nonzero constant term, so the residual vanishes to exactly the order of
+the monic one.  No row of the Frobenius equation holds by construction,
+so verify_frobenius forms its full residual, with C = P_n A a sparse
+SeriesMatrix, P_n on the superdiagonal and -P_k in the last row, whose
+zero entries the matrix products skip.
 
 Truncation budget: every Cartier application divides the known order by p,
 so level-m operator data certified to order T needs a working order of at
@@ -72,13 +75,13 @@ which is row 0 of A_j mod z^T, directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, RawOperator, monicize
 from .primes import vp_factorial, vp_int
-from .series import INF, InternalError, SeriesMatrix, TruncSeries, ValuationProfile, vp
+from .series import INF, InternalError, SeriesMatrix, TruncSeries, ValuationProfile
 # not called here: bench/test_bench.py traces this second binding site
 from .solve import uniform_part  # noqa: F401
 
@@ -295,13 +298,6 @@ def _valuations_over_lead(rows, trunc: int, max_index: int, p: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def h0(y: SeriesMatrix, p: int) -> SeriesMatrix:
-    """H_0 = Lambda_p(Y)(z^p) Y^{-1}; p-integral with H_0(0) = I whenever Y
-    is the uniform part of a p-integral MUM system of radius >= 1."""
-    _require_identity_at_zero(y)
-    return y.cartier(p).substitute_power(p, y.trunc) * y.invert()
-
-
 def _quotient_last_row(lam: SeriesMatrix, lam_inv: SeriesMatrix,
                        q: int) -> tuple[TruncSeries, ...]:
     """Last row of F_q = [delta(Lambda) + (1/q) Lambda N] Lambda^{-1} for
@@ -333,23 +329,29 @@ def transfer_operator_L1(f_last_row, q: int) -> DeltaOperator:
     return op
 
 
-def _h_rows(y: SeriesMatrix, lam_inv: SeriesMatrix, op: DeltaOperator, q: int) -> SeriesMatrix:
-    """H_m from lam_inv = Lambda_q(Y)^{-1} and L_m = op, row by row at the
-    working order W: row 0 is row 0 of Y times lam_inv(z^q) diag(1, q, ...),
-    then H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion matrix of L_m,
-    whose a_j(z^q) are known to order q ceil(W/q) >= W.  Column j of
-    q H_i B(z^q) is q H_{i,j-1} - q a_j(z^q) H_{i,n-1}."""
+def _h_row0(y: SeriesMatrix, lam_inv: SeriesMatrix, q: int) -> tuple[TruncSeries, ...]:
+    """Row 0 of H_m at the working order W from lam_inv = Lambda_q(Y)^{-1}:
+    row 0 of Y times lam_inv(z^q) diag(1, q, ..., q^(n-1))."""
     n, trunc = y.n, y.trunc
-    zero, one, q_one = (TruncSeries.constant(c, trunc) for c in (0, 1, q))
     cols = [[(lam_inv.entries[k][j] * q**j).substitute_power(q, trunc) for k in range(n)]
             for j in range(n)]
-    rows = [[TruncSeries.sum_of_products(tuple(zip(y.entries[0], col))) for col in cols]]
-    tail = [(a * -q).substitute_power(q, trunc) for a in op.coeffs]
-    for _ in range(n - 1):
-        row = rows[-1]
-        rows.append([TruncSeries.sum_of_products(((h.delta(), one), (left, q_one), (row[-1], t)))
-                     for h, left, t in zip(row, [zero, *row[:-1]], tail)])
-    return SeriesMatrix(tuple(map(tuple, rows)))
+    return tuple(TruncSeries.sum_of_products(tuple(zip(y.entries[0], col))) for col in cols)
+
+
+def _h_tail(operator: DeltaOperator, q: int, trunc: int) -> list[TruncSeries]:
+    """-q a_j(z^q) mod z^trunc for the coefficients a_j of L_m; a_j is
+    known to order operator.trunc, so a_j(z^q) to q operator.trunc."""
+    return [(a * -q).substitute_power(q, trunc) for a in operator.coeffs]
+
+
+def _h_step(row, tail, q: int) -> tuple[TruncSeries, ...]:
+    """The next row delta(row) + q row B(z^q) of H_m, B the companion matrix
+    of L_m and tail = _h_tail(L_m, q, order): column j of q row B(z^q) is
+    q row_{j-1} - q a_j(z^q) row_{n-1}.  Output order tail's."""
+    trunc = tail[0].trunc
+    zero, one, q_one = (TruncSeries.constant(c, trunc) for c in (0, 1, q))
+    return tuple(TruncSeries.sum_of_products(((h.delta(), one), (left, q_one), (row[-1], t)))
+                 for h, left, t in zip(row, [zero, *row[:-1]], tail))
 
 
 def _require_identity_at_zero(y: SeriesMatrix):
@@ -366,11 +368,31 @@ def _require_identity_at_zero(y: SeriesMatrix):
 
 @dataclass(frozen=True)
 class TransferData:
+    """Level-m transfer data: L_m and row 0 of H_m.  The other rows of
+    h = H_m are derived on construction, q = p^m, by rows 0 .. n-2 of the
+    intertwining equation delta(H) = A H - q H B(z^q),
+    H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion matrix of L_m, at
+    the order of row 0 capped at q operator.trunc.  Those rows of the
+    equation thus hold for every TransferData; only its last row, which
+    ties H_m to L, can fail, and transfer_audit checks it."""
+
     p: int
     m: int
     operator: DeltaOperator  # L_m, certified to `trunc`
-    h: SeriesMatrix  # H_m, certified to its own (larger) truncation order
+    h_row0: tuple[TruncSeries, ...]  # row 0 of H_m, at the working order
     trunc: int
+    h: SeriesMatrix = field(init=False, repr=False, compare=False)  # H_m
+
+    def __post_init__(self):
+        if len(self.h_row0) != self.operator.order:
+            raise ValueError("row 0 of H_m needs one entry per order of L_m")
+        q = self.p**self.m
+        order = min(self.h_row0[0].trunc, q * self.operator.trunc)
+        tail = _h_tail(self.operator, q, order)
+        rows = [tuple(e.truncate(order) for e in self.h_row0)]
+        for _ in range(self.operator.order - 1):
+            rows.append(_h_step(rows[-1], tail, q))
+        object.__setattr__(self, "h", SeriesMatrix(tuple(rows)))
 
 
 def iterate_transfer(y: SeriesMatrix, p: int, m: int,
@@ -381,8 +403,9 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
     Lambda_q(Y), q = p^m, is known to order ceil(W/q), the order L_m is
     certified to (a requested target is checked up front).  It is inverted
     once: L_m is read off the last row of F_q, as Y_{L_m} =
-    S Lambda_q(Y) S^{-1}, and H_m, at the full working order, starts from
-    row 0 of Y times the same inverse at z^q and takes its other rows from L_m.
+    S Lambda_q(Y) S^{-1}, and row 0 of H_m, at the full working order, is
+    row 0 of Y times the same inverse at z^q.  TransferData derives the
+    other rows of H_m from row 0 and L_m.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -399,7 +422,7 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
     lam = y.cartier(q)
     lam_inv = lam.invert()
     operator = transfer_operator_L1(_quotient_last_row(lam, lam_inv, q), q)
-    return TransferData(p, m, operator, _h_rows(y, lam_inv, operator, q), certified)
+    return TransferData(p, m, operator, _h_row0(y, lam_inv, q), certified)
 
 
 @dataclass(frozen=True)
@@ -425,32 +448,29 @@ class TransferAudit:
 def transfer_audit(op: RawOperator | DeltaOperator, data: TransferData) -> TransferAudit:
     """Check every TransferData invariant that is decidable at this order.
 
-    The intertwining equation delta(H) = A H - q H B(z^q), A and B the
-    companion matrices of L and L_m, is checked times P_n:
-    P_n delta(H) - C H + q P_n H B(z^q) with C = P_n A read off L's
-    polynomial rows.  P_n(0) != 0, so the residual vanishes to the same
-    order as the monic one.  It is one sum of three matrix products,
-    delta(H) (P_n I) + H C_m - C H, C_m the companion matrix built from
-    q P_n B(z^q), which skip the zero entries of the sparse factors."""
+    The intertwining equation is delta(H) = A H - q H B(z^q), A and B the
+    companion matrices of L and L_m.  Its rows 0 .. n-2 are the recursion
+    H_{i+1} = delta(H_i) + q H_i B(z^q) from which TransferData derives H's
+    rows 1 .. n-1, so they hold for every TransferData.  Its last row is,
+    with H_n one more step of that recursion and P_0 .. P_n L's polynomial
+    rows, the residual sum_k P_k H_k = P_n (H_n + sum_{k<n} a_k H_k), one
+    sum of products per column.  P_n(0) != 0, so it vanishes to the same
+    order as the monic equation.  The check order is that of H, of
+    L_m(z^q) to q (L_m.trunc - 1) + 1 terms and of a monic op."""
     p, m = data.p, data.m
     n = op.order
     q = p**m
+    if data.h.n != n:
+        raise ValueError(f"transfer data is {data.h.n}x{data.h.n} but the operator has order {n}")
     expected = SeriesMatrix.diagonal([Fraction(p) ** (m * i) for i in range(n)], 1)
     h_constant_ok = data.h.constant_matrix() == expected.constant_matrix()
-    _, b_rows = _row_series(data.operator, data.operator.trunc)
-    b_sub = [b.substitute_power(q) for b in b_rows]
-    check_trunc, polys = _row_series(op, min(data.h.trunc, b_sub[0].trunc))
-    h = data.h.truncate(check_trunc)
-    b_sub = [b.truncate(check_trunc) for b in b_sub]
-    lead = polys[n]
-    residual = SeriesMatrix.sum_of_products((
-        (h.delta(), _scalar_matrix(lead, n)),
-        (h, _companion(b_sub, lead * q)),
-        (_companion(polys, -1), h),
-    ))
+    check_trunc, polys = _row_series(op, min(data.h.trunc, q * (data.operator.trunc - 1) + 1))
+    h = data.h.entries
+    rows = (*h, _h_step(h[-1], _h_tail(data.operator, q, check_trunc), q))
+    residual = [TruncSeries.sum_of_products(tuple(zip(polys, col))) for col in zip(*rows)]
     return TransferAudit(
         h_constant_ok,
-        residual.residual_order(),
+        min((k for r in residual if (k := r.first_nonzero()) is not None), default=check_trunc),
         check_trunc,
         data.h.valuation_profile(p),
         data.operator.p_integrality(p),
@@ -727,30 +747,12 @@ def _solve_congruences(rows, unknowns: int, p: int):
 # ---------------------------------------------------------------------------
 
 
-def reduction_congruence_parts(h11: TruncSeries, f: TruncSeries, p: int,
-                               m: int) -> bool:
-    """h11 * Lambda_p^m(f)(z^{p^m}) == f mod z^{p^m + 1}, plus the forced
-    consequences h_k = f_k in Z_p for 0 < k < p^m."""
-    q = p**m
-    check = min(h11.trunc, f.trunc)
-    if check < q + 1:
-        raise InsufficientTruncation(
-            f"need order {q + 1} coefficients, have {check}"
-        )
-    lhs = h11 * f.cartier(q).substitute_power(q, f.trunc)
-    d = (lhs - f).truncate(q + 1)
-    if not d.is_zero():
-        return False
-    for k in range(1, q):
-        if f[k] != h11[k] or vp(f[k], p) < 0:
-            return False
-    return True
-
-
 def reduction_congruence_check(y: SeriesMatrix, p: int, m: int) -> bool:
-    """reduction_congruence_parts(H_m[0][0], f, p, m), q = p^m, f = Y[0][0],
-    at working order Y.trunc > q.  Its congruence holds for every Y with
-    Y(0) = I, so the verdict is f_1 .. f_{q-1} in Z_p: mod z^{q+1},
+    """Level-m reduction congruence H_m[0][0] Lambda_q(f)(z^q) == f
+    mod z^{q+1}, q = p^m, f = Y[0][0], with its forced consequences
+    h_k = f_k in Z_p for 0 < k < q, at working order Y.trunc > q.  The
+    congruence holds for every Y with Y(0) = I, so the verdict is
+    f_1 .. f_{q-1} in Z_p: mod z^{q+1},
     Lambda_q(Y)^{-1}(z^q) == I - Y_q z^q and Y[0][k] = O(z) for k >= 1 give
     H_m[0][0] == f (1 - f_q z^q), and Lambda_q(f)(z^q) == 1 + f_q z^q."""
     if m < 1:

@@ -21,14 +21,12 @@ from mumkit import (
     dieudonne_check,
     frobenius_from_constant,
     g_over_f,
-    h0,
     iterate_transfer,
     monicize,
     n_integrality_report,
     omega_congruence_check,
     radius_diagnostic,
     reduction_congruence_check,
-    reduction_congruence_parts,
     solve_f,
     solve_first_row,
     transfer_audit,
@@ -38,6 +36,7 @@ from mumkit import (
     vp,
 )
 from tests.conftest import quintic_f_coeff, quintic_g_coeff
+from transfer_oracles import h0, reduction_congruence_parts
 
 F = Fraction
 
@@ -256,20 +255,28 @@ def test_criterion_15_fault_injection_sensitivity():
         h = bump_matrix(h0(y, 7), 1, 2, 4, F(1, 7))
         assert not h.valuation_profile(7).is_integral
 
-        # criterion 7: H1 audit breaks (constant and equation both checked)
+        # criterion 7: H1 audit breaks (constant and equation both checked);
+        # TransferData holds row 0 of H1 and L1 and derives H1's other rows
         data = iterate_transfer(y, 7, 1)
+        row = data.h_row0
         bad = type(data)(
-            data.p, data.m, data.operator, bump_matrix(data.h, 0, 0, 0, 1),
-            data.trunc,
+            data.p, data.m, data.operator, (bump(row[0], 0), *row[1:]), data.trunc,
         )
         bad_audit = transfer_audit(op, bad)
-        assert not bad_audit.h_constant_ok or not bad_audit.ok
+        assert not bad_audit.h_constant_ok and not bad_audit.ok
         eq_bad = type(data)(
-            data.p, data.m, data.operator, bump_matrix(data.h, 2, 3, 5, 1),
-            data.trunc,
+            data.p, data.m, data.operator, (*row[:3], bump(row[3], 5)), data.trunc,
         )
         eq_audit = transfer_audit(op, eq_bad)
+        assert eq_audit.h_constant_ok
         assert eq_audit.equation_residual_order < eq_audit.equation_trunc
+        a = data.operator.coeffs
+        l1_bad = type(data)(
+            data.p, data.m, type(data.operator)((*a[:2], bump(a[2], 1), a[3])),
+            row, data.trunc,
+        )
+        l1_audit = transfer_audit(op, l1_bad)
+        assert l1_audit.equation_residual_order < l1_audit.equation_trunc
 
         # criterion 10: the reduction congruence breaks
         f_true = solve_f(op, trunc)

@@ -25,8 +25,7 @@ SERIES_SPANS = ("series.TruncSeries.divide", "series.TruncSeries.exp")
 # that read them
 KERNEL_SPANS = ("solve.solve_first_row", "series.TruncSeries.exp", "series.TruncSeries.log")
 KERNEL_METRICS = ("solve.first_row.self_s", "series.exp_log.self_s")
-MATRIX_SPANS = ("series.SeriesMatrix.__mul__", "series.SeriesMatrix.invert",
-                "series.SeriesMatrix.sum_of_products")
+MATRIX_SPANS = ("series.SeriesMatrix.__mul__", "series.SeriesMatrix.invert")
 
 
 def load_spans():
@@ -93,8 +92,9 @@ def test_tracer_records_the_series_kernel(tmp_path, monkeypatch):
 def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):
     # the last row of F_q is a SeriesMatrix.__mul__ span; the inverse is an
     # order-by-order recurrence with no SeriesMatrix product, so its time
-    # is series.matinv.self_s alone; the transfer audit's residual is one
-    # sum_of_products span, whose time falls outside series.matmul.self_s
+    # is series.matinv.self_s alone; the transfer audit's residual is the
+    # last row of its equation, one TruncSeries.sum_of_products per column,
+    # with no matrix product
     monkeypatch.chdir(tmp_path)
     spans = load_spans()
     recorder = spans.Recorder()
@@ -102,10 +102,15 @@ def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):
         argv = ["transfer", "--builtin", "quintic", "--trunc", "4", "--primes", "7"]
         assert main(argv + ["--format", "json", "--out", "report.json"]) == 0
     assert set(MATRIX_SPANS) <= {recorder.names[i] for i in recorder.name}
-    mul, invert, _ = (recorder.names.index(name) for name in MATRIX_SPANS)
+    mul, invert = (recorder.names.index(name) for name in MATRIX_SPANS)
     callers_of_mul = {recorder.name[parent] for name, parent in zip(recorder.name, recorder.parent)
                       if name == mul and parent >= 0}
     assert callers_of_mul and invert not in callers_of_mul
+    audit = recorder.names.index("frobtransfer.transfer_audit")
+    under_audit = {recorder.names[name] for name, parent in zip(recorder.name, recorder.parent)
+                   if parent >= 0 and recorder.name[parent] == audit}
+    assert "series.TruncSeries.sum_of_products" in under_audit
+    assert not under_audit & {"series.SeriesMatrix.__mul__", "series.SeriesMatrix.sum_of_products"}
     metrics = spans.layer_metrics(recorder, 1.0, 1.0)
     assert metrics["series.self_s"] > 0 and metrics["series.matmul.self_s"] > 0
     assert metrics["series.matinv.self_s"] > 0

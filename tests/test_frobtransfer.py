@@ -12,13 +12,11 @@ from mumkit import (
     certified_trunc,
     fit_frobenius_constant,
     frobenius_from_constant,
-    h0,
     iterate_transfer,
     monicize,
     parse_operator,
     radius_diagnostic,
     reduction_congruence_check,
-    reduction_congruence_parts,
     solve_f,
     transfer_audit,
     transfer_operator_L1,
@@ -29,7 +27,12 @@ from mumkit import (
 )
 from mumkit.primes import vp_factorial
 
-from transfer_oracles import frobenius_quotient_F, h_matrix_closed_form
+from transfer_oracles import (
+    frobenius_quotient_F,
+    h0,
+    h_matrix_closed_form,
+    reduction_congruence_parts,
+)
 
 F = Fraction
 

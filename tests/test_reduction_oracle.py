@@ -16,13 +16,13 @@ from mumkit import (
     iterate_transfer,
     parse_operator,
     reduction_congruence_check,
-    reduction_congruence_parts,
     uniform_part,
 )
 from mumkit import frobtransfer
 from mumkit.cli import load_corpus_file, main
 
 from conftest import HG_FAMILIES
+from transfer_oracles import reduction_congruence_parts
 
 OPS = Path(__file__).resolve().parents[1] / "data" / "operators.ops"
 LEVELS = ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (2, 3))

@@ -42,6 +42,10 @@ def run_script(script, args):
     # level-2 transfer and reduction
     ("transfer_sweep.py", ["--trunc", "12", "--primes", "3", "--level", "2"],
      "== quintic (order 4, working order 12)"),
+    # level 3 at p = 3 (q = 27); every corpus operator passes there, while
+    # quartic3's f is not 2-integral, so p = 2 fails its audit at any level
+    ("transfer_sweep.py", ["--trunc", "28", "--primes", "3", "--level", "3"],
+     "== quintic (order 4, working order 28)"),
 ])
 def test_script_runs(script, args, header):
     result = run_script(script, args)

@@ -2,11 +2,12 @@
 step of H_m's row recursion, broken on purpose in a copy of the package,
 must fail tests/test_transfer_rows.py.
 
-The residuals are sums of products by the sparse companion matrices of
-_companion: a dropped column shift zeroes the superdiagonal of every such
-matrix, a dropped row shift that of the left factor C in C H only.  H_m's
-rows H_{i+1} = delta(H_i) + q H_i B(z^q) start from row 0 of Y times
-Lambda_q(Y)^{-1}(z^q) diag(1, q, ...)."""
+verify_frobenius's residual is a sum of products by the sparse companion
+matrices of _companion: a dropped column shift zeroes the superdiagonal of
+every such matrix, a dropped row shift that of the left factor C in C Phi
+only.  H_m's rows H_{i+1} = delta(H_i) + q H_i B(z^q) start from row 0 of Y
+times Lambda_q(Y)^{-1}(z^q) diag(1, q, ...), and transfer_audit's residual
+sum_k P_k H_k takes H_n as one more step."""
 
 from pathlib import Path
 
@@ -21,13 +22,15 @@ LEVELS = "level_by_level_oracle"
 
 # name -> (text in frobtransfer.py, its broken replacement, tests that must fail)
 MUTATIONS = {
-    "audit_drops_lead": ("(h.delta(), _scalar_matrix(lead, n))",
-                         "(h.delta(), SeriesMatrix.identity(n, check_trunc))", AUDIT),
-    "audit_drops_q": ("(h, _companion(b_sub, lead * q))", "(h, _companion(b_sub, lead))",
-                      AUDIT),
+    "audit_drops_lead": ("tuple(zip(polys, col))",
+                         "tuple(zip(polys[:n] + [polys[n] * 0 + 1], col))", AUDIT),
+    "audit_drops_q": ("_h_tail(data.operator, q, check_trunc), q)",
+                      "_h_tail(data.operator, q, check_trunc), 1)", AUDIT),
+    # the residual's last term P_n H_n taken with H_{n-1} for H_n
+    "audit_skips_last_step": ("rows = (*h, _h_step(", "rows = (*h, h[-1], _h_step(", AUDIT),
     "drops_column_shift": ("lead if j == i + 1 else zero", "zero", VERIFY),
-    "drops_row_shift": ("(_companion(polys, -1), h)",
-                        "(_companion(polys[:n] + [0 * polys[n]], -1), h)", AUDIT),
+    "drops_row_shift": ("(_companion(polys, -lead_sub), phi)",
+                        "(_companion(polys[:-1] + [0 * polys[-1]], -lead_sub), phi)", VERIFY),
     "verify_drops_lead": ("both, p_lead = lead * lead_sub, lead * p",
                           "both, p_lead = lead_sub, p", VERIFY),
     "verify_drops_lead_sub": ("both, p_lead = lead * lead_sub, lead * p",
@@ -35,11 +38,11 @@ MUTATIONS = {
     "verify_drops_p": ("both, p_lead = lead * lead_sub, lead * p",
                        "both, p_lead = lead * lead_sub, lead", VERIFY),
     # H_m's rows built with p where they need q = p^m
-    "h_drops_level": ("_h_rows(y, lam_inv, operator, q)", "_h_rows(y, lam_inv, operator, p)",
-                      CLOSED),
+    "h_drops_level": ("_h_row0(y, lam_inv, q)", "_h_row0(y, lam_inv, p)", CLOSED),
+    "h_rows_drop_level": ("q = self.p**self.m", "q = self.p", CLOSED),
     "h_shift_drops_q": ("for c in (0, 1, q))", "for c in (0, 1, 1))", CLOSED),
     "h_tail_drops_q": ("(a * -q).substitute_power", "(-a).substitute_power", CLOSED),
-    "h_drops_column_shift": ("[zero, *row[:-1]]", "[zero] * n", CLOSED),
+    "h_drops_column_shift": ("[zero, *row[:-1]]", "[zero] * len(row)", CLOSED),
     "h_row_0_drops_q_powers": ("* q**j).substitute_power", ").substitute_power", CLOSED),
     "last_row_drops_1_over_p": ("last[j - 1] * Fraction(1, q)", "last[j - 1]", CLOSED),
     # a level-m bracket built with 1/p where it needs 1/q = 1/p^m

@@ -9,17 +9,23 @@ the product Y (Lambda_q(Y)(z^q))^{-1} diag(1, q, ...) at Y's full order.
 The audits read L's polynomial rows: the residuals are the monic ones times
 P_n (transfer_audit) or P_n(z) P_n(z^p) (verify_frobenius), whose constant
 terms are nonzero, so every residual order must equal the oracle's, for the
-true H or Phi and after any single-coefficient fault.
+true H or Phi and after any single-coefficient fault.  transfer_audit forms
+only the last row of its equation, since TransferData derives H's rows
+1 .. n-1 from row 0 and L_m by the others; the oracle forms all n x n
+entries.  So the transfer faults go into what TransferData holds, row 0 of
+H and the coefficients of L_m, and into the audited operator's P_k.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mumkit import (
     ApparentSingularityAtZero,
+    DeltaOperator,
     FrobeniusCandidate,
     INF,
     RawOperator,
@@ -38,6 +44,7 @@ from mumkit import (
 )
 from mumkit import frobtransfer
 
+from mumkit.cli import load_corpus_file
 from tests.conftest import HG_FAMILIES, random_mum_operator
 from transfer_oracles import (
     frobenius_quotient_F,
@@ -54,13 +61,40 @@ def shift_rows(n):
     return tuple(tuple(Fraction(int(j == i + 1)) for j in range(n)) for i in range(n))
 
 
+def bump(series, k, delta):
+    """series with delta added to coefficient k."""
+    coeffs = list(series.coeffs)
+    coeffs[k] += delta
+    return TruncSeries(tuple(coeffs))
+
+
 def with_fault(mat, i, j, k, delta):
     """mat with delta added to coefficient k of entry (i, j)."""
     entries = [list(row) for row in mat.entries]
-    coeffs = list(entries[i][j].coeffs)
-    coeffs[k] += delta
-    entries[i][j] = TruncSeries(tuple(coeffs))
+    entries[i][j] = bump(entries[i][j], k, delta)
     return SeriesMatrix(tuple(tuple(row) for row in entries))
+
+
+def row0_fault(data, j, k, delta):
+    """data with delta added to coefficient k of entry j of H's row 0."""
+    row = list(data.h_row0)
+    row[j] = bump(row[j], k, delta)
+    return replace(data, h_row0=tuple(row))
+
+
+def operator_fault(data, j, k, delta):
+    """data with delta added to coefficient k of a_j of L_m."""
+    coeffs = list(data.operator.coeffs)
+    coeffs[j] = bump(coeffs[j], k, delta)
+    return replace(data, operator=DeltaOperator(tuple(coeffs)))
+
+
+def poly_fault(raw, i, k, delta):
+    """raw with the integer delta added to coefficient k of P_i."""
+    polys = [list(poly) for poly in raw.poly_coeffs]
+    polys[i] += [0] * (k + 1 - len(polys[i]))
+    polys[i][k] += delta
+    return RawOperator(tuple(map(tuple, polys)))
 
 
 def faults(mat, upto, rng, count):
@@ -69,6 +103,17 @@ def faults(mat, upto, rng, count):
         i, j = rng.randrange(mat.n), rng.randrange(mat.n)
         k = rng.randrange(upto)
         yield with_fault(mat, i, j, k, Fraction(rng.choice((1, -2, 3)), rng.choice((1, 3, 5))))
+
+
+def data_faults(data, rng, count):
+    """`count` random single-coefficient faults of row 0 of H or of L_m."""
+    n = data.operator.order
+    delta = Fraction(rng.choice((1, -2, 3)), rng.choice((1, 3, 5)))
+    for _ in range(count):
+        if rng.random() < 0.5:
+            yield row0_fault(data, rng.randrange(n), rng.randrange(data.h.trunc), delta)
+        else:
+            yield operator_fault(data, rng.randrange(n), rng.randrange(data.operator.trunc), delta)
 
 
 def transfer_case(rng, p, m):
@@ -155,27 +200,74 @@ def test_transfer_residual_matches_the_monic_oracle(seed):
         expected = transfer_residual_order(monic, data)
         assert expected[0] == expected[1]
         assert audit_order(raw, data) == audit_order(monic, data) == expected
-        for bad_h in faults(data.h, expected[1], rng, 6):
-            bad = replace(data, h=bad_h)
+        for bad in data_faults(data, rng, 6):
             expected = transfer_residual_order(monic, bad)
             assert audit_order(raw, bad) == audit_order(monic, bad) == expected
             broken += expected[0] < expected[1]
+        for _ in range(2):
+            # an integer that no P_n(0) of random_mum_operator cancels
+            bad_raw = poly_fault(raw, rng.randrange(raw.order + 1),
+                                 rng.randrange(data.h.trunc), rng.choice((7, -11)))
+            bad_monic = monicize(bad_raw, monic.trunc)
+            expected = transfer_residual_order(bad_monic, data)
+            assert audit_order(bad_raw, data) == audit_order(bad_monic, data) == expected
+            broken += expected[0] < expected[1]
     assert broken
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "data" / "operators.ops"
+
+
+def test_transfer_residual_equals_the_full_oracle_on_the_corpus_and_families():
+    ops = load_corpus_file(CORPUS) + [
+        (label, hypergeometric(alpha.split(","), [1] * 4, scale))
+        for label, (alpha, scale) in sorted(HG_FAMILIES.items())
+    ]
+    for label, raw in ops:
+        for p, m, target in ((2, 1, 4), (3, 1, 3), (5, 1, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2),
+                             (3, 3, 2)):
+            working = working_trunc_for(target, p, m)
+            monic = monicize(raw, working)
+            data = iterate_transfer(uniform_part(raw, working), p, m)
+            # the true data, a fault in row 0 of H and one in L_m
+            for case in (data, row0_fault(data, raw.order - 1, working // 2, Fraction(1, 3)),
+                         operator_fault(data, 0, data.trunc - 1, Fraction(1, 3))):
+                expected = transfer_residual_order(monic, case)
+                assert audit_order(raw, case) == expected, (label, p, m)
+                assert (expected[0] == expected[1]) == (case is data), (label, p, m)
 
 
 def test_transfer_residual_after_every_single_fault():
     rng = random.Random(7)
     raw = RawOperator(((0, 2, -1), (0, 0, 3), (0, 1), (2, 1, -1)))
-    monic = monicize(raw, working_trunc_for(3, 5, 1))
-    data = iterate_transfer(uniform_part(raw, monic.trunc), 5, 1)
-    check = transfer_residual_order(monic, data)[1]
-    for i in range(3):
-        for j in range(3):
+    for p, m, target in ((5, 1, 3), (3, 1, 4), (2, 2, 3)):
+        working = working_trunc_for(target, p, m)
+        monic = monicize(raw, working)
+        data = iterate_transfer(uniform_part(raw, working), p, m)
+        check = transfer_residual_order(monic, data)[1]
+        assert check == data.h.trunc == working
+        for fault, order in ((row0_fault, working), (operator_fault, data.trunc)):
+            for j in range(3):
+                for k in range(order):
+                    bad = fault(data, j, k, Fraction(rng.choice((1, -1)), p))
+                    audit = transfer_audit(raw, bad)
+                    expected = transfer_residual_order(monic, bad)
+                    assert (audit.equation_residual_order, audit.equation_trunc) == expected
+                    if k:
+                        assert expected[0] < check  # no fault escapes the equation
+                    elif fault is row0_fault:
+                        assert not audit.h_constant_ok
+                    else:
+                        assert not audit.operator_is_mum and expected[0] < check
+        # the last row's other input, P_k of the audited operator: a fault
+        # c z^k adds c z^k H_k, and H_k(0) = q^k e_k except H_n(0) = 0
+        for i in range(4):
             for k in range(check):
-                bad = replace(data, h=with_fault(data.h, i, j, k, Fraction(rng.choice((1, -1)), 5)))
-                expected = transfer_residual_order(monic, bad)
-                assert expected[0] < check  # no fault escapes the equation
-                assert audit_order(raw, bad) == expected
+                bad_raw = poly_fault(raw, i, k, rng.choice((1, -1)))
+                bad_monic = monicize(bad_raw, working)
+                expected = transfer_residual_order(bad_monic, data)
+                assert audit_order(bad_raw, data) == audit_order(bad_monic, data) == expected
+                assert (expected[0] < check) == (i < 3 or k < check - 1)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -4,13 +4,49 @@ as exact oracles for the structure-aware ones in mumkit.frobtransfer.
 Each function here multiplies full SeriesMatrix products: by the monic
 companion matrix A = C / P_n, by the full quotient matrix F and by the
 diagonal matrix diag(1, p^m, ...).  The level-m operator is transferred
-one prime at a time, solving each monic level for its uniform part.  They
-read only the public API.
+one prime at a time, solving each monic level for its uniform part.  The
+transfer residual is formed in all n x n entries, not only in the last
+row that transfer_audit checks.  H_0 and the full reduction congruence,
+which no library caller needs, live here too.  They read only the public
+API.
 """
 
 from fractions import Fraction
 
-from mumkit import SeriesMatrix, transfer_operator_L1, uniform_part
+from mumkit import (
+    InsufficientTruncation,
+    SeriesMatrix,
+    transfer_operator_L1,
+    uniform_part,
+    vp,
+)
+
+
+def h0(y, p):
+    """H_0 = Lambda_p(Y)(z^p) Y^{-1}; p-integral with H_0(0) = I whenever Y
+    is the uniform part of a p-integral MUM system of radius >= 1."""
+    if y.constant_matrix() != SeriesMatrix.identity(y.n, 1).constant_matrix():
+        raise ValueError("matrix must have constant term I")
+    return y.cartier(p).substitute_power(p, y.trunc) * y.invert()
+
+
+def reduction_congruence_parts(h11, f, p, m):
+    """h11 * Lambda_p^m(f)(z^{p^m}) == f mod z^{p^m + 1}, plus the forced
+    consequences h_k = f_k in Z_p for 0 < k < p^m."""
+    q = p**m
+    check = min(h11.trunc, f.trunc)
+    if check < q + 1:
+        raise InsufficientTruncation(
+            f"need order {q + 1} coefficients, have {check}"
+        )
+    lhs = h11 * f.cartier(q).substitute_power(q, f.trunc)
+    d = (lhs - f).truncate(q + 1)
+    if not d.is_zero():
+        return False
+    for k in range(1, q):
+        if f[k] != h11[k] or vp(f[k], p) < 0:
+            return False
+    return True
 
 
 def frobenius_quotient_F(y, nilpotent, p):
@@ -44,8 +80,9 @@ def h_matrix_closed_form(y, p, m=1):
 
 
 def transfer_residual_order(op, data):
-    """(residual order, check order) of delta(H) - A H + q H B(z^q) from the
-    monic operator op and the companion matrices of op and of L_m."""
+    """(residual order, check order) of delta(H) - A H + q H B(z^q) in all
+    n x n entries, from the monic operator op and the companion matrices of
+    op and of L_m."""
     q = data.p**data.m
     a = op.companion()
     b_sub = data.operator.companion().substitute_power(q)
