@@ -12,9 +12,8 @@ Y_{L_m} = S Lambda_q(Y) S^{-1}, and L_m is read off the last row of F_q.
 TransferData holds L_m and row 0 of H_m and derives the other rows by
 rows 0 .. n-2 of the intertwining equation delta(H) = A H - q H B(z^q), A
 and B the companion matrices of L and L_m: H_{i+1} = delta(H_i) +
-q H_i B(z^q).  The equation's last row, sum_k P_k H_k = 0 over L's
-polynomial rows P_0 .. P_n with H_n one more step, is the only one that
-can fail, and the only one transfer_audit checks.
+q H_i B(z^q).  transfer_audit checks the last row, the only one that can
+fail: sum_k P_k H_k = 0 over L's polynomial rows, H_n one more step.
 
 The level-m reduction congruence H_m[0][0] Lambda_q(f)(z^q) == f
 mod z^{q+1}, f = Y[0][0], holds whenever Y(0) = I, so all it decides is
@@ -368,13 +367,13 @@ def _require_identity_at_zero(y: SeriesMatrix):
 
 @dataclass(frozen=True)
 class TransferData:
-    """Level-m transfer data: L_m and row 0 of H_m.  The other rows of
-    h = H_m are derived on construction, q = p^m, by rows 0 .. n-2 of the
-    intertwining equation delta(H) = A H - q H B(z^q),
-    H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion matrix of L_m, at
-    the order of row 0 capped at q operator.trunc.  Those rows of the
-    equation thus hold for every TransferData; only its last row, which
-    ties H_m to L, can fail, and transfer_audit checks it."""
+    """Level-m transfer data: L_m and row 0 of H_m, q = p^m.  h = H_m is
+    derived on construction by H_{i+1} = delta(H_i) + q H_i B(z^q), B the
+    companion matrix of L_m, to the order of row 0 capped at
+    q operator.trunc.  Those are rows 0 .. n-2 of the intertwining
+    equation delta(H) = A H - q H B(z^q), so they hold for every
+    TransferData; transfer_audit checks the last row, the only one that
+    can fail."""
 
     p: int
     m: int
@@ -557,9 +556,10 @@ def verify_frobenius(op: RawOperator | DeltaOperator,
     L's polynomial rows:
     P_n P_n(z^p) delta(Phi) - P_n(z^p) C Phi + p P_n Phi C(z^p).
     The factor has constant term P_n(0)^2 != 0, so the residual vanishes
-    to the same order as the monic one; it is one sum of three matrix
-    products, as in transfer_audit.  det(Phi) mod z^T is nonzero when
-    det(Phi(0)) is; only a singular Phi(0) needs the full determinant."""
+    to the same order as the monic one.  No row of it holds by
+    construction, so it is formed in full, one sum of three matrix
+    products.  det(Phi) mod z^T is nonzero when det(Phi(0)) is; only a
+    singular Phi(0) needs the full determinant."""
     p = cand.p
     check_trunc, polys = _row_series(op, cand.trunc)
     phi = cand.phi.truncate(check_trunc)

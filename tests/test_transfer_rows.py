@@ -108,8 +108,8 @@ def faults(mat, upto, rng, count):
 def data_faults(data, rng, count):
     """`count` random single-coefficient faults of row 0 of H or of L_m."""
     n = data.operator.order
-    delta = Fraction(rng.choice((1, -2, 3)), rng.choice((1, 3, 5)))
     for _ in range(count):
+        delta = Fraction(rng.choice((1, -2, 3)), rng.choice((1, 3, 5)))
         if rng.random() < 0.5:
             yield row0_fault(data, rng.randrange(n), rng.randrange(data.h.trunc), delta)
         else:
@@ -294,6 +294,15 @@ def test_frobenius_residual_matches_the_monic_oracle(seed):
             assert verify_order(raw, bad) == verify_order(monic, bad) == expected
             broken += expected[0] < expected[1]
     assert broken
+
+
+def test_transfer_data_and_audit_refuse_mismatched_orders():
+    raw = RawOperator(((0, 2, -1), (0, 0, 3), (0, 1), (2, 1, -1)))
+    data = iterate_transfer(uniform_part(raw, 11), 5, 1)
+    with pytest.raises(ValueError):
+        replace(data, h_row0=data.h_row0[:2])
+    with pytest.raises(ValueError):
+        transfer_audit(RawOperator(((0, 1), (0, 1), (1,))), data)
 
 
 def test_audit_rejects_an_apparent_singularity():
