@@ -503,7 +503,7 @@ def _transfer(spec, subject, work, p):
             series_payload(a, limit=data.trunc) for a in data.operator.coeffs
         ],
         "h_constant_diagonal": [
-            fmt_rational(data.h.constant_matrix()[i][i]) for i in range(data.h.n)
+            fmt_rational(row[i]) for i, row in enumerate(data.h_constant_matrix())
         ],
         "h_profile": profile_payload(audit.h_profile),
         "operator_profile": profile_payload(audit.operator_profile),

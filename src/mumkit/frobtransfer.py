@@ -9,11 +9,15 @@ F_q = [delta(Lambda_q(Y)) + (1/q) Lambda_q(Y) N] Lambda_q(Y)^{-1} has the
 fundamental matrix Lambda_q(Y) z^{N/q}, and conjugating by
 S = diag(1, q^-1, ..., q^-(n-1)) turns N/q into N.  So
 Y_{L_m} = S Lambda_q(Y) S^{-1}, and L_m is read off the last row of F_q.
-TransferData holds L_m and row 0 of H_m and derives the other rows by
+TransferData holds L_m and row 0 of H_m and derives rows 1 .. n by
 rows 0 .. n-2 of the intertwining equation delta(H) = A H - q H B(z^q), A
 and B the companion matrices of L and L_m: H_{i+1} = delta(H_i) +
-q H_i B(z^q).  transfer_audit checks the last row, the only one that can
-fail: sum_k P_k H_k = 0 over L's polynomial rows, H_n one more step.
+q H_i B(z^q).  The rows are integer rows, one numerator list per entry
+over one denominator per row, reduced once per step; H_m as a
+SeriesMatrix is built only when read.  transfer_audit checks the last
+row, the only one that can fail: sum_k P_k H_k = 0 over L's polynomial
+rows, H_n being row n, to the rows' order min(W, q L_m.trunc).  It reads
+H(0) and the valuation profile of H off the same rows.
 
 The level-m reduction congruence H_m[0][0] Lambda_q(f)(z^q) == f
 mod z^{q+1}, f = Y[0][0], holds whenever Y(0) = I, so all it decides is
@@ -26,8 +30,9 @@ matrix C satisfying N C = p C N.  All of these are built from the uniform
 part Y of L's solutions at z = 0, so the constructions (transfer,
 reduction, H_m, F_q, Phi and its fit) take Y.  They use the structure
 they know: Lambda_q(Y)(z^q) and Y(z^p) are series in z^q and z^p,
-inverted at the order divided by q or p and then substituted, and only
-the last row of F_q is formed.
+inverted at the order divided by q or p and then substituted, only the
+last row of F_q is formed, and the fit's Y C for a unit twist is a
+column shift of Y diag(1, p, ..., p^(n-1)).
 
 The audits read L's polynomial rows P_0 .. P_n, so they take a parsed
 operator as it is or a monic one (P_n = 1).  Each equation is checked
@@ -76,6 +81,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, RawOperator, monicize
@@ -337,20 +343,62 @@ def _h_row0(y: SeriesMatrix, lam_inv: SeriesMatrix, q: int) -> tuple[TruncSeries
     return tuple(TruncSeries.sum_of_products(tuple(zip(y.entries[0], col))) for col in cols)
 
 
-def _h_tail(operator: DeltaOperator, q: int, trunc: int) -> list[TruncSeries]:
-    """-q a_j(z^q) mod z^trunc for the coefficients a_j of L_m; a_j is
-    known to order operator.trunc, so a_j(z^q) to q operator.trunc."""
-    return [(a * -q).substitute_power(q, trunc) for a in operator.coeffs]
+def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
+    """Rows 0 .. n of H_m mod z^order as integer rows (den, [numerators of
+    each entry]), by H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion
+    matrix of L_m: column j of q H_i B(z^q) is q H_i[j-1] - q a_j(z^q) H_i[n-1].
+
+    -q a_j(z^q) is tail_j / d over the lcm d of L_m's denominators, known
+    to q operator.trunc >= order, so row i+1 is an integer row over d den_i,
+    reduced once."""
+    den = lcm(*(e.den for e in row0))
+    nums = [[x * (den // e.den) for x in e.nums[:order]] for e in row0]
+    d = lcm(*(a.den for a in operator.coeffs))
+    tails = []
+    for a in operator.coeffs:
+        tail = [0] * order
+        tail[::q] = [-q * x * (d // a.den) for x in a.nums[:-(-order // q)]]
+        tails.append(tail)
+    rows = [(den, nums)]
+    for _ in range(operator.order):
+        last, step = nums[-1], []
+        for j, (entry, tail) in enumerate(zip(nums, tails)):
+            if j:
+                out = [d * (k * x + q * y) for k, (x, y) in enumerate(zip(entry, nums[j - 1]))]
+            else:
+                out = [d * k * x for k, x in enumerate(entry)]
+            _add_product(out, tail, last)
+            step.append(out)
+        den *= d
+        g = gcd(den, *(x for entry in step for x in entry))
+        if g != 1:
+            den //= g
+            step = [[x // g for x in entry] for entry in step]
+        nums = step
+        rows.append((den, nums))
+    return tuple(rows)
 
 
-def _h_step(row, tail, q: int) -> tuple[TruncSeries, ...]:
-    """The next row delta(row) + q row B(z^q) of H_m, B the companion matrix
-    of L_m and tail = _h_tail(L_m, q, order): column j of q row B(z^q) is
-    q row_{j-1} - q a_j(z^q) row_{n-1}.  Output order tail's."""
-    trunc = tail[0].trunc
-    zero, one, q_one = (TruncSeries.constant(c, trunc) for c in (0, 1, q))
-    return tuple(TruncSeries.sum_of_products(((h.delta(), one), (left, q_one), (row[-1], t)))
-                 for h, left, t in zip(row, [zero, *row[:-1]], tail))
+def _rows_profile(rows, p: int) -> ValuationProfile:
+    """The merged valuation profile of the entries of integer rows: v_p of
+    a coefficient is v_p(numerator) - v_p(den) over any denominator, and a
+    row's least valuation is that of the gcd of its numerators."""
+    min_v, neg = INF, {}
+    for den, nums in rows:
+        g = gcd(*(x for entry in nums for x in entry))
+        if not g:
+            continue
+        vd, vg = vp_int(den, p), vp_int(g, p)
+        min_v = min(min_v, vg - vd)
+        if vg >= vd:
+            continue
+        for entry in nums:
+            for k, x in enumerate(entry):
+                if x:
+                    v = vp_int(x, p) - vd
+                    if v < neg.get(k, 0):
+                        neg[k] = v
+    return ValuationProfile(p, min_v, tuple(sorted(neg.items())))
 
 
 def _require_identity_at_zero(y: SeriesMatrix):
@@ -367,31 +415,40 @@ def _require_identity_at_zero(y: SeriesMatrix):
 
 @dataclass(frozen=True)
 class TransferData:
-    """Level-m transfer data: L_m and row 0 of H_m, q = p^m.  h = H_m is
-    derived on construction by H_{i+1} = delta(H_i) + q H_i B(z^q), B the
-    companion matrix of L_m, to the order of row 0 capped at
-    q operator.trunc.  Those are rows 0 .. n-2 of the intertwining
-    equation delta(H) = A H - q H B(z^q), so they hold for every
-    TransferData; transfer_audit checks the last row, the only one that
-    can fail."""
+    """Level-m transfer data: L_m and row 0 of H_m, q = p^m.  Rows 1 .. n
+    of H_m are derived on construction by H_{i+1} = delta(H_i) +
+    q H_i B(z^q), B the companion matrix of L_m, to the order of row 0
+    capped at q operator.trunc, as integer rows: one numerator list per
+    entry over one denominator per row.  Rows 0 .. n-1 are H = H_m, and
+    the steps to them are rows 0 .. n-2 of the intertwining equation
+    delta(H) = A H - q H B(z^q), so they hold for every TransferData;
+    row n is the extra step with which transfer_audit checks the last
+    row, the only one that can fail.  h, H as a SeriesMatrix of reduced
+    series, is built on first read; the audit reads the integer rows."""
 
     p: int
     m: int
     operator: DeltaOperator  # L_m, certified to `trunc`
     h_row0: tuple[TruncSeries, ...]  # row 0 of H_m, at the working order
     trunc: int
-    h: SeriesMatrix = field(init=False, repr=False, compare=False)  # H_m
+    rows: tuple = field(init=False, repr=False, compare=False)  # H_0 .. H_n: (den, nums)
 
     def __post_init__(self):
         if len(self.h_row0) != self.operator.order:
             raise ValueError("row 0 of H_m needs one entry per order of L_m")
         q = self.p**self.m
         order = min(self.h_row0[0].trunc, q * self.operator.trunc)
-        tail = _h_tail(self.operator, q, order)
-        rows = [tuple(e.truncate(order) for e in self.h_row0)]
-        for _ in range(self.operator.order - 1):
-            rows.append(_h_step(rows[-1], tail, q))
-        object.__setattr__(self, "h", SeriesMatrix(tuple(rows)))
+        object.__setattr__(self, "rows", _h_rows(self.h_row0, self.operator, q, order))
+
+    @cached_property
+    def h(self) -> SeriesMatrix:
+        """H_m, rows 0 .. n-1 of `rows` as reduced series."""
+        return SeriesMatrix(tuple(tuple(TruncSeries._from_nums(e, den) for e in nums)
+                                  for den, nums in self.rows[:-1]))
+
+    def h_constant_matrix(self):
+        """H_m(0) as rows of Fractions."""
+        return tuple(tuple(Fraction(e[0], den) for e in nums) for den, nums in self.rows[:-1])
 
 
 def iterate_transfer(y: SeriesMatrix, p: int, m: int,
@@ -453,26 +510,36 @@ def transfer_audit(op: RawOperator | DeltaOperator, data: TransferData) -> Trans
     rows 1 .. n-1, so they hold for every TransferData.  Its last row is,
     with H_n one more step of that recursion and P_0 .. P_n L's polynomial
     rows, the residual sum_k P_k H_k = P_n (H_n + sum_{k<n} a_k H_k), one
-    sum of products per column.  P_n(0) != 0, so it vanishes to the same
-    order as the monic equation.  The check order is that of H, of
-    L_m(z^q) to q (L_m.trunc - 1) + 1 terms and of a monic op."""
-    p, m = data.p, data.m
+    integer sum per column over a common denominator of the terms.
+    P_n(0) != 0, so it vanishes to the same order as the monic equation.
+    The check order is that of the rows, min(W, q L_m.trunc), capped at a
+    monic op's own order.  Everything is read off TransferData's integer
+    rows; the SeriesMatrix h is not built."""
     n = op.order
-    q = p**m
-    if data.h.n != n:
-        raise ValueError(f"transfer data is {data.h.n}x{data.h.n} but the operator has order {n}")
-    expected = SeriesMatrix.diagonal([Fraction(p) ** (m * i) for i in range(n)], 1)
-    h_constant_ok = data.h.constant_matrix() == expected.constant_matrix()
-    check_trunc, polys = _row_series(op, min(data.h.trunc, q * (data.operator.trunc - 1) + 1))
-    h = data.h.entries
-    rows = (*h, _h_step(h[-1], _h_tail(data.operator, q, check_trunc), q))
-    residual = [TruncSeries.sum_of_products(tuple(zip(polys, col))) for col in zip(*rows)]
+    q = data.p**data.m
+    if data.operator.order != n:
+        k = data.operator.order
+        raise ValueError(f"transfer data is {k}x{k} but the operator has order {n}")
+    h_constant_ok = all(c == (q**i if i == j else 0)
+                        for i, row in enumerate(data.h_constant_matrix())
+                        for j, c in enumerate(row))
+    check_trunc, polys = _row_series(op, len(data.rows[0][1][0]))
+    terms = list(zip(polys, data.rows))  # (P_k, H_k)
+    scale = lcm(*(poly.den * den for poly, (den, _) in terms))
+    factors = [[x * (scale // (poly.den * den)) for x in poly.nums] for poly, (den, _) in terms]
+    residual_order = check_trunc
+    for j in range(n):
+        out = [0] * check_trunc
+        for factor, (_, (_, nums)) in zip(factors, terms):
+            _add_product(out, factor, nums[j])
+        residual_order = next((k for k, x in enumerate(out[:residual_order]) if x),
+                              residual_order)
     return TransferAudit(
         h_constant_ok,
-        min((k for r in residual if (k := r.first_nonzero()) is not None), default=check_trunc),
+        residual_order,
         check_trunc,
-        data.h.valuation_profile(p),
-        data.operator.p_integrality(p),
+        _rows_profile(data.rows[:-1], data.p),
+        data.operator.p_integrality(data.p),
         data.operator.is_mum(),
     )
 
@@ -633,17 +700,10 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int) -> FrobeniusFit:
     """
     _require_identity_at_zero(y)
     n, M = y.n, y.trunc
-    y_sub_inv = _inverse_at_power(y, p)
-
-    def phi_of(gammas) -> SeriesMatrix:
-        c = SeriesMatrix.from_constant(twisted_rows(p, n, gammas), M)
-        return y * c * y_sub_inv
-
-    phi0 = phi_of([_F1] + [_F0] * (n - 1))
-    # phi_of is linear in the gammas, so unit vectors give the basis and the
-    # candidate for gammas (1, x_1, ..., x_{n-1}) is phi0 + sum x_r basis_r
-    basis = [phi_of(_unit_gammas(n, r)) for r in range(1, n)]
-
+    # Phi is linear in the gammas, so the unit vectors give phi0 and the
+    # basis, and the candidate for gammas (1, x_1, ..., x_{n-1}) is
+    # phi0 + sum x_r basis_r
+    phi0, *basis = _phi_basis(y, p)
     conditions_by_order = _congruence_conditions(phi0, basis, p, M)
     # a solution of a prefix solves every shorter one, so the first solvable
     # prefix counted down is the longest; the empty one (0 orders) always is
@@ -663,21 +723,29 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int) -> FrobeniusFit:
                         gammas if found else None, profile, M, orders_used, True)
 
 
-def _unit_gammas(n: int, r: int):
-    out = [_F0] * n
-    out[r] = _F1
-    return out
+def _phi_basis(y: SeriesMatrix, p: int) -> list[SeriesMatrix]:
+    """Phi = Y C Y(z^p)^{-1} for the gammas e_0 .. e_{n-1}.  The constant of
+    e_r is diag(1, p, ..., p^(n-1)) N^r, so Y C is Y's columns scaled by
+    p^k and shifted right by r, and each Phi is one product."""
+    n = y.n
+    y_sub_inv = _inverse_at_power(y, p)
+    scaled = [[e * p**k for k, e in enumerate(row)] for row in y.entries]
+    zero = TruncSeries.zero(y.trunc)
+    return [SeriesMatrix(tuple(tuple([zero] * r + row[:n - r]) for row in scaled)) * y_sub_inv
+            for r in range(n)]
 
 
 def _congruence_conditions(phi0: SeriesMatrix, basis, p: int, M: int):
     """Per order k: rows (coeffs mod p^e, rhs mod p^e, e) expressing that
     the order-k coefficient of every entry of phi0 + sum x_r basis_r has
-    nonnegative p-adic valuation, given integral unknowns x_r."""
+    nonnegative p-adic valuation, given integral unknowns x_r.  An entry
+    whose series all have denominators prime to p gives no condition."""
     n = phi0.n
     # per entry (i, j): phi0's entry, then the basis entries, each with v_p(den)
     entries = [[(s, vp_int(s.den, p))
                 for s in (phi0.entries[i][j], *(mat.entries[i][j] for mat in basis))]
                for i in range(n) for j in range(n)]
+    entries = [series for series in entries if any(vd for _, vd in series)]
     by_order = []
     for k in range(M):
         rows = []

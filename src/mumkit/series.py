@@ -200,13 +200,6 @@ class TruncSeries:
         c = Fraction(c)
         return TruncSeries._from_nums((c.numerator,) + (0,) * (trunc - 1), c.denominator)
 
-    @staticmethod
-    def z_power(k: int, trunc: int) -> "TruncSeries":
-        nums = [0] * trunc
-        if k < trunc:
-            nums[k] = 1
-        return TruncSeries._from_nums(nums, 1)
-
     # -- basics ------------------------------------------------------------
 
     @property
@@ -245,13 +238,6 @@ class TruncSeries:
 
     def first_nonzero(self) -> int | None:
         return next((k for k, x in enumerate(self.nums) if x), None)
-
-    def agrees_with(self, other: "TruncSeries", upto: int | None = None) -> bool:
-        n = min(self.trunc, other.trunc)
-        if upto is not None:
-            n = min(n, upto)
-        da, db = self.den, other.den
-        return all(x * db == y * da for x, y in zip(self.nums[:n], other.nums[:n]))
 
     def __str__(self) -> str:
         parts = []
@@ -451,10 +437,6 @@ class SeriesMatrix:
             raise ValueError("all entries must share one truncation order")
 
     # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def from_rows(rows) -> "SeriesMatrix":
-        return SeriesMatrix(tuple(tuple(row) for row in rows))
 
     @staticmethod
     def from_constant(rows, trunc: int) -> "SeriesMatrix":

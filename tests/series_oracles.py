@@ -49,6 +49,23 @@ def power_by_products(a, e):
     return out
 
 
+def agrees_with(a, b, upto=None):
+    """Whether a and b have the same coefficients below the smaller of
+    their orders, and below upto when given."""
+    n = min(a.trunc, b.trunc, a.trunc if upto is None else upto)
+    return a.coeffs[:n] == b.coeffs[:n]
+
+
+def z_power(k, trunc):
+    """z^k mod z^trunc (zero when k >= trunc)."""
+    return TruncSeries.from_coeffs([0] * k + [1], trunc)
+
+
+def matrix_from_rows(rows):
+    """The SeriesMatrix of an iterable of rows of series."""
+    return SeriesMatrix(tuple(tuple(row) for row in rows))
+
+
 # Fraction-by-Fraction references for every TruncSeries operation, on
 # tuples of Fractions: the form a series had before it was stored as
 # integer numerators over one denominator.

@@ -93,8 +93,9 @@ def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):
     # the last row of F_q is a SeriesMatrix.__mul__ span; the inverse is an
     # order-by-order recurrence with no SeriesMatrix product, so its time
     # is series.matinv.self_s alone; the transfer audit's residual is the
-    # last row of its equation, one TruncSeries.sum_of_products per column,
-    # with no matrix product
+    # last row of its equation, integer sums over TransferData's integer
+    # rows with no series or matrix product, so its time is the audit's
+    # self time
     monkeypatch.chdir(tmp_path)
     spans = load_spans()
     recorder = spans.Recorder()
@@ -109,11 +110,11 @@ def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):
     audit = recorder.names.index("frobtransfer.transfer_audit")
     under_audit = {recorder.names[name] for name, parent in zip(recorder.name, recorder.parent)
                    if parent >= 0 and recorder.name[parent] == audit}
-    assert "series.TruncSeries.sum_of_products" in under_audit
-    assert not under_audit & {"series.SeriesMatrix.__mul__", "series.SeriesMatrix.sum_of_products"}
+    assert not under_audit & {"series.SeriesMatrix.__mul__", "series.SeriesMatrix.sum_of_products",
+                              "series.TruncSeries.sum_of_products", "series.TruncSeries.__mul__"}
     metrics = spans.layer_metrics(recorder, 1.0, 1.0)
     assert metrics["series.self_s"] > 0 and metrics["series.matmul.self_s"] > 0
-    assert metrics["series.matinv.self_s"] > 0
+    assert metrics["series.matinv.self_s"] > 0 and metrics["frobtransfer.audit.self_s"] > 0
 
 
 def test_tracer_charges_the_dieudonne_check_to_the_checks_layer(tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from mumkit import (
 )
 from mumkit.primes import vp_factorial
 
+from series_oracles import agrees_with, matrix_from_rows, z_power
 from transfer_oracles import (
     frobenius_quotient_F,
     h0,
@@ -158,7 +159,7 @@ def test_transfer_operator_quintic(quintic30):
     # solution transfer: solve_f(L1) = Lambda_p(solve_f(L))
     f_top = solve_f(quintic30, 30)
     f_down = solve_f(l1, l1.trunc)
-    assert f_down.agrees_with(f_top.cartier(p))
+    assert agrees_with(f_down, f_top.cartier(p))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def test_iterate_transfer_dual_path_small():
     # solution law at level 2
     f_top = solve_f(op, 21)
     f2 = solve_f(data2.operator, data2.trunc)
-    assert f2.agrees_with(f_top.cartier(p).cartier(p))
+    assert agrees_with(f2, f_top.cartier(p).cartier(p))
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +254,10 @@ def test_verify_frobenius_det_of_singular_constant():
     # diag(z^2, z^(T-2)) has det z^T, zero mod z^T
     p, trunc = 5, 6
     op = parse_operator("D^2")
-    z_pow = lambda k: TruncSeries.z_power(k, trunc)
+    z_pow = lambda k: z_power(k, trunc)
     for diag, nonzero in (((z_pow(1), z_pow(0)), True),
                           ((z_pow(2), z_pow(trunc - 2)), False)):
-        phi = SeriesMatrix.from_rows([[diag[0], TruncSeries.zero(trunc)],
+        phi = matrix_from_rows([[diag[0], TruncSeries.zero(trunc)],
                                       [TruncSeries.zero(trunc), diag[1]]])
         assert phi.truncate(1).det().is_zero()
         ver = verify_frobenius(op, FrobeniusCandidate(p, phi))

@@ -1,13 +1,15 @@
-"""Each residual formula of the structure-aware transfer code, and each
-step of H_m's row recursion, broken on purpose in a copy of the package,
-must fail tests/test_transfer_rows.py.
+"""Each residual formula of the structure-aware transfer code, each step
+of H_m's row recursion and each factor of the fit's basis, broken on
+purpose in a copy of the package, must fail tests/test_transfer_rows.py.
 
 verify_frobenius's residual is a sum of products by the sparse companion
 matrices of _companion: a dropped column shift zeroes the superdiagonal of
 every such matrix, a dropped row shift that of the left factor C in C Phi
 only.  H_m's rows H_{i+1} = delta(H_i) + q H_i B(z^q) start from row 0 of Y
-times Lambda_q(Y)^{-1}(z^q) diag(1, q, ...), and transfer_audit's residual
-sum_k P_k H_k takes H_n as one more step."""
+times Lambda_q(Y)^{-1}(z^q) diag(1, q, ...) and run on integer rows, the
+last step giving H_n, with which transfer_audit's residual sum_k P_k H_k
+is formed.  The fit's Phi for the gammas e_r is Y's columns scaled by p^k
+and shifted right by r, times Y(z^p)^{-1}."""
 
 from pathlib import Path
 
@@ -18,16 +20,21 @@ from mutants import run_mutated
 TARGET = Path("src/mumkit/frobtransfer.py")
 
 AUDIT, VERIFY, CLOSED = "transfer_residual", "frobenius_residual", "closed_forms"
+FIT = "fit_basis"
 LEVELS = "level_by_level_oracle"
 
 # name -> (text in frobtransfer.py, its broken replacement, tests that must fail)
 MUTATIONS = {
-    "audit_drops_lead": ("tuple(zip(polys, col))",
-                         "tuple(zip(polys[:n] + [polys[n] * 0 + 1], col))", AUDIT),
-    "audit_drops_q": ("_h_tail(data.operator, q, check_trunc), q)",
-                      "_h_tail(data.operator, q, check_trunc), 1)", AUDIT),
+    "audit_drops_lead": ("terms = list(zip(polys, data.rows))",
+                         "terms = list(zip(polys[:n] + [polys[n] * 0 + 1], data.rows))", AUDIT),
+    # the extra step H_n taken with q = 1 in its column shift
+    "audit_drops_q": ("for _ in range(operator.order):",
+                      "for i in range(operator.order):\n"
+                      "        q = 1 if i == operator.order - 1 else q", AUDIT),
     # the residual's last term P_n H_n taken with H_{n-1} for H_n
-    "audit_skips_last_step": ("rows = (*h, _h_step(", "rows = (*h, h[-1], _h_step(", AUDIT),
+    "audit_skips_last_step": ("terms = list(zip(polys, data.rows))",
+                              "terms = list(zip(polys, data.rows[:-1] + data.rows[-2:-1]))",
+                              AUDIT),
     "drops_column_shift": ("lead if j == i + 1 else zero", "zero", VERIFY),
     "drops_row_shift": ("(_companion(polys, -lead_sub), phi)",
                         "(_companion(polys[:-1] + [0 * polys[-1]], -lead_sub), phi)", VERIFY),
@@ -40,9 +47,9 @@ MUTATIONS = {
     # H_m's rows built with p where they need q = p^m
     "h_drops_level": ("_h_row0(y, lam_inv, q)", "_h_row0(y, lam_inv, p)", CLOSED),
     "h_rows_drop_level": ("q = self.p**self.m", "q = self.p", CLOSED),
-    "h_shift_drops_q": ("for c in (0, 1, q))", "for c in (0, 1, 1))", CLOSED),
-    "h_tail_drops_q": ("(a * -q).substitute_power", "(-a).substitute_power", CLOSED),
-    "h_drops_column_shift": ("[zero, *row[:-1]]", "[zero] * len(row)", CLOSED),
+    "h_shift_drops_q": ("d * (k * x + q * y)", "d * (k * x + y)", CLOSED),
+    "h_tail_drops_q": ("[-q * x * (d // a.den)", "[-x * (d // a.den)", CLOSED),
+    "h_drops_column_shift": ("d * (k * x + q * y)", "d * k * x", CLOSED),
     "h_row_0_drops_q_powers": ("* q**j).substitute_power", ").substitute_power", CLOSED),
     "last_row_drops_1_over_p": ("last[j - 1] * Fraction(1, q)", "last[j - 1]", CLOSED),
     # a level-m bracket built with 1/p where it needs 1/q = 1/p^m
@@ -50,6 +57,12 @@ MUTATIONS = {
                               "_quotient_last_row(lam, lam_inv, p), q)", LEVELS),
     "read_off_at_p": ("_quotient_last_row(lam, lam_inv, q), q)",
                       "_quotient_last_row(lam, lam_inv, q), p)", LEVELS),
+    # the fit's Y C for the gammas e_r: shifted one column too far, or
+    # without the column scales p^k of C = diag(1, p, ...) N^r
+    "fit_shifts_by_r_plus_1": ("[zero] * r + row[:n - r]",
+                               "[zero] * (r + 1) + row[:n - r - 1]", FIT),
+    "fit_drops_p_powers": ("[e * p**k for k, e in enumerate(row)]",
+                           "[e for k, e in enumerate(row)]", FIT),
 }
 
 

@@ -30,6 +30,7 @@ from mumkit import (
     INF,
     RawOperator,
     SeriesMatrix,
+    TransferData,
     TruncSeries,
     frobenius_from_constant,
     hypergeometric,
@@ -44,11 +45,12 @@ from mumkit import (
 )
 from mumkit import frobtransfer
 
-from mumkit.cli import load_corpus_file
+from mumkit.cli import load_corpus_file, main
 from tests.conftest import HG_FAMILIES, random_mum_operator
 from transfer_oracles import (
     frobenius_quotient_F,
     frobenius_residual_order,
+    h_from_frobenius,
     h_matrix_closed_form,
     iterate_transfer_levels,
     transfer_residual_order,
@@ -294,6 +296,90 @@ def test_frobenius_residual_matches_the_monic_oracle(seed):
             assert verify_order(raw, bad) == verify_order(monic, bad) == expected
             broken += expected[0] < expected[1]
     assert broken
+
+
+@pytest.mark.parametrize("p, m, target", [(2, 1, 4), (3, 1, 3), (5, 1, 3), (7, 1, 3),
+                                           (2, 2, 3), (3, 2, 2)])
+def test_h_rows_match_the_frobenius_identity(quintic_raw, p, m, target):
+    # H_m = Phi_m Lambda_q(Phi_m)(z^q)^{-1} diag(1, q, ...) for every
+    # admissible constant, integral or not
+    rng = random.Random(700 + 10 * p + m)
+    for raw in (quintic_raw, random_mum_operator(rng)):
+        y = uniform_part(raw, working_trunc_for(target, p, m))
+        gammas = [Fraction(rng.choice((1, -2, 3)), rng.choice((1, 5, 7)))] + [
+            Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) for _ in range(y.n - 1)]
+        constant = twisted_rows(p, y.n, gammas)
+        assert iterate_transfer(y, p, m).h == h_from_frobenius(y, constant, p, m)
+
+
+def quartic3():
+    return dict(load_corpus_file(CORPUS))["quartic3"]
+
+
+def audit_cases():
+    """(operator, transfer data): seeded random operators with their true
+    data and faults in what TransferData holds, one of them in H(0), and
+    quartic3 at p = 2, whose H has negative valuations."""
+    rng = random.Random(500)
+    for p, m in LEVELS:
+        raw, _, data = transfer_case(rng, p, m)
+        yield raw, data
+        yield raw, row0_fault(data, 0, 0, Fraction(1, 3))
+        for bad in data_faults(data, rng, 3):
+            yield raw, bad
+    raw = quartic3()
+    for m in (1, 2):
+        yield raw, iterate_transfer(uniform_part(raw, working_trunc_for(4, 2, m)), 2, m)
+
+
+def test_audit_reads_h_profile_and_h_constant_off_the_rows():
+    seen = set()
+    for raw, data in audit_cases():
+        audit = transfer_audit(raw, data)
+        q = data.p**data.m
+        expected = SeriesMatrix.diagonal([q**i for i in range(raw.order)], 1).constant_matrix()
+        assert audit.h_profile == data.h.valuation_profile(data.p)
+        assert audit.h_constant_ok == (data.h.constant_matrix() == expected)
+        seen.add((audit.h_profile.is_integral, audit.h_constant_ok))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_fit_basis_matches_the_triple_products():
+    # Phi for the gammas e_r is Y C Y(z^p)^{-1}, C = twisted_rows(e_r),
+    # here with the inverse at the full order
+    rng = random.Random(600)
+    cases = [(uniform_part(random_mum_operator(rng), rng.randint(6, 12)), p) for p in (2, 3, 5, 7)]
+    for y, p in cases + [(uniform_part(quartic3(), 12), 2)]:
+        n, trunc = y.n, y.trunc
+        y_sub_inv = y.invert().substitute_power(p, trunc)
+        basis = frobtransfer._phi_basis(y, p)
+        assert len(basis) == n
+        for r, phi in enumerate(basis):
+            constant = SeriesMatrix.from_constant(
+                twisted_rows(p, n, [int(k == r) for k in range(n)]), trunc)
+            assert phi == y * constant * y_sub_inv
+
+
+@pytest.mark.parametrize("working, p, m", [(12, 3, 2), (40, 5, 2)])
+def test_audit_checks_to_the_order_of_the_rows(quintic_raw, working, p, m):
+    # W is not of the form q (T - 1) + 1, and the rows are known to
+    # min(W, q L_m.trunc) = W; a monic operator caps the check at its order
+    data = iterate_transfer(uniform_part(quintic_raw, working), p, m)
+    audit = transfer_audit(quintic_raw, data)
+    assert data.h.trunc == audit.equation_trunc == audit.equation_residual_order == working
+    assert audit.ok
+    low = monicize(quintic_raw, working - 2)
+    assert audit_order(low, data) == transfer_residual_order(low, data) == (working - 2,) * 2
+
+
+def test_transfer_command_never_builds_h(monkeypatch, tmp_path):
+    reads = []
+    monkeypatch.setattr(TransferData, "h", property(reads.append))
+    out = tmp_path / "report.json"
+    status = main(["transfer", "--builtin", "quintic", "--trunc", "3", "--primes", "2,5,7",
+                   "--level", "2", "--format", "json", "--out", str(out)])
+    assert status == 0 and "h_constant_diagonal" in out.read_text()
+    assert not reads
 
 
 def test_transfer_data_and_audit_refuse_mismatched_orders():

@@ -6,9 +6,10 @@ companion matrix A = C / P_n, by the full quotient matrix F and by the
 diagonal matrix diag(1, p^m, ...).  The level-m operator is transferred
 one prime at a time, solving each monic level for its uniform part.  The
 transfer residual is formed in all n x n entries, not only in the last
-row that transfer_audit checks.  H_0 and the full reduction congruence,
-which no library caller needs, live here too.  They read only the public
-API.
+row that transfer_audit checks.  H_m is also formed from a Frobenius
+matrix of any admissible constant, with no inverse of Lambda_q(Y).  H_0
+and the full reduction congruence, which no library caller needs, live
+here too.  They read only the public API.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from fractions import Fraction
 from mumkit import (
     InsufficientTruncation,
     SeriesMatrix,
+    frobenius_from_constant,
     transfer_operator_L1,
     uniform_part,
     vp,
@@ -79,14 +81,36 @@ def h_matrix_closed_form(y, p, m=1):
     return y * y.cartier(q).substitute_power(q, y.trunc).invert() * diag
 
 
+def frobenius_power(y, constant, p, m):
+    """Phi_m = Phi(z) Phi(z^p) ... Phi(z^(p^(m-1))) for
+    Phi = frobenius_from_constant(y, constant, p); Phi_m Y(z^(p^m)) =
+    Y C^m, so Phi_m is the Frobenius matrix of q = p^m."""
+    phi = frobenius_from_constant(y, constant, p).phi
+    out = phi
+    for k in range(1, m):
+        out = out * phi.substitute_power(p**k, y.trunc)
+    return out
+
+
+def h_from_frobenius(y, constant, p, m):
+    """H_m = Phi_m Lambda_q(Phi_m)(z^q)^{-1} diag(1, q, ..., q^(n-1)),
+    q = p^m, for any admissible constant: Lambda_q applied to
+    Phi_m Y(z^q) = Y C^m gives Lambda_q(Y) = Lambda_q(Phi_m) Y C^-m.  It
+    uses no inverse of Lambda_q(Y)."""
+    q = p**m
+    phi_m = frobenius_power(y, constant, p, m)
+    lam_inv = phi_m.cartier(q).invert().substitute_power(q, y.trunc)
+    return phi_m * lam_inv * SeriesMatrix.diagonal([q**i for i in range(y.n)], y.trunc)
+
+
 def transfer_residual_order(op, data):
     """(residual order, check order) of delta(H) - A H + q H B(z^q) in all
     n x n entries, from the monic operator op and the companion matrices of
-    op and of L_m."""
+    op and of L_m, to H's order: L_m(z^q) is known to q L_m.trunc."""
     q = data.p**data.m
     a = op.companion()
-    b_sub = data.operator.companion().substitute_power(q)
-    check_trunc = min(a.trunc, data.h.trunc, b_sub.trunc)
+    b_sub = data.operator.companion().substitute_power(q, data.h.trunc)
+    check_trunc = min(a.trunc, data.h.trunc)
     residual = (
         data.h.delta().truncate(check_trunc)
         - (a * data.h).truncate(check_trunc)
