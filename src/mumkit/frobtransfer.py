@@ -13,11 +13,11 @@ TransferData holds L_m and row 0 of H_m and derives rows 1 .. n by
 rows 0 .. n-2 of the intertwining equation delta(H) = A H - q H B(z^q), A
 and B the companion matrices of L and L_m: H_{i+1} = delta(H_i) +
 q H_i B(z^q).  The rows are integer rows, one numerator list per entry
-over one denominator per row, reduced once per step; H_m as a
-SeriesMatrix is built only when read.  transfer_audit checks the last
-row, the only one that can fail: sum_k P_k H_k = 0 over L's polynomial
-rows, H_n being row n, to the rows' order min(W, q L_m.trunc).  It reads
-H(0) and the valuation profile of H off the same rows.
+over one denominator per row; H_m as a SeriesMatrix is built only when
+read.  transfer_audit checks the last row, the only one that can fail:
+sum_k P_k H_k = 0 over L's polynomial rows, H_n being row n, to the
+rows' order min(W, q L_m.trunc).  It reads H(0) and the valuation
+profile of H off the same rows.
 
 The level-m reduction congruence H_m[0][0] Lambda_q(f)(z^q) == f
 mod z^{q+1}, f = Y[0][0], holds whenever Y(0) = I, so all it decides is
@@ -349,8 +349,9 @@ def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
     matrix of L_m: column j of q H_i B(z^q) is q H_i[j-1] - q a_j(z^q) H_i[n-1].
 
     -q a_j(z^q) is tail_j / d over the lcm d of L_m's denominators, known
-    to q operator.trunc >= order, so row i+1 is an integer row over d den_i,
-    reduced once."""
+    to q operator.trunc >= order, so row i+1 is an integer row over d den_i.
+    d mostly cancels: when it divides every tail_j H_i[n-1], row i+1 stays
+    over den_i; otherwise it is restated over d den_i and reduced once."""
     den = lcm(*(e.den for e in row0))
     nums = [[x * (den // e.den) for x in e.nums[:order]] for e in row0]
     d = lcm(*(a.den for a in operator.coeffs))
@@ -361,19 +362,21 @@ def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
         tails.append(tail)
     rows = [(den, nums)]
     for _ in range(operator.order):
-        last, step = nums[-1], []
+        last, step, rems = nums[-1], [], []
         for j, (entry, tail) in enumerate(zip(nums, tails)):
-            if j:
-                out = [d * (k * x + q * y) for k, (x, y) in enumerate(zip(entry, nums[j - 1]))]
-            else:
-                out = [d * k * x for k, x in enumerate(entry)]
+            out = [0] * order
             _add_product(out, tail, last)
-            step.append(out)
-        den *= d
-        g = gcd(den, *(x for entry in step for x in entry))
-        if g != 1:
-            den //= g
-            step = [[x // g for x in entry] for entry in step]
+            quot, rem = zip(*(divmod(x, d) for x in out))
+            left = nums[j - 1] if j else [0] * order
+            step.append([k * x + q * y + c for k, (x, y, c) in enumerate(zip(entry, left, quot))])
+            rems.append(rem)
+        if any(any(r) for r in rems):
+            den *= d
+            step = [[d * x + r for x, r in zip(entry, rem)] for entry, rem in zip(step, rems)]
+            g = gcd(den, *(x for entry in step for x in entry))
+            if g != 1:
+                den //= g
+                step = [[x // g for x in entry] for entry in step]
         nums = step
         rows.append((den, nums))
     return tuple(rows)

@@ -47,9 +47,11 @@ MUTATIONS = {
     # H_m's rows built with p where they need q = p^m
     "h_drops_level": ("_h_row0(y, lam_inv, q)", "_h_row0(y, lam_inv, p)", CLOSED),
     "h_rows_drop_level": ("q = self.p**self.m", "q = self.p", CLOSED),
-    "h_shift_drops_q": ("d * (k * x + q * y)", "d * (k * x + y)", CLOSED),
+    "h_shift_drops_q": ("k * x + q * y + c", "k * x + y + c", CLOSED),
     "h_tail_drops_q": ("[-q * x * (d // a.den)", "[-x * (d // a.den)", CLOSED),
-    "h_drops_column_shift": ("d * (k * x + q * y)", "d * k * x", CLOSED),
+    "h_drops_column_shift": ("k * x + q * y + c", "k * x + c", CLOSED),
+    # a step over d den_i that loses what d does not divide
+    "h_drops_remainder": ("d * x + r for x, r", "d * x for x, r", CLOSED),
     "h_row_0_drops_q_powers": ("* q**j).substitute_power", ").substitute_power", CLOSED),
     "last_row_drops_1_over_p": ("last[j - 1] * Fraction(1, q)", "last[j - 1]", CLOSED),
     # a level-m bracket built with 1/p where it needs 1/q = 1/p^m
