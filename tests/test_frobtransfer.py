@@ -258,7 +258,7 @@ def test_verify_frobenius_det_of_singular_constant():
     for diag, nonzero in (((z_pow(1), z_pow(0)), True),
                           ((z_pow(2), z_pow(trunc - 2)), False)):
         phi = matrix_from_rows([[diag[0], TruncSeries.zero(trunc)],
-                                      [TruncSeries.zero(trunc), diag[1]]])
+                                [TruncSeries.zero(trunc), diag[1]]])
         assert phi.truncate(1).det().is_zero()
         ver = verify_frobenius(op, FrobeniusCandidate(p, phi))
         assert ver.det_nonzero is nonzero
