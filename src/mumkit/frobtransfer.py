@@ -58,8 +58,10 @@ delta(B_j) = j delta(P_n) P_n^{j-1} A_j + P_n^j delta(A_j) follows
     B_{j+1} = P_n delta(B_j) - j (delta(P_n) + P_n) B_j + B_j C,
 
 where B_j C is B_j's columns shifted right times P_n, plus its last column
-times -P_k in column k.  Only row 0 is needed.  With nabla v = delta(v) + v A
-on row vectors, row r of A_j is nabla^(j falling) nabla^r e_0, and
+times -P_k in column k.  Only row 0 is needed, and each of its entries is
+formed in one list pass per z-degree of P_n and P_c (_first_rows).  With
+nabla v = delta(v) + v A on row vectors, row r of A_j is
+nabla^(j falling) nabla^r e_0, and
 x^(j falling) x^r = sum_{m <= r} c_m x^(j+m falling) with integers c_m, so
 row r of A_j lies in the Z-span of row 0 of A_j .. A_{j+r}.  Where A mod z^T
 is p-integral, row 0 of A_{j+1} = (nabla - j)(row 0 of A_j) has no smaller
@@ -72,9 +74,9 @@ keeps the least valuation of the coefficients below z^T, so
     min v_p(A_j mod z^T) = v_p(g_j) - j v_p(P_n(0)).
 
 The g_j do not depend on p, so they are computed once per operator
-(taylor_gcds), n entries per step; each prime then costs a few integer
-valuations.  Otherwise the prime takes row 0 of B_j P_n^{-j} mod z^T,
-which is row 0 of A_j mod z^T, directly.
+(taylor_gcds), one gcd per entry of row 0 and then the gcd of those; each
+prime then costs a few integer valuations.  Otherwise the prime takes row 0
+of B_j P_n^{-j} mod z^T, which is row 0 of A_j mod z^T, directly.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import count, zip_longest
 from math import gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, RawOperator, monicize
@@ -179,8 +182,9 @@ class TaylorGcds:
 def taylor_gcds(op: RawOperator | DeltaOperator, trunc: int,
                 max_index: int) -> TaylorGcds:
     """g_0 .. g_max_index, g_j the gcd of the coefficients of row 0 of
-    B_j = P_n^j A_j mod z^trunc (0 when that row is 0); the module docstring
-    gives the row recurrence and why row 0 fixes every valuation.
+    B_j = P_n^j A_j mod z^trunc (0 when that row is 0), taken entry by entry;
+    the module docstring gives the row recurrence and why row 0 fixes every
+    valuation, and _first_rows its pass per z-degree.
 
     A monic operator is read as the integer rows of its coefficients times
     the lcm of their denominators, so its P_n is that lcm and `trunc` may
@@ -204,36 +208,48 @@ def taylor_gcds(op: RawOperator | DeltaOperator, trunc: int,
             )
     content = gcd(*(c for poly in polys for c in poly))
     rows = tuple(tuple(c // content for c in poly) for poly in polys)
-    gcds = tuple(gcd(*(c for entry in b for c in entry))
+    gcds = tuple(gcd(*(gcd(*entry) for entry in b))
                  for b in _first_rows(rows, trunc, max_index))
     return TaylorGcds(rows, trunc, gcds)
 
 
 def _first_rows(rows, trunc: int, max_index: int):
     """Yield row 0 of B_0 .. B_max_index as n coefficient lists mod z^trunc;
-    each row is fresh, the previous one is dropped."""
+    each row is fresh, the previous one is dropped.
+
+    As delta(P_n) + P_n has (d+1) P_{n,d} at z^d, entry c of the next row is
+
+        out_c[k] = sum_d P_{n,d} ((k-d-j(d+1)) b_c[k-d] + b_{c-1}[k-d])
+                         - P_{c,d} b_{n-1}[k-d],
+
+    one list pass per z-degree d at which P_n or P_c is nonzero."""
     n = len(rows) - 1
-    lead = rows[n][:trunc]
-    lead_step = [(k + 1) * c for k, c in enumerate(lead)]  # delta(P_n) + P_n
-    last_row = [[-c for c in row[:trunc]] for row in rows[:n]]  # -P_0 .. -P_{n-1}
+    zero = [0] * trunc  # b_{-1}
+    terms = [[(d, pn, pc) for d, (pn, pc)
+              in enumerate(zip_longest(rows[n][:trunc], rows[c][:trunc], fillvalue=0))
+              if pn or pc]
+             for c in range(n)]
     b = [[int(c == 0)] + [0] * (trunc - 1) for c in range(n)]  # e_0
     for j in range(max_index + 1):
         yield b
         if j == max_index:
             return
-        damp = [-j * c for c in lead_step]
         last = b[n - 1]
         nxt = []
         for c, entry in enumerate(b):
-            # P_n (delta(b_c) + b_{c-1}) - j (delta(P_n) + P_n) b_c - P_c b_{n-1}
-            s = [k * x for k, x in enumerate(entry)]
-            if c:
-                s = [x + y for x, y in zip(s, b[c - 1])]
+            prev = b[c - 1] if c else zero
             out = [0] * trunc
-            _add_product(out, lead, s)
-            if j:
-                _add_product(out, damp, entry)
-            _add_product(out, last_row[c], last)
+            for d, pn, pc in terms[c]:
+                if not pn:
+                    out[d:] = [o - pc * z for o, z in zip(out[d:], last)]
+                    continue
+                weights = count(-j * (d + 1))  # k - d - j (d + 1) from k = d on
+                if pn == 1 and not pc:
+                    out[d:] = [o + i * x + y
+                               for o, i, x, y in zip(out[d:], weights, entry, prev)]
+                else:
+                    out[d:] = [o + pn * (i * x + y) - pc * z
+                               for o, i, x, y, z in zip(out[d:], weights, entry, prev, last)]
             nxt.append(out)
         b = nxt
 

@@ -456,21 +456,6 @@ class SeriesMatrix:
             )
         )
 
-    @staticmethod
-    def diagonal(consts, trunc: int) -> "SeriesMatrix":
-        consts = [Fraction(c) for c in consts]
-        n = len(consts)
-        zero = TruncSeries.zero(trunc)
-        return SeriesMatrix(
-            tuple(
-                tuple(
-                    TruncSeries.constant(consts[i], trunc) if i == j else zero
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
-
     # -- basics ----------------------------------------------------------------
 
     @property

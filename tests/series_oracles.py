@@ -66,6 +66,13 @@ def matrix_from_rows(rows):
     return SeriesMatrix(tuple(tuple(row) for row in rows))
 
 
+def diagonal(consts, trunc):
+    """The constant diagonal matrix diag(consts) mod z^trunc."""
+    n = len(consts)
+    return SeriesMatrix.from_constant(
+        [[c if i == j else 0 for j in range(n)] for i, c in enumerate(consts)], trunc)
+
+
 # Fraction-by-Fraction references for every TruncSeries operation, on
 # tuples of Fractions: the form a series had before it was stored as
 # integer numerators over one denominator.

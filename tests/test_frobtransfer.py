@@ -27,7 +27,7 @@ from mumkit import (
 )
 from mumkit.primes import vp_factorial
 
-from series_oracles import agrees_with, matrix_from_rows, z_power
+from series_oracles import agrees_with, diagonal, matrix_from_rows, z_power
 from transfer_oracles import (
     frobenius_quotient_F,
     h0,
@@ -172,7 +172,7 @@ def test_iterate_transfer_trivial_operator():
     data = iterate_transfer(uniform_part(op, op.trunc), 2, 2)
     assert all(a.is_zero() for a in data.operator.coeffs)
     diag = [F(1), F(4), F(16)]
-    assert data.h == SeriesMatrix.diagonal(diag, 18)
+    assert data.h == diagonal(diag, 18)
     assert data.trunc == 5  # ceil(ceil(18/2)/2)
 
 
@@ -240,7 +240,7 @@ def test_iterate_transfer_dual_path_small():
 def test_verify_frobenius_diagonal_for_trivial_operator():
     n, p, trunc = 3, 5, 8
     op = monicize(parse_operator("D^3"), trunc)
-    phi = SeriesMatrix.diagonal([p**i for i in range(n)], trunc)
+    phi = diagonal([p**i for i in range(n)], trunc)
     ver = verify_frobenius(op, FrobeniusCandidate(p, phi))
     assert ver.residual_order == trunc
     assert ver.profile.is_integral
@@ -431,7 +431,7 @@ def test_reduction_refuses_level_0_and_a_y_other_than_i_at_zero(quintic_y30):
     with pytest.raises(ValueError, match="level"):
         reduction_congruence_check(quintic_y30, 7, 0)
     with pytest.raises(ValueError, match="constant term I"):
-        reduction_congruence_check(SeriesMatrix.diagonal([F(1), F(2)], 5), 2, 1)
+        reduction_congruence_check(diagonal([F(1), F(2)], 5), 2, 1)
 
 
 def test_bad_prime_detected_on_genuine_example():

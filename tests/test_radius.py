@@ -27,6 +27,7 @@ from mumkit.cli import JobSpec, cmd_dispatch, load_corpus_file
 from mumkit.primes import vp_factorial
 
 from conftest import HG_FAMILIES
+from series_oracles import diagonal
 
 LEAD_NOT_UNIT = "(3+z)*D^2 - (3+z)*z*D - (3+z)*z"
 NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
@@ -41,7 +42,7 @@ def dense_taylor(op, max_index):
     for j in range(max_index + 1):
         yield current
         if j < max_index:
-            current = current.delta() + current * (a - SeriesMatrix.diagonal([j] * n, trunc))
+            current = current.delta() + current * (a - diagonal([j] * n, trunc))
 
 
 def dense_rows(op, p, max_index):
@@ -155,21 +156,35 @@ def test_row_zero_needs_a_p_integral_operator():
         radius_diagnostic(taylor_gcds(raw, 4, 1), 2, 1)
 
 
+# P_n = 1 - z^2 + 3 z^3 has a zero at z^1, and P_n(0) = 1 meets P_c(0) = 0
+INTERIOR_ZERO_LEAD = RawOperator(((0, 3), (0, -1, 0, 2), (0, 0, 4), (1, 0, -1, 3)))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_gcds_are_row_zero_of_the_full_matrices(seed):
-    # each g_j is the gcd of row 0 of the full B_j, so a multiple of the gcd
-    # of all of B_j
+    # the fused pass yields row 0 of the full B_j; each g_j is its gcd, so
+    # a multiple of the gcd of all of B_j
     rng = random.Random(200 + seed)
-    for _ in range(8):
-        raw = random_mum_operator(rng)
+    for raw in [random_mum_operator(rng) for _ in range(8)] + [INTERIOR_ZERO_LEAD]:
         trunc, max_index = rng.randint(1, 8), rng.randint(0, 12)
         taylor = taylor_gcds(raw, trunc, max_index)
         full = list(full_matrix_taylor(taylor.rows, trunc, max_index))
+        assert list(frobtransfer._first_rows(taylor.rows, trunc, max_index)) == [
+            b[0] for b in full]
         assert len(full) == len(taylor.gcds)
         for g, b in zip(taylor.gcds, full):
             assert g == gcd(*(c for entry in b[0] for c in entry))
             whole = gcd(*(c for row in b for entry in row for c in entry))
             assert g % whole == 0 if whole else g == 0
+
+
+@pytest.mark.parametrize("trunc", range(1, 9))
+def test_first_rows_at_every_small_order(trunc):
+    rng = random.Random(300 + trunc)
+    for raw in [random_mum_operator(rng) for _ in range(6)] + [INTERIOR_ZERO_LEAD]:
+        rows = taylor_gcds(raw, trunc, 0).rows
+        assert list(frobtransfer._first_rows(rows, trunc, 10)) == [
+            b[0] for b in full_matrix_taylor(rows, trunc, 10)]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -275,6 +290,13 @@ def test_rows_at_bench_size(index, label):
     raw, p = BENCH_OPERATORS[label], (7, 11, 13)[index % 3]
     diag = radius_diagnostic(taylor_gcds(raw, 32, 40), p, 40)
     assert rows_of(diag) == dense_rows(monicize(raw, 32), p, 40)
+
+
+@pytest.mark.parametrize("label", ["hg07", "hg14", "cubic2f1", "legendre", "quartic3"])
+def test_first_rows_at_bench_size(label):
+    rows = taylor_gcds(BENCH_OPERATORS[label], 32, 0).rows
+    assert list(frobtransfer._first_rows(rows, 32, 40)) == [
+        b[0] for b in full_matrix_taylor(rows, 32, 40)]
 
 
 def test_rejects_bad_arguments():

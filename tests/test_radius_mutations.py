@@ -1,5 +1,6 @@
-"""Each term of the row-0 Taylor recurrence of taylor_gcds, broken on
-purpose in a copy of the package, must fail tests/test_radius.py."""
+"""Each term of the fused row-0 Taylor pass behind taylor_gcds
+(frobtransfer._first_rows), broken on purpose in a copy of the package,
+must fail tests/test_radius.py."""
 
 from pathlib import Path
 
@@ -12,11 +13,12 @@ TARGET = Path("src/mumkit/frobtransfer.py")
 # name -> (text in frobtransfer.py, its broken replacement)
 MUTATIONS = {
     "starts_from_last_row": ("b = [[int(c == 0)]", "b = [[int(c == n - 1)]"),
-    "drops_shift": ("zip(s, b[c - 1])", "zip(s, [0] * trunc)"),
-    "drops_damping": ("damp = [-j * c for c in lead_step]",
-                      "damp = [0 * c for c in lead_step]"),
+    "drops_shift": ("prev = b[c - 1] if c else zero", "prev = zero"),
+    "drops_damping": ("count(-j * (d + 1))", "count(0)"),
+    "drops_last_column": ("o + pn * (i * x + y) - pc * z", "o + pn * (i * x + y)"),
+    "delta_weight_k": ("count(-j * (d + 1))", "count(d - j * (d + 1))"),
 }
-FILES = ("test_radius.py", "conftest.py")
+FILES = ("test_radius.py", "conftest.py", "series_oracles.py")
 
 
 def test_unmutated_copy_passes(tmp_path):

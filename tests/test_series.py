@@ -22,6 +22,7 @@ from mumkit import (
 )
 from mumkit.series import invert_constant_matrix
 from series_oracles import (
+    diagonal,
     matrix_from_rows,
     newton_matrix_inverse,
     power_by_products,
@@ -736,7 +737,7 @@ def test_mat_invert_identity():
 
 
 def test_mat_invert_diagonal():
-    m = SeriesMatrix.diagonal([1, 7], 4)
+    m = diagonal([1, 7], 4)
     inv = m.invert()
     assert inv.entry(0, 0).coeffs[0] == 1
     assert inv.entry(1, 1).coeffs[0] == F(1, 7)
@@ -765,7 +766,7 @@ def test_mat_invert_neumann_series():
 
 def test_mat_invert_singular():
     with pytest.raises(SingularConstantTerm):
-        SeriesMatrix.diagonal([0, 1], 3).invert()
+        diagonal([0, 1], 3).invert()
 
 
 def test_mat_invert_random_roundtrip():

@@ -5,7 +5,11 @@ mumkit reaches the two sides by independent computations:
 fit_frobenius_constant searches for an integral Phi from the uniform part
 Y, while canonical_coordinate and the omega congruence (the check behind
 `check omega`) read only f and g.  Wherever the fit finds Phi at order T,
-q must be p-integral to order T + 1 and the omega congruence must hold.
+q must be p-integral to order T + 1 and the omega congruence must hold,
+and the level-1 transfer matrix H_1 = Phi Lambda_p(Phi)(z^p)^{-1}
+diag(1, p, ..., p^(n-1)) read off the same Y must be p-integral: an
+observed implication, not a theorem, so only this direction is asserted
+(quartic3 at p = 2 has an integral H_1 and no fit).
 A fit at finite order is not the theorem's hypothesis, so a disagreement
 here is a finding about the code or the truncation, never a reason to
 weaken the test.
@@ -20,8 +24,10 @@ from mumkit import (
     fit_frobenius_constant,
     g_over_f,
     hypergeometric,
+    iterate_transfer,
     omega_congruence_check,
     solve_first_row,
+    transfer_audit,
     uniform_part,
 )
 from mumkit.cli import load_corpus_file
@@ -58,5 +64,6 @@ def test_a_fitted_frobenius_structure_makes_q_p_integral(label):
         if fit.found:
             assert q_integral, p
             assert omega_congruence_check(h, p)[0], p
+            assert transfer_audit(raw, iterate_transfer(y, p, 1)).h_profile.is_integral, p
         else:
             assert not q_integral, p

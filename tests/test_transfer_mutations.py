@@ -71,7 +71,8 @@ MUTATIONS = {
 def run_rows_tests(root: Path, mutation=None):
     """Run tests/test_transfer_rows.py on a copy of the package under root,
     after the mutation (all of it without one)."""
-    files = ("test_transfer_rows.py", "conftest.py", "transfer_oracles.py")
+    files = ("test_transfer_rows.py", "conftest.py", "transfer_oracles.py",
+             "series_oracles.py")
     if mutation is None:
         return run_mutated(root, files)
     old, new, tests = mutation

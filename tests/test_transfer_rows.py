@@ -47,6 +47,7 @@ from mumkit import frobtransfer
 
 from mumkit.cli import load_corpus_file, main
 from tests.conftest import HG_FAMILIES, random_mum_operator
+from series_oracles import diagonal
 from transfer_oracles import (
     frobenius_quotient_F,
     frobenius_residual_order,
@@ -337,7 +338,7 @@ def test_audit_reads_h_profile_and_h_constant_off_the_rows():
     for raw, data in audit_cases():
         audit = transfer_audit(raw, data)
         q = data.p**data.m
-        expected = SeriesMatrix.diagonal([q**i for i in range(raw.order)], 1).constant_matrix()
+        expected = diagonal([q**i for i in range(raw.order)], 1).constant_matrix()
         assert audit.h_profile == data.h.valuation_profile(data.p)
         assert audit.h_constant_ok == (data.h.constant_matrix() == expected)
         seen.add((audit.h_profile.is_integral, audit.h_constant_ok))

@@ -22,6 +22,7 @@ from mumkit import (
     uniform_part,
     vp,
 )
+from series_oracles import diagonal
 
 
 def h0(y, p):
@@ -76,7 +77,7 @@ def iterate_transfer_levels(y, p, m):
 def h_matrix_closed_form(y, p, m=1):
     """H_m = Y (Lambda_p^m(Y)(z^{p^m}))^{-1} diag(1, p^m, ..., p^{m(n-1)}),
     inverting the pullback at Y's full order."""
-    diag = SeriesMatrix.diagonal([Fraction(p) ** (m * i) for i in range(y.n)], y.trunc)
+    diag = diagonal([Fraction(p) ** (m * i) for i in range(y.n)], y.trunc)
     q = p**m
     return y * y.cartier(q).substitute_power(q, y.trunc).invert() * diag
 
@@ -100,7 +101,7 @@ def h_from_frobenius(y, constant, p, m):
     q = p**m
     phi_m = frobenius_power(y, constant, p, m)
     lam_inv = phi_m.cartier(q).invert().substitute_power(q, y.trunc)
-    return phi_m * lam_inv * SeriesMatrix.diagonal([q**i for i in range(y.n)], y.trunc)
+    return phi_m * lam_inv * diagonal([q**i for i in range(y.n)], y.trunc)
 
 
 def transfer_residual_order(op, data):
