@@ -38,7 +38,6 @@ from .series import (
     BadConstantTerm,
     InternalError,
     SeriesMatrix,
-    SingularConstantTerm,
     TruncSeries,
     ValuationProfile,
     ZeroConstantTerm,

@@ -56,7 +56,6 @@ from .series import (
     INF,
     BadConstantTerm,
     SeriesMatrix,
-    SingularConstantTerm,
     TruncSeries,
     ValuationProfile,
     ZeroConstantTerm,
@@ -114,7 +113,6 @@ _ERROR_CODES = {
     UnknownOperator: "UNKNOWN_OPERATOR",
     ZeroConstantTerm: "ZERO_CONSTANT_TERM",
     BadConstantTerm: "BAD_CONSTANT_TERM",
-    SingularConstantTerm: "SINGULAR_CONSTANT_TERM",
     BadNormalization: "BAD_NORMALIZATION",
     NotPIntegralOperator: "NOT_P_INTEGRAL_OPERATOR",
     InsufficientTruncation: "INSUFFICIENT_TRUNCATION",

@@ -3,8 +3,10 @@
 Level-m transfer attaches to a MUM operator L the operator L_m whose
 holomorphic solution is the m-fold Cartier image of L's, and the gauge
 matrix H_m = Y (Lambda_q(Y)(z^q))^{-1} diag(1, q, ..., q^(n-1)), q = p^m,
-that intertwines the two companion systems.  Both come from one inverse of
-Lambda_q(Y) = Lambda_p^m(Y).  With N the nilpotent shift, the system of
+that intertwines the two companion systems.  Both need Lambda_q(Y)^{-1},
+Lambda_q(Y) = Lambda_p^m(Y), only times a row, so each is one right
+division of a row by Lambda_q(Y) and no inverse is formed.  With N the
+nilpotent shift, the system of
 F_q = [delta(Lambda_q(Y)) + (1/q) Lambda_q(Y) N] Lambda_q(Y)^{-1} has the
 fundamental matrix Lambda_q(Y) z^{N/q}, and conjugating by
 S = diag(1, q^-1, ..., q^-(n-1)) turns N/q into N.  So
@@ -29,10 +31,10 @@ solutions it always factors as Phi = Y C Y(z^p)^{-1} with a constant
 matrix C satisfying N C = p C N.  All of these are built from the uniform
 part Y of L's solutions at z = 0, so the constructions (transfer,
 reduction, H_m, F_q, Phi and its fit) take Y.  They use the structure
-they know: Lambda_q(Y)(z^q) and Y(z^p) are series in z^q and z^p,
-inverted at the order divided by q or p and then substituted, only the
-last row of F_q is formed, and the fit's Y C for a unit twist is a
-column shift of Y diag(1, p, ..., p^(n-1)).
+they know: rows are right-divided by Lambda_q(Y)(z^q) and Y(z^p), series
+in z^q and z^p, by a recurrence that reads them at the order divided by q
+or p; only the last row of F_q is formed; and the fit's Y C for a unit
+twist is a column shift of Y diag(1, p, ..., p^(n-1)).
 
 The audits read L's polynomial rows P_0 .. P_n, so they take a parsed
 operator as it is or a monic one (P_n = 1).  Each equation is checked
@@ -89,7 +91,8 @@ from math import gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, RawOperator, monicize
 from .primes import vp_factorial, vp_int
-from .series import INF, InternalError, SeriesMatrix, TruncSeries, ValuationProfile
+from .series import (INF, InternalError, SeriesMatrix, TruncSeries, ValuationProfile,
+                     right_divide)
 # not called here: bench/test_bench.py traces this second binding site
 from .solve import uniform_part  # noqa: F401
 
@@ -319,22 +322,16 @@ def _valuations_over_lead(rows, trunc: int, max_index: int, p: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _quotient_last_row(lam: SeriesMatrix, lam_inv: SeriesMatrix,
-                       q: int) -> tuple[TruncSeries, ...]:
+def _quotient_last_row(lam: SeriesMatrix, q: int) -> tuple[TruncSeries, ...]:
     """Last row of F_q = [delta(Lambda) + (1/q) Lambda N] Lambda^{-1} for
-    Lambda = Lambda_q(Y), its inverse lam_inv and the nilpotent shift N.
-    F_q's system has fundamental matrix Lambda z^{N/q}.  Output order is
-    Lambda.trunc.
-
-    Only the bracket's last row is formed.  It is the last row of an
-    otherwise zero matrix, whose product by lam_inv skips the zero rows."""
-    n = lam.n
-    last = lam.entries[n - 1]
+    Lambda = Lambda_q(Y) and the nilpotent shift N: the bracket's last row
+    right-divided by Lambda.  F_q's system has fundamental matrix
+    Lambda z^{N/q}.  Output order is Lambda.trunc."""
+    last = lam.entries[-1]
     bracket = (last[0].delta(),) + tuple(
-        last[j].delta() + last[j - 1] * Fraction(1, q) for j in range(1, n)
+        last[j].delta() + last[j - 1] * Fraction(1, q) for j in range(1, lam.n)
     )
-    zero = (TruncSeries.zero(lam.trunc),) * n
-    return (SeriesMatrix((zero,) * (n - 1) + (bracket,)) * lam_inv).entries[n - 1]
+    return right_divide((bracket,), lam)[0]
 
 
 def transfer_operator_L1(f_last_row, q: int) -> DeltaOperator:
@@ -348,15 +345,6 @@ def transfer_operator_L1(f_last_row, q: int) -> DeltaOperator:
     if not op.is_mum():
         raise InternalError("transferred operator must be MUM")
     return op
-
-
-def _h_row0(y: SeriesMatrix, lam_inv: SeriesMatrix, q: int) -> tuple[TruncSeries, ...]:
-    """Row 0 of H_m at the working order W from lam_inv = Lambda_q(Y)^{-1}:
-    row 0 of Y times lam_inv(z^q) diag(1, q, ..., q^(n-1))."""
-    n, trunc = y.n, y.trunc
-    cols = [[(lam_inv.entries[k][j] * q**j).substitute_power(q, trunc) for k in range(n)]
-            for j in range(n)]
-    return tuple(TruncSeries.sum_of_products(tuple(zip(y.entries[0], col))) for col in cols)
 
 
 def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
@@ -476,11 +464,12 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
     p-integral operator; Y.trunc is the working order W.
 
     Lambda_q(Y), q = p^m, is known to order ceil(W/q), the order L_m is
-    certified to (a requested target is checked up front).  It is inverted
-    once: L_m is read off the last row of F_q, as Y_{L_m} =
-    S Lambda_q(Y) S^{-1}, and row 0 of H_m, at the full working order, is
-    row 0 of Y times the same inverse at z^q.  TransferData derives the
-    other rows of H_m from row 0 and L_m.
+    certified to (a requested target is checked up front).  It is never
+    inverted: L_m is read off the last row of F_q, the bracket's last row
+    right-divided by Lambda_q(Y), as Y_{L_m} = S Lambda_q(Y) S^{-1}; row 0
+    of H_m, at the full working order, is row 0 of Y right-divided by
+    Lambda_q(Y)(z^q), column j times q^j.  TransferData derives the other
+    rows of H_m from row 0 and L_m.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -495,9 +484,9 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
     _require_identity_at_zero(y)
     q = p**m
     lam = y.cartier(q)
-    lam_inv = lam.invert()
-    operator = transfer_operator_L1(_quotient_last_row(lam, lam_inv, q), q)
-    return TransferData(p, m, operator, _h_row0(y, lam_inv, q), certified)
+    operator = transfer_operator_L1(_quotient_last_row(lam, q), q)
+    (row0,) = right_divide((y.entries[0],), lam, q)
+    return TransferData(p, m, operator, tuple(e * q**j for j, e in enumerate(row0)), certified)
 
 
 @dataclass(frozen=True)
@@ -667,12 +656,13 @@ def verify_frobenius(op: RawOperator | DeltaOperator,
 
 
 def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int) -> FrobeniusCandidate:
-    """Phi = Y C Y(z^p)^{-1} for an admissible constant C, with
-    Y(z^p)^{-1} = (Y^{-1} mod z^{ceil(M/p)})(z^p) at the working order M.
+    """Phi = Y C Y(z^p)^{-1} for an admissible constant C at the working
+    order M: the rows of Y C right-divided by Y(z^p), which reads Y below
+    ceil(M/p) only.
 
-    Phi * Y(z^p) = Y C mod z^M holds by construction, since Y^{-1} is
-    exact below ceil(M/p), and Phi(0) = C since Y(0) = I.  The Frobenius
-    equation itself is verify_frobenius's to check.
+    Phi * Y(z^p) = Y C mod z^M holds by construction, and Phi(0) = C since
+    Y(0) = I.  The Frobenius equation itself is verify_frobenius's to
+    check.
     """
     _require_identity_at_zero(y)
     if not constant_shape_ok(constant_rows, p):
@@ -681,13 +671,7 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int) -> Frobenius
             "p*C[i][j] and nonzero pivot"
         )
     c = SeriesMatrix.from_constant(constant_rows, y.trunc)
-    return FrobeniusCandidate(p, y * c * _inverse_at_power(y, p))
-
-
-def _inverse_at_power(y: SeriesMatrix, p: int) -> SeriesMatrix:
-    """Y(z^p)^{-1} mod z^M, M = Y.trunc: Y^{-1} is needed only below
-    ceil(M/p), the exponents of z^p that fall under M."""
-    return y.truncate(-(-y.trunc // p)).invert().substitute_power(p, y.trunc)
+    return FrobeniusCandidate(p, SeriesMatrix(right_divide((y * c).entries, y, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +729,13 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int) -> FrobeniusFit:
 def _phi_basis(y: SeriesMatrix, p: int) -> list[SeriesMatrix]:
     """Phi = Y C Y(z^p)^{-1} for the gammas e_0 .. e_{n-1}.  The constant of
     e_r is diag(1, p, ..., p^(n-1)) N^r, so Y C is Y's columns scaled by
-    p^k and shifted right by r, and each Phi is one product."""
+    p^k and shifted right by r, and each Phi is its rows right-divided by
+    Y(z^p)."""
     n = y.n
-    y_sub_inv = _inverse_at_power(y, p)
     scaled = [[e * p**k for k, e in enumerate(row)] for row in y.entries]
     zero = TruncSeries.zero(y.trunc)
-    return [SeriesMatrix(tuple(tuple([zero] * r + row[:n - r]) for row in scaled)) * y_sub_inv
-            for r in range(n)]
+    rows = right_divide([[zero] * r + row[:n - r] for r in range(n) for row in scaled], y, p)
+    return [SeriesMatrix(rows[r * n:r * n + n]) for r in range(n)]
 
 
 def _congruence_conditions(phi0: SeriesMatrix, basis, p: int, M: int):

@@ -13,7 +13,8 @@ of the denominators, with one running gcd per result.  The coefficients
 as reduced Fractions are built only when read.  Sums of products of
 series and of SeriesMatrix entries run the same way, skipping zero entries
 and coefficients, each term looping over its sparser operand on the
-outside.  SeriesMatrix.invert is the order-by-order recurrence on integers.
+outside.  right_divide solves U M(z^s) = X for a few rows X order by
+order on integers, so no matrix inverse is ever formed.
 divide, exp and log share one recurrence on integers, which keeps the
 coefficients found so far as numerators over one running denominator;
 coefficient k of log(a) is that of delta(a) / a over k.
@@ -31,7 +32,6 @@ from .primes import vp_int
 INF = math.inf  # valuation of the zero coefficient; compares above any int
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class InternalError(RuntimeError):
@@ -44,10 +44,6 @@ class ZeroConstantTerm(ValueError):
 
 class BadConstantTerm(ValueError):
     """exp needs c0 = 0, log needs c0 = 1."""
-
-
-class SingularConstantTerm(ValueError):
-    """Matrix inversion when the constant-term matrix is singular."""
 
 
 def _over_lcm(nums: list[int], v: int, den: int) -> tuple[int, list[int]]:
@@ -399,29 +395,6 @@ class TruncSeries:
         return ValuationProfile(p, min_v, tuple(neg))
 
 
-def invert_constant_matrix(rows):
-    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    inv = [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularConstantTerm("constant-term matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = _F1 / a[col][col]
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return [tuple(row) for row in inv]
-
-
 @dataclass(frozen=True)
 class SeriesMatrix:
     """Square matrix of TruncSeries sharing one truncation order."""
@@ -534,40 +507,6 @@ class SeriesMatrix:
     def cartier(self, p: int) -> "SeriesMatrix":
         return self.map(lambda e: e.cartier(p))
 
-    def invert(self) -> "SeriesMatrix":
-        """Inverse; needs the constant-term matrix invertible.
-
-        B_0 = A_0^{-1}, B_k = -B_0 sum_{j=1..k} A_j B_{k-j}, on integers: A
-        over one denominator d and B_0 .. B_{k-1} over one running
-        denominator v, so the sum is an integer matrix over d v.  Zero
-        coefficients of A are skipped; each entry of B_k is reduced once."""
-        n, trunc = self.n, self.trunc
-        d = math.lcm(*(e.den for row in self.entries for e in row))
-        # per order j: the nonzero entries (i, l, numerator over d) of A_j
-        terms = [[(i, l, e.nums[j] * (d // e.den)) for i, row in enumerate(self.entries)
-                  for l, e in enumerate(row) if e.nums[j]] for j in range(trunc)]
-        out = [invert_constant_matrix(self.constant_matrix())]
-        v = math.lcm(*(x.denominator for row in out[0] for x in row))
-        nums = [[[x.numerator * (v // x.denominator) for x in row] for row in out[0]]]
-        b0, den0 = nums[0], -v * d
-        for k in range(1, trunc):
-            acc = [[0] * n for _ in range(n)]
-            for j in range(1, k + 1):
-                for i, l, x in terms[j]:
-                    acc[i] = [s + x * y for s, y in zip(acc[i], nums[k - j][l])]
-            out.append([[Fraction(sum(map(mul, row, col)), den0 * v) for col in zip(*acc)]
-                        for row in b0])
-            w = math.lcm(v, *(x.denominator for row in out[k] for x in row))
-            if w != v:
-                nums = [[[x * (w // v) for x in row] for row in mat] for mat in nums]
-                v = w
-            nums.append([[x.numerator * (v // x.denominator) for x in row] for row in out[k]])
-        return SeriesMatrix(tuple(
-            tuple(TruncSeries._from_nums([mat[i][c] for mat in nums], v,
-                                         tuple(mat[i][c] for mat in out))
-                  for c in range(n))
-            for i in range(n)))
-
     def det(self) -> TruncSeries:
         """Determinant by cofactor expansion (dimensions here are small)."""
         n = self.n
@@ -640,3 +579,60 @@ def _sum_of_products(pairs) -> SeriesMatrix:
                     for x, y in zip(left[i], (r[j] for r in right))], trunc)
               for j in range(n))
         for i in range(n)))
+
+
+def right_divide(rows, mat: SeriesMatrix, s: int = 1) -> tuple:
+    """The rows U with U mat(z^s) = X, one for each row X of series in
+    `rows`, mod z^t for t the smallest of the rows' orders and s mat.trunc;
+    mat(0) must be I.
+
+    With each X over the lcm e of its denominators and M_j, mat's
+    coefficient j, over the lcm d of its own, e U_k = e X_k - (1/d)
+    sum_{j>=1} e U_{k-sj} M_j.  U_k meets only U_{k-s}, U_{k-2s}, ..., so
+    the e U_k with k = r mod s, of every row, are kept as numerators over
+    one running denominator v_r, and each entry of the sum is one integer
+    dot product over v_r d.  Each step is reduced by one gcd; when v_r
+    grows, the earlier numerators of its class are rescaled.  No inverse
+    is formed."""
+    if any(e.nums[0] != (e.den if i == j else 0)
+           for i, row in enumerate(mat.entries) for j, e in enumerate(row)):
+        raise ValueError("matrix must have constant term I")
+    n = mat.n
+    trunc = min(min(e.trunc for row in rows for e in row), s * mat.trunc)
+    top = (trunc - 1) // s + 1  # M_j is read for j < top
+    d = math.lcm(*(e.den for row in mat.entries for e in row))
+    # column l of M_{top-1} .. M_1 over d; at step t of a class its last
+    # n t numerators meet the class's t earlier steps of a row, oldest first
+    cols = [[e.nums[j] * (d // e.den) for j in range(top - 1, 0, -1) for e in col]
+            for col in zip(*mat.entries)]
+    by_step = [[col[(top - 1 - t) * n:] for col in cols] for t in range(top)]
+    es = [math.lcm(*(c.den for c in x)) for x in rows]
+    xs = [[[y * (e // c.den) for y in c.nums[:trunc]] for c in x] for x, e in zip(rows, es)]
+    # per class r and row: e U_r, e U_{r+s}, ... as one flat list, over
+    # dens[r]; e U_r = e X_r for r < s is integral
+    done = [[[xk[r] for xk in x] for x in xs] for r in range(min(s, trunc))]
+    dens = [1] * len(done)
+    for k in range(s, trunc):
+        t, r = divmod(k, s)
+        hs, v = done[r], dens[r]
+        vd = v * d
+        num = [xk[k] * vd - sum(map(mul, col, h))
+               for x, h in zip(xs, hs) for xk, col in zip(x, by_step[t])]
+        g = math.gcd(vd, *num)
+        if g != 1:
+            num = [y // g for y in num]
+        den = vd // g
+        if v % den:
+            f = den // math.gcd(v, den)
+            done[r] = hs = [[y * f for y in h] for h in hs]
+            dens[r] = v = v * f
+        if v != den:
+            f = v // den
+            num = [y * f for y in num]
+        for i, h in enumerate(hs):
+            h += num[i * n:i * n + n]
+    v = math.lcm(*dens)
+    scales = [v // w for w in dens]
+    return tuple(tuple(TruncSeries._from_nums(
+        [done[k % s][i][k // s * n + l] * scales[k % s] for k in range(trunc)], v * e)
+        for l in range(n)) for i, e in enumerate(es))

@@ -25,7 +25,7 @@ SERIES_SPANS = ("series.TruncSeries.divide", "series.TruncSeries.exp")
 # that read them
 KERNEL_SPANS = ("solve.solve_first_row", "series.TruncSeries.exp", "series.TruncSeries.log")
 KERNEL_METRICS = ("solve.first_row.self_s", "series.exp_log.self_s")
-MATRIX_SPANS = ("series.SeriesMatrix.__mul__", "series.SeriesMatrix.invert")
+KERNEL_SPAN = "series.right_divide"
 
 
 def load_spans():
@@ -90,31 +90,34 @@ def test_tracer_records_the_series_kernel(tmp_path, monkeypatch):
 
 
 def test_tracer_records_the_matrix_kernel(tmp_path, monkeypatch):
-    # the last row of F_q is a SeriesMatrix.__mul__ span; the inverse is an
-    # order-by-order recurrence with no SeriesMatrix product, so its time
-    # is series.matinv.self_s alone; the transfer audit's residual is the
-    # last row of its equation, integer sums over TransferData's integer
-    # rows with no series or matrix product, so its time is the audit's
-    # self time
+    # iterate_transfer forms no inverse and no matrix product: the last row
+    # of F_q and row 0 of H_m are right_divide spans, an order-by-order
+    # recurrence on integers whose time is its own; the transfer audit's
+    # residual is the last row of its equation, integer sums over
+    # TransferData's integer rows with no series or matrix product, so its
+    # time is the audit's self time
     monkeypatch.chdir(tmp_path)
     spans = load_spans()
     recorder = spans.Recorder()
     with spans.Tracer(recorder):
         argv = ["transfer", "--builtin", "quintic", "--trunc", "4", "--primes", "7"]
         assert main(argv + ["--format", "json", "--out", "report.json"]) == 0
-    assert set(MATRIX_SPANS) <= {recorder.names[i] for i in recorder.name}
-    mul, invert = (recorder.names.index(name) for name in MATRIX_SPANS)
-    callers_of_mul = {recorder.name[parent] for name, parent in zip(recorder.name, recorder.parent)
-                      if name == mul and parent >= 0}
-    assert callers_of_mul and invert not in callers_of_mul
+    assert KERNEL_SPAN in {recorder.names[i] for i in recorder.name}
+    kernel = recorder.names.index(KERNEL_SPAN)
+    callers_of_kernel = {recorder.names[recorder.name[parent]]
+                         for name, parent in zip(recorder.name, recorder.parent)
+                         if name == kernel and parent >= 0}
+    assert "frobtransfer.iterate_transfer" in callers_of_kernel
+    under_kernel = {recorder.names[name] for name, parent in zip(recorder.name, recorder.parent)
+                    if parent >= 0 and recorder.name[parent] == kernel}
+    assert not under_kernel & {"series.SeriesMatrix.__mul__", "series.SeriesMatrix.sum_of_products"}
     audit = recorder.names.index("frobtransfer.transfer_audit")
     under_audit = {recorder.names[name] for name, parent in zip(recorder.name, recorder.parent)
                    if parent >= 0 and recorder.name[parent] == audit}
     assert not under_audit & {"series.SeriesMatrix.__mul__", "series.SeriesMatrix.sum_of_products",
                               "series.TruncSeries.sum_of_products", "series.TruncSeries.__mul__"}
     metrics = spans.layer_metrics(recorder, 1.0, 1.0)
-    assert metrics["series.self_s"] > 0 and metrics["series.matmul.self_s"] > 0
-    assert metrics["series.matinv.self_s"] > 0 and metrics["frobtransfer.audit.self_s"] > 0
+    assert metrics["series.self_s"] > 0 and metrics["frobtransfer.audit.self_s"] > 0
 
 
 def test_tracer_charges_the_dieudonne_check_to_the_checks_layer(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from mumkit import (
     monicize,
     parse_operator,
 )
+from mumkit.opalg import _NCOperator
 from series_oracles import quotient_by_products
 
 F = Fraction
@@ -89,6 +90,25 @@ def test_parse_pure_power():
     raw = parse_operator("D^2")
     assert raw.order == 2
     assert raw.poly_coeffs == ((), (), (1,))
+
+
+def repeated_products(op, e):
+    out = _NCOperator.scalar(F(1))
+    for _ in range(e):
+        out = out * op
+    return out.terms
+
+
+def test_pow_matches_repeated_products():
+    # D^e and powers of a polynomial are built directly, (z*D)^e and
+    # (D + z)^e by products; all four must agree with e products
+    d, z, one = _NCOperator.d(), _NCOperator.z(), _NCOperator.scalar(F(1))
+    for op in (d, z, one - z * _NCOperator.scalar(F(2)), z * d, d + z, _NCOperator()):
+        for e in range(7):
+            assert op.pow(e).terms == repeated_products(op, e)
+    # D z = z (D + 1), so (z D)^3 = z^3 (D + 2)(D + 1) D
+    assert parse_operator("(z*D)^3").poly_coeffs == ((), (0, 0, 0, 2), (0, 0, 0, 3), (0, 0, 0, 1))
+    assert parse_operator("(1 - 2*z)^3*D^4").poly_coeffs == ((), (), (), (), (1, -6, 12, -8))
 
 
 def test_parse_quintic_expansion():

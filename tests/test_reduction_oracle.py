@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from mumkit import (
-    SeriesMatrix,
     hypergeometric,
     iterate_transfer,
     parse_operator,
@@ -65,7 +64,7 @@ def test_check_reduction_builds_no_inverse_and_no_transfer(tmp_path, monkeypatch
         raise AssertionError("check reduction must not build L_m or H_m")
 
     monkeypatch.setattr(frobtransfer, "iterate_transfer", refuse)
-    monkeypatch.setattr(SeriesMatrix, "invert", refuse)
+    monkeypatch.setattr(frobtransfer, "right_divide", refuse)
     assert [reduction_congruence_check(y, p, m) for y in ys for p, m in ((3, 1), (2, 2))] == [
         True, False, True, False]
     argv = ["check", "reduction", "--op", "D^2 - z", "--trunc", "8", "--level", "2",

@@ -11,7 +11,6 @@ from mumkit import (
     BadConstantTerm,
     InternalError,
     SeriesMatrix,
-    SingularConstantTerm,
     TruncSeries,
     ValuationProfile,
     ZeroConstantTerm,
@@ -20,10 +19,13 @@ from mumkit import (
     solve_first_row,
     vp,
 )
-from mumkit.series import invert_constant_matrix
+from mumkit.series import right_divide
 from series_oracles import (
+    SingularConstant,
     diagonal,
+    invert_constant_matrix,
     matrix_from_rows,
+    matrix_inverse,
     newton_matrix_inverse,
     power_by_products,
     quotient_by_products,
@@ -731,14 +733,21 @@ def test_valuation_profile_of_columns_divisible_by_powers_of_q():
 # ---------------------------------------------------------------------------
 
 
+def inverse_by_right_division(m):
+    """m^{-1} from right_divide: with A_0 = m(0), m A_0^{-1} has constant
+    term I, and B (m A_0^{-1}) = A_0^{-1} for B = m^{-1}."""
+    a0_inv = SeriesMatrix.from_constant(invert_constant_matrix(m.constant_matrix()), m.trunc)
+    return matrix_from_rows(right_divide(a0_inv.entries, m * a0_inv))
+
+
 def test_mat_invert_identity():
     eye = SeriesMatrix.identity(3, 5)
-    assert eye.invert() == eye
+    assert matrix_from_rows(right_divide(eye.entries, eye)) == eye
 
 
 def test_mat_invert_diagonal():
     m = diagonal([1, 7], 4)
-    inv = m.invert()
+    inv = inverse_by_right_division(m)
     assert inv.entry(0, 0).coeffs[0] == 1
     assert inv.entry(1, 1).coeffs[0] == F(1, 7)
     assert inv.entry(0, 1).is_zero()
@@ -757,7 +766,7 @@ def test_mat_invert_neumann_series():
             row.append(S(coeffs, trunc))
         entries.append(tuple(row))
     m = SeriesMatrix(tuple(entries))
-    inv = m.invert()
+    inv = matrix_from_rows(right_divide(SeriesMatrix.identity(n, trunc).entries, m))
     # N^2 has a single nonzero entry at (0, 2); N^3 = 0
     assert inv.entry(0, 1).coeffs[1] == -1
     assert inv.entry(0, 2).coeffs[2] == 1
@@ -765,8 +774,9 @@ def test_mat_invert_neumann_series():
 
 
 def test_mat_invert_singular():
-    with pytest.raises(SingularConstantTerm):
-        diagonal([0, 1], 3).invert()
+    # right_divide needs M(0) = I; it refuses a singular M(0) as any other
+    with pytest.raises(ValueError, match="constant term I"):
+        right_divide(SeriesMatrix.identity(2, 3).entries, diagonal([0, 1], 3))
 
 
 def test_mat_invert_random_roundtrip():
@@ -786,8 +796,8 @@ def test_mat_invert_random_roundtrip():
         )
         m = SeriesMatrix(entries)
         try:
-            inv = m.invert()
-        except SingularConstantTerm:
+            inv = inverse_by_right_division(m)
+        except SingularConstant:
             continue
         assert m * inv == SeriesMatrix.identity(n, trunc)
         assert inv * m == SeriesMatrix.identity(n, trunc)
@@ -915,7 +925,7 @@ def invertible_matrices(draw):
     const = [[mixed_fraction(rng) for _ in range(n)] for _ in range(n)]
     try:
         invert_constant_matrix(const)
-    except SingularConstantTerm:
+    except SingularConstant:
         assume(False)
     assume(const != [[int(i == j) for j in range(n)] for i in range(n)])
     return matrix_from_rows(
@@ -926,7 +936,7 @@ def invertible_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(invertible_matrices())
 def test_matinv_against_recurrence_oracle(m):
-    assert coefficients(m.invert()) == recurrence_matrix_inverse(m)
+    assert coefficients(inverse_by_right_division(m)) == recurrence_matrix_inverse(m)
 
 
 @st.composite
@@ -945,7 +955,7 @@ def newton_inputs(draw):
     else:
         try:
             invert_constant_matrix(const)
-        except SingularConstantTerm:
+        except SingularConstant:
             assume(False)
     assume(any(x.denominator > 1 for row in const for x in row))
     assume(n == 1 or any(const[i][j] for i in range(n) for j in range(n) if i != j))
@@ -967,20 +977,21 @@ def newton_inputs(draw):
 def test_matinv_matches_newton_doubling(case):
     m, singular = case
     if singular:
-        with pytest.raises(SingularConstantTerm):
-            m.invert()
+        # A(0) is not I, so right_divide refuses A itself
+        with pytest.raises(ValueError, match="constant term I"):
+            right_divide(m.entries, m)
         return
-    assert coefficients(m.invert()) == coefficients(newton_matrix_inverse(m))
+    assert coefficients(inverse_by_right_division(m)) == coefficients(newton_matrix_inverse(m))
 
 
 def test_matmul_and_matinv_on_quintic_y(quintic_y30):
     y = quintic_y30
-    y_inv = y.invert()
+    y_inv = matrix_from_rows(right_divide(SeriesMatrix.identity(4, 30).entries, y))
     assert coefficients(y_inv) == recurrence_matrix_inverse(y)
     assert coefficients(y * y_inv) == coefficients(SeriesMatrix.identity(4, 30))
     for q in (3, 9):
         lam = y.cartier(q)
-        lam_inv = lam.invert()
+        lam_inv = matrix_from_rows(right_divide(SeriesMatrix.identity(4, lam.trunc).entries, lam))
         assert coefficients(lam_inv) == recurrence_matrix_inverse(lam)
         lam_sub = lam_inv.substitute_power(q, 30)
         assert coefficients(y * lam_sub) == entrywise_product(y, lam_sub)
@@ -989,6 +1000,58 @@ def test_matmul_and_matinv_on_quintic_y(quintic_y30):
         pairs = ((y, lam_sub), (y_inv, lam.substitute_power(q, 30)))
         assert coefficients(SeriesMatrix.sum_of_products(pairs)) == add_coefficients(
             entrywise_product(*pairs[0]), entrywise_product(*pairs[1]))
+
+
+@st.composite
+def right_division_cases(draw):
+    """(rows, M, s): M(0) = I and random, mostly non-integral coefficients
+    from z^1 on, in every entry shape, at an order in 1..12; s in 1..3; one
+    row or n rows of series at an order in 1..12, one of them possibly
+    zero.  Either order may lie below s."""
+    n, s = draw(sizes), draw(st.integers(1, 3))
+    m = draw_matrix(draw, n, draw(st.integers(1, 12)))
+    m = matrix_from_rows(
+        [TruncSeries((F(int(i == j)),) + m.entry(i, j).coeffs[1:]) for j in range(n)]
+        for i in range(n))
+    rows = draw_matrix(draw, n, draw(st.integers(1, 12))).entries
+    return rows[:draw(st.sampled_from((1, n)))], m, s
+
+
+def product_by_oracle_inverse(rows, m, s):
+    """Coefficients of each row X times M^{-1}(z^s), the oracle inverse
+    substituted, mod z^t for t the smaller of X's order and s M's order;
+    each entry a sum of schoolbook products in Fractions."""
+    t = min(rows[0][0].trunc, s * m.trunc)
+    inv = matrix_inverse(m).substitute_power(s, t)
+    return tuple(
+        tuple(tuple(sum(terms, F(0))
+                    for terms in zip(*(ref_mul(x.coeffs[:t], inv.entry(i, l).coeffs)
+                                       for i, x in enumerate(row))))
+              for l in range(m.n))
+        for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(right_division_cases())
+def test_right_divide_matches_the_oracle_inverse(case):
+    rows, m, s = case
+    out = right_divide(rows, m, s)
+    assert len(out) == len(rows)
+    assert tuple(tuple(e.coeffs for e in row) for row in out) == product_by_oracle_inverse(*case)
+
+
+def test_right_divide_rescales_a_class_when_its_denominator_grows():
+    # M = I + (z/3) N, N the 3 x 3 shift, so e_0 M(z^s)^{-1} = (1, -z^s/3,
+    # z^2s/9): the class of 0 mod s goes from denominator 1 to 3 to 9, and
+    # U_0 = e_0 must survive both steps
+    trunc = 4
+    third, zero, one = S([0, F(1, 3)], trunc), TruncSeries.zero(trunc), TruncSeries.one(trunc)
+    m = matrix_from_rows([[one, third, zero], [zero, one, third], [zero, zero, one]])
+    x = TruncSeries.one(10)
+    for s in (1, 2, 3):
+        t = min(10, s * trunc)
+        (row,) = right_divide([(x, TruncSeries.zero(10), TruncSeries.zero(10))], m, s)
+        assert row == (S([1], t), S([0] * s + [F(-1, 3)], t), S([0] * 2 * s + [F(1, 9)], t))
 
 
 def test_matrix_det_and_profiles():

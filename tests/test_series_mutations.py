@@ -1,6 +1,6 @@
 """The integer kernels (the reduced numerators-over-denominator form of a
-series, sums, products and sums of products, valuations, the matrix
-inverse's order-by-order recurrence, the recurrence behind divide, exp and
+series, sums, products and sums of products, valuations, the order-by-order
+right division by a series matrix, the recurrence behind divide, exp and
 log, the Frobenius recurrence and the ladder of squares behind vp_int),
 each broken on purpose in a copy of the package, must fail their oracle
 tests in tests/test_series.py, tests/test_solve.py or tests/test_primes.py."""
@@ -17,7 +17,7 @@ PRIMES = (Path("src/mumkit/primes.py"), "test_primes.py")
 MUL = "schoolbook or unequal_heights"
 DIVIDE = "divide_matches or invert_matches"
 MATMUL = "matmul or sum_of_products or sparse_times_dense"
-MATINV = "matinv"
+MATINV = "matinv or right_divide"
 PROFILE = "valuation_profile"
 EXP = "exp_matches_recurrence or exp_log_match"
 LOG = "log_matches_recurrence or exp_log_match"
@@ -50,11 +50,12 @@ MUTATIONS = {
     "matmul_drops_term_scale": (SERIES, "scale = den // (d * e)", "scale = 1", MATMUL),
     "matmul_uses_left_lcm_for_both": (SERIES, "x[2] * y[2] for x, y in terms",
                                       "x[2] * x[2] for x, y in terms", MATMUL),
-    # the recurrence B_k = -B_0 sum_{j=1..k} A_j B_{k-j} over a running denominator
+    # right_divide's recurrence U_k = X_k - (1/d) sum_{j>=1} U_{k-sj} M_j over
+    # a running denominator per class mod s: the earlier numerators of a
+    # class kept when its denominator grows, or the term of M_1 dropped
     "matinv_keeps_numerators_when_v_grows": (
-        SERIES, "nums = [[[x * (w // v) for x in row] for row in mat] for mat in nums]",
-        "nums = nums", MATINV),
-    "matinv_skips_a_1": (SERIES, "for j in range(1, k + 1):", "for j in range(2, k + 1):",
+        SERIES, "done[r] = hs = [[y * f for y in h] for h in hs]", "hs = done[r]", MATINV),
+    "matinv_skips_a_1": (SERIES, "for j in range(top - 1, 0, -1)", "for j in range(top - 1, 1, -1)",
                          MATINV),
     # the gcd of the numerators stands for every coefficient only when p
     # does not divide den, and its own valuation is the least

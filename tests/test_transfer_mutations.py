@@ -9,7 +9,9 @@ only.  H_m's rows H_{i+1} = delta(H_i) + q H_i B(z^q) start from row 0 of Y
 times Lambda_q(Y)^{-1}(z^q) diag(1, q, ...) and run on integer rows, the
 last step giving H_n, with which transfer_audit's residual sum_k P_k H_k
 is formed.  The fit's Phi for the gammas e_r is Y's columns scaled by p^k
-and shifted right by r, times Y(z^p)^{-1}."""
+and shifted right by r, times Y(z^p)^{-1}.  Row 0 of H_m and the last row
+of F_q come from right_divide in mumkit.series, whose recurrence is broken
+here too."""
 
 from pathlib import Path
 
@@ -18,12 +20,14 @@ import pytest
 from mutants import run_mutated
 
 TARGET = Path("src/mumkit/frobtransfer.py")
+KERNEL = Path("src/mumkit/series.py")
 
 AUDIT, VERIFY, CLOSED = "transfer_residual", "frobenius_residual", "closed_forms"
 FIT = "fit_basis"
 LEVELS = "level_by_level_oracle"
 
-# name -> (text in frobtransfer.py, its broken replacement, tests that must fail)
+# name -> (text in frobtransfer.py, its broken replacement, tests that must
+# fail[, the file that holds the text when it is not frobtransfer.py])
 MUTATIONS = {
     "audit_drops_lead": ("terms = list(zip(polys, data.rows))",
                          "terms = list(zip(polys[:n] + [polys[n] * 0 + 1], data.rows))", AUDIT),
@@ -45,20 +49,28 @@ MUTATIONS = {
     "verify_drops_p": ("both, p_lead = lead * lead_sub, lead * p",
                        "both, p_lead = lead * lead_sub, lead", VERIFY),
     # H_m's rows built with p where they need q = p^m
-    "h_drops_level": ("_h_row0(y, lam_inv, q)", "_h_row0(y, lam_inv, p)", CLOSED),
+    "h_drops_level": ("right_divide((y.entries[0],), lam, q)",
+                      "right_divide((y.entries[0],), lam, p)", CLOSED),
     "h_rows_drop_level": ("q = self.p**self.m", "q = self.p", CLOSED),
     "h_shift_drops_q": ("k * x + q * y + c", "k * x + y + c", CLOSED),
     "h_tail_drops_q": ("[-q * x * (d // a.den)", "[-x * (d // a.den)", CLOSED),
     "h_drops_column_shift": ("k * x + q * y + c", "k * x + c", CLOSED),
     # a step over d den_i that loses what d does not divide
     "h_drops_remainder": ("d * x + r for x, r", "d * x for x, r", CLOSED),
-    "h_row_0_drops_q_powers": ("* q**j).substitute_power", ").substitute_power", CLOSED),
+    "h_row_0_drops_q_powers": ("e * q**j for j, e", "e for j, e", CLOSED),
     "last_row_drops_1_over_p": ("last[j - 1] * Fraction(1, q)", "last[j - 1]", CLOSED),
     # a level-m bracket built with 1/p where it needs 1/q = 1/p^m
-    "bracket_uses_1_over_p": ("_quotient_last_row(lam, lam_inv, q), q)",
-                              "_quotient_last_row(lam, lam_inv, p), q)", LEVELS),
-    "read_off_at_p": ("_quotient_last_row(lam, lam_inv, q), q)",
-                      "_quotient_last_row(lam, lam_inv, q), p)", LEVELS),
+    "bracket_uses_1_over_p": ("_quotient_last_row(lam, q), q)",
+                              "_quotient_last_row(lam, p), q)", LEVELS),
+    "read_off_at_p": ("_quotient_last_row(lam, q), q)",
+                      "_quotient_last_row(lam, q), p)", LEVELS),
+    # right_divide: the earlier numerators of a class mod s kept when the
+    # class's denominator grows, or every class in one list, so that U_k
+    # meets U_0, U_1, ..., U_{t-1}, consecutive rows, instead of U_{k-ts},
+    # ..., U_{k-s}, its own class
+    "kernel_skips_rescaling": ("done[r] = hs = [[y * f for y in h] for h in hs]", "hs = done[r]",
+                               CLOSED, KERNEL),
+    "kernel_steps_by_1": ("t, r = divmod(k, s)", "t, r = k // s, 0", CLOSED, KERNEL),
     # the fit's Y C for the gammas e_r: shifted one column too far, or
     # without the column scales p^k of C = diag(1, p, ...) N^r
     "fit_shifts_by_r_plus_1": ("[zero] * r + row[:n - r]",
@@ -75,8 +87,8 @@ def run_rows_tests(root: Path, mutation=None):
              "series_oracles.py")
     if mutation is None:
         return run_mutated(root, files)
-    old, new, tests = mutation
-    return run_mutated(root, files, (TARGET, old, new), tests)
+    old, new, tests, *target = mutation
+    return run_mutated(root, files, ((target or [TARGET])[0], old, new), tests)
 
 
 def test_unmutated_copy_passes(tmp_path):

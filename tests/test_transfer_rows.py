@@ -44,10 +44,11 @@ from mumkit import (
     working_trunc_for,
 )
 from mumkit import frobtransfer
+from mumkit.series import right_divide
 
 from mumkit.cli import load_corpus_file, main
 from tests.conftest import HG_FAMILIES, random_mum_operator
-from series_oracles import diagonal
+from series_oracles import diagonal, matrix_inverse
 from transfer_oracles import (
     frobenius_quotient_F,
     frobenius_residual_order,
@@ -146,7 +147,26 @@ def test_h_matrix_and_last_row_of_f_match_the_closed_forms(seed):
             q = p**level
             lam = y.cartier(q)
             full = frobenius_quotient_F(y, shift_rows(raw.order), q)
-            assert frobtransfer._quotient_last_row(lam, lam.invert(), q) == full.entries[-1]
+            assert frobtransfer._quotient_last_row(lam, q) == full.entries[-1]
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2)])
+def test_right_divide_by_lambda_matches_the_oracle_inverse(quintic_raw, p, m):
+    # the denominators of Lambda_q(Y) grow with the order here, so each
+    # class of the right division has a denominator that grows
+    rng = random.Random(800 + p)
+    q = p**m
+    for raw in (quintic_raw, random_mum_operator(rng)):
+        y = uniform_part(raw, working_trunc_for(4, p, m))
+        lam = y.cartier(q)
+        last = lam.entries[-1][-1]
+        assert last.truncate(2).den < last.truncate(3).den < last.den
+        lam_inv = matrix_inverse(lam)
+        top = SeriesMatrix((y.entries[0],) * y.n)
+        (row0,) = right_divide((y.entries[0],), lam, q)
+        assert row0 == (top * lam_inv.substitute_power(q, y.trunc)).entries[0]
+        full = frobenius_quotient_F(y, shift_rows(y.n), q)
+        assert frobtransfer._quotient_last_row(lam, q) == full.entries[-1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -352,7 +372,7 @@ def test_fit_basis_matches_the_triple_products():
     cases = [(uniform_part(random_mum_operator(rng), rng.randint(6, 12)), p) for p in (2, 3, 5, 7)]
     for y, p in cases + [(uniform_part(quartic3(), 12), 2)]:
         n, trunc = y.n, y.trunc
-        y_sub_inv = y.invert().substitute_power(p, trunc)
+        y_sub_inv = matrix_inverse(y).substitute_power(p, trunc)
         basis = frobtransfer._phi_basis(y, p)
         assert len(basis) == n
         for r, phi in enumerate(basis):
