@@ -159,15 +159,10 @@ class _NCOperator:
         return _NCOperator(out)
 
     def pow(self, e: int) -> "_NCOperator":
-        """self^e: D^e directly, a polynomial's power by polynomial products,
-        and any other operator by e noncommutative products."""
+        """self^e: D^e directly, any other operator by e noncommutative
+        products."""
         if self.terms == {1: (_F1,)}:
             return _NCOperator({e: (_F1,)})
-        if set(self.terms) <= {0}:
-            base, poly = self.terms.get(0, ()), (_F1,)
-            for _ in range(e):
-                poly = _poly_mul(poly, base)
-            return _NCOperator({0: poly})
         result = _NCOperator.scalar(_F1)
         for _ in range(e):
             result = result * self

@@ -1,10 +1,9 @@
 """Fraction-arithmetic forms of the series operations, kept as exact oracles
-for the integer forms behind TruncSeries; the series matrix inverse, which
-the library never forms, as the oracle of right_divide; and Newton doubling
-for the matrix inverse, an algorithm independent of that inverse's
-order-by-order recurrence.  They read only the public API."""
+for the integer forms behind TruncSeries, and the series matrix inverse,
+which the library never forms, by Newton doubling on SeriesMatrix products
+as the oracle of right_divide's order-by-order recurrence.  They read only
+the public API."""
 
-import math
 from fractions import Fraction
 
 from mumkit import SeriesMatrix, TruncSeries, vp
@@ -34,35 +33,6 @@ def invert_constant_matrix(rows):
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
     return [tuple(row) for row in inv]
-
-
-def matrix_inverse(a):
-    """A^{-1} by the order-by-order recurrence B_0 = A_0^{-1},
-    B_k = -B_0 sum_{j=1..k} A_j B_{k-j}, on integers: A over one
-    denominator d and B_0 .. B_{k-1} over one running denominator v, so the
-    sum is an integer matrix over d v."""
-    n, trunc = a.n, a.trunc
-    d = math.lcm(*(e.den for row in a.entries for e in row))
-    # per order j: the nonzero entries (i, l, numerator over d) of A_j
-    terms = [[(i, l, e.nums[j] * (d // e.den)) for i, row in enumerate(a.entries)
-              for l, e in enumerate(row) if e.nums[j]] for j in range(trunc)]
-    out = [invert_constant_matrix(a.constant_matrix())]
-    v = math.lcm(*(x.denominator for row in out[0] for x in row))
-    nums = [[[x.numerator * (v // x.denominator) for x in row] for row in out[0]]]
-    b0, den0 = nums[0], -v * d
-    for k in range(1, trunc):
-        acc = [[0] * n for _ in range(n)]
-        for j in range(1, k + 1):
-            for i, l, x in terms[j]:
-                acc[i] = [s + x * y for s, y in zip(acc[i], nums[k - j][l])]
-        out.append([[Fraction(sum(x * y for x, y in zip(row, col)), den0 * v)
-                     for col in zip(*acc)] for row in b0])
-        w = math.lcm(v, *(x.denominator for row in out[k] for x in row))
-        nums = [[[x * (w // v) for x in row] for row in mat] for mat in nums]
-        v = w
-        nums.append([[x.numerator * (v // x.denominator) for x in row] for row in out[k]])
-    return SeriesMatrix(tuple(tuple(TruncSeries(tuple(mat[i][c] for mat in out))
-                                    for c in range(n)) for i in range(n)))
 
 
 def recurrence_inverse(a):

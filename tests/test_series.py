@@ -25,7 +25,6 @@ from series_oracles import (
     diagonal,
     invert_constant_matrix,
     matrix_from_rows,
-    matrix_inverse,
     newton_matrix_inverse,
     power_by_products,
     quotient_by_products,
@@ -1018,11 +1017,11 @@ def right_division_cases(draw):
 
 
 def product_by_oracle_inverse(rows, m, s):
-    """Coefficients of each row X times M^{-1}(z^s), the oracle inverse
-    substituted, mod z^t for t the smaller of X's order and s M's order;
-    each entry a sum of schoolbook products in Fractions."""
+    """Coefficients of each row X times M^{-1}(z^s), the Newton-doubling
+    inverse substituted, mod z^t for t the smaller of X's order and s M's
+    order; each entry a sum of schoolbook products in Fractions."""
     t = min(rows[0][0].trunc, s * m.trunc)
-    inv = matrix_inverse(m).substitute_power(s, t)
+    inv = newton_matrix_inverse(m).substitute_power(s, t)
     return tuple(
         tuple(tuple(sum(terms, F(0))
                     for terms in zip(*(ref_mul(x.coeffs[:t], inv.entry(i, l).coeffs)

@@ -22,7 +22,7 @@ from mumkit import (
     uniform_part,
     vp,
 )
-from series_oracles import diagonal, matrix_inverse
+from series_oracles import diagonal, newton_matrix_inverse
 
 
 def h0(y, p):
@@ -30,7 +30,7 @@ def h0(y, p):
     is the uniform part of a p-integral MUM system of radius >= 1."""
     if y.constant_matrix() != SeriesMatrix.identity(y.n, 1).constant_matrix():
         raise ValueError("matrix must have constant term I")
-    return y.cartier(p).substitute_power(p, y.trunc) * matrix_inverse(y)
+    return y.cartier(p).substitute_power(p, y.trunc) * newton_matrix_inverse(y)
 
 
 def reduction_congruence_parts(h11, f, p, m):
@@ -58,7 +58,7 @@ def frobenius_quotient_F(y, nilpotent, p):
     Lambda_p(Y) z^{N/p}.  Output order is ceil(Y.trunc / p)."""
     lam = y.cartier(p)
     nmat = SeriesMatrix.from_constant(nilpotent, lam.trunc)
-    return (lam.delta() + (lam * nmat).scale(Fraction(1, p))) * matrix_inverse(lam)
+    return (lam.delta() + (lam * nmat).scale(Fraction(1, p))) * newton_matrix_inverse(lam)
 
 
 def iterate_transfer_levels(y, p, m):
@@ -79,7 +79,7 @@ def h_matrix_closed_form(y, p, m=1):
     inverting the pullback at Y's full order."""
     diag = diagonal([Fraction(p) ** (m * i) for i in range(y.n)], y.trunc)
     q = p**m
-    return y * matrix_inverse(y.cartier(q).substitute_power(q, y.trunc)) * diag
+    return y * newton_matrix_inverse(y.cartier(q).substitute_power(q, y.trunc)) * diag
 
 
 def frobenius_power(y, constant, p, m):
@@ -100,7 +100,7 @@ def h_from_frobenius(y, constant, p, m):
     uses no inverse of Lambda_q(Y)."""
     q = p**m
     phi_m = frobenius_power(y, constant, p, m)
-    lam_inv = matrix_inverse(phi_m.cartier(q)).substitute_power(q, y.trunc)
+    lam_inv = newton_matrix_inverse(phi_m.cartier(q)).substitute_power(q, y.trunc)
     return phi_m * lam_inv * diagonal([q**i for i in range(y.n)], y.trunc)
 
 
