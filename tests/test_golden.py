@@ -27,6 +27,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 OPS = "data/operators.ops"
 NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
 LEAD_NOT_UNIT = "(3+z)*D^2 - (3+z)*z*D - (3+z)*z"
+NONMUM = "30*D^2 - 1"
 
 # name -> argv; paths are relative to the working directory set up by
 # _workdir, so the echoed input is the same on every machine
@@ -114,6 +115,19 @@ CASES = {
                                "--primes", "auto:5"],
     "transfer_lead_not_unit_level2": ["transfer", "--op", LEAD_NOT_UNIT, "--trunc", "3",
                                       "--level", "2", "--primes", "auto:5"],
+    # a non-MUM operator: the commands disagree on it.  Under auto:5 every
+    # prime is skipped before any MUM test, so transfer and check reduction
+    # exit 0 while fit-frobenius and check dieudonne exit 2 with NOT_MUM;
+    # at an explicit prime transfer exits 2 and radius reports a diagnostic
+    "nonmum_transfer_auto": ["transfer", "--op", NONMUM, "--trunc", "3", "--primes", "auto:5"],
+    "nonmum_check_reduction_auto": ["check", "reduction", "--op", NONMUM, "--trunc", "4",
+                                    "--primes", "auto:5"],
+    "nonmum_fit_auto": ["fit-frobenius", "--op", NONMUM, "--trunc", "6", "--primes", "auto:5"],
+    "nonmum_check_dieudonne_auto": ["check", "dieudonne", "--op", NONMUM, "--trunc", "6",
+                                    "--primes", "auto:5"],
+    "nonmum_transfer_explicit": ["transfer", "--op", NONMUM, "--trunc", "3", "--primes", "7"],
+    "nonmum_radius": ["radius", "--op", NONMUM, "--trunc", "6", "--max-j", "4",
+                      "--primes", "7"],
     # errors, exit 2; the mixed corpus fails after some results are in
     "error_check_mixed": ["check", "dieudonne", "--file", "mixed.ops", "--trunc", "6",
                           "--primes", "auto:5"],
