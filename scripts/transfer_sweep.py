@@ -46,7 +46,7 @@ def main():
                 continue
             data = iterate_transfer(y, p, args.level)
             audit = transfer_audit(raw, data)
-            reduction = reduction_congruence_check(y, p, args.level)
+            reduction = reduction_congruence_check(y.entries[0][0], p, args.level)
             fit = fit_frobenius_constant(y.truncate(min(args.trunc, 24)), p)
             print(
                 f"   p={p}: L_{args.level} certified to {data.trunc},"

@@ -295,26 +295,28 @@ def dump_candidate(cand: FrobeniusCandidate) -> dict:
 @dataclass
 class _Subject:
     """One operator of a job; keeps its monic form at the order last asked
-    for, so a run of calls at one order monicizes once, and its uniform part
-    at `top`, the largest working order of the job's primes."""
+    for, so a run of calls at one order monicizes once, and each solution it
+    was asked for at `top`, the largest working order of the job's primes."""
 
     label: str | None
     raw: RawOperator
     top: int = 1
     _order: int | None = None
     _monic: DeltaOperator | None = None
-    _y: SeriesMatrix | None = None
+    _solved: dict = field(default_factory=dict)
 
     def at(self, order: int) -> DeltaOperator:
         if order != self._order:
             self._order, self._monic = order, monicize(self.raw, order)
         return self._monic
 
-    def uniform_part(self, order: int) -> SeriesMatrix:
-        """Y mod z^order, truncated from the one solve at the top order."""
-        if self._y is None or self._y.trunc < order:
-            self._y = uniform_part(self.raw, max(order, self.top))
-        return self._y.truncate(order)
+    def solved(self, solver, order: int):
+        """solver(raw, order) mod z^order, truncated from the one solve at
+        the top order, made by the first unit that asks."""
+        known = self._solved.get(solver)
+        if known is None or known.trunc < order:
+            known = self._solved[solver] = solver(self.raw, max(order, self.top))
+        return known.truncate(order)
 
 
 def _resolve_operators(spec: JobSpec) -> list[tuple[str, RawOperator]]:
@@ -461,7 +463,7 @@ def _check(spec, subject, work, p):
     entry = {"check": spec.check_kind}
     if spec.check_kind == "reduction":
         working = _check_order(spec, p)
-        ok = reduction_congruence_check(subject.uniform_part(working), p, spec.level)
+        ok = reduction_congruence_check(subject.solved(solve_f, working), p, spec.level)
         entry["working_trunc"] = working
         entry["congruence_order"] = p**spec.level + 1
     elif spec.check_kind == "dieudonne":
@@ -490,7 +492,7 @@ def _transfer(spec, subject, work, p):
         raise NotPIntegralOperator(
             f"operator is not {p}-integral up to order {working}"
         )
-    data = iterate_transfer(subject.uniform_part(working), p, spec.level,
+    data = iterate_transfer(subject.solved(uniform_part, working), p, spec.level,
                             target_trunc=spec.trunc)
     audit = transfer_audit(subject.raw, data)
     return {

@@ -18,12 +18,13 @@ q H_i B(z^q).  The rows are integer rows, one numerator list per entry
 over one denominator per row; H_m as a SeriesMatrix is built only when
 read.  transfer_audit checks the last row, the only one that can fail:
 sum_k P_k H_k = 0 over L's polynomial rows, H_n being row n, to the
-rows' order min(W, q L_m.trunc).  It reads H(0) and the valuation
-profile of H off the same rows.
+rows' order min(W, q L_m.trunc).  It reads H(0) off the same rows, and
+the valuation profile of H is ValuationProfile.of_rows of them.
 
 The level-m reduction congruence H_m[0][0] Lambda_q(f)(z^q) == f
 mod z^{q+1}, f = Y[0][0], holds whenever Y(0) = I, so all it decides is
-f_1 .. f_{q-1} in Z_p, which is read off f with no inverse, L_m or H_m.
+f_1 .. f_{q-1} in Z_p: reduction_congruence_check(f, p, m) takes f alone
+and builds no Y, inverse, L_m or H_m.
 
 A p-integral Frobenius structure is a matrix Phi with
 delta(Phi) = A Phi - p Phi A(z^p); by the uniqueness of log-structured
@@ -52,7 +53,8 @@ on the true norms; the diagnostics below label them as such.
 
 Radius diagnostics read the Taylor matrices A_0 = I,
 A_{j+1} = delta(A_j) + A_j (A - jI) of the companion matrix A without ever
-forming A.  For L = sum_i P_i D^i with integer polynomials P_i, the matrix
+forming A, from the parsed operator L = sum_i P_i D^i only: with integer
+polynomials P_i, the matrix
 C = P_n A is polynomial (superdiagonal P_n, last row -P_0 .. -P_{n-1}), and
 B_j = P_n^j A_j is an integer polynomial matrix: from
 delta(B_j) = j delta(P_n) P_n^{j-1} A_j + P_n^j delta(A_j) follows
@@ -182,33 +184,22 @@ class TaylorGcds:
     gcds: tuple[int, ...]  # g_j = gcd of row 0 of B_j mod z^trunc (0 if it is 0)
 
 
-def taylor_gcds(op: RawOperator | DeltaOperator, trunc: int,
-                max_index: int) -> TaylorGcds:
+def taylor_gcds(op: RawOperator, trunc: int, max_index: int) -> TaylorGcds:
     """g_0 .. g_max_index, g_j the gcd of the coefficients of row 0 of
     B_j = P_n^j A_j mod z^trunc (0 when that row is 0), taken entry by entry;
     the module docstring gives the row recurrence and why row 0 fixes every
-    valuation, and _first_rows its pass per z-degree.
-
-    A monic operator is read as the integer rows of its coefficients times
-    the lcm of their denominators, so its P_n is that lcm and `trunc` may
-    not exceed its own order.  Only the current row is held.
+    valuation, and _first_rows its pass per z-degree.  Only the current row
+    is held.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     if trunc < 1:
         raise ValueError("truncation order must be positive")
-    if isinstance(op, DeltaOperator):
-        if trunc > op.trunc:
-            raise ValueError(f"operator is known to order {op.trunc} < {trunc}")
-        coeffs = [a.truncate(trunc) for a in op.coeffs]
-        den = lcm(*(a.den for a in coeffs))
-        polys = [[x * (den // a.den) for x in a.nums] for a in coeffs] + [[den]]
-    else:
-        polys = op.poly_coeffs
-        if polys[-1][0] == 0:
-            raise ApparentSingularityAtZero(
-                "leading polynomial vanishes at z = 0; shearing is out of scope"
-            )
+    polys = op.poly_coeffs
+    if polys[-1][0] == 0:
+        raise ApparentSingularityAtZero(
+            "leading polynomial vanishes at z = 0; shearing is out of scope"
+        )
     content = gcd(*(c for poly in polys for c in poly))
     rows = tuple(tuple(c // content for c in poly) for poly in polys)
     gcds = tuple(gcd(*(gcd(*entry) for entry in b))
@@ -264,12 +255,11 @@ def _add_product(out: list, poly, s: list):
             out[d:] = [o + c * x for o, x in zip(out[d:], s)]
 
 
-def radius_diagnostic(source: TaylorGcds | DeltaOperator, p: int, max_index: int,
+def radius_diagnostic(source: TaylorGcds, p: int, max_index: int,
                       monic: DeltaOperator | None = None) -> RadiusDiagnostic:
     """Gauss norms of the Taylor matrices A_0 = I,
     A_{j+1} = delta(A_j) + A_j (A - jI), as exponents of p, for
-    j = 0 .. max_index; `source` is taylor_gcds of the operator (computed
-    here for a monic operator at its own order).
+    j = 0 .. max_index; `source` is taylor_gcds of the parsed operator.
 
     The monic operator must be p-integral up to the truncation order (checked
     on `monic`, the monic form at that order, when given).  Norms
@@ -279,8 +269,6 @@ def radius_diagnostic(source: TaylorGcds | DeltaOperator, p: int, max_index: int
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
-    if isinstance(source, DeltaOperator):
-        source = taylor_gcds(source, source.trunc, max_index)
     if max_index >= len(source.gcds):
         raise ValueError(f"gcds are computed up to j = {len(source.gcds) - 1} only")
     raw, trunc = RawOperator(source.rows), source.trunc
@@ -384,28 +372,6 @@ def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
         nums = step
         rows.append((den, nums))
     return tuple(rows)
-
-
-def _rows_profile(rows, p: int) -> ValuationProfile:
-    """The merged valuation profile of the entries of integer rows: v_p of
-    a coefficient is v_p(numerator) - v_p(den) over any denominator, and a
-    row's least valuation is that of the gcd of its numerators."""
-    min_v, neg = INF, {}
-    for den, nums in rows:
-        g = gcd(*(x for entry in nums for x in entry))
-        if not g:
-            continue
-        vd, vg = vp_int(den, p), vp_int(g, p)
-        min_v = min(min_v, vg - vd)
-        if vg >= vd:
-            continue
-        for entry in nums:
-            for k, x in enumerate(entry):
-                if x:
-                    v = vp_int(x, p) - vd
-                    if v < neg.get(k, 0):
-                        neg[k] = v
-    return ValuationProfile(p, min_v, tuple(sorted(neg.items())))
 
 
 def _require_identity_at_zero(y: SeriesMatrix):
@@ -546,7 +512,7 @@ def transfer_audit(op: RawOperator | DeltaOperator, data: TransferData) -> Trans
         h_constant_ok,
         residual_order,
         check_trunc,
-        _rows_profile(data.rows[:-1], data.p),
+        ValuationProfile.of_rows(data.rows[:-1], data.p),
         data.operator.p_integrality(data.p),
         data.operator.is_mum(),
     )
@@ -818,18 +784,19 @@ def _solve_congruences(rows, unknowns: int, p: int):
 # ---------------------------------------------------------------------------
 
 
-def reduction_congruence_check(y: SeriesMatrix, p: int, m: int) -> bool:
+def reduction_congruence_check(f: TruncSeries, p: int, m: int) -> bool:
     """Level-m reduction congruence H_m[0][0] Lambda_q(f)(z^q) == f
-    mod z^{q+1}, q = p^m, f = Y[0][0], with its forced consequences
-    h_k = f_k in Z_p for 0 < k < q, at working order Y.trunc > q.  The
-    congruence holds for every Y with Y(0) = I, so the verdict is
-    f_1 .. f_{q-1} in Z_p: mod z^{q+1},
+    mod z^{q+1}, q = p^m, for f = Y[0][0] the holomorphic solution, with
+    its forced consequences h_k = f_k in Z_p for 0 < k < q, at working
+    order f.trunc > q.  The congruence holds for every Y with Y(0) = I, so
+    the verdict is f_1 .. f_{q-1} in Z_p: mod z^{q+1},
     Lambda_q(Y)^{-1}(z^q) == I - Y_q z^q and Y[0][k] = O(z) for k >= 1 give
     H_m[0][0] == f (1 - f_q z^q), and Lambda_q(f)(z^q) == 1 + f_q z^q."""
     if m < 1:
         raise ValueError("level must be >= 1")
     q = p**m
-    if q >= y.trunc:
+    if q >= f.trunc:
         raise InsufficientTruncation(f"congruence mod z^{q + 1} needs working order > {q}")
-    _require_identity_at_zero(y)
-    return y.entries[0][0].truncate(q).valuation_profile(p).is_integral
+    if f.nums[0] != f.den:
+        raise ValueError("f must have constant term 1")
+    return f.truncate(q).valuation_profile(p).is_integral

@@ -3,7 +3,10 @@
 Operators are parsed from a small text grammar, expanded with the
 noncommutative rewrite D*f(z) = f(z)*D + delta(f), normalized to integer
 polynomial coefficients (RawOperator), and turned into monic operators
-with truncated-series coefficients (DeltaOperator).
+with truncated-series coefficients (DeltaOperator).  The library works on
+the parsed operator wherever it can; a DeltaOperator carries only what is
+read of it: its coefficients and polynomial rows, the MUM test and its
+p-integrality profile.
 
 Grammar (whitespace insignificant, `^` binds tighter than `*`):
 
@@ -21,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .primes import vp_int
-from .series import SeriesMatrix, TruncSeries, ValuationProfile
+from .series import TruncSeries, ValuationProfile
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -383,48 +386,10 @@ class DeltaOperator:
     def is_mum(self) -> bool:
         return all(a.constant_term == 0 for a in self.coeffs)
 
-    def companion(self) -> SeriesMatrix:
-        n = self.order
-        trunc = self.trunc
-        zero = TruncSeries.zero(trunc)
-        one = TruncSeries.one(trunc)
-        rows = [
-            tuple(one if j == i + 1 else zero for j in range(n))
-            for i in range(n - 1)
-        ]
-        rows.append(tuple(-a for a in self.coeffs))
-        return SeriesMatrix(tuple(rows))
-
-    def apply(self, s: TruncSeries) -> TruncSeries:
-        out = s
-        for _ in range(self.order):
-            out = out.delta()
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            d = s
-            for _ in range(i):
-                d = d.delta()
-            out = out + a * d
-        return out
-
-    def delta_derivative(self, t: int) -> "DeltaPolynomial":
-        """The divided t-th formal derivative in D: with b_n = 1 and
-        b_i = a_i, returns sum_{i>=t} C(i,t) b_i D^{i-t}."""
-        n = self.order
-        if not 0 <= t <= n:
-            raise ValueError("derivative order out of range")
-        trunc = self.trunc
-        out = [TruncSeries.zero(trunc) for _ in range(n - t + 1)]
-        for i in range(t, n + 1):
-            b = TruncSeries.one(trunc) if i == n else self.coeffs[i]
-            out[i - t] = out[i - t] + b * comb(i, t)
-        return DeltaPolynomial(tuple(out))
-
     def p_integrality(self, p: int) -> ValuationProfile:
-        """Merged valuation profile over all coefficients a_i; min >= 0
-        certifies membership in Z_p[[z]][D] up to the truncation order."""
-        return ValuationProfile.merge(a.valuation_profile(p) for a in self.coeffs)
+        """Valuation profile of all coefficients a_i; min >= 0 certifies
+        membership in Z_p[[z]][D] up to the truncation order."""
+        return ValuationProfile.of_rows(((a.den, (a.nums,)) for a in self.coeffs), p)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,16 @@ its exact output order.  Everything is immutable.
 
 A series is stored as integer numerators over one denominator, reduced as
 a whole, and every operation runs on those integers: sums over the lcm of
-the two denominators, products as integer convolutions over the product
-of the denominators, with one running gcd per result.  The coefficients
-as reduced Fractions are built only when read.  Sums of products of
-series and of SeriesMatrix entries run the same way, skipping zero entries
-and coefficients, each term looping over its sparser operand on the
-outside.  right_divide solves U M(z^s) = X for a few rows X order by
-order on integers, so no matrix inverse is ever formed.
+the two denominators, with one running gcd per result.  The coefficients
+as reduced Fractions are built only when read.  Products have one loop,
+_dot, a sum of integer convolutions over the lcm of the terms'
+denominators that skips zero entries and coefficients and loops over the
+sparser operand of each term on the outside: a product of two series is
+one _dot term, and each entry of a sum of SeriesMatrix products is one
+_dot.  right_divide solves U M(z^s) = X for a few rows X order by order on
+integers, so no matrix inverse is ever formed.  Every valuation profile,
+of a series, a matrix, a monic operator or integer rows, is
+ValuationProfile.of_rows.
 divide, exp and log share one recurrence on integers, which keeps the
 coefficients found so far as numerators over one running denominator;
 coefficient k of log(a) is that of delta(a) / a over k.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .primes import vp_int
@@ -87,8 +91,8 @@ def vp(x: Fraction, p: int):
 
 @dataclass(frozen=True)
 class ValuationProfile:
-    """p-adic audit of a series (or of merged series): the minimum valuation
-    over all inspected coefficients, plus the list of offending exponents.
+    """p-adic audit of the coefficients of one or more series: the minimum
+    valuation over all of them, plus the list of offending exponents.
 
     negative_valuations holds (exponent, valuation) pairs for valuations < 0
     only, so min_valuation >= 0 exactly when the list is empty.
@@ -103,22 +107,30 @@ class ValuationProfile:
         return self.min_valuation >= 0
 
     @staticmethod
-    def merge(profiles) -> "ValuationProfile":
-        """Merge profiles at one prime: per-exponent minimum valuation."""
-        profiles = list(profiles)
-        if not profiles:
-            raise ValueError("nothing to merge")
-        p = profiles[0].prime
-        if any(pr.prime != p for pr in profiles):
-            raise InternalError("merging valuation profiles of different primes")
-        min_v = min(pr.min_valuation for pr in profiles)
-        by_exp: dict[int, int] = {}
-        for pr in profiles:
-            for k, v in pr.negative_valuations:
-                if v < by_exp.get(k, 0):
-                    by_exp[k] = v
-        neg = tuple(sorted(by_exp.items()))
-        return ValuationProfile(p, min_v, neg)
+    def of_rows(rows, p: int) -> "ValuationProfile":
+        """The profile of the coefficients of integer rows (den, [numerator
+        lists]), coefficient k of an entry being its numerator k over den:
+        v_p is v_p(numerator) - v_p(den), and each exponent keeps its least
+        negative valuation.  A row whose den p does not divide has no
+        negative valuation, and its least is that of the gcd of its
+        numerators; any other row is read coefficient by coefficient."""
+        min_v, neg = INF, {}
+        for den, nums in rows:
+            vd = vp_int(den, p)
+            if not vd:
+                g = math.gcd(*chain.from_iterable(nums))
+                if g:
+                    min_v = min(min_v, vp_int(g, p))
+                continue
+            for entry in nums:
+                for k, x in enumerate(entry):
+                    if x:
+                        v = vp_int(x, p) - vd
+                        if v < min_v:
+                            min_v = v
+                        if v < neg.get(k, 0):
+                            neg[k] = v
+        return ValuationProfile(p, min_v, tuple(sorted(neg.items())))
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -280,35 +292,16 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product with a series, to the smaller order, or with a scalar.
-
-        The numerators are convolved over the product of the two
-        denominators.  Only nonzero pairs are multiplied, so a dense series
-        times one in z^q costs n * n/q integer products, and the result is
-        reduced once."""
+        """Product with a series, to the smaller order, as one _dot term, or
+        with a scalar."""
         if isinstance(other, TruncSeries):
             n = min(self.trunc, other.trunc)
-            right = [(j, y) for j, y in enumerate(other.nums[:n]) if y]
-            out = [0] * n
-            for i, x in enumerate(self.nums[:n]):
-                if x:
-                    for j, y in right:
-                        if i + j >= n:
-                            break
-                        out[i + j] += x * y
-            return TruncSeries._from_nums(out, self.den * other.den)
+            return _dot([(_sparse(self, n), _sparse(other, n))], n)
         c = Fraction(other)
         return TruncSeries._from_nums([c.numerator * x for x in self.nums],
                                       c.denominator * self.den)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def sum_of_products(pairs) -> "TruncSeries":
-        """Sum of the products a b over the (a, b) pairs, to the smallest
-        order, reduced once."""
-        trunc = min(min(a.trunc, b.trunc) for a, b in pairs)
-        return _dot([(_sparse(a, trunc), _sparse(b, trunc)) for a, b in pairs], trunc)
 
     def divide(self, other: "TruncSeries") -> "TruncSeries":
         """self / other, to the smaller order; requires other(0) != 0.
@@ -376,23 +369,7 @@ class TruncSeries:
     # -- p-adic audit ---------------------------------------------------------
 
     def valuation_profile(self, p: int) -> ValuationProfile:
-        """v_p of each coefficient as v_p(numerator) - v_p(den).  When p does
-        not divide den no valuation is negative, and the least is that of
-        the gcd of the numerators."""
-        vd = vp_int(self.den, p)
-        if not vd:
-            g = math.gcd(*self.nums)
-            return ValuationProfile(p, vp_int(g, p) if g else INF, ())
-        min_v = INF
-        neg = []
-        for k, x in enumerate(self.nums):
-            if x:
-                v = vp_int(x, p) - vd
-                if v < min_v:
-                    min_v = v
-                if v < 0:
-                    neg.append((k, v))
-        return ValuationProfile(p, min_v, tuple(neg))
+        return ValuationProfile.of_rows(((self.den, (self.nums,)),), p)
 
 
 @dataclass(frozen=True)
@@ -529,16 +506,14 @@ class SeriesMatrix:
     # -- p-adic audit ---------------------------------------------------------------
 
     def valuation_profile(self, p: int) -> ValuationProfile:
-        """Merged profile over all entries (per-exponent minimum)."""
-        return ValuationProfile.merge(
-            e.valuation_profile(p) for row in self.entries for e in row
-        )
+        """The profile of all entries, each read as its own integer row."""
+        return ValuationProfile.of_rows(
+            ((e.den, (e.nums,)) for row in self.entries for e in row), p)
 
 
 def _sparse(e: TruncSeries, trunc: int):
-    """e's nonzero coefficients below trunc: (exponents, numerators, den)."""
-    xs = e.nums[:trunc]
-    return [k for k, x in enumerate(xs) if x], [x for x in xs if x], e.den
+    """e's nonzero coefficients below trunc: ((exponent, numerator) pairs, den)."""
+    return [(k, x) for k, x in enumerate(e.nums[:trunc]) if x], e.den
 
 
 def _dot(terms, trunc: int) -> TruncSeries:
@@ -547,13 +522,13 @@ def _dot(terms, trunc: int) -> TruncSeries:
     over its sparser operand on the outside and scales that one by
     L / (d e); the result is reduced once."""
     terms = [(x, y) if len(x[0]) <= len(y[0]) else (y, x) for x, y in terms if x[0] and y[0]]
-    den = math.lcm(*(x[2] * y[2] for x, y in terms))
+    den = math.lcm(*(x[1] * y[1] for x, y in terms))
     out = [0] * trunc
-    for (xk, xv, d), (yk, yv, e) in terms:
+    for (xs, d), (ys, e) in terms:
         scale = den // (d * e)
-        for a, u in zip(xk, xv):
+        for a, u in xs:
             u *= scale
-            for b, v in zip(yk, yv):
+            for b, v in ys:
                 if a + b >= trunc:
                     break
                 out[a + b] += u * v

@@ -1,12 +1,16 @@
 """Fraction-arithmetic forms of the series operations, kept as exact oracles
 for the integer forms behind TruncSeries, and the series matrix inverse,
 which the library never forms, by Newton doubling on SeriesMatrix products
-as the oracle of right_divide's order-by-order recurrence.  They read only
-the public API."""
+as the oracle of right_divide's order-by-order recurrence.  The companion
+matrix of a monic operator, its action on a series and its divided
+D-derivatives, which the library never forms either, are the oracles of
+the solver, the radius rows and the transfer.  They read only the public
+API."""
 
 from fractions import Fraction
+from math import comb
 
-from mumkit import SeriesMatrix, TruncSeries, vp
+from mumkit import DeltaPolynomial, SeriesMatrix, TruncSeries, vp
 
 
 class SingularConstant(ValueError):
@@ -151,3 +155,54 @@ def ref_valuation_profile(a, p):
     """(min valuation, ((exponent, valuation) for negative valuations))."""
     vals = [(k, vp(c, p)) for k, c in enumerate(a)]
     return min(v for _, v in vals), tuple((k, v) for k, v in vals if v < 0)
+
+
+def ref_rows_profile(series, p):
+    """ref_valuation_profile over several coefficient tuples at once: the
+    least valuation of all, and per exponent the least negative one."""
+    refs = [ref_valuation_profile(a, p) for a in series]
+    by_exp = {}
+    for _, neg in refs:
+        for k, v in neg:
+            by_exp[k] = min(v, by_exp.get(k, 0))
+    return min((v for v, _ in refs), default=vp(Fraction(0), p)), tuple(sorted(by_exp.items()))
+
+
+# the monic operator D^n + a_{n-1} D^{n-1} + ... + a_0 (a DeltaOperator) in
+# the dense forms the library no longer builds
+
+
+def companion(op):
+    """The companion matrix of op: ones on the superdiagonal, -a_0 ..
+    -a_{n-1} in the last row."""
+    n, trunc = op.order, op.trunc
+    zero, one = TruncSeries.zero(trunc), TruncSeries.one(trunc)
+    rows = [tuple(one if j == i + 1 else zero for j in range(n)) for i in range(n - 1)]
+    rows.append(tuple(-a for a in op.coeffs))
+    return SeriesMatrix(tuple(rows))
+
+
+def apply(op, s):
+    """op applied to the series s: D^n s + sum_i a_i D^i s."""
+    out = s
+    for _ in range(op.order):
+        out = out.delta()
+    for i, a in enumerate(op.coeffs):
+        d = s
+        for _ in range(i):
+            d = d.delta()
+        out = out + a * d
+    return out
+
+
+def delta_derivative(op, t):
+    """The divided t-th formal derivative in D: with b_n = 1 and b_i = a_i,
+    sum_{i>=t} C(i,t) b_i D^{i-t}."""
+    n = op.order
+    if not 0 <= t <= n:
+        raise ValueError("derivative order out of range")
+    out = [TruncSeries.zero(op.trunc) for _ in range(n - t + 1)]
+    for i in range(t, n + 1):
+        b = TruncSeries.one(op.trunc) if i == n else op.coeffs[i]
+        out[i - t] = out[i - t] + b * comb(i, t)
+    return DeltaPolynomial(tuple(out))

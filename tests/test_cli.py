@@ -203,6 +203,18 @@ def test_invalid_prime_rejected(tmp_path):
     ]) == 2
 
 
+def test_check_reduction_with_every_prime_skipped_solves_nothing(monkeypatch):
+    # the unit solves f lazily, so a job whose primes were all skipped
+    # under auto:B solves nothing
+    for name in ("solve_f", "uniform_part", "solve_first_row"):
+        monkeypatch.setattr(mumkit.cli, name, refuse_work)
+    doc, status = cmd_dispatch(JobSpec(command="check", check_kind="reduction",
+                                       source_kind="op", source_value="30*D^2 - 1",
+                                       trunc=4, auto_bound=5))
+    assert status == 0 and doc.errors == []
+    assert [r["skipped"] for r in doc.results] == ["bad prime for operator"] * 3
+
+
 def test_cli_subprocess_entrypoint():
     # the child imports the same mumkit as this process, installed or not
     src = str(Path(mumkit.__file__).resolve().parents[1])

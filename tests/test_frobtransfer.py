@@ -18,6 +18,7 @@ from mumkit import (
     radius_diagnostic,
     reduction_congruence_check,
     solve_f,
+    taylor_gcds,
     transfer_audit,
     transfer_operator_L1,
     twisted_rows,
@@ -377,8 +378,7 @@ def test_fit_fault_injected_uniform_part(quintic_y20):
 
 
 def test_radius_first_rows_trivial_operator():
-    op = monicize(parse_operator("D^2"), 6)
-    diag = radius_diagnostic(op, 3, 12)
+    diag = radius_diagnostic(taylor_gcds(parse_operator("D^2"), 6, 12), 3, 12)
     assert diag.rows[0].min_valuation == 0  # A_0 = I
     assert diag.rows[1].min_valuation == 0  # A_1 = A = N
     # for n = 2: A_j = (-1)^{j-1} (j-1)! N, so the norm is |(j-1)!|_p
@@ -389,8 +389,8 @@ def test_radius_first_rows_trivial_operator():
         ) - vp_factorial(j, 3)
 
 
-def test_radius_quintic_trend(quintic30):
-    diag = radius_diagnostic(quintic30.truncate(20), 7, 35)
+def test_radius_quintic_trend(quintic_raw):
+    diag = radius_diagnostic(taylor_gcds(quintic_raw, 20, 35), 7, 35)
     assert diag.trending_to_zero
     # the 7-adic norms drop below 1 at j = 23 and stay there
     assert all(r.min_valuation == 0 for r in diag.rows[18:23])
@@ -399,15 +399,15 @@ def test_radius_quintic_trend(quintic30):
 
 def test_radius_rejects_negative_max_index():
     # an empty window of rows would read as "trending to zero"
-    op = monicize(parse_operator("D^2"), 6)
+    taylor = taylor_gcds(parse_operator("D^2"), 6, 0)
     with pytest.raises(ValueError):
-        radius_diagnostic(op, 3, -1)
+        radius_diagnostic(taylor, 3, -1)
 
 
 def test_radius_requires_p_integrality():
-    op = monicize(parse_operator("2*D - z"), 6)
+    taylor = taylor_gcds(parse_operator("2*D - z"), 6, 5)
     with pytest.raises(NotPIntegralOperator):
-        radius_diagnostic(op, 2, 5)
+        radius_diagnostic(taylor, 2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -417,27 +417,29 @@ def test_radius_requires_p_integrality():
 
 def test_reduction_trivial_operator():
     op = monicize(parse_operator("D^3"), 10)
-    y = uniform_part(op, op.trunc)
-    assert reduction_congruence_check(y, 2, 1)
-    assert reduction_congruence_check(y, 2, 2)
+    f = solve_f(op, op.trunc)
+    assert reduction_congruence_check(f, 2, 1)
+    assert reduction_congruence_check(f, 2, 2)
 
 
-def test_reduction_quintic_small_prime(quintic_y30):
-    assert reduction_congruence_check(quintic_y30, 2, 1)
-    assert reduction_congruence_check(quintic_y30, 2, 2)
-    assert reduction_congruence_check(quintic_y30, 3, 1)
+def test_reduction_quintic_small_prime(quintic_row30):
+    f = quintic_row30[0]
+    assert reduction_congruence_check(f, 2, 1)
+    assert reduction_congruence_check(f, 2, 2)
+    assert reduction_congruence_check(f, 3, 1)
 
 
-def test_reduction_insufficient_truncation(quintic_y30):
+def test_reduction_insufficient_truncation(quintic_row30):
     with pytest.raises(InsufficientTruncation):
-        reduction_congruence_check(quintic_y30, 7, 2)
+        reduction_congruence_check(quintic_row30[0], 7, 2)
 
 
-def test_reduction_refuses_level_0_and_a_y_other_than_i_at_zero(quintic_y30):
+def test_reduction_refuses_level_0_and_a_y_other_than_i_at_zero(quintic_row30):
+    # f = Y[0][0], so Y(0) = I asks f(0) = 1 of it
     with pytest.raises(ValueError, match="level"):
-        reduction_congruence_check(quintic_y30, 7, 0)
-    with pytest.raises(ValueError, match="constant term I"):
-        reduction_congruence_check(diagonal([F(1), F(2)], 5), 2, 1)
+        reduction_congruence_check(quintic_row30[0], 7, 0)
+    with pytest.raises(ValueError, match="constant term 1"):
+        reduction_congruence_check(diagonal([F(2), F(1)], 5).entry(0, 0), 2, 1)
 
 
 def test_bad_prime_detected_on_genuine_example():

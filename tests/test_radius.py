@@ -27,7 +27,7 @@ from mumkit.cli import JobSpec, cmd_dispatch, load_corpus_file
 from mumkit.primes import vp_factorial
 
 from conftest import HG_FAMILIES
-from series_oracles import diagonal
+from series_oracles import companion, diagonal
 
 LEAD_NOT_UNIT = "(3+z)*D^2 - (3+z)*z*D - (3+z)*z"
 NONHYPER = "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"
@@ -36,7 +36,7 @@ OPS = Path(__file__).resolve().parents[1] / "data" / "operators.ops"
 
 def dense_taylor(op, max_index):
     """A_0 .. A_max_index of a monic operator by dense SeriesMatrix products."""
-    a = op.companion()
+    a = companion(op)
     n, trunc = a.n, a.trunc
     current = SeriesMatrix.identity(n, trunc)
     for j in range(max_index + 1):
@@ -199,13 +199,11 @@ def test_matches_dense_recurrence_on_random_operators(seed):
         taylor = taylor_gcds(raw, trunc, max_index)
         for p in (2, 3, 5, 7):
             if not monic.p_integrality(p).is_integral:
-                for source in (taylor, monic):
-                    with pytest.raises(NotPIntegralOperator):
-                        radius_diagnostic(source, p, max_index)
+                with pytest.raises(NotPIntegralOperator):
+                    radius_diagnostic(taylor, p, max_index)
                 continue
             expected = dense_rows(monic, p, max_index)
             assert rows_of(radius_diagnostic(taylor, p, max_index)) == expected
-            assert rows_of(radius_diagnostic(monic, p, max_index)) == expected
             checked += 1
     assert checked
 
@@ -256,19 +254,19 @@ def test_lead_divisible_by_p_beyond_the_order():
 
 
 def test_not_p_integral_operator_raises():
-    raw = parse_operator("2*D - z")
-    for source in (taylor_gcds(raw, 6, 5), monicize(raw, 6)):
-        with pytest.raises(NotPIntegralOperator):
-            radius_diagnostic(source, 2, 5)
-        assert radius_diagnostic(source, 3, 5).rows[0].min_valuation == 0
+    taylor = taylor_gcds(parse_operator("2*D - z"), 6, 5)
+    with pytest.raises(NotPIntegralOperator):
+        radius_diagnostic(taylor, 2, 5)
+    assert radius_diagnostic(taylor, 3, 5).rows[0].min_valuation == 0
 
 
 def test_monic_operator_matches_its_polynomial_rows():
+    # P_n(0) = 2: the rows of the parsed operator against the dense
+    # recurrence over its monic form
     raw = parse_operator(NONHYPER)
     for p in (3, 7):
         by_rows = radius_diagnostic(taylor_gcds(raw, 6, 15), p, 15)
-        by_monic = radius_diagnostic(monicize(raw, 6), p, 15)
-        assert by_rows == by_monic
+        assert rows_of(by_rows) == dense_rows(monicize(raw, 6), p, 15)
 
 
 def test_quintic_rows_at_bench_size():
@@ -306,8 +304,6 @@ def test_rejects_bad_arguments():
         taylor_gcds(raw, 4, -1)
     with pytest.raises(ValueError):
         taylor_gcds(raw, 0, 3)
-    with pytest.raises(ValueError):
-        taylor_gcds(monicize(raw, 4), 5, 3)  # beyond the known order
     with pytest.raises(ValueError):
         radius_diagnostic(taylor_gcds(raw, 4, 3), 3, 4)  # beyond the gcds
 
@@ -384,19 +380,23 @@ def test_radius_monicizes_lead_not_unit_once(monkeypatch):
     assert _radius_monicize_orders(monkeypatch, spec)[0] == 2
 
 
-@pytest.mark.parametrize("spec, orders", [
+@pytest.mark.parametrize("spec, solver, unused, orders", [
     (JobSpec(command="transfer", source_kind="builtin", source_value="quintic",
-             trunc=8, primes=(7, 11)), [78]),
+             trunc=8, primes=(7, 11)), "uniform_part", "solve_f", [78]),
     (JobSpec(command="check", check_kind="reduction", source_kind="builtin",
-             source_value="quintic", trunc=8, primes=(3, 5), level=2), [26]),
+             source_value="quintic", trunc=8, primes=(3, 5), level=2),
+     "solve_f", "uniform_part", [26]),
 ], ids=["transfer", "check_reduction"])
-def test_per_prime_units_share_one_uniform_part(monkeypatch, spec, orders):
-    # Y is solved once, at the largest working order of the job's primes,
-    # and each prime's unit reads it truncated to its own order
-    calls = _counting(monkeypatch, cli, "uniform_part")
+def test_per_prime_units_share_one_uniform_part(monkeypatch, spec, solver, unused, orders):
+    # Y, or f alone for check reduction, is solved once, at the largest
+    # working order of the job's primes, and each prime's unit reads it
+    # truncated to its own order
+    calls = _counting(monkeypatch, cli, solver)
+    unused_calls = _counting(monkeypatch, cli, unused)
     doc, status = cmd_dispatch(spec)
     assert status == 0
     assert [order for _, order in calls] == orders
+    assert unused_calls == []
     for p, entry in zip(spec.primes, doc.results):
         alone, _ = cmd_dispatch(replace(spec, primes=(p,)))
         assert alone.results == [entry]

@@ -13,7 +13,7 @@ FILES = ("test_golden.py", "conftest.py", "golden")
 
 # name -> (text in frobtransfer.py, its broken replacement)
 MUTATIONS = {
-    "q_is_p": ("q = p**m\n    if q >= y.trunc:", "q = p\n    if q >= y.trunc:"),
+    "q_is_p": ("q = p**m\n    if q >= f.trunc:", "q = p\n    if q >= f.trunc:"),
     "reads_one_coefficient_short": (".truncate(q).valuation_profile(p)",
                                     ".truncate(q - 1).valuation_profile(p)"),
 }

@@ -15,6 +15,7 @@ from mumkit import (
     iterate_transfer,
     parse_operator,
     reduction_congruence_check,
+    solve_f,
     uniform_part,
 )
 from mumkit import frobtransfer
@@ -50,7 +51,7 @@ def test_check_reduction_agrees_with_the_route_through_h_m(label):
         f = y.entries[0][0]
         h11 = iterate_transfer(y, p, m).h.entries[0][0]
         assert (h11 * f.cartier(q).substitute_power(q, q + 1) - f).truncate(q + 1).is_zero()
-        verdict = reduction_congruence_check(y, p, m)
+        verdict = reduction_congruence_check(f, p, m)
         assert verdict == reduction_congruence_parts(h11, f, p, m), (p, m)
         verdicts.append(verdict)
     if label in INLINE:
@@ -58,14 +59,14 @@ def test_check_reduction_agrees_with_the_route_through_h_m(label):
 
 
 def test_check_reduction_builds_no_inverse_and_no_transfer(tmp_path, monkeypatch):
-    ys = [uniform_part(parse_operator(text), 10) for text in INLINE]
+    fs = [solve_f(parse_operator(text), 10) for text in INLINE]
 
     def refuse(*args, **kwargs):
         raise AssertionError("check reduction must not build L_m or H_m")
 
     monkeypatch.setattr(frobtransfer, "iterate_transfer", refuse)
     monkeypatch.setattr(frobtransfer, "right_divide", refuse)
-    assert [reduction_congruence_check(y, p, m) for y in ys for p, m in ((3, 1), (2, 2))] == [
+    assert [reduction_congruence_check(f, p, m) for f in fs for p, m in ((3, 1), (2, 2))] == [
         True, False, True, False]
     argv = ["check", "reduction", "--op", "D^2 - z", "--trunc", "8", "--level", "2",
             "--primes", "2,3", "--out", str(tmp_path / "report.json")]

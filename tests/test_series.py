@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from mumkit import (
     INF,
     BadConstantTerm,
-    InternalError,
     SeriesMatrix,
     TruncSeries,
     ValuationProfile,
     ZeroConstantTerm,
     g_over_f,
     hypergeometric,
+    iterate_transfer,
+    monicize,
+    parse_operator,
     solve_first_row,
+    uniform_part,
     vp,
 )
 from mumkit.series import right_divide
@@ -37,6 +40,7 @@ from series_oracles import (
     ref_log,
     ref_mul,
     ref_substitute_power,
+    ref_rows_profile,
     ref_valuation_profile,
     z_power,
 )
@@ -278,7 +282,8 @@ def test_sparse_times_dense_sums_match_schoolbook(first, second):
     (d1, s1), (d2, s2) = first, second
     pairs = ((d1, s1), (s2, d2))
     expected = ref_add(schoolbook(d1, s1), schoolbook(s2, d2))
-    assert TruncSeries.sum_of_products(pairs).coeffs == expected[:min(d1.trunc, d2.trunc)]
+    assert (d1 * s1).coeffs == schoolbook(d1, s1)
+    assert (s2 * d2).coeffs == schoolbook(s2, d2)
     mat = lambda x: SeriesMatrix(((x,),))
     assert SeriesMatrix.sum_of_products(tuple((mat(x), mat(y)) for x, y in pairs)) \
         .entry(0, 0).coeffs == expected[:min(d1.trunc, d2.trunc)]
@@ -294,7 +299,10 @@ def test_sparse_times_dense_with_unequal_denominators():
         expected = schoolbook(*pairs[0])
         for x, y in pairs[1:]:
             expected = ref_add(expected, schoolbook(x, y))
-        assert TruncSeries.sum_of_products(pairs).coeffs == expected
+        assert all((x * y).coeffs == schoolbook(x, y) for x, y in pairs)
+        mat = lambda x: SeriesMatrix(((x,),))
+        total = SeriesMatrix.sum_of_products(tuple((mat(x), mat(y)) for x, y in pairs))
+        assert total.entry(0, 0).coeffs == expected
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +649,6 @@ def test_vp_basics():
             vp(F(6), p)
 
 
-def test_profile_merge_of_two_primes_is_an_internal_error():
-    # a raised error, not an assert, so it also holds under python -O
-    profiles = [S([1], 2).valuation_profile(2), S([1], 2).valuation_profile(3)]
-    with pytest.raises(InternalError):
-        ValuationProfile.merge(profiles)
-
-
 def test_valuation_profile_integers():
     profile = S([1, 5], 4).valuation_profile(5)
     assert profile.min_valuation == 0
@@ -701,6 +702,57 @@ def test_valuation_profile_matches_the_per_coefficient_oracle(case):
         ref_valuation_profile(a.coeffs, p)
 
 
+@st.composite
+def integer_rows(draw):
+    """(rows, p): integer rows (den, [numerator lists]) as transfer data
+    holds them, not reduced, with dens prime to p or divisible by it, zero
+    rows and zero entries, and numerators divisible by powers of p, so that
+    negative valuations meet at one exponent from several entries and rows."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    trunc = draw(st.integers(1, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        den = rng.choice((1, 11, 13 * 17)) * p ** rng.randint(0, 3)
+        kind = rng.randrange(4)
+        nums = [[0 if kind == 0 or rng.randrange(3) == 0
+                 else rng.randint(-30, 30) * p ** rng.randint(0, 4) for _ in range(trunc)]
+                for _ in range(rng.randint(1, 3))]
+        rows.append((den, nums))
+    return rows, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows())
+def test_valuation_profile_of_rows_matches_the_per_coefficient_oracle(case):
+    rows, p = case
+    profile = ValuationProfile.of_rows(rows, p)
+    series = [tuple(F(x, den) for x in entry) for den, nums in rows for entry in nums]
+    assert (profile.min_valuation, profile.negative_valuations) == ref_rows_profile(series, p)
+    assert profile.prime == p
+
+
+@pytest.mark.parametrize("text", ["D^2 - 16*z*D^2 - 16*z*D - 4*z", "(2+z)*D^2 - z*D - 1/3*z",
+                                  "(2+2*z-z^2)*D^3 + z*D^2 - 3*z^2*D + 5*z^3 - z"])
+def test_valuation_profile_of_matrices_operators_and_transfer_rows(text):
+    # every profile the library takes is of_rows: of SeriesMatrix entries,
+    # of a monic operator's coefficients and of the integer rows of H_m
+    raw = parse_operator(text)
+    for p in (2, 3, 5):
+        monic = monicize(raw, 10)
+        profile = monic.p_integrality(p)
+        assert (profile.min_valuation, profile.negative_valuations) == \
+            ref_rows_profile([a.coeffs for a in monic.coeffs], p)
+        y = uniform_part(raw, 10)
+        profile = y.valuation_profile(p)
+        assert (profile.min_valuation, profile.negative_valuations) == \
+            ref_rows_profile([e.coeffs for row in y.entries for e in row], p)
+        data = iterate_transfer(y, p, 1)
+        profile = ValuationProfile.of_rows(data.rows[:-1], p)
+        assert (profile.min_valuation, profile.negative_valuations) == \
+            ref_rows_profile([e.coeffs for row in data.h.entries for e in row], p)
+
+
 def test_valuation_profile_of_columns_divisible_by_powers_of_q():
     # H_m's shape: column j a multiple of q^j, q = p^m, over a denominator
     # prime to p (a gcd) or divisible by p (per coefficient)
@@ -722,8 +774,8 @@ def test_valuation_profile_of_columns_divisible_by_powers_of_q():
             if den == 7:
                 # column j alone: v_p of the gcd of its numerators, at least j m
                 for j in range(3):
-                    column = ValuationProfile.merge(row[j].valuation_profile(p)
-                                                    for row in mat.entries)
+                    column = ValuationProfile.of_rows(
+                        ((row[j].den, (row[j].nums,)) for row in mat.entries), p)
                     assert column.min_valuation >= j * m and column.negative_valuations == ()
 
 

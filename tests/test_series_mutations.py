@@ -35,10 +35,11 @@ KEPT_NUMERATORS = "v = _over_lcm(nums, v, xk.denominator)[0]"
 # name -> (target file and its test file, text in the target, its broken
 # replacement, tests that must fail)
 MUTATIONS = {
-    "mul_drops_right_denominator": (SERIES, "out, self.den * other.den)", "out, self.den)",
-                                    MUL),
-    "mul_scales_both_over_left_lcm": (SERIES, "out, self.den * other.den)",
-                                      "out, self.den * self.den)", MUL),
+    # a series product is one _dot term over the product d e of the two
+    # denominators: the term scaled as if over d alone, or over d d
+    "mul_drops_right_denominator": (SERIES, "scale = den // (d * e)", "scale = den // d", MUL),
+    "mul_scales_both_over_left_lcm": (SERIES, "scale = den // (d * e)", "scale = den // (d * d)",
+                                      MUL),
     "skips_the_reduction": (SERIES, "        if g != 1:\n            for x in nums:",
                             "        if False:\n            for x in nums:", FORM),
     "valuation_drops_den": (SERIES, "v = vp_int(x, p) - vd", "v = vp_int(x, p)", FORM),
@@ -48,8 +49,8 @@ MUTATIONS = {
         SERIES, "Fraction(dr * acc + dw * rk * v, dr * dw * v * lead[k])",
         "Fraction(acc + dw * rk * v, dw * v * lead[k])", DIVIDE),
     "matmul_drops_term_scale": (SERIES, "scale = den // (d * e)", "scale = 1", MATMUL),
-    "matmul_uses_left_lcm_for_both": (SERIES, "x[2] * y[2] for x, y in terms",
-                                      "x[2] * x[2] for x, y in terms", MATMUL),
+    "matmul_uses_left_lcm_for_both": (SERIES, "x[1] * y[1] for x, y in terms",
+                                      "x[1] * x[1] for x, y in terms", MATMUL),
     # right_divide's recurrence U_k = X_k - (1/d) sum_{j>=1} U_{k-sj} M_j over
     # a running denominator per class mod s: the earlier numerators of a
     # class kept when its denominator grows, or the term of M_1 dropped
@@ -59,10 +60,10 @@ MUTATIONS = {
                          MATINV),
     # the gcd of the numerators stands for every coefficient only when p
     # does not divide den, and its own valuation is the least
-    "valuation_takes_the_gcd_when_p_divides_den": (SERIES, "        if not vd:\n",
-                                                   "        if True:\n", PROFILE),
-    "valuation_gcd_reads_0": (SERIES, "vp_int(g, p) if g else INF", "0 if g else INF",
-                              PROFILE),
+    "valuation_takes_the_gcd_when_p_divides_den": (SERIES, "            if not vd:\n",
+                                                   "            if True:\n", PROFILE),
+    "valuation_gcd_reads_0": (SERIES, "min_v = min(min_v, vp_int(g, p))",
+                              "min_v = min(min_v, 0)", PROFILE),
     "exp_keeps_numerators_when_v_grows": (SERIES, KEEP_NUMERATORS, KEPT_NUMERATORS, EXP),
     "log_keeps_numerators_when_v_grows": (SERIES, KEEP_NUMERATORS, KEPT_NUMERATORS, LOG),
     "log_drops_1_over_k": (SERIES, "u[k] / k for k", "u[k] for k", LOG),

@@ -20,6 +20,7 @@ from mumkit import (
     verify_solution,
 )
 from mumkit.solve import _frobenius, _rows
+from series_oracles import companion
 from tests.conftest import quintic_f_coeff, quintic_g_coeff, random_mum_operator
 
 F = Fraction
@@ -241,7 +242,7 @@ def test_uniform_part_constant_is_identity(quintic_y20):
 
 def test_uniform_part_satisfies_system(quintic30, quintic_y20):
     op = quintic30.truncate(20)
-    a = op.companion()
+    a = companion(op)
     n = op.order
     nilpotent = SeriesMatrix.from_constant(
         [[F(int(j == i + 1)) for j in range(n)] for i in range(n)], 20
@@ -257,7 +258,7 @@ def test_uniform_part_system_for_random_operators():
         alpha = [F(rng.randint(1, 8), rng.randint(2, 9)) for _ in range(n)]
         op = monicize(hypergeometric(alpha, [1] * n, rng.randint(1, 20)), 9)
         y = uniform_part(op, 9)
-        a = op.companion()
+        a = companion(op)
         nilmat = SeriesMatrix.from_constant(
             [[F(int(j == i + 1)) for j in range(n)] for i in range(n)], 9
         )
@@ -276,7 +277,7 @@ def test_uniform_part_system_for_random_operators():
         nilmat = SeriesMatrix.from_constant(
             [[F(int(j == i + 1)) for j in range(n)] for i in range(n)], 9
         )
-        assert (y.delta() - op.companion() * y + y * nilmat).residual_order() == 9
+        assert (y.delta() - companion(op) * y + y * nilmat).residual_order() == 9
 
 
 def test_uniform_part_against_matrix_recursion_oracle(quintic30, quintic_raw):
@@ -285,7 +286,7 @@ def test_uniform_part_against_matrix_recursion_oracle(quintic30, quintic_raw):
     trunc = 12
     op = quintic30.truncate(trunc)
     n = op.order
-    a = op.companion()
+    a = companion(op)
     a_coeffs = [
         [[a.entry(i, j).coeffs[k] for j in range(n)] for i in range(n)]
         for k in range(trunc)

@@ -22,7 +22,7 @@ from mumkit import (
     uniform_part,
     vp,
 )
-from series_oracles import diagonal, newton_matrix_inverse
+from series_oracles import companion, diagonal, newton_matrix_inverse
 
 
 def h0(y, p):
@@ -109,8 +109,8 @@ def transfer_residual_order(op, data):
     n x n entries, from the monic operator op and the companion matrices of
     op and of L_m, to H's order: L_m(z^q) is known to q L_m.trunc."""
     q = data.p**data.m
-    a = op.companion()
-    b_sub = data.operator.companion().substitute_power(q, data.h.trunc)
+    a = companion(op)
+    b_sub = companion(data.operator).substitute_power(q, data.h.trunc)
     check_trunc = min(a.trunc, data.h.trunc)
     residual = (
         data.h.delta().truncate(check_trunc)
@@ -124,7 +124,7 @@ def frobenius_residual_order(op, cand):
     """(residual order, check order) of delta(Phi) - A Phi + p Phi A(z^p)
     from the monic operator op."""
     p = cand.p
-    a = op.companion()
+    a = companion(op)
     check_trunc = min(a.trunc, cand.trunc)
     phi = cand.phi.truncate(check_trunc)
     a_cut = a.truncate(check_trunc)
