@@ -737,7 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_primes_arg(text: str | None):
-    """Returns (explicit_primes, auto_bound)."""
+    """Returns (explicit_primes, auto_bound); each explicit prime at most
+    once."""
     if text is None:
         return None, None
     if text.startswith("auto:"):
@@ -750,6 +751,8 @@ def _parse_primes_arg(text: str | None):
         value = int(chunk.strip())
         if not is_prime(value):
             raise InvalidPrime(f"{value} is not prime")
+        if value in primes:
+            raise InvalidPrime(f"prime {value} is repeated")
         primes.append(value)
     if not primes:
         raise InvalidPrime("empty prime list")

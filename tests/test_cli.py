@@ -203,6 +203,20 @@ def test_invalid_prime_rejected(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--builtin", "quintic", "--trunc", "3", "--primes", "7,7"],
+    ["check", "omega", "--builtin", "quintic", "--trunc", "5", "--primes", "5,5,5"],
+    ["radius", "--builtin", "quintic", "--trunc", "4", "--primes", "7, 5,7"],
+], ids=["transfer", "omega", "radius"])
+def test_repeated_prime_rejected(tmp_path, argv):
+    # a repeated prime would run its unit again and report it twice
+    out = tmp_path / "r.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert [e["code"] for e in report["errors"]] == ["INVALID_PRIME"]
+    assert report["results"] == []
+
+
 def test_check_reduction_with_every_prime_skipped_solves_nothing(monkeypatch):
     # the unit solves f lazily, so a job whose primes were all skipped
     # under auto:B solves nothing

@@ -154,6 +154,8 @@ CASES = {
     "error_radius_not_p_integral": ["radius", "--op", "2*D - z", "--trunc", "6",
                                     "--primes", "2"],
     "error_invalid_prime": ["check", "dieudonne", "--builtin", "quintic", "--primes", "6"],
+    "error_duplicate_prime": ["transfer", "--builtin", "quintic", "--trunc", "3",
+                              "--primes", "5,7,5"],
     "error_auto_bound": ["radius", "--builtin", "quintic", "--primes", "auto:1"],
     "error_trunc": ["solve", "--builtin", "quintic", "--trunc", "0"],
     "error_hypergeom_shape": ["hypergeom", "--alpha", "1/2", "--beta", "1,1"],
