@@ -405,11 +405,12 @@ def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
 
 def _solve(spec, subject, work, p):
     first_row = solve_first_row(subject.raw, spec.trunc)
+    payloads = [series_payload(s) for s in first_row]
     return {
         "operator": format_operator(subject.raw),
         "trunc": spec.trunc,
-        "f": series_payload(first_row[0]),
-        "first_row": [series_payload(s) for s in first_row],
+        "f": payloads[0],
+        "first_row": payloads,
         "residual_order": verify_solution(subject.raw, first_row),
     }, True
 

@@ -14,9 +14,15 @@ Y_{L_m} = S Lambda_q(Y) S^{-1}, and L_m is read off the last row of F_q.
 TransferData holds L_m and row 0 of H_m and derives rows 1 .. n by
 rows 0 .. n-2 of the intertwining equation delta(H) = A H - q H B(z^q), A
 and B the companion matrices of L and L_m: H_{i+1} = delta(H_i) +
-q H_i B(z^q).  The rows are integer rows, one numerator list per entry
-over one denominator per row; H_m as a SeriesMatrix is built only when
-read.  transfer_audit checks the last row, the only one that can fail:
+q H_i B(z^q).  Every value on the way is an integer row, one numerator
+list per entry over one denominator per row, not necessarily reduced: the
+rows of Y and Lambda_q(Y), the bracket's last row, what right_divide
+returns, its q^j rescaling (which TransferData reduces once, as the
+powers of q can cancel part of its denominator) and the rows of H_m.  Only L_m's coefficients
+are TruncSeries, reduced, because they are reported; H_m as a
+SeriesMatrix is built only when read.  The fit's basis and the Frobenius
+construction run on the same rows.  transfer_audit checks the last row,
+the only one that can fail:
 sum_k P_k H_k = 0 over L's polynomial rows, H_n being row n, to the
 rows' order min(W, q L_m.trunc).  It reads H(0) off the same rows, and
 the valuation profile of H is ValuationProfile.of_rows of them.
@@ -94,7 +100,7 @@ from math import gcd, lcm
 from .opalg import ApparentSingularityAtZero, DeltaOperator, RawOperator, monicize
 from .primes import vp_factorial, vp_int
 from .series import (INF, InternalError, SeriesMatrix, TruncSeries, ValuationProfile,
-                     right_divide)
+                     reduce_row, right_divide)
 # not called here: bench/test_bench.py traces this second binding site
 from .solve import uniform_part  # noqa: F401
 
@@ -312,14 +318,16 @@ def _valuations_over_lead(rows, trunc: int, max_index: int, p: int) -> list:
 
 def _quotient_last_row(lam: SeriesMatrix, q: int) -> tuple[TruncSeries, ...]:
     """Last row of F_q = [delta(Lambda) + (1/q) Lambda N] Lambda^{-1} for
-    Lambda = Lambda_q(Y) and the nilpotent shift N: the bracket's last row
-    right-divided by Lambda.  F_q's system has fundamental matrix
-    Lambda z^{N/q}.  Output order is Lambda.trunc."""
-    last = lam.entries[-1]
-    bracket = (last[0].delta(),) + tuple(
-        last[j].delta() + last[j - 1] * Fraction(1, q) for j in range(1, lam.n)
-    )
-    return right_divide((bracket,), lam)[0]
+    Lambda = Lambda_q(Y) and the nilpotent shift N: the bracket's last row,
+    an integer row over q times Lambda's, right-divided by Lambda.  F_q's
+    system has fundamental matrix Lambda z^{N/q}.  Output order is
+    Lambda.trunc."""
+    den, last = lam.rows[-1]
+    bracket = [[q * k * x for k, x in enumerate(last[0])]] + [
+        [q * k * x + y for k, (x, y) in enumerate(zip(last[j], last[j - 1]))]
+        for j in range(1, lam.n)]
+    ((den, nums),) = right_divide(((q * den, bracket),), lam)
+    return tuple(TruncSeries._from_nums(e, den) for e in nums)
 
 
 def transfer_operator_L1(f_last_row, q: int) -> DeltaOperator:
@@ -337,15 +345,15 @@ def transfer_operator_L1(f_last_row, q: int) -> DeltaOperator:
 
 def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
     """Rows 0 .. n of H_m mod z^order as integer rows (den, [numerators of
-    each entry]), by H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion
-    matrix of L_m: column j of q H_i B(z^q) is q H_i[j-1] - q a_j(z^q) H_i[n-1].
+    each entry]) from row 0, one such row, by H_{i+1} = delta(H_i) +
+    q H_i B(z^q), B the companion matrix of L_m: column j of q H_i B(z^q) is
+    q H_i[j-1] - q a_j(z^q) H_i[n-1].
 
     -q a_j(z^q) is tail_j / d over the lcm d of L_m's denominators, known
     to q operator.trunc >= order, so row i+1 is an integer row over d den_i.
     d mostly cancels: when it divides every tail_j H_i[n-1], row i+1 stays
     over den_i; otherwise it is restated over d den_i and reduced once."""
-    den = lcm(*(e.den for e in row0))
-    nums = [[x * (den // e.den) for x in e.nums[:order]] for e in row0]
+    den, nums = row0[0], [e[:order] for e in row0[1]]
     d = lcm(*(a.den for a in operator.coeffs))
     tails = []
     for a in operator.coeffs:
@@ -363,12 +371,8 @@ def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
             step.append([k * x + q * y + c for k, (x, y, c) in enumerate(zip(entry, left, quot))])
             rems.append(rem)
         if any(any(r) for r in rems):
-            den *= d
-            step = [[d * x + r for x, r in zip(entry, rem)] for entry, rem in zip(step, rems)]
-            g = gcd(den, *(x for entry in step for x in entry))
-            if g != 1:
-                den //= g
-                step = [[x // g for x in entry] for entry in step]
+            den, step = reduce_row(den * d, [[d * x + r for x, r in zip(entry, rem)]
+                                             for entry, rem in zip(step, rems)])
         nums = step
         rows.append((den, nums))
     return tuple(rows)
@@ -388,36 +392,41 @@ def _require_identity_at_zero(y: SeriesMatrix):
 
 @dataclass(frozen=True)
 class TransferData:
-    """Level-m transfer data: L_m and row 0 of H_m, q = p^m.  Rows 1 .. n
-    of H_m are derived on construction by H_{i+1} = delta(H_i) +
-    q H_i B(z^q), B the companion matrix of L_m, to the order of row 0
-    capped at q operator.trunc, as integer rows: one numerator list per
-    entry over one denominator per row.  Rows 0 .. n-1 are H = H_m, and
-    the steps to them are rows 0 .. n-2 of the intertwining equation
-    delta(H) = A H - q H B(z^q), so they hold for every TransferData;
-    row n is the extra step with which transfer_audit checks the last
-    row, the only one that can fail.  h, H as a SeriesMatrix of reduced
-    series, is built on first read; the audit reads the integer rows."""
+    """Level-m transfer data: L_m and row 0 of H_m, q = p^m, an integer row
+    (den, [numerators of each entry]), stored reduced by one gcd, so that
+    equal data compare equal.  Rows 1 .. n of H_m are derived on
+    construction by H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion
+    matrix of L_m, to the order of row 0 capped at q operator.trunc, as
+    integer rows too.  Rows 0 .. n-1 are H = H_m, and the steps to them
+    are rows 0 .. n-2 of the intertwining equation delta(H) = A H -
+    q H B(z^q), so they hold for every TransferData; row n is the extra
+    step with which transfer_audit checks the last row, the only one that
+    can fail.  h, H as a SeriesMatrix, is built on first read; the audit
+    reads the integer rows."""
 
     p: int
     m: int
     operator: DeltaOperator  # L_m, certified to `trunc`
-    h_row0: tuple[TruncSeries, ...]  # row 0 of H_m, at the working order
+    h_row0: tuple  # row 0 of H_m, (den, nums), at the working order
     trunc: int
     rows: tuple = field(init=False, repr=False, compare=False)  # H_0 .. H_n: (den, nums)
 
     def __post_init__(self):
-        if len(self.h_row0) != self.operator.order:
+        den, nums = self.h_row0
+        if len(nums) != self.operator.order:
             raise ValueError("row 0 of H_m needs one entry per order of L_m")
+        # iterate_transfer's columns j >= 1 carry q^j, which can cancel
+        # what den owes to them
+        den, nums = reduce_row(den, nums)
+        object.__setattr__(self, "h_row0", (den, tuple(map(tuple, nums))))
         q = self.p**self.m
-        order = min(self.h_row0[0].trunc, q * self.operator.trunc)
+        order = min(len(nums[0]), q * self.operator.trunc)
         object.__setattr__(self, "rows", _h_rows(self.h_row0, self.operator, q, order))
 
     @cached_property
     def h(self) -> SeriesMatrix:
-        """H_m, rows 0 .. n-1 of `rows` as reduced series."""
-        return SeriesMatrix(tuple(tuple(TruncSeries._from_nums(e, den) for e in nums)
-                                  for den, nums in self.rows[:-1]))
+        """H_m, rows 0 .. n-1 of `rows`."""
+        return SeriesMatrix.from_rows(self.rows[:-1])
 
     def h_constant_matrix(self):
         """H_m(0) as rows of Fractions."""
@@ -434,8 +443,8 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
     inverted: L_m is read off the last row of F_q, the bracket's last row
     right-divided by Lambda_q(Y), as Y_{L_m} = S Lambda_q(Y) S^{-1}; row 0
     of H_m, at the full working order, is row 0 of Y right-divided by
-    Lambda_q(Y)(z^q), column j times q^j.  TransferData derives the other
-    rows of H_m from row 0 and L_m.
+    Lambda_q(Y)(z^q), column j times q^j, all on integer rows.  TransferData
+    derives the other rows of H_m from row 0 and L_m.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -451,8 +460,9 @@ def iterate_transfer(y: SeriesMatrix, p: int, m: int,
     q = p**m
     lam = y.cartier(q)
     operator = transfer_operator_L1(_quotient_last_row(lam, q), q)
-    (row0,) = right_divide((y.entries[0],), lam, q)
-    return TransferData(p, m, operator, tuple(e * q**j for j, e in enumerate(row0)), certified)
+    ((den, nums),) = right_divide((y.rows[0],), lam, q)
+    row0 = (den, [[x * q**j for x in e] for j, e in enumerate(nums)])
+    return TransferData(p, m, operator, row0, certified)
 
 
 @dataclass(frozen=True)
@@ -637,7 +647,7 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int) -> Frobenius
             "p*C[i][j] and nonzero pivot"
         )
     c = SeriesMatrix.from_constant(constant_rows, y.trunc)
-    return FrobeniusCandidate(p, SeriesMatrix(right_divide((y * c).entries, y, p)))
+    return FrobeniusCandidate(p, SeriesMatrix.from_rows(right_divide((y * c).rows, y, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -697,34 +707,37 @@ def _phi_basis(y: SeriesMatrix, p: int) -> list[SeriesMatrix]:
     e_r is diag(1, p, ..., p^(n-1)) N^r, so Y C is Y's columns scaled by
     p^k and shifted right by r, and each Phi is its rows right-divided by
     Y(z^p)."""
-    n = y.n
-    scaled = [[e * p**k for k, e in enumerate(row)] for row in y.entries]
-    zero = TruncSeries.zero(y.trunc)
-    rows = right_divide([[zero] * r + row[:n - r] for r in range(n) for row in scaled], y, p)
-    return [SeriesMatrix(rows[r * n:r * n + n]) for r in range(n)]
+    n, zero = y.n, [0] * y.trunc
+    scaled = [(den, [[x * p**k for x in e] for k, e in enumerate(row)]) for den, row in y.rows]
+    rows = right_divide([(den, [zero] * r + row[:n - r]) for r in range(n) for den, row in scaled],
+                        y, p)
+    return [SeriesMatrix.from_rows(rows[r * n:r * n + n]) for r in range(n)]
 
 
 def _congruence_conditions(phi0: SeriesMatrix, basis, p: int, M: int):
     """Per order k: rows (coeffs mod p^e, rhs mod p^e, e) expressing that
     the order-k coefficient of every entry of phi0 + sum x_r basis_r has
-    nonnegative p-adic valuation, given integral unknowns x_r.  An entry
-    whose series all have denominators prime to p gives no condition."""
+    nonnegative p-adic valuation, given integral unknowns x_r.  Entries are
+    read off the matrices' integer rows; a row whose denominators are all
+    prime to p gives no condition."""
     n = phi0.n
-    # per entry (i, j): phi0's entry, then the basis entries, each with v_p(den)
-    entries = [[(s, vp_int(s.den, p))
-                for s in (phi0.entries[i][j], *(mat.entries[i][j] for mat in basis))]
-               for i in range(n) for j in range(n)]
-    entries = [series for series in entries if any(vd for _, vd in series)]
+    # per entry (i, j): (den, numerators, v_p(den)) in phi0, then in each basis matrix
+    entries = []
+    for rows in zip(phi0.rows, *(mat.rows for mat in basis)):
+        vds = [vp_int(den, p) for den, _ in rows]
+        if any(vds):
+            entries += [[(den, nums[j], vd) for (den, nums), vd in zip(rows, vds)]
+                        for j in range(n)]
     by_order = []
     for k in range(M):
         rows = []
         for series in entries:
-            vmin = min((vp_int(s.nums[k], p) - vd for s, vd in series if s.nums[k]), default=0)
+            vmin = min((vp_int(x[k], p) - vd for _, x, vd in series if x[k]), default=0)
             if vmin >= 0:
                 continue  # holds for every integral assignment
             e = -vmin
             mod = p**e
-            b, *a = (s[k] * p**e for s, _ in series)
+            b, *a = (Fraction(x[k] * mod, den) for den, x, _ in series)
             coeffs = [_rational_mod(x, mod) for x in a]
             rhs = (-_rational_mod(b, mod)) % mod
             rows.append((coeffs, rhs, e))

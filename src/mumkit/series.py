@@ -9,14 +9,20 @@ its exact output order.  Everything is immutable.
 A series is stored as integer numerators over one denominator, reduced as
 a whole, and every operation runs on those integers: sums over the lcm of
 the two denominators, with one running gcd per result.  The coefficients
-as reduced Fractions are built only when read.  Products have one loop,
-_dot, a sum of integer convolutions over the lcm of the terms'
+as reduced Fractions are built only when read.  A SeriesMatrix is stored
+as integer rows (den, [numerator lists]), one denominator per row, not
+necessarily reduced: truncate, delta, scale, sums and products keep the
+denominators they produce, and a row is reduced, by one gcd
+(reduce_row), only after a Cartier image and a right division, where
+heights can shrink.  Its entries as reduced series are built only when
+read.  Products have one
+loop, _dot, a sum of integer convolutions over the lcm of the terms'
 denominators that skips zero entries and coefficients and loops over the
 sparser operand of each term on the outside: a product of two series is
 one _dot term, and each entry of a sum of SeriesMatrix products is one
-_dot.  right_divide solves U M(z^s) = X for a few rows X order by order on
-integers, so no matrix inverse is ever formed.  Every valuation profile,
-of a series, a matrix, a monic operator or integer rows, is
+_dot.  right_divide solves U M(z^s) = X for a few integer rows X order by
+order on integers, so no matrix inverse is ever formed.  Every valuation
+profile, of a series, a matrix, a monic operator or integer rows, is
 ValuationProfile.of_rows.
 divide, exp and log share one recurrence on integers, which keeps the
 coefficients found so far as numerators over one running denominator;
@@ -296,7 +302,8 @@ class TruncSeries:
         with a scalar."""
         if isinstance(other, TruncSeries):
             n = min(self.trunc, other.trunc)
-            return _dot([(_sparse(self, n), _sparse(other, n))], n)
+            return TruncSeries._from_nums(
+                *_dot([(_sparse(self.nums, self.den, n), _sparse(other.nums, other.den, n))], n))
         c = Fraction(other)
         return TruncSeries._from_nums([c.numerator * x for x in self.nums],
                                       c.denominator * self.den)
@@ -372,21 +379,67 @@ class TruncSeries:
         return ValuationProfile.of_rows(((self.den, (self.nums,)),), p)
 
 
-@dataclass(frozen=True)
+def _row(entries) -> tuple:
+    """A row of series as an integer row: the lcm of their denominators and
+    each entry's numerators over it."""
+    den = math.lcm(*(e.den for e in entries))
+    return den, tuple(e.nums if e.den == den else tuple(x * (den // e.den) for x in e.nums)
+                      for e in entries)
+
+
+def reduce_row(den: int, nums) -> tuple:
+    """The integer row (den, nums) divided by gcd(den, *nums), one gcd."""
+    g = math.gcd(den, *chain.from_iterable(nums))
+    if g == 1:
+        return den, nums
+    return den // g, [[x // g for x in e] for e in nums]
+
+
+@dataclass(frozen=True, init=False, eq=False, slots=True)
 class SeriesMatrix:
-    """Square matrix of TruncSeries sharing one truncation order."""
+    """Square matrix of power series sharing one truncation order, stored as
+    integer rows: rows[i] = (den, (nums_0, ..., nums_{n-1})), coefficient k
+    of entry (i, j) being nums_j[k] / den, den >= 1.  A row need not be
+    reduced: truncate, delta, scale, + and - keep its denominator; cartier
+    and right_divide reduce each row by one gcd.  `entries`, the entries as
+    reduced TruncSeries, is kept when the matrix is built from them and
+    built on first read otherwise.  Two matrices are equal when their
+    entries are."""
 
-    entries: tuple[tuple[TruncSeries, ...], ...]
+    rows: tuple
+    _entries: tuple | None = field(repr=False)
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+    def __init__(self, entries):
+        entries = tuple(map(tuple, entries))
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise ValueError("matrix must be square")
-        truncs = {e.trunc for row in self.entries for e in row}
-        if len(truncs) != 1:
+        if len({e.trunc for row in entries for e in row}) != 1:
             raise ValueError("all entries must share one truncation order")
+        object.__setattr__(self, "rows", tuple(map(_row, entries)))
+        object.__setattr__(self, "_entries", entries)
 
     # -- constructors ---------------------------------------------------------
+
+    @staticmethod
+    def from_rows(rows) -> "SeriesMatrix":
+        """The matrix of integer rows (den, [numerator lists]), den >= 1, as
+        they are; the lists must not change afterwards."""
+        rows = tuple((den, tuple(map(tuple, nums))) for den, nums in rows)
+        n = len(rows)
+        if any(len(nums) != n for _, nums in rows):
+            raise ValueError("matrix must be square")
+        truncs = {len(e) for _, nums in rows for e in nums}
+        if len(truncs) != 1:
+            raise ValueError("all entries must share one truncation order")
+        if 0 in truncs:
+            raise ValueError("truncation order must be positive")
+        if any(den < 1 for den, _ in rows):
+            raise ValueError("row denominators must be positive")
+        m = object.__new__(SeriesMatrix)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_entries", None)
+        return m
 
     @staticmethod
     def from_constant(rows, trunc: int) -> "SeriesMatrix":
@@ -409,63 +462,86 @@ class SeriesMatrix:
     # -- basics ----------------------------------------------------------------
 
     @property
+    def entries(self) -> tuple[tuple[TruncSeries, ...], ...]:
+        es = self._entries
+        if es is None:
+            es = tuple(tuple(TruncSeries._from_nums(e, den) for e in nums)
+                       for den, nums in self.rows)
+            object.__setattr__(self, "_entries", es)
+        return es
+
+    def __eq__(self, other):
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @property
     def trunc(self) -> int:
-        return self.entries[0][0].trunc
+        return len(self.rows[0][1][0])
 
     def entry(self, i: int, j: int) -> TruncSeries:
         return self.entries[i][j]
 
     def constant_matrix(self):
         """The matrix of constant terms, as rows of Fractions."""
-        return tuple(tuple(e.constant_term for e in row) for row in self.entries)
+        return tuple(tuple(Fraction(e[0], den) for e in nums) for den, nums in self.rows)
 
     def truncate(self, trunc: int) -> "SeriesMatrix":
-        return self.map(lambda e: e.truncate(trunc))
+        if trunc > self.trunc:
+            raise ValueError("cannot extend knowledge by truncating")
+        if trunc == self.trunc:
+            return self
+        return SeriesMatrix.from_rows((den, [e[:trunc] for e in nums]) for den, nums in self.rows)
 
     def map(self, fn) -> "SeriesMatrix":
         return SeriesMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(any(e) for _, nums in self.rows for e in nums)
 
     def residual_order(self) -> int:
         """Largest k <= trunc with all entries = 0 mod z^k."""
         order = self.trunc
-        for row in self.entries:
-            for e in row:
-                fn = e.first_nonzero()
-                if fn is not None and fn < order:
-                    order = fn
+        for _, nums in self.rows:
+            for e in nums:
+                order = next((k for k, x in enumerate(e[:order]) if x), order)
         return order
 
     # -- arithmetic --------------------------------------------------------------
 
+    def _plus(self, other: "SeriesMatrix", sign: int) -> "SeriesMatrix":
+        """self + sign * other, each row over the lcm of the two rows'
+        denominators."""
+        rows = []
+        for (da, xa), (db, xb) in zip(self.rows, other.rows):
+            g = math.gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+            rows.append((da * fa, [[x * fa + y * fb for x, y in zip(u, v)]
+                                   for u, v in zip(xa, xb)]))
+        return SeriesMatrix.from_rows(rows)
+
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return SeriesMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return SeriesMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "SeriesMatrix":
-        return self.map(lambda e: -e)
+        return SeriesMatrix.from_rows((den, [[-x for x in e] for e in nums])
+                                      for den, nums in self.rows)
 
     def scale(self, c) -> "SeriesMatrix":
         c = Fraction(c)
-        return self.map(lambda e: e * c)
+        a, b = c.numerator, c.denominator
+        return SeriesMatrix.from_rows((den * b, [[a * x for x in e] for e in nums])
+                                      for den, nums in self.rows)
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         return _sum_of_products(((self, other),))
@@ -476,13 +552,17 @@ class SeriesMatrix:
         return _sum_of_products(pairs)
 
     def delta(self) -> "SeriesMatrix":
-        return self.map(lambda e: e.delta())
+        return SeriesMatrix.from_rows((den, [[k * x for k, x in enumerate(e)] for e in nums])
+                                      for den, nums in self.rows)
 
     def substitute_power(self, q: int, trunc: int | None = None) -> "SeriesMatrix":
         return self.map(lambda e: e.substitute_power(q, trunc))
 
     def cartier(self, p: int) -> "SeriesMatrix":
-        return self.map(lambda e: e.cartier(p))
+        """Coefficient extraction, each row reduced by one gcd: the
+        coefficients it drops may have kept its denominator up."""
+        return SeriesMatrix.from_rows(reduce_row(den, [e[::p] for e in nums])
+                                      for den, nums in self.rows)
 
     def det(self) -> TruncSeries:
         """Determinant by cofactor expansion (dimensions here are small)."""
@@ -506,21 +586,20 @@ class SeriesMatrix:
     # -- p-adic audit ---------------------------------------------------------------
 
     def valuation_profile(self, p: int) -> ValuationProfile:
-        """The profile of all entries, each read as its own integer row."""
-        return ValuationProfile.of_rows(
-            ((e.den, (e.nums,)) for row in self.entries for e in row), p)
+        return ValuationProfile.of_rows(self.rows, p)
 
 
-def _sparse(e: TruncSeries, trunc: int):
-    """e's nonzero coefficients below trunc: ((exponent, numerator) pairs, den)."""
-    return [(k, x) for k, x in enumerate(e.nums[:trunc]) if x], e.den
+def _sparse(nums, den: int, trunc: int):
+    """The nonzero coefficients below trunc of nums over den: ((exponent,
+    numerator) pairs, den)."""
+    return [(k, x) for k, x in enumerate(nums[:trunc]) if x], den
 
 
-def _dot(terms, trunc: int) -> TruncSeries:
-    """Sum of x y over the pairs of _sparse operands, mod z^trunc, over L,
-    the lcm of the products d e of their denominators.  Each term loops
-    over its sparser operand on the outside and scales that one by
-    L / (d e); the result is reduced once."""
+def _dot(terms, trunc: int) -> tuple[list[int], int]:
+    """Sum of x y over the pairs of _sparse operands, mod z^trunc, as
+    numerators over L, the lcm of the products d e of their denominators,
+    not reduced.  Each term loops over its sparser operand on the outside
+    and scales that one by L / (d e)."""
     terms = [(x, y) if len(x[0]) <= len(y[0]) else (y, x) for x, y in terms if x[0] and y[0]]
     den = math.lcm(*(x[1] * y[1] for x, y in terms))
     out = [0] * trunc
@@ -532,57 +611,61 @@ def _dot(terms, trunc: int) -> TruncSeries:
                 if a + b >= trunc:
                     break
                 out[a + b] += u * v
-    return TruncSeries._from_nums(out, den)
+    return out, den
 
 
 def _sum_of_products(pairs) -> SeriesMatrix:
     """Sum of A B over the (A, B) pairs, on integers, to the smallest order.
 
-    Each distinct operand is read once, as _sparse entries; output entry
-    (i, j) is the _dot of the terms A[i][k] B[k][j].  Zero entries and
-    coefficients are skipped, so a product by a sparse matrix visits its
-    nonzero entries only."""
+    Each distinct operand is read once, as _sparse entries over its row
+    denominators; output entry (i, j) is the _dot of the terms A[i][k]
+    B[k][j], and output row i is over the lcm of its entries'
+    denominators, not reduced.  Zero entries and coefficients are skipped,
+    so a product by a sparse matrix visits its nonzero entries only."""
     trunc = min(min(a.trunc, b.trunc) for a, b in pairs)
     sparse = {}
     for mat in (operand for pair in pairs for operand in pair):
         if id(mat) not in sparse:
-            sparse[id(mat)] = [[_sparse(e, trunc) for e in row] for row in mat.entries]
+            sparse[id(mat)] = [[_sparse(e, den, trunc) for e in nums] for den, nums in mat.rows]
     sides = [(sparse[id(a)], sparse[id(b)]) for a, b in pairs]
     n = pairs[0][0].n
-    return SeriesMatrix(tuple(
-        tuple(_dot([(x, y) for left, right in sides
-                    for x, y in zip(left[i], (r[j] for r in right))], trunc)
-              for j in range(n))
-        for i in range(n)))
+    rows = []
+    for i in range(n):
+        out = [_dot([(x, y) for left, right in sides
+                     for x, y in zip(left[i], (r[j] for r in right))], trunc)
+               for j in range(n)]
+        den = math.lcm(*(d for _, d in out))
+        rows.append((den, [e if d == den else [x * (den // d) for x in e] for e, d in out]))
+    return SeriesMatrix.from_rows(rows)
 
 
 def right_divide(rows, mat: SeriesMatrix, s: int = 1) -> tuple:
-    """The rows U with U mat(z^s) = X, one for each row X of series in
-    `rows`, mod z^t for t the smallest of the rows' orders and s mat.trunc;
-    mat(0) must be I.
+    """The integer rows U with U mat(z^s) = X, one for each integer row
+    X = (e, [numerator lists]) in `rows`, mod z^t for t the smallest of the
+    rows' orders and s mat.trunc; mat(0) must be I.  Each U is an integer
+    row reduced by one gcd.
 
-    With each X over the lcm e of its denominators and M_j, mat's
-    coefficient j, over the lcm d of its own, e U_k = e X_k - (1/d)
-    sum_{j>=1} e U_{k-sj} M_j.  U_k meets only U_{k-s}, U_{k-2s}, ..., so
-    the e U_k with k = r mod s, of every row, are kept as numerators over
-    one running denominator v_r, and each entry of the sum is one integer
-    dot product over v_r d.  Each step is reduced by one gcd; when v_r
-    grows, the earlier numerators of its class are rescaled.  No inverse
-    is formed."""
-    if any(e.nums[0] != (e.den if i == j else 0)
-           for i, row in enumerate(mat.entries) for j, e in enumerate(row)):
+    With M_j, mat's coefficient j, over the lcm d of its row denominators,
+    e U_k = e X_k - (1/d) sum_{j>=1} e U_{k-sj} M_j.  U_k meets only
+    U_{k-s}, U_{k-2s}, ..., so the e U_k with k = r mod s, of every row, are
+    kept as numerators over one running denominator v_r, and each entry of
+    the sum is one integer dot product over v_r d.  Each step is reduced by
+    one gcd; when v_r grows, the earlier numerators of its class are
+    rescaled.  No inverse is formed."""
+    if any(e[0] != (den if i == j else 0)
+           for i, (den, nums) in enumerate(mat.rows) for j, e in enumerate(nums)):
         raise ValueError("matrix must have constant term I")
     n = mat.n
-    trunc = min(min(e.trunc for row in rows for e in row), s * mat.trunc)
+    trunc = min(min(len(c) for _, x in rows for c in x), s * mat.trunc)
     top = (trunc - 1) // s + 1  # M_j is read for j < top
-    d = math.lcm(*(e.den for row in mat.entries for e in row))
+    d = math.lcm(*(den for den, _ in mat.rows))
+    row_scales = [d // den for den, _ in mat.rows]
     # column l of M_{top-1} .. M_1 over d; at step t of a class its last
     # n t numerators meet the class's t earlier steps of a row, oldest first
-    cols = [[e.nums[j] * (d // e.den) for j in range(top - 1, 0, -1) for e in col]
-            for col in zip(*mat.entries)]
+    cols = [[e[j] * f for j in range(top - 1, 0, -1) for e, f in zip(col, row_scales)]
+            for col in zip(*(nums for _, nums in mat.rows))]
     by_step = [[col[(top - 1 - t) * n:] for col in cols] for t in range(top)]
-    es = [math.lcm(*(c.den for c in x)) for x in rows]
-    xs = [[[y * (e // c.den) for y in c.nums[:trunc]] for c in x] for x, e in zip(rows, es)]
+    xs = [x for _, x in rows]
     # per class r and row: e U_r, e U_{r+s}, ... as one flat list, over
     # dens[r]; e U_r = e X_r for r < s is integral
     done = [[[xk[r] for xk in x] for x in xs] for r in range(min(s, trunc))]
@@ -608,6 +691,6 @@ def right_divide(rows, mat: SeriesMatrix, s: int = 1) -> tuple:
             h += num[i * n:i * n + n]
     v = math.lcm(*dens)
     scales = [v // w for w in dens]
-    return tuple(tuple(TruncSeries._from_nums(
-        [done[k % s][i][k // s * n + l] * scales[k % s] for k in range(trunc)], v * e)
-        for l in range(n)) for i, e in enumerate(es))
+    return tuple(reduce_row(v * e, [[done[k % s][i][k // s * n + l] * scales[k % s]
+                                   for k in range(trunc)] for l in range(n)])
+                 for i, (e, _) in enumerate(rows))

@@ -40,8 +40,10 @@ def _integer_rows(op, trunc: int) -> list[tuple[int, list[tuple[int, int]]]]:
             for k, terms in rows]
 
 
-def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
-    """sum_m [e^j]c_m z^m for j < width, from the recurrence above, on integers."""
+def _frobenius(op, trunc: int, width: int) -> tuple[int, list[list[int]]]:
+    """sum_m [e^j]c_m z^m for j < width, from the recurrence above, as one
+    integer row (den, [numerators of each j]) over the lcm of the d_m.  Each
+    d_m reduces c_m as a whole, so the row is reduced as a whole."""
     if trunc < 1:
         raise ValueError("truncation order must be positive")
     if isinstance(op, DeltaOperator) and op.trunc < trunc:
@@ -84,13 +86,13 @@ def _frobenius(op, trunc: int, width: int) -> tuple[TruncSeries, ...]:
         shifted.append(powers)
     den = lcm(*dens)
     scales = [den // d for d in dens]
-    return tuple(TruncSeries._from_nums([row[0][t] * s for row, s in zip(shifted, scales)], den)
-                 for t in range(width))
+    return den, [[row[0][t] * s for row, s in zip(shifted, scales)] for t in range(width)]
 
 
 def solve_f(op: DeltaOperator | RawOperator, trunc: int) -> TruncSeries:
     """The unique power-series solution with constant term 1."""
-    return _frobenius(op, trunc, 1)[0]
+    den, (f,) = _frobenius(op, trunc, 1)
+    return TruncSeries._from_nums(f, den)
 
 
 def solve_first_row(op: DeltaOperator | RawOperator, trunc: int,
@@ -104,21 +106,22 @@ def solve_first_row(op: DeltaOperator | RawOperator, trunc: int,
         count = n
     if not 1 <= count <= n:
         raise ValueError(f"count must be in 1..{n}, got {count}")
-    return _frobenius(op, trunc, count)
+    den, nums = _frobenius(op, trunc, count)
+    return tuple(TruncSeries._from_nums(e, den) for e in nums)
 
 
 def uniform_part(op: DeltaOperator | RawOperator, trunc: int) -> SeriesMatrix:
     """Y with Y(0) = I whose columns against z^N give the fundamental matrix;
-    rows follow f_{i+1,k} = f_{i,k-1} + delta(f_{i,k})."""
-    rows = [solve_first_row(op, trunc)]
+    rows follow f_{i+1,k} = f_{i,k-1} + delta(f_{i,k}), on integers over the
+    first row's denominator."""
     n = op.order
+    den, row = _frobenius(op, trunc, n)
+    rows = [row]
     for _ in range(n - 1):
-        prev = rows[-1]
-        nxt = [prev[0].delta()]
-        for k in range(1, n):
-            nxt.append(prev[k - 1] + prev[k].delta())
-        rows.append(tuple(nxt))
-    return SeriesMatrix(tuple(rows))
+        row = [[k * x for k, x in enumerate(row[0])]] + [
+            [y + k * x for k, (x, y) in enumerate(zip(row[j], row[j - 1]))] for j in range(1, n)]
+        rows.append(row)
+    return SeriesMatrix.from_rows((den, row) for row in rows)
 
 
 def verify_solution(op: DeltaOperator | RawOperator,
@@ -129,15 +132,32 @@ def verify_solution(op: DeltaOperator | RawOperator,
     L = sum_i P_i(z) D^i; equals trunc on correct input.  From a parsed L the
     residual is P_n times the monic one, and P_n(0) != 0.  It runs on
     integers: the rows of s L, and the columns as numerators over the lcm
-    of their denominators."""
-    trunc = first_row[0].trunc
+    of their denominators.  Coefficient m of column j's residual is
+    sum_{k, t} Q_k^[t](m-k) f_{1,j+1-t}[m-k] with
+    Q_k^[t](s) = sum_i C(i,t) P_{i,k} s^(i-t), which is evaluated once per
+    (m, k, t), by Horner's rule, and shared by the columns."""
+    trunc, width = first_row[0].trunc, len(first_row)
     den = lcm(*(f.den for f in first_row))
     columns = [[x * (den // f.den) for x in f.nums] for f in first_row]
-    rows = _integer_rows(op, trunc)
+    # per row k: (t, C(i,t) P_{i,k} for i = top .. t) for the t < width with Q_k^[t] != 0
+    rows = []
+    for k, terms in _integer_rows(op, trunc):
+        coeffs, top = dict(terms), max(i for i, _ in terms)
+        polys = [(t, [comb(i, t) * coeffs.get(i, 0) for i in range(top, t - 1, -1)])
+                 for t in range(min(top, width - 1) + 1)]
+        rows.append((k, [(t, poly) for t, poly in polys if any(poly)]))
     for m in range(trunc):
-        for j in range(len(columns)):
-            r = sum(comb(i, t) * p * (m - k) ** (i - t) * columns[j - t][m - k]
-                    for k, terms in rows if k <= m for i, p in terms for t in range(min(i, j) + 1))
-            if r:
+        values = []  # (t, Q_k^[t](m-k), m-k)
+        for k, polys in rows:
+            if k > m:
+                break
+            s = m - k
+            for t, poly in polys:
+                q = 0
+                for c in poly:
+                    q = q * s + c
+                values.append((t, q, s))
+        for j in range(width):
+            if sum(q * columns[j - t][s] for t, q, s in values if t <= j):
                 return m
     return trunc

@@ -8,6 +8,7 @@ budget.  Run as:
     pytest tests/test_acceptance.py -v
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -259,14 +260,19 @@ def test_criterion_15_fault_injection_sensitivity():
         # criterion 7: H1 audit breaks (constant and equation both checked);
         # TransferData holds row 0 of H1 and L1 and derives H1's other rows
         data = iterate_transfer(y, 7, 1)
-        row = data.h_row0
+        row = data.h.entries[0]
+
+        def integer_row(series):
+            den = math.lcm(*(e.den for e in series))
+            return den, [[x * (den // e.den) for x in e.nums] for e in series]
+
         bad = type(data)(
-            data.p, data.m, data.operator, (bump(row[0], 0), *row[1:]), data.trunc,
+            data.p, data.m, data.operator, integer_row((bump(row[0], 0), *row[1:])), data.trunc,
         )
         bad_audit = transfer_audit(op, bad)
         assert not bad_audit.h_constant_ok and not bad_audit.ok
         eq_bad = type(data)(
-            data.p, data.m, data.operator, (*row[:3], bump(row[3], 5)), data.trunc,
+            data.p, data.m, data.operator, integer_row((*row[:3], bump(row[3], 5))), data.trunc,
         )
         eq_audit = transfer_audit(op, eq_bad)
         assert eq_audit.h_constant_ok
@@ -274,7 +280,7 @@ def test_criterion_15_fault_injection_sensitivity():
         a = data.operator.coeffs
         l1_bad = type(data)(
             data.p, data.m, type(data.operator)((*a[:2], bump(a[2], 1), a[3])),
-            row, data.trunc,
+            data.h_row0, data.trunc,
         )
         l1_audit = transfer_audit(op, l1_bad)
         assert l1_audit.equation_residual_order < l1_audit.equation_trunc

@@ -1,5 +1,5 @@
-"""The benchmark's own tests, and its span recorder on the transfer and
-series layers.
+"""The benchmark's own tests, each workload's traced run against its
+oracles, and the span recorder on the transfer and series layers.
 
 bench/spans.py wraps mumkit's public functions by name, so a rename in the
 library would silently zero a per-layer metric of the benchmark.
@@ -7,9 +7,12 @@ library would silently zero a per-layer metric of the benchmark.
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from mumkit import builtin, fit_frobenius_constant, frobenius_from_constant, uniform_part
 from mumkit.cli import dump_candidate, main
@@ -41,6 +44,25 @@ def test_bench_unittests_pass():
         cwd=REPO, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["mirror", "radius", "transfer"])
+def test_bench_workload_passes_its_oracles_traced(workload, tmp_path):
+    # one untraced and one traced pass over the workload's jobs at the
+    # default seed: every report meets its oracle and recorded digest, and
+    # every span probe reads its arguments and results (such as the .trunc
+    # of iterate_transfer's first argument).  A copy of src/ and bench/
+    # keeps the run's .bench_work/ out of the checkout
+    for name in ("src", "bench"):
+        shutil.copytree(REPO / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".bench_work"))
+    result = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    last = json.loads(result.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), result.stderr[-2000:]
 
 
 def test_tracer_records_the_transfer_layer(tmp_path, monkeypatch):

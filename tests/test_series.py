@@ -778,16 +778,29 @@ def test_valuation_profile_of_columns_divisible_by_powers_of_q():
 # ---------------------------------------------------------------------------
 
 
+def integer_row(series, factor=1):
+    """A row of series as an integer row (den, [numerator lists]) over
+    factor times the lcm of their denominators, reduced when factor = 1."""
+    den = math.lcm(*(e.den for e in series))
+    return factor * den, [[x * factor * (den // e.den) for x in e.nums] for e in series]
+
+
+def row_coefficients(row):
+    """The coefficients of each entry of an integer row, as Fractions."""
+    den, nums = row
+    return tuple(tuple(F(x, den) for x in e) for e in nums)
+
+
 def inverse_by_right_division(m):
     """m^{-1} from right_divide: with A_0 = m(0), m A_0^{-1} has constant
     term I, and B (m A_0^{-1}) = A_0^{-1} for B = m^{-1}."""
     a0_inv = SeriesMatrix.from_constant(invert_constant_matrix(m.constant_matrix()), m.trunc)
-    return matrix_from_rows(right_divide(a0_inv.entries, m * a0_inv))
+    return SeriesMatrix.from_rows(right_divide(a0_inv.rows, m * a0_inv))
 
 
 def test_mat_invert_identity():
     eye = SeriesMatrix.identity(3, 5)
-    assert matrix_from_rows(right_divide(eye.entries, eye)) == eye
+    assert SeriesMatrix.from_rows(right_divide(eye.rows, eye)) == eye
 
 
 def test_mat_invert_diagonal():
@@ -811,7 +824,7 @@ def test_mat_invert_neumann_series():
             row.append(S(coeffs, trunc))
         entries.append(tuple(row))
     m = SeriesMatrix(tuple(entries))
-    inv = matrix_from_rows(right_divide(SeriesMatrix.identity(n, trunc).entries, m))
+    inv = SeriesMatrix.from_rows(right_divide(SeriesMatrix.identity(n, trunc).rows, m))
     # N^2 has a single nonzero entry at (0, 2); N^3 = 0
     assert inv.entry(0, 1).coeffs[1] == -1
     assert inv.entry(0, 2).coeffs[2] == 1
@@ -821,7 +834,7 @@ def test_mat_invert_neumann_series():
 def test_mat_invert_singular():
     # right_divide needs M(0) = I; it refuses a singular M(0) as any other
     with pytest.raises(ValueError, match="constant term I"):
-        right_divide(SeriesMatrix.identity(2, 3).entries, diagonal([0, 1], 3))
+        right_divide(SeriesMatrix.identity(2, 3).rows, diagonal([0, 1], 3))
 
 
 def test_mat_invert_random_roundtrip():
@@ -1024,19 +1037,20 @@ def test_matinv_matches_newton_doubling(case):
     if singular:
         # A(0) is not I, so right_divide refuses A itself
         with pytest.raises(ValueError, match="constant term I"):
-            right_divide(m.entries, m)
+            right_divide(m.rows, m)
         return
     assert coefficients(inverse_by_right_division(m)) == coefficients(newton_matrix_inverse(m))
 
 
 def test_matmul_and_matinv_on_quintic_y(quintic_y30):
     y = quintic_y30
-    y_inv = matrix_from_rows(right_divide(SeriesMatrix.identity(4, 30).entries, y))
+    y_inv = SeriesMatrix.from_rows(right_divide(SeriesMatrix.identity(4, 30).rows, y))
     assert coefficients(y_inv) == recurrence_matrix_inverse(y)
     assert coefficients(y * y_inv) == coefficients(SeriesMatrix.identity(4, 30))
     for q in (3, 9):
         lam = y.cartier(q)
-        lam_inv = matrix_from_rows(right_divide(SeriesMatrix.identity(4, lam.trunc).entries, lam))
+        lam_inv = SeriesMatrix.from_rows(
+            right_divide(SeriesMatrix.identity(4, lam.trunc).rows, lam))
         assert coefficients(lam_inv) == recurrence_matrix_inverse(lam)
         lam_sub = lam_inv.substitute_power(q, 30)
         assert coefficients(y * lam_sub) == entrywise_product(y, lam_sub)
@@ -1077,12 +1091,21 @@ def product_by_oracle_inverse(rows, m, s):
 
 
 @settings(max_examples=200, deadline=None)
-@given(right_division_cases())
-def test_right_divide_matches_the_oracle_inverse(case):
+@given(right_division_cases(), st.sampled_from((1, 3, 7 * 25)), st.sampled_from((1, 5)))
+def test_right_divide_matches_the_oracle_inverse(case, factor, m_factor):
+    # on reduced rows, and on rows and a matrix over factor times their
+    # lcms, a factor that may share a prime with every numerator; every
+    # output row is reduced by one gcd
     rows, m, s = case
-    out = right_divide(rows, m, s)
-    assert len(out) == len(rows)
-    assert tuple(tuple(e.coeffs for e in row) for row in out) == product_by_oracle_inverse(*case)
+    expected = product_by_oracle_inverse(*case)
+    unreduced = SeriesMatrix.from_rows((m_factor * den, [[m_factor * x for x in e] for e in nums])
+                                       for den, nums in m.rows)
+    for xs, mat in (([integer_row(row) for row in rows], m),
+                    ([integer_row(row, factor) for row in rows], unreduced)):
+        out = right_divide(xs, mat, s)
+        assert len(out) == len(rows)
+        assert tuple(row_coefficients(row) for row in out) == expected
+        assert all(math.gcd(den, *(x for e in nums for x in e)) == 1 for den, nums in out)
 
 
 def test_right_divide_rescales_a_class_when_its_denominator_grows():
@@ -1095,8 +1118,77 @@ def test_right_divide_rescales_a_class_when_its_denominator_grows():
     x = TruncSeries.one(10)
     for s in (1, 2, 3):
         t = min(10, s * trunc)
-        (row,) = right_divide([(x, TruncSeries.zero(10), TruncSeries.zero(10))], m, s)
-        assert row == (S([1], t), S([0] * s + [F(-1, 3)], t), S([0] * 2 * s + [F(1, 9)], t))
+        (row,) = right_divide([integer_row((x, TruncSeries.zero(10), TruncSeries.zero(10)))],
+                              m, s)
+        assert row_coefficients(row) == tuple(e.coeffs for e in (
+            S([1], t), S([0] * s + [F(-1, 3)], t), S([0] * 2 * s + [F(1, 9)], t)))
+
+
+@st.composite
+def unreduced_rows(draw):
+    """(reduced, unreduced, p): a matrix built from reduced entries with
+    denominators prime to p or divisible by it, and the same matrix from
+    integer rows over f times each row's lcm, f drawn per row: 1, a factor
+    that every numerator then shares with the row's den, or a power of p,
+    which makes den divisible by p whatever the entries."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n, trunc = draw(sizes), draw(st.integers(1, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    entries = [[S([F(rng.randint(-40, 40) * p ** rng.randint(0, 2),
+                     rng.choice((1, 11, 13)) * p ** rng.randint(0, 2))
+                   if rng.randrange(3) else 0 for _ in range(trunc)])
+                for _ in range(n)] for _ in range(n)]
+    reduced = matrix_from_rows(entries)
+    factors = [draw(st.sampled_from((1, 6, p, p**3 * 35))) for _ in range(n)]
+    unreduced = SeriesMatrix.from_rows(
+        (f * den, [[f * x for x in e] for e in nums]) for f, (den, nums) in zip(factors, reduced.rows))
+    return reduced, unreduced, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(unreduced_rows())
+def test_series_matrix_of_unreduced_rows_equals_its_reduced_entries(case):
+    reduced, unreduced, p = case
+    assert unreduced == reduced and hash(unreduced) == hash(reduced)
+    assert unreduced.entries == reduced.entries
+    for row in unreduced.entries:
+        for e in row:
+            assert_reduced(e, e.coeffs)
+    entrywise = lambda fn: matrix_from_rows([fn(e) for e in row] for row in reduced.entries)
+    for k in range(1, reduced.trunc + 1):
+        assert unreduced.truncate(k) == reduced.truncate(k) == entrywise(lambda e: e.truncate(k))
+    for q in (p, p * p):
+        assert unreduced.cartier(q) == reduced.cartier(q) == entrywise(lambda e: e.cartier(q))
+    assert unreduced.delta() == reduced.delta() == entrywise(lambda e: e.delta())
+    assert unreduced.scale(F(-3, p)) == entrywise(lambda e: e * F(-3, p))
+    assert -unreduced == entrywise(lambda e: -e)
+    for a, b in ((unreduced, reduced), (reduced, unreduced), (unreduced, unreduced.delta())):
+        assert coefficients(a + b) == add_coefficients(coefficients(a), coefficients(b))
+        assert (a - b) + b == a and (a - a).is_zero()
+        assert coefficients(a * b) == entrywise_product(a, b)
+    assert unreduced.constant_matrix() == reduced.constant_matrix()
+    assert unreduced.residual_order() == reduced.residual_order()
+    profile = unreduced.valuation_profile(p)
+    assert profile == reduced.valuation_profile(p)
+    assert (profile.min_valuation, profile.negative_valuations) == \
+        ref_rows_profile([e.coeffs for row in reduced.entries for e in row], p)
+
+
+def test_series_matrix_rows_are_kept_as_given():
+    # truncate, delta and + keep a row's denominator; cartier reduces it
+    m = SeriesMatrix.from_rows([(6, [[2, 4, 6, 8], [0, 0, 2, 0]]), (1, [[0, 1, 0, 1], [1, 0, 0, 0]])])
+    assert m.rows[0] == (6, ((2, 4, 6, 8), (0, 0, 2, 0)))
+    assert m.entry(0, 0) == S([F(1, 3), F(2, 3), 1, F(4, 3)]) and m.entry(0, 1).den == 3
+    assert m.truncate(2).rows[0][0] == m.delta().rows[0][0] == (m + m).rows[0][0] == 6
+    assert m.cartier(2).rows[0] == (3, ((1, 3), (0, 1)))
+    with pytest.raises(ValueError, match="square"):
+        SeriesMatrix.from_rows([(1, [[1]]), (1, [[1]])])
+    with pytest.raises(ValueError, match="one truncation order"):
+        SeriesMatrix.from_rows([(1, [[1, 0], [1]]), (1, [[0, 1], [1, 0]])])
+    with pytest.raises(ValueError, match="denominators"):
+        SeriesMatrix.from_rows([(0, [[1]])])
+    with pytest.raises(ValueError, match="cannot extend"):
+        m.truncate(5)
 
 
 def test_matrix_det_and_profiles():

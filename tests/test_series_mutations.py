@@ -1,9 +1,11 @@
 """The integer kernels (the reduced numerators-over-denominator form of a
-series, sums, products and sums of products, valuations, the order-by-order
-right division by a series matrix, the recurrence behind divide, exp and
-log, the Frobenius recurrence and the ladder of squares behind vp_int),
-each broken on purpose in a copy of the package, must fail their oracle
-tests in tests/test_series.py, tests/test_solve.py or tests/test_primes.py."""
+series, the integer rows of a series matrix, sums, products and sums of
+products, valuations, the order-by-order right division by a series
+matrix, the recurrence behind divide, exp and log, the Frobenius
+recurrence, the rows of the uniform part, the residual of verify_solution
+and the ladder of squares behind vp_int), each broken on purpose in a copy
+of the package, must fail their oracle tests in tests/test_series.py,
+tests/test_solve.py or tests/test_primes.py."""
 
 from pathlib import Path
 
@@ -23,10 +25,13 @@ EXP = "exp_matches_recurrence or exp_log_match"
 LOG = "log_matches_recurrence or exp_log_match"
 FROBENIUS = "frobenius_matches_recurrence"
 FORM = "stay_reduced or eq_and_hash"
+ROWS = "unreduced_rows"
+UNIFORM = "uniform_part"
+VERIFY = "verify_solution"
 VP = "vp_int_matches_the_division_loop"
 ORACLES = {SERIES: f"{MUL} or {DIVIDE} or {MATMUL} or {MATINV} or {EXP} or {LOG} or {FORM}"
-                  f" or {PROFILE}",
-           SOLVE: FROBENIUS, PRIMES: VP}
+                  f" or {PROFILE} or {ROWS}",
+           SOLVE: f"{FROBENIUS} or {UNIFORM} or {VERIFY}", PRIMES: VP}
 
 # divide, exp and log share this line of the recurrence
 KEEP_NUMERATORS = "v, nums = _over_lcm(nums, v, xk.denominator)"
@@ -45,6 +50,13 @@ MUTATIONS = {
     "valuation_drops_den": (SERIES, "v = vp_int(x, p) - vd", "v = vp_int(x, p)", FORM),
     "add_swaps_the_scales": (SERIES, "sa, sb = db // g, sign * (da // g)",
                              "sa, sb = da // g, sign * (db // g)", FORM),
+    # the same fault in the sum of two matrices' integer rows
+    "matrix_add_swaps_the_scales": (SERIES, "fa, fb = db // g, sign * (da // g)",
+                                    "fa, fb = da // g, sign * (db // g)", ROWS),
+    # a matrix product's output row over the lcm of its entries'
+    # denominators, an entry left over its own
+    "matmul_row_keeps_entry_numerators": (SERIES, "e if d == den else [x * (den // d) for x in e]",
+                                          "e", MATMUL),
     "divide_drops_dividend_lcm": (
         SERIES, "Fraction(dr * acc + dw * rk * v, dr * dw * v * lead[k])",
         "Fraction(acc + dw * rk * v, dw * v * lead[k])", DIVIDE),
@@ -70,6 +82,14 @@ MUTATIONS = {
     "frobenius_scales_rows_by_the_lcm": (SOLVE, "scale = den // dens[m - k]", "scale = den",
                                          FROBENIUS),
     "frobenius_drops_power_of_m": (SOLVE, " * m ** (width - 1 - u)", "", FROBENIUS),
+    # Y's rows f_{i+1,k} = f_{i,k-1} + delta(f_{i,k}) without f_{i,k-1}
+    "uniform_part_drops_the_left_entry": (SOLVE, "[y + k * x for k, (x, y)",
+                                          "[k * x for k, (x, y)", UNIFORM),
+    # verify_solution's Q_k^[t](m-k) = sum_i C(i,t) P_{i,k} (m-k)^(i-t):
+    # without the binomial, or with every power of m-k read as 1
+    "verify_drops_the_binomial": (SOLVE, "comb(i, t) * coeffs.get(i, 0)", "coeffs.get(i, 0)",
+                                  VERIFY),
+    "verify_horner_drops_the_point": (SOLVE, "q = q * s + c", "q = q + c", VERIFY),
     "vp_ascent_counts_one_per_power": (PRIMES, "v = (1 << len(powers)) - 1", "v = len(powers)",
                                        VP),
     "vp_descent_adds_the_index": (PRIMES, "v += 1 << i", "v += i", VP),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -124,7 +125,12 @@ def test_frobenius_matches_recurrence_on_random_mum_operators(seed):
     for trunc in (1, 2, rng.randint(3, 8), 16):
         for op in (raw, monicize(raw, trunc)):
             for width in (1, op.order):
-                assert _frobenius(op, trunc, width) == recurrence_frobenius(op, trunc, width)
+                # one integer row over the lcm of the c_m's denominators,
+                # reduced as a whole
+                den, nums = _frobenius(op, trunc, width)
+                assert math.gcd(den, *(x for e in nums for x in e)) == 1
+                assert tuple(TruncSeries(tuple(F(x, den) for x in e)) for e in nums) == \
+                    recurrence_frobenius(op, trunc, width)
             assert solve_f(op, trunc) == recurrence_frobenius(op, trunc, 1)[0]
             assert solve_first_row(op, trunc) == recurrence_frobenius(op, trunc, op.order)
 

@@ -49,16 +49,18 @@ MUTATIONS = {
     "verify_drops_p": ("both, p_lead = lead * lead_sub, lead * p",
                        "both, p_lead = lead * lead_sub, lead", VERIFY),
     # H_m's rows built with p where they need q = p^m
-    "h_drops_level": ("right_divide((y.entries[0],), lam, q)",
-                      "right_divide((y.entries[0],), lam, p)", CLOSED),
+    "h_drops_level": ("right_divide((y.rows[0],), lam, q)",
+                      "right_divide((y.rows[0],), lam, p)", CLOSED),
     "h_rows_drop_level": ("q = self.p**self.m", "q = self.p", CLOSED),
     "h_shift_drops_q": ("k * x + q * y + c", "k * x + y + c", CLOSED),
     "h_tail_drops_q": ("[-q * x * (d // a.den)", "[-x * (d // a.den)", CLOSED),
     "h_drops_column_shift": ("k * x + q * y + c", "k * x + c", CLOSED),
     # a step over d den_i that loses what d does not divide
     "h_drops_remainder": ("d * x + r for x, r", "d * x for x, r", CLOSED),
-    "h_row_0_drops_q_powers": ("e * q**j for j, e", "e for j, e", CLOSED),
-    "last_row_drops_1_over_p": ("last[j - 1] * Fraction(1, q)", "last[j - 1]", CLOSED),
+    "h_row_0_drops_q_powers": ("[x * q**j for x in e]", "[x for x in e]", CLOSED),
+    # the bracket's last row over q den is q delta(Lambda_j) + Lambda_{j-1}:
+    # Lambda_{j-1} taken without its 1/q
+    "last_row_drops_1_over_p": ("q * k * x + y for k", "q * k * x + q * y for k", CLOSED),
     # a level-m bracket built with 1/p where it needs 1/q = 1/p^m
     "bracket_uses_1_over_p": ("_quotient_last_row(lam, q), q)",
                               "_quotient_last_row(lam, p), q)", LEVELS),
@@ -75,8 +77,7 @@ MUTATIONS = {
     # without the column scales p^k of C = diag(1, p, ...) N^r
     "fit_shifts_by_r_plus_1": ("[zero] * r + row[:n - r]",
                                "[zero] * (r + 1) + row[:n - r - 1]", FIT),
-    "fit_drops_p_powers": ("[e * p**k for k, e in enumerate(row)]",
-                           "[e for k, e in enumerate(row)]", FIT),
+    "fit_drops_p_powers": ("[x * p**k for x in e]", "[x for x in e]", FIT),
 }
 
 

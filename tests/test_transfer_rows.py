@@ -16,6 +16,7 @@ entries.  So the transfer faults go into what TransferData holds, row 0 of
 H and the coefficients of L_m, and into the audited operator's P_k.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -32,6 +33,7 @@ from mumkit import (
     SeriesMatrix,
     TransferData,
     TruncSeries,
+    fit_frobenius_constant,
     frobenius_from_constant,
     hypergeometric,
     iterate_transfer,
@@ -80,10 +82,20 @@ def with_fault(mat, i, j, k, delta):
 
 
 def row0_fault(data, j, k, delta):
-    """data with delta added to coefficient k of entry j of H's row 0."""
-    row = list(data.h_row0)
-    row[j] = bump(row[j], k, delta)
-    return replace(data, h_row0=tuple(row))
+    """data with delta added to coefficient k of entry j of H's row 0, an
+    integer row (den, [numerator lists]), restated over den times delta's
+    denominator."""
+    den, nums = data.h_row0
+    delta = Fraction(delta)
+    nums = [[x * delta.denominator for x in e] for e in nums]
+    nums[j][k] += delta.numerator * den
+    return replace(data, h_row0=(den * delta.denominator, nums))
+
+
+def over_factor(row, f):
+    """The integer row (den, nums) restated over f den, not reduced."""
+    den, nums = row
+    return f * den, [[f * x for x in e] for e in nums]
 
 
 def operator_fault(data, j, k, delta):
@@ -163,10 +175,39 @@ def test_right_divide_by_lambda_matches_the_oracle_inverse(quintic_raw, p, m):
         assert last.truncate(2).den < last.truncate(3).den < last.den
         lam_inv = newton_matrix_inverse(lam)
         top = SeriesMatrix((y.entries[0],) * y.n)
-        (row0,) = right_divide((y.entries[0],), lam, q)
-        assert row0 == (top * lam_inv.substitute_power(q, y.trunc)).entries[0]
+        (row0,) = right_divide((y.rows[0],), lam, q)
+        assert SeriesMatrix.from_rows((row0,) * y.n) == top * lam_inv.substitute_power(q, y.trunc)
+        # the same division from rows over a larger denominator: Y solved
+        # beyond the working order and truncated
+        cut = uniform_part(raw, y.trunc + 5).truncate(y.trunc)
+        assert cut.rows[0][0] != y.rows[0][0]
+        assert right_divide((cut.rows[0],), cut.cartier(q), q) == (row0,)
         full = frobenius_quotient_F(y, shift_rows(y.n), q)
         assert frobtransfer._quotient_last_row(lam, q) == full.entries[-1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_uniform_part_truncated_is_the_uniform_part_at_the_lower_order(quintic_raw, seed):
+    # truncation keeps the rows' denominators, so Y at W truncated to w has
+    # unreduced rows; its entries, and every transfer value built from it,
+    # are those of Y solved at w, as the CLI truncates Y from a job's top order
+    rng = random.Random(900 + seed)
+    raw = quintic_raw if seed == 0 else random_mum_operator(rng)
+    for p, m, target in ((3, 1, 4), (5, 1, 3), (2, 2, 3)):
+        w = working_trunc_for(target, p, m)
+        y = uniform_part(raw, w)
+        for top in (w + 1, w + rng.randint(2, 9), 2 * w + 3):
+            cut = uniform_part(raw, top).truncate(w)
+            assert cut == y and cut.rows[0][0] == uniform_part(raw, top).rows[0][0]
+            assert cut.entries == y.entries
+            for level in range(1, m + 1):
+                data, fresh = iterate_transfer(cut, p, level), iterate_transfer(y, p, level)
+                assert data.operator == fresh.operator and data.h == fresh.h
+                assert transfer_audit(raw, data) == transfer_audit(raw, fresh)
+            assert fit_frobenius_constant(cut, p) == fit_frobenius_constant(y, p)
+            constant = twisted_rows(p, y.n, [1] + [rng.randint(-3, 3) for _ in range(y.n - 1)])
+            assert frobenius_from_constant(cut, constant, p) == \
+                frobenius_from_constant(y, constant, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -176,11 +217,18 @@ def test_h_rows_match_the_closed_forms_at_levels_1_to_3(p):
         raw = random_mum_operator(rng)
         y = uniform_part(raw, working_trunc_for(3, p, m))
         data = iterate_transfer(y, p, m)
-        assert data.h == h_matrix_closed_form(y, p, m)
-        # rows 0 .. n-2 of the residual vanish by construction, the last row
-        # because H is the true H_m
-        expected = transfer_residual_order(monicize(raw, y.trunc), data)
-        assert audit_order(raw, data) == expected == (expected[1],) * 2
+        # row 0 is stored reduced: the same row over 6 p^2 times its
+        # denominator, which every numerator then shares, is the same data
+        den, nums = data.h_row0
+        assert math.gcd(den, *(x for e in nums for x in e)) == 1
+        unreduced = replace(data, h_row0=over_factor(data.h_row0, 6 * p * p))
+        assert unreduced == data and hash(unreduced) == hash(data)
+        for case in (data, unreduced):
+            assert case.h == h_matrix_closed_form(y, p, m)
+            # rows 0 .. n-2 of the residual vanish by construction, the last
+            # row because H is the true H_m
+            expected = transfer_residual_order(monicize(raw, y.trunc), case)
+            assert audit_order(raw, case) == expected == (expected[1],) * 2
         valuations = [vp(c, p) for row in data.h.entries for e in row for c in e.coeffs]
         assert data.h.valuation_profile(p).min_valuation == min(valuations, default=INF)
 
@@ -407,7 +455,7 @@ def test_transfer_data_and_audit_refuse_mismatched_orders():
     raw = RawOperator(((0, 2, -1), (0, 0, 3), (0, 1), (2, 1, -1)))
     data = iterate_transfer(uniform_part(raw, 11), 5, 1)
     with pytest.raises(ValueError):
-        replace(data, h_row0=data.h_row0[:2])
+        replace(data, h_row0=(data.h_row0[0], data.h_row0[1][:2]))
     with pytest.raises(ValueError):
         transfer_audit(RawOperator(((0, 1), (0, 1), (1,))), data)
 
