@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 import traceback
@@ -266,8 +267,14 @@ def load_candidate_file(path) -> FrobeniusCandidate:
         raise CorpusFormatError(f"{path}: entries must form an {n}x{n} array")
     if any(len(coeffs) != trunc for row in rows for coeffs in row):
         raise CorpusFormatError(f"{path}: every coefficient list needs {trunc} entries")
-    phi = SeriesMatrix(tuple(tuple(TruncSeries(tuple(c)) for c in row) for row in rows))
-    return FrobeniusCandidate(p, phi)
+    return FrobeniusCandidate(p, SeriesMatrix.from_rows(map(_integer_row, rows)))
+
+
+def _integer_row(row) -> tuple:
+    """A row of coefficient lists of Fractions as an integer row: the lcm
+    of their denominators and each coefficient's numerator over it."""
+    den = math.lcm(*(c.denominator for coeffs in row for c in coeffs))
+    return den, [[c.numerator * (den // c.denominator) for c in coeffs] for coeffs in row]
 
 
 def _rational_string(c) -> Fraction:

@@ -18,14 +18,14 @@ q H_i B(z^q).  Every value on the way is an integer row, one numerator
 list per entry over one denominator per row, not necessarily reduced: the
 rows of Y and Lambda_q(Y), the bracket's last row, what right_divide
 returns, its q^j rescaling (which TransferData reduces once, as the
-powers of q can cancel part of its denominator) and the rows of H_m.  Only L_m's coefficients
-are TruncSeries, reduced, because they are reported; H_m as a
-SeriesMatrix is built only when read.  The fit's basis and the Frobenius
-construction run on the same rows.  transfer_audit checks the last row,
-the only one that can fail:
-sum_k P_k H_k = 0 over L's polynomial rows, H_n being row n, to the
-rows' order min(W, q L_m.trunc).  It reads H(0) off the same rows, and
-the valuation profile of H is ValuationProfile.of_rows of them.
+powers of q can cancel part of its denominator) and the rows of H_m.
+Only L_m's coefficients are TruncSeries, reduced, because they are
+reported; H_m as a SeriesMatrix is built only when read.  The fit's basis
+and the Frobenius construction run on the same rows.  transfer_audit
+checks the last row, the only one that can fail: sum_k P_k H_k = 0 over
+L's polynomial rows, H_n being row n, to the rows' order
+min(W, q L_m.trunc).  It reads H(0) off the same rows, and the valuation
+profile of H is ValuationProfile.of_rows of them.
 
 The level-m reduction congruence H_m[0][0] Lambda_q(f)(z^q) == f
 mod z^{q+1}, f = Y[0][0], holds whenever Y(0) = I, so all it decides is

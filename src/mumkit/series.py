@@ -15,15 +15,14 @@ necessarily reduced: truncate, delta, scale, sums and products keep the
 denominators they produce, and a row is reduced, by one gcd
 (reduce_row), only after a Cartier image and a right division, where
 heights can shrink.  Its entries as reduced series are built only when
-read.  Products have one
-loop, _dot, a sum of integer convolutions over the lcm of the terms'
-denominators that skips zero entries and coefficients and loops over the
-sparser operand of each term on the outside: a product of two series is
-one _dot term, and each entry of a sum of SeriesMatrix products is one
-_dot.  right_divide solves U M(z^s) = X for a few integer rows X order by
-order on integers, so no matrix inverse is ever formed.  Every valuation
-profile, of a series, a matrix, a monic operator or integer rows, is
-ValuationProfile.of_rows.
+read.  Products have one loop, _dot, a sum of integer convolutions over
+the lcm of the terms' denominators that skips zero entries and
+coefficients and loops over the sparser operand of each term on the
+outside: a product of two series is one _dot term, and each entry of a
+sum of SeriesMatrix products is one _dot.  right_divide solves
+U M(z^s) = X for a few integer rows X order by order on integers, so no
+matrix inverse is ever formed.  Every valuation profile, of a series, a
+matrix, a monic operator or integer rows, is ValuationProfile.of_rows.
 divide, exp and log share one recurrence on integers, which keeps the
 coefficients found so far as numerators over one running denominator;
 coefficient k of log(a) is that of delta(a) / a over k.
@@ -118,15 +117,21 @@ class ValuationProfile:
         lists]), coefficient k of an entry being its numerator k over den:
         v_p is v_p(numerator) - v_p(den), and each exponent keeps its least
         negative valuation.  A row whose den p does not divide has no
-        negative valuation, and its least is that of the gcd of its
-        numerators; any other row is read coefficient by coefficient."""
+        negative valuation, and its least is the largest v with p^v
+        dividing every nonzero numerator, found by divisibility tests that
+        stop at the first numerator p^(v+1) does not divide and at the
+        least valuation found so far; any other row is read coefficient by
+        coefficient."""
         min_v, neg = INF, {}
         for den, nums in rows:
             vd = vp_int(den, p)
             if not vd:
-                g = math.gcd(*chain.from_iterable(nums))
-                if g:
-                    min_v = min(min_v, vp_int(g, p))
+                xs = [x for x in chain.from_iterable(nums) if x]
+                if xs:
+                    v, pv = 0, p
+                    while v < min_v and not any(x % pv for x in xs):
+                        v, pv = v + 1, pv * p
+                    min_v = min(min_v, v)
                 continue
             for entry in nums:
                 for k, x in enumerate(entry):

@@ -70,12 +70,16 @@ MUTATIONS = {
         SERIES, "done[r] = hs = [[y * f for y in h] for h in hs]", "hs = done[r]", MATINV),
     "matinv_skips_a_1": (SERIES, "for j in range(top - 1, 0, -1)", "for j in range(top - 1, 1, -1)",
                          MATINV),
-    # the gcd of the numerators stands for every coefficient only when p
-    # does not divide den, and its own valuation is the least
+    # the divisor's rows restated over the lcm d of their denominators: a
+    # row read as if over d already
+    "matinv_drops_the_row_scales": (SERIES, "row_scales = [d // den for den, _ in mat.rows]",
+                                    "row_scales = [1 for den, _ in mat.rows]", MATINV),
+    # the least valuation of the numerators stands for every coefficient
+    # only when p does not divide den, and it is not always 0
     "valuation_takes_the_gcd_when_p_divides_den": (SERIES, "            if not vd:\n",
                                                    "            if True:\n", PROFILE),
-    "valuation_gcd_reads_0": (SERIES, "min_v = min(min_v, vp_int(g, p))",
-                              "min_v = min(min_v, 0)", PROFILE),
+    "valuation_gcd_reads_0": (SERIES, "min_v = min(min_v, v)\n", "min_v = min(min_v, 0)\n",
+                              PROFILE),
     "exp_keeps_numerators_when_v_grows": (SERIES, KEEP_NUMERATORS, KEPT_NUMERATORS, EXP),
     "log_keeps_numerators_when_v_grows": (SERIES, KEEP_NUMERATORS, KEPT_NUMERATORS, LOG),
     "log_drops_1_over_k": (SERIES, "u[k] / k for k", "u[k] for k", LOG),
