@@ -94,7 +94,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, zip_longest
+from itertools import count, islice, zip_longest
 from math import gcd, lcm
 
 from .opalg import ApparentSingularityAtZero, DeltaOperator, RawOperator, monicize
@@ -343,11 +343,14 @@ def transfer_operator_L1(f_last_row, q: int) -> DeltaOperator:
     return op
 
 
-def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
-    """Rows 0 .. n of H_m mod z^order as integer rows (den, [numerators of
-    each entry]) from row 0, one such row, by H_{i+1} = delta(H_i) +
-    q H_i B(z^q), B the companion matrix of L_m: column j of q H_i B(z^q) is
-    q H_i[j-1] - q a_j(z^q) H_i[n-1].
+def _h_rows(row0, operator: DeltaOperator, q: int, order: int):
+    """Yield rows 0 .. n of H_m mod z^order as integer rows (den,
+    [numerators of each entry]) from row 0, one such row, by
+    H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion matrix of L_m:
+    column j of q H_i B(z^q) is q H_i[j-1] - q a_j(z^q) H_i[n-1].  A step is
+    taken only when its row is asked for.  At q = p with L_m = L the same
+    steps give the rows of a Frobenius matrix Phi from its row 0, since
+    delta(Phi) = A Phi - p Phi A(z^p) has the same shape.
 
     -q a_j(z^q) is tail_j / d over the lcm d of L_m's denominators, known
     to q operator.trunc >= order, so row i+1 is an integer row over d den_i.
@@ -360,7 +363,7 @@ def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
         tail = [0] * order
         tail[::q] = [-q * x * (d // a.den) for x in a.nums[:-(-order // q)]]
         tails.append(tail)
-    rows = [(den, nums)]
+    yield den, nums
     for _ in range(operator.order):
         last, step, rems = nums[-1], [], []
         for j, (entry, tail) in enumerate(zip(nums, tails)):
@@ -374,8 +377,7 @@ def _h_rows(row0, operator: DeltaOperator, q: int, order: int) -> tuple:
             den, step = reduce_row(den * d, [[d * x + r for x, r in zip(entry, rem)]
                                              for entry, rem in zip(step, rems)])
         nums = step
-        rows.append((den, nums))
-    return tuple(rows)
+        yield den, nums
 
 
 def _require_identity_at_zero(y: SeriesMatrix):
@@ -421,7 +423,7 @@ class TransferData:
         object.__setattr__(self, "h_row0", (den, tuple(map(tuple, nums))))
         q = self.p**self.m
         order = min(len(nums[0]), q * self.operator.trunc)
-        object.__setattr__(self, "rows", _h_rows(self.h_row0, self.operator, q, order))
+        object.__setattr__(self, "rows", tuple(_h_rows(self.h_row0, self.operator, q, order)))
 
     @cached_property
     def h(self) -> SeriesMatrix:
@@ -633,21 +635,28 @@ def verify_frobenius(op: RawOperator | DeltaOperator,
 
 def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int) -> FrobeniusCandidate:
     """Phi = Y C Y(z^p)^{-1} for an admissible constant C at the working
-    order M: the rows of Y C right-divided by Y(z^p), which reads Y below
-    ceil(M/p) only.
+    order M, Y a uniform part: row 0 of Y C right-divided by Y(z^p), which
+    reads Y below ceil(M/p) only, and rows 1 .. n-1 by rows 0 .. n-2 of the
+    Frobenius equation (_frobenius_rows).
 
     Phi * Y(z^p) = Y C mod z^M holds by construction, and Phi(0) = C since
-    Y(0) = I.  The Frobenius equation itself is verify_frobenius's to
-    check.
+    Y(0) = I.  Only the last row of the Frobenius equation is
+    verify_frobenius's to check.  A Y whose rows do not follow
+    Y_{i+1} = delta(Y_i) + Y_i N raises ValueError.
     """
-    _require_identity_at_zero(y)
     if not constant_shape_ok(constant_rows, p):
         raise BadConstantShape(
             "constant matrix must be square, upper triangular with C[i+1][j+1] = "
             "p*C[i][j] and nonzero pivot"
         )
-    c = SeriesMatrix.from_constant(constant_rows, y.trunc)
-    return FrobeniusCandidate(p, SeriesMatrix.from_rows(right_divide((y * c).rows, y, p)))
+    gammas = [Fraction(x) for x in constant_rows[0]]
+    g = lcm(*(x.denominator for x in gammas))
+    gammas = [x.numerator * (g // x.denominator) for x in gammas]
+    # row 0 of Y C is sum_r gamma_r (row 0 of Y C_r), C_r the constant of e_r
+    den, units = _unit_twists(y, p)
+    row0 = (den * g, [[sum(c * x for c, x in zip(gammas, xs)) for xs in zip(*entries)]
+                      for entries in zip(*units)])
+    return FrobeniusCandidate(p, _frobenius_rows(y, p, [row0])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +686,6 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int) -> FrobeniusFit:
     coefficient are exact, the solver is complete, and Phi(0) = C forces
     integral twists.  orders_used counts the longest solvable prefix.
     """
-    _require_identity_at_zero(y)
     n, M = y.n, y.trunc
     # Phi is linear in the gammas, so the unit vectors give phi0 and the
     # basis, and the candidate for gammas (1, x_1, ..., x_{n-1}) is
@@ -703,15 +711,47 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int) -> FrobeniusFit:
 
 
 def _phi_basis(y: SeriesMatrix, p: int) -> list[SeriesMatrix]:
-    """Phi = Y C Y(z^p)^{-1} for the gammas e_0 .. e_{n-1}.  The constant of
-    e_r is diag(1, p, ..., p^(n-1)) N^r, so Y C is Y's columns scaled by
-    p^k and shifted right by r, and each Phi is its rows right-divided by
-    Y(z^p)."""
+    """Phi = Y C Y(z^p)^{-1} for the gammas e_0 .. e_{n-1}, from row 0 of
+    each Y C (_unit_twists)."""
+    den, units = _unit_twists(y, p)
+    return _frobenius_rows(y, p, [(den, row) for row in units])
+
+
+def _unit_twists(y: SeriesMatrix, p: int):
+    """(den, [row 0 of Y C_r over den for r = 0 .. n-1]) for the constants
+    C_r = diag(1, p, ..., p^(n-1)) N^r of the gammas e_r: row 0 of Y with
+    column k scaled by p^k and shifted right by r."""
     n, zero = y.n, [0] * y.trunc
-    scaled = [(den, [[x * p**k for x in e] for k, e in enumerate(row)]) for den, row in y.rows]
-    rows = right_divide([(den, [zero] * r + row[:n - r]) for r in range(n) for den, row in scaled],
-                        y, p)
-    return [SeriesMatrix.from_rows(rows[r * n:r * n + n]) for r in range(n)]
+    den, row = y.rows[0]
+    row = [[x * p**k for x in e] for k, e in enumerate(row)]
+    return den, [[zero] * r + row[:n - r] for r in range(n)]
+
+
+def _frobenius_rows(y: SeriesMatrix, p: int, rows0) -> list[SeriesMatrix]:
+    """Phi for each integer row in rows0, row 0 of Y C for an admissible C:
+    that row right-divided by Y(z^p) is row 0 of Phi, and
+    Phi_{i+1} = delta(Phi_i) + p Phi_i A(z^p), rows 0 .. n-2 of the
+    Frobenius equation, gives the others (_h_rows at q = p).
+
+    The steps are exact because N C = p C N and a uniform part follows
+    Y_{i+1} = delta(Y_i) + Y_i N, which is checked here on Y's integer rows;
+    Y(0) = I is checked too.  L, with companion matrix A, is read off Y as
+    iterate_transfer reads L_m, at order ceil(M/p), which A(z^p) needs."""
+    _require_identity_at_zero(y)
+    zero = [0] * y.trunc
+    for (d, row), (e, nxt) in zip(y.rows, y.rows[1:]):
+        g = gcd(d, e)
+        fd, fe = d // g, e // g
+        for j, entry in enumerate(nxt):
+            left = row[j - 1] if j else zero
+            if any(x * fd != fe * (k * a + b)
+                   for k, (x, a, b) in enumerate(zip(entry, row[j], left))):
+                raise ValueError("matrix is not a uniform part: its rows must follow "
+                                 "Y_{i+1} = delta(Y_i) + Y_i N")
+    n, order = y.n, y.trunc
+    operator = transfer_operator_L1(_quotient_last_row(y.truncate(-(-order // p)), 1), 1)
+    return [SeriesMatrix.from_rows(islice(_h_rows(row, operator, p, order), n))
+            for row in right_divide(rows0, y, p)]
 
 
 def _congruence_conditions(phi0: SeriesMatrix, basis, p: int, M: int):

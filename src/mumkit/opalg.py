@@ -29,9 +29,6 @@ from math import gcd, lcm
 from .primes import vp_int
 from .series import TruncSeries, ValuationProfile
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class OperatorSyntaxError(ValueError):
     def __init__(self, message: str, line: int, col: int):
@@ -58,11 +55,12 @@ class UnknownOperator(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in z (dense Fraction tuples) and the noncommutative algebra
+# polynomials in z (dense tuples of ints and Fractions: only a/b literals
+# are Fractions) and the noncommutative algebra
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(c: list[Fraction]) -> tuple[Fraction, ...]:
+def _poly_trim(c: list) -> tuple:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
@@ -72,7 +70,7 @@ def _poly_add(a, b):
     n = max(len(a), len(b))
     return _poly_trim(
         [
-            (a[k] if k < len(a) else _F0) + (b[k] if k < len(b) else _F0)
+            (a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
             for k in range(n)
         ]
     )
@@ -81,7 +79,7 @@ def _poly_add(a, b):
 def _poly_mul(a, b):
     if not a or not b:
         return ()
-    out = [_F0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
@@ -107,16 +105,16 @@ class _NCOperator:
                     self.terms[i] = poly
 
     @staticmethod
-    def scalar(c: Fraction) -> "_NCOperator":
-        return _NCOperator({0: _poly_trim([Fraction(c)])})
+    def scalar(c: int | Fraction) -> "_NCOperator":
+        return _NCOperator({0: _poly_trim([c])})
 
     @staticmethod
     def z() -> "_NCOperator":
-        return _NCOperator({0: (_F0, _F1)})
+        return _NCOperator({0: (0, 1)})
 
     @staticmethod
     def d() -> "_NCOperator":
-        return _NCOperator({1: (_F1,)})
+        return _NCOperator({1: (1,)})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -164,9 +162,9 @@ class _NCOperator:
     def pow(self, e: int) -> "_NCOperator":
         """self^e: D^e directly, any other operator by e noncommutative
         products."""
-        if self.terms == {1: (_F1,)}:
-            return _NCOperator({e: (_F1,)})
-        result = _NCOperator.scalar(_F1)
+        if self.terms == {1: (1,)}:
+            return _NCOperator({e: (1,)})
+        result = _NCOperator.scalar(1)
         for _ in range(e):
             result = result * self
         return result
@@ -304,7 +302,8 @@ class _Parser:
             tok.col,
         )
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
+        """An integer literal as an int, a/b as a Fraction."""
         tok = self.expect("NUM")
         num = int(tok.text)
         if self.peek().kind == "/":
@@ -316,7 +315,7 @@ class _Parser:
                     "zero denominator", den_tok.line, den_tok.col
                 )
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +484,10 @@ def hypergeometric(alpha, beta, scale=1) -> RawOperator:
     beta = [Fraction(b) for b in beta]
     if len(alpha) != len(beta) or not alpha:
         raise ValueError("alpha and beta must be nonempty, equal-length vectors")
-    left = _NCOperator.scalar(_F1)
+    left = _NCOperator.scalar(1)
     for b in beta:
         left = left * (_NCOperator.d() + _NCOperator.scalar(b - 1))
-    right = _NCOperator.scalar(_F1)
+    right = _NCOperator.scalar(1)
     for a in alpha:
         right = right * (_NCOperator.d() + _NCOperator.scalar(a))
     nc = left - _NCOperator.z() * right

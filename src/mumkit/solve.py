@@ -40,6 +40,20 @@ def _integer_rows(op, trunc: int) -> list[tuple[int, list[tuple[int, int]]]]:
             for k, terms in rows]
 
 
+def _taylor_rows(rows, width: int) -> list[tuple[int, list]]:
+    """Per integer row (k, terms) of s L: (k, [(t, [C(i,t) P_{i,k} for
+    i = top .. t])]) for the t < width with Q_k^[t] != 0, top the largest i
+    in terms.  Horner's rule on the list at s gives
+    Q_k^[t](s) = sum_i C(i,t) P_{i,k} s^(i-t), coefficient t of Q_k(s+e)."""
+    out = []
+    for k, terms in rows:
+        coeffs, top = dict(terms), max(i for i, _ in terms)
+        polys = [(t, [comb(i, t) * coeffs.get(i, 0) for i in range(top, t - 1, -1)])
+                 for t in range(min(top, width - 1) + 1)]
+        out.append((k, [(t, poly) for t, poly in polys if any(poly)]))
+    return out
+
+
 def _frobenius(op, trunc: int, width: int) -> tuple[int, list[list[int]]]:
     """sum_m [e^j]c_m z^m for j < width, from the recurrence above, as one
     integer row (den, [numerators of each j]) over the lcm of the d_m.  Each
@@ -58,18 +72,23 @@ def _frobenius(op, trunc: int, width: int) -> tuple[int, list[list[int]]]:
         raise NotMUM("operator coefficients must vanish at z = 0")
     # row 0 of a MUM operator is P_{n,0} D^n alone
     (_, [(_, lead)]), *support = _integer_rows(op, trunc)
-    # shifted[m][i] = d_m (m+e)^i c_m(e) mod e^width, i = 0..n, as integers; c_0 = 1
-    dens = [1]
-    shifted = [[[int(t == i) for t in range(width)] for i in range(n + 1)]]
+    support = _taylor_rows(support, width)
+    # cs[m] = d_m c_m(e) mod e^width, as integers; c_0 = 1
+    dens, cs = [1], [[int(t == 0) for t in range(width)]]
     for m in range(1, trunc):
-        active = [(k, terms) for k, terms in support if k <= m]
+        active = [(k, polys) for k, polys in support if k <= m]
         den = lcm(*(dens[m - k] for k, _ in active))
         rhs = [0] * width  # over den
-        for k, terms in active:
+        for k, polys in active:
+            # Q_k(m-k+e) mod e^width times c_{m-k}(e)
+            s, c = m - k, cs[m - k]
             part = [0] * width
-            for i, p in terms:
-                for t, x in enumerate(shifted[m - k][i]):
-                    part[t] += p * x
+            for u, poly in polys:
+                q = 0
+                for x in poly:
+                    q = q * s + x
+                for t in range(u, width):
+                    part[t] += q * c[t - u]
             scale = den // dens[m - k]
             for t, x in enumerate(part):
                 rhs[t] -= scale * x
@@ -79,14 +98,11 @@ def _frobenius(op, trunc: int, width: int) -> tuple[int, list[list[int]]]:
         c = [sum(inv[u] * rhs[t - u] for u in range(t + 1)) for t in range(width)]
         den *= lead * m ** (n + width - 1)
         g = gcd(den, *c) if den > 0 else -gcd(den, *c)
-        powers = [[x // g for x in c]]
-        for _ in range(n):
-            powers.append([m * x + y for x, y in zip(powers[-1], [0] + powers[-1])])
         dens.append(den // g)
-        shifted.append(powers)
+        cs.append([x // g for x in c])
     den = lcm(*dens)
     scales = [den // d for d in dens]
-    return den, [[row[0][t] * s for row, s in zip(shifted, scales)] for t in range(width)]
+    return den, [[c[t] * s for c, s in zip(cs, scales)] for t in range(width)]
 
 
 def solve_f(op: DeltaOperator | RawOperator, trunc: int) -> TruncSeries:
@@ -139,13 +155,7 @@ def verify_solution(op: DeltaOperator | RawOperator,
     trunc, width = first_row[0].trunc, len(first_row)
     den = lcm(*(f.den for f in first_row))
     columns = [[x * (den // f.den) for x in f.nums] for f in first_row]
-    # per row k: (t, C(i,t) P_{i,k} for i = top .. t) for the t < width with Q_k^[t] != 0
-    rows = []
-    for k, terms in _integer_rows(op, trunc):
-        coeffs, top = dict(terms), max(i for i, _ in terms)
-        polys = [(t, [comb(i, t) * coeffs.get(i, 0) for i in range(top, t - 1, -1)])
-                 for t in range(min(top, width - 1) + 1)]
-        rows.append((k, [(t, poly) for t, poly in polys if any(poly)]))
+    rows = _taylor_rows(_integer_rows(op, trunc), width)
     for m in range(trunc):
         values = []  # (t, Q_k^[t](m-k), m-k)
         for k, polys in rows:

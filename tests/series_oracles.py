@@ -8,7 +8,7 @@ the solver, the radius rows and the transfer.  They read only the public
 API."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from mumkit import DeltaPolynomial, SeriesMatrix, TruncSeries, vp
 
@@ -206,3 +206,42 @@ def delta_derivative(op, t):
         b = TruncSeries.one(op.trunc) if i == n else op.coeffs[i]
         out[i - t] = out[i - t] + b * comb(i, t)
     return DeltaPolynomial(tuple(out))
+
+
+def power_table_frobenius(op, trunc, width):
+    """The integer Frobenius recurrence of mumkit.solve with a power table:
+    shifted[m][i] = d_m (m+e)^i c_m(e) mod e^width for i = 0 .. n, so that
+    sum_i P_{i,k} shifted[m-k][i] is d_{m-k} Q_k(m-k+e) c_{m-k}(e); the same
+    integer row (den, [numerators of each j]) over the lcm of the d_m."""
+    n = op.order
+    rows = [(k, [(i, Fraction(P[k])) for i, P in enumerate(op.poly_coeffs) if k < len(P) and P[k]])
+            for k in range(trunc)]
+    rows = [row for row in rows if row[1]]
+    s = lcm(*(x.denominator for _, terms in rows for _, x in terms))
+    (_, [(_, lead)]), *support = [(k, [(i, int(x * s)) for i, x in terms]) for k, terms in rows]
+    dens = [1]
+    shifted = [[[int(t == i) for t in range(width)] for i in range(n + 1)]]
+    for m in range(1, trunc):
+        active = [(k, terms) for k, terms in support if k <= m]
+        den = lcm(*(dens[m - k] for k, _ in active))
+        rhs = [0] * width
+        for k, terms in active:
+            part = [0] * width
+            for i, p in terms:
+                for t, x in enumerate(shifted[m - k][i]):
+                    part[t] += p * x
+            scale = den // dens[m - k]
+            for t, x in enumerate(part):
+                rhs[t] -= scale * x
+        inv = [(-1) ** u * comb(n + u - 1, u) * m ** (width - 1 - u) for u in range(width)]
+        c = [sum(inv[u] * rhs[t - u] for u in range(t + 1)) for t in range(width)]
+        den *= lead * m ** (n + width - 1)
+        g = gcd(den, *c) if den > 0 else -gcd(den, *c)
+        powers = [[x // g for x in c]]
+        for _ in range(n):
+            powers.append([m * x + y for x, y in zip(powers[-1], [0] + powers[-1])])
+        dens.append(den // g)
+        shifted.append(powers)
+    den = lcm(*dens)
+    scales = [den // d for d in dens]
+    return den, [[row[0][t] * s for row, s in zip(shifted, scales)] for t in range(width)]

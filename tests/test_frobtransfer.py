@@ -360,16 +360,21 @@ def test_fit_candidate_is_phi_of_its_gammas(quintic_y20, monkeypatch, solution):
 
 
 def test_fit_fault_injected_uniform_part(quintic_y20):
-    # corrupt one coefficient with a deep denominator: no admissible constant
-    # can repair it, so the verified search must come back empty-handed
-    entries = [list(row) for row in quintic_y20.entries]
-    coeffs = list(entries[2][1].coeffs)
+    # corrupt one coefficient of row 0 with a deep denominator and re-derive
+    # rows 1 .. 3 by Y_{i+1} = delta(Y_i) + Y_i N, so that the result is still
+    # read as a uniform part: no admissible constant can repair the fault, so
+    # the verified search must come back empty-handed
+    row = list(quintic_y20.entries[0])
+    coeffs = list(row[1].coeffs)
     coeffs[3] += F(1, 7**4)
-    entries[2][1] = TruncSeries(tuple(coeffs))
-    bad_y = SeriesMatrix(tuple(tuple(row) for row in entries))
+    row[1] = TruncSeries(tuple(coeffs))
+    rows = [row]
+    for _ in range(3):
+        rows.append([e.delta() + left for e, left in zip(rows[-1], [TruncSeries.zero(20)] + rows[-1])])
+    bad_y = SeriesMatrix(tuple(map(tuple, rows)))
     fit = fit_frobenius_constant(bad_y, 7)
     assert not fit.found
-    assert fit.profile.min_valuation < 0
+    assert fit.profile.min_valuation == -3
 
 
 # ---------------------------------------------------------------------------

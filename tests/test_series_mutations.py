@@ -2,7 +2,8 @@
 series, the integer rows of a series matrix, sums, products and sums of
 products, valuations, the order-by-order right division by a series
 matrix, the recurrence behind divide, exp and log, the Frobenius
-recurrence, the rows of the uniform part, the residual of verify_solution
+recurrence and its Horner table, the rows of the uniform part, the residual
+of verify_solution
 and the ladder of squares behind vp_int), each broken on purpose in a copy
 of the package, must fail their oracle tests in tests/test_series.py,
 tests/test_solve.py or tests/test_primes.py."""
@@ -86,11 +87,14 @@ MUTATIONS = {
     "frobenius_scales_rows_by_the_lcm": (SOLVE, "scale = den // dens[m - k]", "scale = den",
                                          FROBENIUS),
     "frobenius_drops_power_of_m": (SOLVE, " * m ** (width - 1 - u)", "", FROBENIUS),
+    # Q_k(m-k+e) evaluated by Horner's rule at m in place of m-k
+    "frobenius_horner_at_m": (SOLVE, "s, c = m - k, cs[m - k]", "s, c = m, cs[m - k]", FROBENIUS),
     # Y's rows f_{i+1,k} = f_{i,k-1} + delta(f_{i,k}) without f_{i,k-1}
     "uniform_part_drops_the_left_entry": (SOLVE, "[y + k * x for k, (x, y)",
                                           "[k * x for k, (x, y)", UNIFORM),
-    # verify_solution's Q_k^[t](m-k) = sum_i C(i,t) P_{i,k} (m-k)^(i-t):
-    # without the binomial, or with every power of m-k read as 1
+    # Q_k^[t](m-k) = sum_i C(i,t) P_{i,k} (m-k)^(i-t), the table that the
+    # recurrence and verify_solution share: without the binomial, or with
+    # every power of m-k read as 1 in verify_solution
     "verify_drops_the_binomial": (SOLVE, "comb(i, t) * coeffs.get(i, 0)", "coeffs.get(i, 0)",
                                   VERIFY),
     "verify_horner_drops_the_point": (SOLVE, "q = q * s + c", "q = q + c", VERIFY),

@@ -21,7 +21,7 @@ from mumkit import (
     verify_solution,
 )
 from mumkit.solve import _frobenius, _rows
-from series_oracles import companion
+from series_oracles import companion, power_table_frobenius
 from tests.conftest import quintic_f_coeff, quintic_g_coeff, random_mum_operator
 
 F = Fraction
@@ -140,6 +140,18 @@ def test_frobenius_matches_recurrence_on_the_unscaled_quintic():
     raw = hypergeometric(["1/5", "2/5", "3/5", "4/5"], [1, 1, 1, 1])
     for op in (raw, monicize(raw, 40)):
         assert solve_first_row(op, 40) == recurrence_frobenius(op, 40, 4)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_frobenius_matches_recurrence_by_power_table(seed):
+    # Horner's rule on Q_k(m-k+e) against the power table of (m+e)^i c_m(e):
+    # the same integer row, parsed and monic, at every width 1 .. n
+    rng = random.Random(700 + seed)
+    raw = random_mum_operator(rng)
+    for trunc in (1, rng.randint(2, 12), 40):
+        for op in (raw, monicize(raw, trunc)):
+            for width in range(1, op.order + 1):
+                assert _frobenius(op, trunc, width) == power_table_frobenius(op, trunc, width)
 
 
 # ---------------------------------------------------------------------------

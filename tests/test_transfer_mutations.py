@@ -8,8 +8,10 @@ every such matrix, a dropped row shift that of the left factor C in C Phi
 only.  H_m's rows H_{i+1} = delta(H_i) + q H_i B(z^q) start from row 0 of Y
 times Lambda_q(Y)^{-1}(z^q) diag(1, q, ...) and run on integer rows, the
 last step giving H_n, with which transfer_audit's residual sum_k P_k H_k
-is formed.  The fit's Phi for the gammas e_r is Y's columns scaled by p^k
-and shifted right by r, times Y(z^p)^{-1}.  Row 0 of H_m and the last row
+is formed.  The fit's Phi for the gammas e_r is row 0 of Y with columns
+scaled by p^k and shifted right by r, times Y(z^p)^{-1}, and rows 1 ..
+n-1 by the same steps at q = p with L read off Y, which needs Y's rows to
+follow Y_{i+1} = delta(Y_i) + Y_i N.  Row 0 of H_m and the last row
 of F_q come from right_divide in mumkit.series, whose recurrence is broken
 here too."""
 
@@ -24,6 +26,7 @@ KERNEL = Path("src/mumkit/series.py")
 
 AUDIT, VERIFY, CLOSED = "transfer_residual", "frobenius_residual", "closed_forms"
 FIT = "fit_basis"
+UNIFORM = "not_a_uniform_part"
 LEVELS = "level_by_level_oracle"
 
 # name -> (text in frobtransfer.py, its broken replacement, tests that must
@@ -78,6 +81,14 @@ MUTATIONS = {
     "fit_shifts_by_r_plus_1": ("[zero] * r + row[:n - r]",
                                "[zero] * (r + 1) + row[:n - r - 1]", FIT),
     "fit_drops_p_powers": ("[x * p**k for x in e]", "[x for x in e]", FIT),
+    # Phi's rows 1 .. n-1 stepped at q = 1, or with L read off Y one order
+    # short of the ceil(M/p) that A(z^p) needs, or Y taken without the row
+    # rule that makes the steps exact
+    "fit_steps_at_1": ("_h_rows(row, operator, p, order)", "_h_rows(row, operator, 1, order)",
+                       FIT),
+    "fit_reads_l_one_order_short": ("y.truncate(-(-order // p))", "y.truncate(-(-order // p) - 1)",
+                                    FIT),
+    "fit_skips_the_row_rule": ("if any(x * fd != fe", "if False and any(x * fd != fe", UNIFORM),
 }
 
 

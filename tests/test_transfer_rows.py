@@ -52,11 +52,13 @@ from mumkit.cli import load_corpus_file, main
 from tests.conftest import HG_FAMILIES, random_mum_operator
 from series_oracles import diagonal, newton_matrix_inverse
 from transfer_oracles import (
+    frobenius_by_rows,
     frobenius_quotient_F,
     frobenius_residual_order,
     h_from_frobenius,
     h_matrix_closed_form,
     iterate_transfer_levels,
+    phi_basis_by_rows,
     transfer_residual_order,
 )
 
@@ -413,20 +415,55 @@ def test_audit_reads_h_profile_and_h_constant_off_the_rows():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_fit_basis_matches_the_triple_products():
-    # Phi for the gammas e_r is Y C Y(z^p)^{-1}, C = twisted_rows(e_r),
-    # here with the inverse at the full order
+def fit_basis_cases():
+    """(Y, p): uniform parts of seeded random operators, of the quintic and
+    of quartic3, some at orders past p^2."""
     rng = random.Random(600)
     cases = [(uniform_part(random_mum_operator(rng), rng.randint(6, 12)), p) for p in (2, 3, 5, 7)]
-    for y, p in cases + [(uniform_part(quartic3(), 12), 2)]:
+    cases += [(uniform_part(random_mum_operator(rng), p * p + 2), p) for p in (2, 3, 5)]
+    quintic = hypergeometric(["1/5", "2/5", "3/5", "4/5"], [1, 1, 1, 1], 5**5)
+    return cases + [(uniform_part(quintic, 27), 5), (uniform_part(quartic3(), 12), 2),
+                    (uniform_part(quartic3(), 11), 3)]
+
+
+def test_fit_basis_matches_the_triple_products():
+    # Phi for the gammas e_r is Y C Y(z^p)^{-1}, C = twisted_rows(e_r), here
+    # with the inverse at the full order, and every row of Y C right-divided
+    for y, p in fit_basis_cases():
         n, trunc = y.n, y.trunc
         y_sub_inv = newton_matrix_inverse(y).substitute_power(p, trunc)
         basis = frobtransfer._phi_basis(y, p)
-        assert len(basis) == n
+        assert basis == phi_basis_by_rows(y, p)
         for r, phi in enumerate(basis):
             constant = SeriesMatrix.from_constant(
                 twisted_rows(p, n, [int(k == r) for k in range(n)]), trunc)
             assert phi == y * constant * y_sub_inv
+
+
+def test_fit_basis_candidate_matches_the_triple_products():
+    # the same for frobenius_from_constant at rational gammas
+    rng = random.Random(601)
+    for y, p in fit_basis_cases():
+        gammas = [Fraction(rng.choice((1, -2, 3)), rng.choice((1, p)))]
+        gammas += [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, p))) for _ in range(y.n - 1)]
+        constant = twisted_rows(p, y.n, gammas)
+        phi = frobenius_from_constant(y, constant, p).phi
+        assert phi == frobenius_by_rows(y, constant, p)
+        y_sub_inv = newton_matrix_inverse(y).substitute_power(p, y.trunc)
+        assert phi == y * SeriesMatrix.from_constant(constant, y.trunc) * y_sub_inv
+
+
+def test_not_a_uniform_part_is_refused(quintic_y20):
+    # rows 1 .. n-1 of Phi are derived from row 0, which is exact only when
+    # Y's rows follow Y_{i+1} = delta(Y_i) + Y_i N; a fault in any row
+    # below row 0 breaks that rule and must raise, not be fitted
+    constant = twisted_rows(7, 4, [1, 0, 0, 0])
+    for i, j, k in ((2, 1, 3), (1, 0, 5), (3, 3, 19)):
+        bad_y = with_fault(quintic_y20, i, j, k, Fraction(1, 7**4))
+        with pytest.raises(ValueError, match="not a uniform part"):
+            fit_frobenius_constant(bad_y, 7)
+        with pytest.raises(ValueError, match="not a uniform part"):
+            frobenius_from_constant(bad_y, constant, 7)
 
 
 @pytest.mark.parametrize("working, p, m", [(12, 3, 2), (40, 5, 2)])

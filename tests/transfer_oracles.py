@@ -9,7 +9,10 @@ transfer residual is formed in all n x n entries, not only in the last
 row that transfer_audit checks.  H_m is also formed from a Frobenius
 matrix of any admissible constant, with no inverse of Lambda_q(Y).  H_0
 and the full reduction congruence, which no library caller needs, live
-here too.  They read only the public API.
+here too.  So do the Frobenius matrices by right division of all n rows
+of Y C, the route that frobenius_from_constant and the fit's basis took
+before they derived rows 1 .. n-1 from row 0.  They read only the public
+API.
 """
 
 from fractions import Fraction
@@ -22,6 +25,7 @@ from mumkit import (
     uniform_part,
     vp,
 )
+from mumkit.series import right_divide
 from series_oracles import companion, diagonal, newton_matrix_inverse
 
 
@@ -131,3 +135,19 @@ def frobenius_residual_order(op, cand):
     a_sub = a.substitute_power(p).truncate(check_trunc)
     residual = phi.delta() - a_cut * phi + (phi * a_sub).scale(p)
     return residual.residual_order(), check_trunc
+
+
+def frobenius_by_rows(y, constant, p):
+    """Phi = Y C Y(z^p)^{-1} as every row of Y C right-divided by Y(z^p)."""
+    c = SeriesMatrix.from_constant(constant, y.trunc)
+    return SeriesMatrix.from_rows(right_divide((y * c).rows, y, p))
+
+
+def phi_basis_by_rows(y, p):
+    """Phi for the gammas e_0 .. e_{n-1}, n^2 rows right-divided by
+    Y(z^p): Y C_r is Y's columns scaled by p^k and shifted right by r."""
+    n, zero = y.n, [0] * y.trunc
+    scaled = [(den, [[x * p**k for x in e] for k, e in enumerate(row)]) for den, row in y.rows]
+    rows = right_divide([(den, [zero] * r + row[:n - r]) for r in range(n) for den, row in scaled],
+                        y, p)
+    return [SeriesMatrix.from_rows(rows[r * n:r * n + n]) for r in range(n)]
