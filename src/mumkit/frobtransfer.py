@@ -40,8 +40,14 @@ part Y of L's solutions at z = 0, so the constructions (transfer,
 reduction, H_m, F_q, Phi and its fit) take Y.  They use the structure
 they know: rows are right-divided by Lambda_q(Y)(z^q) and Y(z^p), series
 in z^q and z^p, by a recurrence that reads them at the order divided by q
-or p; only the last row of F_q is formed; and the fit's Y C for a unit
-twist is a column shift of Y diag(1, p, ..., p^(n-1)).
+or p; only the last row of F_q is formed; and only row 0 of each Phi is
+right-divided.  Rows 1 .. n-1 of Phi follow from rows 0 .. n-2 of the
+Frobenius equation, Phi_{i+1} = delta(Phi_i) + p Phi_i A(z^p), the step of
+H_m at q = p with L read off Y as L_m is.  That step is exact for
+Phi = Y C Y(z^p)^{-1} because N C = p C N and Y, a uniform part, follows
+Y_{i+1} = delta(Y_i) + Y_i N; the Phi builders check that rule on Y's
+rows and refuse a Y that breaks it.  The fit's row 0 of Y C for a unit
+twist is a column shift of row 0 of Y diag(1, p, ..., p^(n-1)).
 
 The audits read L's polynomial rows P_0 .. P_n, so they take a parsed
 operator as it is or a monic one (P_n = 1).  Each equation is checked
@@ -355,7 +361,8 @@ def _h_rows(row0, operator: DeltaOperator, q: int, order: int):
     -q a_j(z^q) is tail_j / d over the lcm d of L_m's denominators, known
     to q operator.trunc >= order, so row i+1 is an integer row over d den_i.
     d mostly cancels: when it divides every tail_j H_i[n-1], row i+1 stays
-    over den_i; otherwise it is restated over d den_i and reduced once."""
+    over den_i; otherwise it is restated over d den_i and reduced once.  An
+    integral L_m (d = 1, as L itself often is) skips the division."""
     den, nums = row0[0], [e[:order] for e in row0[1]]
     d = lcm(*(a.den for a in operator.coeffs))
     tails = []
@@ -369,7 +376,7 @@ def _h_rows(row0, operator: DeltaOperator, q: int, order: int):
         for j, (entry, tail) in enumerate(zip(nums, tails)):
             out = [0] * order
             _add_product(out, tail, last)
-            quot, rem = zip(*(divmod(x, d) for x in out))
+            quot, rem = zip(*(divmod(x, d) for x in out)) if d != 1 else (out, ())
             left = nums[j - 1] if j else [0] * order
             step.append([k * x + q * y + c for k, (x, y, c) in enumerate(zip(entry, left, quot))])
             rems.append(rem)
@@ -385,6 +392,22 @@ def _require_identity_at_zero(y: SeriesMatrix):
     c = y.constant_matrix()
     if any(c[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         raise ValueError("matrix must have constant term I")
+
+
+def _require_uniform_part(y: SeriesMatrix):
+    """Y(0) = I and Y's integer rows follow Y_{i+1} = delta(Y_i) + Y_i N,
+    N the nilpotent shift, as the rows of a uniform part do."""
+    _require_identity_at_zero(y)
+    zero = [0] * y.trunc
+    for (d, row), (e, nxt) in zip(y.rows, y.rows[1:]):
+        g = gcd(d, e)
+        fd, fe = d // g, e // g
+        for j, entry in enumerate(nxt):
+            left = row[j - 1] if j else zero
+            if any(x * fd != fe * (k * a + b)
+                   for k, (x, a, b) in enumerate(zip(entry, row[j], left))):
+                raise ValueError("matrix is not a uniform part: its rows must follow "
+                                 "Y_{i+1} = delta(Y_i) + Y_i N")
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +667,7 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int) -> Frobenius
     verify_frobenius's to check.  A Y whose rows do not follow
     Y_{i+1} = delta(Y_i) + Y_i N raises ValueError.
     """
+    _require_uniform_part(y)
     if not constant_shape_ok(constant_rows, p):
         raise BadConstantShape(
             "constant matrix must be square, upper triangular with C[i+1][j+1] = "
@@ -654,9 +678,9 @@ def frobenius_from_constant(y: SeriesMatrix, constant_rows, p: int) -> Frobenius
     gammas = [x.numerator * (g // x.denominator) for x in gammas]
     # row 0 of Y C is sum_r gamma_r (row 0 of Y C_r), C_r the constant of e_r
     den, units = _unit_twists(y, p)
-    row0 = (den * g, [[sum(c * x for c, x in zip(gammas, xs)) for xs in zip(*entries)]
-                      for entries in zip(*units)])
-    return FrobeniusCandidate(p, _frobenius_rows(y, p, [row0])[0])
+    row0 = [[sum(c * x for c, x in zip(gammas, column)) for column in zip(*entries)]
+            for entries in zip(*units)]
+    return FrobeniusCandidate(p, _frobenius_rows(y, p, [(den * g, row0)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +709,11 @@ def fit_frobenius_constant(y: SeriesMatrix, p: int) -> FrobeniusFit:
     with a unit pivot makes Phi p-integral mod z^M: the conditions on each
     coefficient are exact, the solver is complete, and Phi(0) = C forces
     integral twists.  orders_used counts the longest solvable prefix.
+    Each basis Phi is row 0 right-divided by Y(z^p) and rows 1 .. n-1
+    derived from it (_frobenius_rows), so Y must be a uniform part: a Y
+    whose rows do not follow Y_{i+1} = delta(Y_i) + Y_i N raises ValueError.
     """
+    _require_uniform_part(y)
     n, M = y.n, y.trunc
     # Phi is linear in the gammas, so the unit vectors give phi0 and the
     # basis, and the candidate for gammas (1, x_1, ..., x_{n-1}) is
@@ -734,20 +762,9 @@ def _frobenius_rows(y: SeriesMatrix, p: int, rows0) -> list[SeriesMatrix]:
     Frobenius equation, gives the others (_h_rows at q = p).
 
     The steps are exact because N C = p C N and a uniform part follows
-    Y_{i+1} = delta(Y_i) + Y_i N, which is checked here on Y's integer rows;
-    Y(0) = I is checked too.  L, with companion matrix A, is read off Y as
+    Y_{i+1} = delta(Y_i) + Y_i N, which the callers check
+    (_require_uniform_part).  L, with companion matrix A, is read off Y as
     iterate_transfer reads L_m, at order ceil(M/p), which A(z^p) needs."""
-    _require_identity_at_zero(y)
-    zero = [0] * y.trunc
-    for (d, row), (e, nxt) in zip(y.rows, y.rows[1:]):
-        g = gcd(d, e)
-        fd, fe = d // g, e // g
-        for j, entry in enumerate(nxt):
-            left = row[j - 1] if j else zero
-            if any(x * fd != fe * (k * a + b)
-                   for k, (x, a, b) in enumerate(zip(entry, row[j], left))):
-                raise ValueError("matrix is not a uniform part: its rows must follow "
-                                 "Y_{i+1} = delta(Y_i) + Y_i N")
     n, order = y.n, y.trunc
     operator = transfer_operator_L1(_quotient_last_row(y.truncate(-(-order // p)), 1), 1)
     return [SeriesMatrix.from_rows(islice(_h_rows(row, operator, p, order), n))

@@ -13,8 +13,13 @@ f_{1,j+1} = sum_m [e^j]c_m z^m for j < n.  Only the k with Q_k != 0 enter:
 deg_z + 1 of them for a parsed operator, every k for a monic series operator.
 
 It runs on ints: the rows are scaled by the lcm of their denominators, and
-each c_m is kept as integer vectors over one denominator d_m, reduced by one
-gcd; the right-hand side is summed over the lcm of the d_{m-k} it needs.
+each c_m is kept alone, as one integer vector over one denominator d_m,
+reduced by one gcd; the right-hand side is summed over the lcm of the
+d_{m-k} it needs.  Coefficient t of Q_k(m-k+e) is
+Q_k^[t](m-k) = sum_i C(i,t) P_{i,k} (m-k)^(i-t), evaluated by Horner's rule
+on small integers from the table _taylor_rows, which verify_solution reads
+too; its product with c_{m-k} mod e^width costs width(width+1)/2 products
+of a small and a large integer per active row k.
 """
 
 from __future__ import annotations
@@ -151,7 +156,8 @@ def verify_solution(op: DeltaOperator | RawOperator,
     of their denominators.  Coefficient m of column j's residual is
     sum_{k, t} Q_k^[t](m-k) f_{1,j+1-t}[m-k] with
     Q_k^[t](s) = sum_i C(i,t) P_{i,k} s^(i-t), which is evaluated once per
-    (m, k, t), by Horner's rule, and shared by the columns."""
+    (m, k, t), by Horner's rule on the table the recurrence reads
+    (_taylor_rows), and shared by the columns."""
     trunc, width = first_row[0].trunc, len(first_row)
     den = lcm(*(f.den for f in first_row))
     columns = [[x * (den // f.den) for x in f.nums] for f in first_row]
