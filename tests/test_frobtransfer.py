@@ -370,7 +370,8 @@ def test_fit_fault_injected_uniform_part(quintic_y20):
     row[1] = TruncSeries(tuple(coeffs))
     rows = [row]
     for _ in range(3):
-        rows.append([e.delta() + left for e, left in zip(rows[-1], [TruncSeries.zero(20)] + rows[-1])])
+        left = [TruncSeries.zero(20)] + rows[-1]
+        rows.append([e.delta() + x for e, x in zip(rows[-1], left)])
     bad_y = SeriesMatrix(tuple(map(tuple, rows)))
     fit = fit_frobenius_constant(bad_y, 7)
     assert not fit.found
