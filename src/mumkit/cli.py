@@ -317,6 +317,11 @@ class _Subject:
             self._order, self._monic = order, monicize(self.raw, order)
         return self._monic
 
+    def p_integral(self, p: int, order: int) -> bool:
+        """The operator is p-integral at `order`; the order-free test spares
+        the monicize when it can tell."""
+        return self.raw.integral_over_lead(p) or self.at(order).p_integrality(p).is_integral
+
     def solved(self, solver, order: int):
         """solver(raw, order) mod z^order, truncated from the one solve at
         the top order, made by the first unit that asks."""
@@ -381,12 +386,10 @@ def _run_units(spec: JobSpec, doc: ReportDocument) -> int:
         primes = candidates
         if cmd.per_prime and spec.primes is None:
             # under auto:B a prime is skipped iff the operator is not
-            # p-integral at the order the command computes with; the
-            # order-free test spares the monicize when it can tell
+            # p-integral at the order the command computes with
             primes = []
             for p in candidates:
-                if (subject.raw.integral_over_lead(p)
-                        or subject.at(cmd.order(spec, p)).p_integrality(p).is_integral):
+                if subject.p_integral(p, cmd.order(spec, p)):
                     primes.append(p)
                 else:
                     doc.results.append(
@@ -495,8 +498,7 @@ def _transfer_order(spec, p):
 
 def _transfer(spec, subject, work, p):
     working = _transfer_order(spec, p)
-    if not (subject.raw.integral_over_lead(p)
-            or subject.at(working).p_integrality(p).is_integral):
+    if not subject.p_integral(p, working):
         raise NotPIntegralOperator(
             f"operator is not {p}-integral up to order {working}"
         )
@@ -523,9 +525,6 @@ def _transfer(spec, subject, work, p):
 
 
 def _verify(spec, subject, cand, p):
-    if cand.phi.n != subject.raw.order:
-        raise ValueError(f"candidate is {cand.phi.n}x{cand.phi.n} but the operator has "
-                         f"order {subject.raw.order}")
     ver = verify_frobenius(subject.raw, cand)
     return {
         "prime": cand.p,

@@ -14,18 +14,19 @@ Y_{L_m} = S Lambda_q(Y) S^{-1}, and L_m is read off the last row of F_q.
 TransferData holds L_m and row 0 of H_m and derives rows 1 .. n by
 rows 0 .. n-2 of the intertwining equation delta(H) = A H - q H B(z^q), A
 and B the companion matrices of L and L_m: H_{i+1} = delta(H_i) +
-q H_i B(z^q).  Every value on the way is an integer row, one numerator
-list per entry over one denominator per row, not necessarily reduced: the
-rows of Y and Lambda_q(Y), the bracket's last row, what right_divide
-returns, its q^j rescaling (which TransferData reduces once, as the
-powers of q can cancel part of its denominator) and the rows of H_m.
+q H_i B(z^q), one companion step.  Every value on the way is an integer
+row, one numerator list per entry over one denominator per row, not
+necessarily reduced: the rows of Y and Lambda_q(Y), the bracket's last
+row, what right_divide returns, its q^j rescaling (which TransferData
+reduces once, as the powers of q can cancel part of its denominator) and
+the rows of H_m.
 Only L_m's coefficients are TruncSeries, reduced, because they are
 reported; H_m as a SeriesMatrix is built only when read.  The fit's basis
 and the Frobenius construction run on the same rows.  transfer_audit
 checks the last row, the only one that can fail: sum_k P_k H_k = 0 over
 L's polynomial rows, H_n being row n, to the rows' order
-min(W, q L_m.trunc).  It reads H(0) off the same rows, and the valuation
-profile of H is ValuationProfile.of_rows of them.
+min(W, q L_m.trunc) (_last_row_order).  It reads H(0) off the same rows,
+and the valuation profile of H is ValuationProfile.of_rows of them.
 
 The level-m reduction congruence H_m[0][0] Lambda_q(f)(z^q) == f
 mod z^{q+1}, f = Y[0][0], holds whenever Y(0) = I, so all it decides is
@@ -45,18 +46,21 @@ right-divided.  Rows 1 .. n-1 of Phi follow from rows 0 .. n-2 of the
 Frobenius equation, Phi_{i+1} = delta(Phi_i) + p Phi_i A(z^p), the step of
 H_m at q = p with L read off Y as L_m is.  That step is exact for
 Phi = Y C Y(z^p)^{-1} because N C = p C N and Y, a uniform part, follows
-Y_{i+1} = delta(Y_i) + Y_i N; the Phi builders check that rule on Y's
-rows and refuse a Y that breaks it.  The fit's row 0 of Y C for a unit
-twist is a column shift of row 0 of Y diag(1, p, ..., p^(n-1)).
+Y_{i+1} = delta(Y_i) + Y_i N, the step at q = 1 with every a_j = 0; the
+Phi builders check that rule on Y's rows and refuse a Y that breaks it.
+The fit's row 0 of Y C for a unit twist is a column shift of row 0 of
+Y diag(1, p, ..., p^(n-1)).
 
-The audits read L's polynomial rows P_0 .. P_n, so they take a parsed
-operator as it is or a monic one (P_n = 1).  Each equation is checked
-times P_n (transfer) or P_n(z) P_n(z^p) (Frobenius); the factor has a
-nonzero constant term, so the residual vanishes to exactly the order of
-the monic one.  No row of the Frobenius equation holds by construction,
-so verify_frobenius forms its full residual, with C = P_n A a sparse
-SeriesMatrix, P_n on the superdiagonal and -P_k in the last row, whose
-zero entries the matrix products skip.
+The audits take a parsed operator as it is or a monic one (P_n = 1), and
+both equations are checked row by row with the one companion step
+(_row_step).  Rows 0 .. n-2 say that the step of row i is row i+1; the
+last row, times P_n, is sum_k P_k R_k = 0 over L's polynomial rows
+P_0 .. P_n with R_n the step of R_{n-1}.  P_n has a nonzero constant
+term, so each row vanishes to exactly the order of the monic one.  No row
+of the Frobenius equation holds by construction, so verify_frobenius
+checks them all, at q = p with the monic L, which A(z^p) needs only to
+ceil(T/p) below the check order T.  Neither audit forms a SeriesMatrix
+product.
 
 Truncation budget: every Cartier application divides the known order by p,
 so level-m operator data certified to order T needs a working order of at
@@ -349,42 +353,87 @@ def transfer_operator_L1(f_last_row, q: int) -> DeltaOperator:
     return op
 
 
-def _h_rows(row0, operator: DeltaOperator, q: int, order: int):
-    """Yield rows 0 .. n of H_m mod z^order as integer rows (den,
-    [numerators of each entry]) from row 0, one such row, by
-    H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion matrix of L_m:
-    column j of q H_i B(z^q) is q H_i[j-1] - q a_j(z^q) H_i[n-1].  A step is
-    taken only when its row is asked for.  At q = p with L_m = L the same
-    steps give the rows of a Frobenius matrix Phi from its row 0, since
-    delta(Phi) = A Phi - p Phi A(z^p) has the same shape.
+def _row_step(coeffs, q: int, order: int):
+    """The step R -> delta(R) + q R B(z^q) on integer rows (den,
+    [numerators of each entry]) mod z^order, B the companion matrix of the
+    monic operator with coefficients a_0 .. a_{n-1} = coeffs: column j of
+    q R B(z^q) is q R[j-1] - q a_j(z^q) R[n-1].
 
-    -q a_j(z^q) is tail_j / d over the lcm d of L_m's denominators, known
-    to q operator.trunc >= order, so row i+1 is an integer row over d den_i.
-    d mostly cancels: when it divides every tail_j H_i[n-1], row i+1 stays
-    over den_i; otherwise it is restated over d den_i and reduced once.  An
-    integral L_m (d = 1, as L itself often is) skips the division."""
-    den, nums = row0[0], [e[:order] for e in row0[1]]
-    d = lcm(*(a.den for a in operator.coeffs))
+    -q a_j(z^q) is tail_j / d over the lcm d of the a_j's denominators,
+    which must be known to ceil(order / q), so the step of a row over den
+    is an integer row over d den.  d mostly cancels: when it divides every
+    tail_j R[n-1], the step stays over den; otherwise it is restated over
+    d den and reduced once.  Integral a_j (d = 1) skip the division."""
+    d = lcm(*(a.den for a in coeffs))
     tails = []
-    for a in operator.coeffs:
+    for a in coeffs:
         tail = [0] * order
         tail[::q] = [-q * x * (d // a.den) for x in a.nums[:-(-order // q)]]
         tails.append(tail)
-    yield den, nums
-    for _ in range(operator.order):
-        last, step, rems = nums[-1], [], []
+
+    def step(row):
+        den, nums = row
+        last, out, rems = nums[-1], [], []
         for j, (entry, tail) in enumerate(zip(nums, tails)):
-            out = [0] * order
-            _add_product(out, tail, last)
-            quot, rem = zip(*(divmod(x, d) for x in out)) if d != 1 else (out, ())
+            acc = [0] * order
+            _add_product(acc, tail, last)
+            quot, rem = zip(*(divmod(x, d) for x in acc)) if d != 1 else (acc, ())
             left = nums[j - 1] if j else [0] * order
-            step.append([k * x + q * y + c for k, (x, y, c) in enumerate(zip(entry, left, quot))])
+            out.append([k * x + q * y + c for k, (x, y, c) in enumerate(zip(entry, left, quot))])
             rems.append(rem)
         if any(any(r) for r in rems):
-            den, step = reduce_row(den * d, [[d * x + r for x, r in zip(entry, rem)]
-                                             for entry, rem in zip(step, rems)])
-        nums = step
-        yield den, nums
+            return reduce_row(den * d, [[d * x + r for x, r in zip(entry, rem)]
+                                        for entry, rem in zip(out, rems)])
+        return den, out
+
+    return step
+
+
+def _h_rows(row0, operator: DeltaOperator, q: int, order: int):
+    """Yield rows 0 .. n of H_m mod z^order as integer rows (den,
+    [numerators of each entry]) from row 0, one such row, by the companion
+    step H_{i+1} = delta(H_i) + q H_i B(z^q), B the companion matrix of
+    L_m, which must be known to ceil(order / q).  A step is taken only when
+    its row is asked for.  At q = p with L_m = L the same steps give the
+    rows of a Frobenius matrix Phi from its row 0, since
+    delta(Phi) = A Phi - p Phi A(z^p) has the same shape."""
+    step = _row_step(operator.coeffs, q, order)
+    row = row0[0], [e[:order] for e in row0[1]]
+    yield row
+    for _ in range(operator.order):
+        row = step(row)
+        yield row
+
+
+def _agreement_order(row, other, order: int) -> int:
+    """The first exponent below `order` at which the integer rows row and
+    other differ, compared with cross-multiplied denominators; order when
+    they agree below it."""
+    (d, xs), (e, ys) = row, other
+    g = gcd(d, e)
+    fd, fe = e // g, d // g
+    for u, v in zip(xs, ys):
+        order = next((k for k, (x, y) in enumerate(zip(u[:order], v)) if x * fd != y * fe),
+                     order)
+    return order
+
+
+def _last_row_order(polys, rows, order: int) -> int:
+    """The order, at most `order`, to which sum_k P_k R_k vanishes, for
+    series P_0 .. P_n and integer rows R_0 .. R_n: the last row of an
+    equation delta(R) = A R - q R B(z^q) times P_n, R_n being one more
+    companion step of R_{n-1}.  One integer sum per column over a common
+    denominator of the terms, each column only to the order found so
+    far."""
+    terms = list(zip(polys, rows))
+    scale = lcm(*(poly.den * den for poly, (den, _) in terms))
+    factors = [[x * (scale // (poly.den * den)) for x in poly.nums] for poly, (den, _) in terms]
+    for j in range(len(rows[0][1])):
+        out = [0] * order
+        for factor, (_, nums) in zip(factors, rows):
+            _add_product(out, factor, nums[j])
+        order = next((k for k, x in enumerate(out) if x), order)
+    return order
 
 
 def _require_identity_at_zero(y: SeriesMatrix):
@@ -396,18 +445,14 @@ def _require_identity_at_zero(y: SeriesMatrix):
 
 def _require_uniform_part(y: SeriesMatrix):
     """Y(0) = I and Y's integer rows follow Y_{i+1} = delta(Y_i) + Y_i N,
-    N the nilpotent shift, as the rows of a uniform part do."""
+    N the nilpotent shift, as the rows of a uniform part do: the companion
+    step at q = 1 with every a_j = 0."""
     _require_identity_at_zero(y)
-    zero = [0] * y.trunc
-    for (d, row), (e, nxt) in zip(y.rows, y.rows[1:]):
-        g = gcd(d, e)
-        fd, fe = d // g, e // g
-        for j, entry in enumerate(nxt):
-            left = row[j - 1] if j else zero
-            if any(x * fd != fe * (k * a + b)
-                   for k, (x, a, b) in enumerate(zip(entry, row[j], left))):
-                raise ValueError("matrix is not a uniform part: its rows must follow "
-                                 "Y_{i+1} = delta(Y_i) + Y_i N")
+    order = y.trunc
+    step = _row_step([TruncSeries.zero(order)] * y.n, 1, order)
+    if any(_agreement_order(step(row), nxt, order) < order for row, nxt in zip(y.rows, y.rows[1:])):
+        raise ValueError("matrix is not a uniform part: its rows must follow "
+                         "Y_{i+1} = delta(Y_i) + Y_i N")
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +578,9 @@ def transfer_audit(op: RawOperator | DeltaOperator, data: TransferData) -> Trans
                         for i, row in enumerate(data.h_constant_matrix())
                         for j, c in enumerate(row))
     check_trunc, polys = _row_series(op, len(data.rows[0][1][0]))
-    terms = list(zip(polys, data.rows))  # (P_k, H_k)
-    scale = lcm(*(poly.den * den for poly, (den, _) in terms))
-    factors = [[x * (scale // (poly.den * den)) for x in poly.nums] for poly, (den, _) in terms]
-    residual_order = check_trunc
-    for j in range(n):
-        out = [0] * check_trunc
-        for factor, (_, (_, nums)) in zip(factors, terms):
-            _add_product(out, factor, nums[j])
-        residual_order = next((k for k, x in enumerate(out[:residual_order]) if x),
-                              residual_order)
     return TransferAudit(
         h_constant_ok,
-        residual_order,
+        _last_row_order(polys, data.rows, check_trunc),
         check_trunc,
         ValuationProfile.of_rows(data.rows[:-1], data.p),
         data.operator.p_integrality(data.p),
@@ -565,24 +600,6 @@ def _row_series(op: RawOperator | DeltaOperator, trunc: int):
             "leading polynomial vanishes at z = 0; shearing is out of scope"
         )
     return trunc, polys
-
-
-def _companion(polys, factor) -> SeriesMatrix:
-    """factor C for C = P_n A, A the companion matrix of sum_k P_k D^k:
-    factor P_n on the superdiagonal, -factor P_k in column k of the last
-    row and zero elsewhere."""
-    n = len(polys) - 1
-    lead = polys[n] * factor
-    zero = TruncSeries.zero(lead.trunc)
-    rows = [tuple(lead if j == i + 1 else zero for j in range(n)) for i in range(n - 1)]
-    rows.append(tuple(-(poly * factor) for poly in polys[:n]))
-    return SeriesMatrix(tuple(rows))
-
-
-def _scalar_matrix(s: TruncSeries, n: int) -> SeriesMatrix:
-    """s times the n x n identity matrix."""
-    zero = TruncSeries.zero(s.trunc)
-    return SeriesMatrix(tuple(tuple(s if i == j else zero for j in range(n)) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -625,30 +642,31 @@ class FrobeniusVerification:
 def verify_frobenius(op: RawOperator | DeltaOperator,
                      cand: FrobeniusCandidate) -> FrobeniusVerification:
     """Residual audit of delta(Phi) = A Phi - p Phi A(z^p); every finding
-    about the candidate is reported as data.  An operator with P_n(0) = 0
-    raises ApparentSingularityAtZero.
+    about the candidate is reported as data.  A candidate whose size is not
+    the operator's order raises ValueError, an operator with P_n(0) = 0
+    ApparentSingularityAtZero.
 
-    The equation is checked times P_n(z) P_n(z^p), with C = P_n A read off
-    L's polynomial rows:
-    P_n P_n(z^p) delta(Phi) - P_n(z^p) C Phi + p P_n Phi C(z^p).
-    The factor has constant term P_n(0)^2 != 0, so the residual vanishes
-    to the same order as the monic one.  No row of it holds by
-    construction, so it is formed in full, one sum of three matrix
-    products.  det(Phi) mod z^T is nonzero when det(Phi(0)) is; only a
-    singular Phi(0) needs the full determinant."""
-    p = cand.p
+    The equation is checked row by row on Phi's integer rows with the
+    companion step of the monic L at q = p (op itself when monic, else
+    monicized to ceil(T/p), all A(z^p) needs below the check order T):
+    rows 0 .. n-2 say step(Phi_i) = Phi_{i+1}, and the last row, times
+    P_n, is sum_k P_k Phi_k over L's polynomial rows with
+    Phi_n = step(Phi_{n-1}), as in transfer_audit.  P_n(0) != 0, so the
+    residual vanishes to the same order as the monic one.  det(Phi) mod z^T
+    is nonzero when det(Phi(0)) is; only a singular Phi(0) needs the full
+    determinant."""
+    n, p = op.order, cand.p
+    if cand.phi.n != n:
+        raise ValueError(f"candidate is {cand.phi.n}x{cand.phi.n} but the operator has order {n}")
     check_trunc, polys = _row_series(op, cand.trunc)
-    phi = cand.phi.truncate(check_trunc)
-    polys_sub = [poly.substitute_power(p, check_trunc) for poly in polys]
-    lead, lead_sub = polys[-1], polys_sub[-1]
-    both, p_lead = lead * lead_sub, lead * p
-    residual = SeriesMatrix.sum_of_products((
-        (phi.delta(), _scalar_matrix(both, phi.n)),
-        (_companion(polys, -lead_sub), phi),
-        (phi, _companion(polys_sub, p_lead)),
-    ))
+    monic = op if isinstance(op, DeltaOperator) else monicize(op, -(-check_trunc // p))
+    step = _row_step(monic.coeffs, p, check_trunc)
+    rows = cand.phi.truncate(check_trunc).rows
+    residual_order = check_trunc
+    for row, nxt in zip(rows, rows[1:]):
+        residual_order = _agreement_order(step(row), nxt, residual_order)
     return FrobeniusVerification(
-        residual.residual_order(),
+        _last_row_order(polys, [*rows, step(rows[-1])], residual_order),
         check_trunc,
         cand.phi.valuation_profile(p),
         not (cand.phi.truncate(1).det().is_zero() and cand.phi.det().is_zero()),

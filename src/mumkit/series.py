@@ -11,17 +11,16 @@ a whole, and every operation runs on those integers: sums over the lcm of
 the two denominators, with one running gcd per result.  The coefficients
 as reduced Fractions are built only when read.  A SeriesMatrix is stored
 as integer rows (den, [numerator lists]), one denominator per row, not
-necessarily reduced: truncate, delta, scale, sums and products keep the
+necessarily reduced: truncate, delta, scale and sums keep the
 denominators they produce, and a row is reduced, by one gcd
 (reduce_row), only after a Cartier image and a right division, where
 heights can shrink.  Its entries as reduced series are built only when
-read.  Products have one loop, _dot, a sum of integer convolutions over
-the lcm of the terms' denominators that skips zero entries and
-coefficients and loops over the sparser operand of each term on the
-outside: a product of two series is one _dot term, and each entry of a
-sum of SeriesMatrix products is one _dot.  right_divide solves
-U M(z^s) = X for a few integer rows X order by order on integers, so no
-matrix inverse is ever formed.  Every valuation profile, of a series, a
+read.  A product of two series is one integer convolution, _dot, over the
+product of the two denominators, which skips zero coefficients and loops
+over the sparser operand on the outside.  A SeriesMatrix product is the
+plain one over the entries; the library forms none, and tests use it as
+an oracle.  right_divide solves U M(z^s) = X for a few integer rows X
+order by order on integers, so no matrix inverse is ever formed.  Every valuation profile, of a series, a
 matrix, a monic operator or integer rows, is ValuationProfile.of_rows.
 divide, exp and log share one recurrence on integers, which keeps the
 coefficients found so far as numerators over one running denominator;
@@ -33,8 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
-from operator import mul
+from operator import add, mul
 
 from .primes import vp_int
 
@@ -303,12 +303,11 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product with a series, to the smaller order, as one _dot term, or
-        with a scalar."""
+        """Product with a series, to the smaller order, by _dot, or with a
+        scalar."""
         if isinstance(other, TruncSeries):
             n = min(self.trunc, other.trunc)
-            return TruncSeries._from_nums(
-                *_dot([(_sparse(self.nums, self.den, n), _sparse(other.nums, other.den, n))], n))
+            return TruncSeries._from_nums(_dot(self.nums, other.nums, n), self.den * other.den)
         c = Fraction(other)
         return TruncSeries._from_nums([c.numerator * x for x in self.nums],
                                       c.denominator * self.den)
@@ -549,12 +548,11 @@ class SeriesMatrix:
                                       for den, nums in self.rows)
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return _sum_of_products(((self, other),))
-
-    @staticmethod
-    def sum_of_products(pairs) -> "SeriesMatrix":
-        """Sum of the products A B over the (A, B) pairs, to the smallest order."""
-        return _sum_of_products(pairs)
+        """The plain product over the entries, to the smaller order: entry
+        (i, j) is the sum of the series products A[i][k] B[k][j]."""
+        cols = tuple(zip(*other.entries))
+        return SeriesMatrix(tuple(tuple(reduce(add, map(mul, row, col)) for col in cols)
+                                  for row in self.entries))
 
     def delta(self) -> "SeriesMatrix":
         return SeriesMatrix.from_rows((den, [[k * x for k, x in enumerate(e)] for e in nums])
@@ -594,54 +592,21 @@ class SeriesMatrix:
         return ValuationProfile.of_rows(self.rows, p)
 
 
-def _sparse(nums, den: int, trunc: int):
-    """The nonzero coefficients below trunc of nums over den: ((exponent,
-    numerator) pairs, den)."""
-    return [(k, x) for k, x in enumerate(nums[:trunc]) if x], den
-
-
-def _dot(terms, trunc: int) -> tuple[list[int], int]:
-    """Sum of x y over the pairs of _sparse operands, mod z^trunc, as
-    numerators over L, the lcm of the products d e of their denominators,
-    not reduced.  Each term loops over its sparser operand on the outside
-    and scales that one by L / (d e)."""
-    terms = [(x, y) if len(x[0]) <= len(y[0]) else (y, x) for x, y in terms if x[0] and y[0]]
-    den = math.lcm(*(x[1] * y[1] for x, y in terms))
+def _dot(xs, ys, trunc: int) -> list[int]:
+    """The convolution of the integer lists xs and ys mod z^trunc.  Zero
+    coefficients are skipped, and the loop runs over the sparser operand on
+    the outside."""
+    xs = [(k, x) for k, x in enumerate(xs[:trunc]) if x]
+    ys = [(k, y) for k, y in enumerate(ys[:trunc]) if y]
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
     out = [0] * trunc
-    for (xs, d), (ys, e) in terms:
-        scale = den // (d * e)
-        for a, u in xs:
-            u *= scale
-            for b, v in ys:
-                if a + b >= trunc:
-                    break
-                out[a + b] += u * v
-    return out, den
-
-
-def _sum_of_products(pairs) -> SeriesMatrix:
-    """Sum of A B over the (A, B) pairs, on integers, to the smallest order.
-
-    Each distinct operand is read once, as _sparse entries over its row
-    denominators; output entry (i, j) is the _dot of the terms A[i][k]
-    B[k][j], and output row i is over the lcm of its entries'
-    denominators, not reduced.  Zero entries and coefficients are skipped,
-    so a product by a sparse matrix visits its nonzero entries only."""
-    trunc = min(min(a.trunc, b.trunc) for a, b in pairs)
-    sparse = {}
-    for mat in (operand for pair in pairs for operand in pair):
-        if id(mat) not in sparse:
-            sparse[id(mat)] = [[_sparse(e, den, trunc) for e in nums] for den, nums in mat.rows]
-    sides = [(sparse[id(a)], sparse[id(b)]) for a, b in pairs]
-    n = pairs[0][0].n
-    rows = []
-    for i in range(n):
-        out = [_dot([(x, y) for left, right in sides
-                     for x, y in zip(left[i], (r[j] for r in right))], trunc)
-               for j in range(n)]
-        den = math.lcm(*(d for _, d in out))
-        rows.append((den, [e if d == den else [x * (den // d) for x in e] for e, d in out]))
-    return SeriesMatrix.from_rows(rows)
+    for a, u in xs:
+        for b, v in ys:
+            if a + b >= trunc:
+                break
+            out[a + b] += u * v
+    return out
 
 
 def right_divide(rows, mat: SeriesMatrix, s: int = 1) -> tuple:

@@ -199,8 +199,6 @@ def test_operations_stay_reduced_and_match_fraction_reference(a, b, c, k, p):
             (x * c, tuple(c * y for y in A)),
             (c - x, (c - A[0],) + tuple(-y for y in A[1:])),
             ((mat(x) * mat(b)).entry(0, 0), ref_mul(A, B)),
-            (SeriesMatrix.sum_of_products(((mat(x), mat(b)), (mat(b), mat(x)))).entry(0, 0),
-             ref_add(ref_mul(A, B), ref_mul(B, A))),
             (x.delta(), ref_delta(A)),
             (x.shift(k), (F(0),) * k + A),
             (x.truncate(min(k, x.trunc)), A[:k]),
@@ -277,20 +275,17 @@ def sparse_and_dense(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_and_dense(), sparse_and_dense())
 def test_sparse_times_dense_sums_match_schoolbook(first, second):
-    # each term loops over its sparser operand, on either side, and scales
-    # it to the lcm of the terms' denominators
+    # each product loops over its sparser operand, on either side, over the
+    # product of the two denominators; the sum restates both over their lcm
     (d1, s1), (d2, s2) = first, second
-    pairs = ((d1, s1), (s2, d2))
     expected = ref_add(schoolbook(d1, s1), schoolbook(s2, d2))
     assert (d1 * s1).coeffs == schoolbook(d1, s1)
     assert (s2 * d2).coeffs == schoolbook(s2, d2)
-    mat = lambda x: SeriesMatrix(((x,),))
-    assert SeriesMatrix.sum_of_products(tuple((mat(x), mat(y)) for x, y in pairs)) \
-        .entry(0, 0).coeffs == expected[:min(d1.trunc, d2.trunc)]
+    assert (d1 * s1 + s2 * d2).coeffs == expected[:min(d1.trunc, d2.trunc)]
 
 
 def test_sparse_times_dense_with_unequal_denominators():
-    # the terms' denominators differ, so at least one is scaled (scale != 1)
+    # the terms' denominators differ, so the sum rescales at least one
     dense = S([F(k + 1, 3) for k in range(10)])
     sparse = S([F(5, 7) if k % 3 == 0 else 0 for k in range(10)])
     const = S([F(2, 9)], 10)
@@ -301,7 +296,9 @@ def test_sparse_times_dense_with_unequal_denominators():
             expected = ref_add(expected, schoolbook(x, y))
         assert all((x * y).coeffs == schoolbook(x, y) for x, y in pairs)
         mat = lambda x: SeriesMatrix(((x,),))
-        total = SeriesMatrix.sum_of_products(tuple((mat(x), mat(y)) for x, y in pairs))
+        total = mat(pairs[0][0]) * mat(pairs[0][1])
+        for x, y in pairs[1:]:
+            total = total + mat(x) * mat(y)
         assert total.entry(0, 0).coeffs == expected
 
 
@@ -964,15 +961,6 @@ def test_matmul_matches_entrywise_product(pairs):
     assert coefficients(prod) == entrywise_product(a, b)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 3).flatmap(matrix_pairs))
-def test_sum_of_products_matches_entrywise_sum(pairs):
-    expected = entrywise_product(*pairs[0])
-    for a, b in pairs[1:]:
-        expected = add_coefficients(expected, entrywise_product(a, b))
-    assert coefficients(SeriesMatrix.sum_of_products(pairs)) == expected
-
-
 @st.composite
 def invertible_matrices(draw):
     """A series matrix whose constant term is an invertible matrix other
@@ -1056,9 +1044,6 @@ def test_matmul_and_matinv_on_quintic_y(quintic_y30):
         assert coefficients(y * lam_sub) == entrywise_product(y, lam_sub)
         assert coefficients(lam_sub * y) == entrywise_product(lam_sub, y)
         assert coefficients(y * lam) == entrywise_product(y, lam)
-        pairs = ((y, lam_sub), (y_inv, lam.substitute_power(q, 30)))
-        assert coefficients(SeriesMatrix.sum_of_products(pairs)) == add_coefficients(
-            entrywise_product(*pairs[0]), entrywise_product(*pairs[1]))
 
 
 @st.composite

@@ -1,12 +1,12 @@
 """The integer kernels (the reduced numerators-over-denominator form of a
-series, the integer rows of a series matrix, sums, products and sums of
-products, valuations, the order-by-order right division by a series
-matrix, the recurrence behind divide, exp and log, the Frobenius
-recurrence and its Horner table, the rows of the uniform part, the residual
-of verify_solution
-and the ladder of squares behind vp_int), each broken on purpose in a copy
-of the package, must fail their oracle tests in tests/test_series.py,
-tests/test_solve.py or tests/test_primes.py."""
+series, the integer rows of a series matrix, sums, the series product and
+the plain matrix product over it, valuations, the order-by-order right
+division by a series matrix, the recurrence behind divide, exp and log,
+the Frobenius recurrence and its Horner table, the rows of the uniform
+part, the residual of verify_solution and the ladder of squares behind
+vp_int), each broken on purpose in a copy of the package, must fail their
+oracle tests in tests/test_series.py, tests/test_solve.py or
+tests/test_primes.py."""
 
 from pathlib import Path
 
@@ -19,7 +19,7 @@ SOLVE = (Path("src/mumkit/solve.py"), "test_solve.py")
 PRIMES = (Path("src/mumkit/primes.py"), "test_primes.py")
 MUL = "schoolbook or unequal_heights"
 DIVIDE = "divide_matches or invert_matches"
-MATMUL = "matmul or sum_of_products or sparse_times_dense"
+MATMUL = "matmul or sparse_times_dense"
 MATINV = "matinv or right_divide"
 PROFILE = "valuation_profile"
 EXP = "exp_matches_recurrence or exp_log_match"
@@ -41,11 +41,10 @@ KEPT_NUMERATORS = "v = _over_lcm(nums, v, xk.denominator)[0]"
 # name -> (target file and its test file, text in the target, its broken
 # replacement, tests that must fail)
 MUTATIONS = {
-    # a series product is one _dot term over the product d e of the two
-    # denominators: the term scaled as if over d alone, or over d d
-    "mul_drops_right_denominator": (SERIES, "scale = den // (d * e)", "scale = den // d", MUL),
-    "mul_scales_both_over_left_lcm": (SERIES, "scale = den // (d * e)", "scale = den // (d * d)",
-                                      MUL),
+    # a series product is _dot's convolution over the product d e of the two
+    # denominators: taken over d alone, or over d d
+    "mul_drops_right_denominator": (SERIES, "self.den * other.den", "self.den", MUL),
+    "mul_scales_both_over_left_lcm": (SERIES, "self.den * other.den", "self.den * self.den", MUL),
     "skips_the_reduction": (SERIES, "        if g != 1:\n            for x in nums:",
                             "        if False:\n            for x in nums:", FORM),
     "valuation_drops_den": (SERIES, "v = vp_int(x, p) - vd", "v = vp_int(x, p)", FORM),
@@ -54,16 +53,18 @@ MUTATIONS = {
     # the same fault in the sum of two matrices' integer rows
     "matrix_add_swaps_the_scales": (SERIES, "fa, fb = db // g, sign * (da // g)",
                                     "fa, fb = da // g, sign * (db // g)", ROWS),
-    # a matrix product's output row over the lcm of its entries'
-    # denominators, an entry left over its own
-    "matmul_row_keeps_entry_numerators": (SERIES, "e if d == den else [x * (den // d) for x in e]",
-                                          "e", MATMUL),
+    # a matrix built from entries, as a product is, has each row over the
+    # lcm of its entries' denominators: an entry left over its own
+    "matrix_row_keeps_entry_numerators": (
+        SERIES, "e.nums if e.den == den else tuple(x * (den // e.den) for x in e.nums)", "e.nums",
+        ROWS),
     "divide_drops_dividend_lcm": (
         SERIES, "Fraction(dr * acc + dw * rk * v, dr * dw * v * lead[k])",
         "Fraction(acc + dw * rk * v, dw * v * lead[k])", DIVIDE),
-    "matmul_drops_term_scale": (SERIES, "scale = den // (d * e)", "scale = 1", MATMUL),
-    "matmul_uses_left_lcm_for_both": (SERIES, "x[1] * y[1] for x, y in terms",
-                                      "x[1] * x[1] for x, y in terms", MATMUL),
+    # the plain product's entry (i, j), sum_k A[i][k] B[k][j]: the term of
+    # k = 0 dropped, or B's rows taken for its columns
+    "matmul_drops_a_term": (SERIES, "map(mul, row, col)", "map(mul, row[1:], col[1:])", MATMUL),
+    "matmul_pairs_rows_with_rows": (SERIES, "zip(*other.entries)", "other.entries", MATMUL),
     # right_divide's recurrence U_k = X_k - (1/d) sum_{j>=1} U_{k-sj} M_j over
     # a running denominator per class mod s: the earlier numerators of a
     # class kept when its denominator grows, or the term of M_1 dropped

@@ -2,18 +2,18 @@
 of H_m's row recursion and each factor of the fit's basis, broken on
 purpose in a copy of the package, must fail tests/test_transfer_rows.py.
 
-verify_frobenius's residual is a sum of products by the sparse companion
-matrices of _companion: a dropped column shift zeroes the superdiagonal of
-every such matrix, a dropped row shift that of the left factor C in C Phi
-only.  H_m's rows H_{i+1} = delta(H_i) + q H_i B(z^q) start from row 0 of Y
-times Lambda_q(Y)^{-1}(z^q) diag(1, q, ...) and run on integer rows, the
-last step giving H_n, with which transfer_audit's residual sum_k P_k H_k
-is formed.  The fit's Phi for the gammas e_r is row 0 of Y with columns
-scaled by p^k and shifted right by r, times Y(z^p)^{-1}, and rows 1 ..
-n-1 by the same steps at q = p with L read off Y, which needs Y's rows to
-follow Y_{i+1} = delta(Y_i) + Y_i N.  Row 0 of H_m and the last row
-of F_q come from right_divide in mumkit.series, whose recurrence is broken
-here too."""
+H_m's rows H_{i+1} = delta(H_i) + q H_i B(z^q) start from row 0 of Y
+times Lambda_q(Y)^{-1}(z^q) diag(1, q, ...) and run on integer rows by one
+companion step, the last step giving H_n, with which transfer_audit's
+residual sum_k P_k H_k is formed.  verify_frobenius runs the same step at
+q = p with the monic L, compares step(Phi_i) with Phi_{i+1} for rows
+0 .. n-2 and forms the last row as transfer_audit does, with
+Phi_n = step(Phi_{n-1}).  The fit's Phi for the gammas e_r is row 0 of Y
+with columns scaled by p^k and shifted right by r, times Y(z^p)^{-1}, and
+rows 1 .. n-1 by the same steps at q = p with L read off Y, which needs
+Y's rows to follow Y_{i+1} = delta(Y_i) + Y_i N, the step at q = 1 with
+every a_j = 0.  Row 0 of H_m and the last row of F_q come from
+right_divide in mumkit.series, whose recurrence is broken here too."""
 
 from pathlib import Path
 
@@ -32,25 +32,29 @@ LEVELS = "level_by_level_oracle"
 # name -> (text in frobtransfer.py, its broken replacement, tests that must
 # fail[, the file that holds the text when it is not frobtransfer.py])
 MUTATIONS = {
-    "audit_drops_lead": ("terms = list(zip(polys, data.rows))",
-                         "terms = list(zip(polys[:n] + [polys[n] * 0 + 1], data.rows))", AUDIT),
-    # the extra step H_n taken with q = 1 in its column shift
+    "audit_drops_lead": ("_last_row_order(polys, data.rows, check_trunc)",
+                         "_last_row_order(polys[:n] + [polys[n] * 0 + 1], data.rows, check_trunc)",
+                         AUDIT),
+    # the extra step H_n taken at q = 1
     "audit_drops_q": ("for _ in range(operator.order):",
                       "for i in range(operator.order):\n"
-                      "        q = 1 if i == operator.order - 1 else q", AUDIT),
+                      "        if i == operator.order - 1:\n"
+                      "            step = _row_step(operator.coeffs, 1, order)", AUDIT),
     # the residual's last term P_n H_n taken with H_{n-1} for H_n
-    "audit_skips_last_step": ("terms = list(zip(polys, data.rows))",
-                              "terms = list(zip(polys, data.rows[:-1] + data.rows[-2:-1]))",
-                              AUDIT),
-    "drops_column_shift": ("lead if j == i + 1 else zero", "zero", VERIFY),
-    "drops_row_shift": ("(_companion(polys, -lead_sub), phi)",
-                        "(_companion(polys[:-1] + [0 * polys[-1]], -lead_sub), phi)", VERIFY),
-    "verify_drops_lead": ("both, p_lead = lead * lead_sub, lead * p",
-                          "both, p_lead = lead_sub, p", VERIFY),
-    "verify_drops_lead_sub": ("both, p_lead = lead * lead_sub, lead * p",
-                              "both, p_lead = lead, lead * p", VERIFY),
-    "verify_drops_p": ("both, p_lead = lead * lead_sub, lead * p",
-                       "both, p_lead = lead * lead_sub, lead", VERIFY),
+    "audit_skips_last_step": ("_last_row_order(polys, data.rows, check_trunc)",
+                              "_last_row_order(polys, data.rows[:-1] + data.rows[-2:-1], "
+                              "check_trunc)", AUDIT),
+    # verify_frobenius: the companion step without its column shift, rows
+    # 0 .. n-2 with step(Phi_i) compared with Phi_i (the row shift of A Phi
+    # dropped), the last row without P_n Phi_n, the step at q = 1, or the
+    # monic L one order short of the ceil(T/p) that A(z^p) needs
+    "drops_column_shift": ("k * x + q * y + c", "k * x + c", VERIFY),
+    "drops_row_shift": ("zip(rows, rows[1:])", "zip(rows, rows)", VERIFY),
+    "verify_drops_lead": ("[*rows, step(rows[-1])]", "rows", VERIFY),
+    "verify_drops_p": ("_row_step(monic.coeffs, p, check_trunc)",
+                       "_row_step(monic.coeffs, 1, check_trunc)", VERIFY),
+    "verify_reads_l_one_order_short": ("monicize(op, -(-check_trunc // p))",
+                                       "monicize(op, -(-check_trunc // p) - 1)", VERIFY),
     # H_m's rows built with p where they need q = p^m
     "h_drops_level": ("right_divide((y.rows[0],), lam, q)",
                       "right_divide((y.rows[0],), lam, p)", CLOSED),
@@ -88,7 +92,8 @@ MUTATIONS = {
                        FIT),
     "fit_reads_l_one_order_short": ("y.truncate(-(-order // p))", "y.truncate(-(-order // p) - 1)",
                                     FIT),
-    "fit_skips_the_row_rule": ("if any(x * fd != fe", "if False and any(x * fd != fe", UNIFORM),
+    "fit_skips_the_row_rule": ("    if any(_agreement_order(",
+                               "    if False and any(_agreement_order(", UNIFORM),
 }
 
 

@@ -345,7 +345,7 @@ def test_transfer_residual_after_every_single_fault():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_frobenius_residual_matches_the_monic_oracle(seed):
-    rng = random.Random(200 + seed)
+    rng, row_rng = random.Random(200 + seed), random.Random(300 + seed)
     broken = 0
     for p in (3, 5, 7):
         raw = random_mum_operator(rng)
@@ -366,6 +366,16 @@ def test_frobenius_residual_matches_the_monic_oracle(seed):
             expected = frobenius_residual_order(monic, bad)
             assert verify_order(raw, bad) == verify_order(monic, bad) == expected
             broken += expected[0] < expected[1]
+        # a fault confined to row 0, a middle row or row n-1 at z^k, k >= 1,
+        # changes row i of the residual by k c z^k in its column; rows
+        # 0 .. n-2 are compared with the next row, row n-1 is the last-row
+        # kernel's
+        for i in sorted({0, n // 2, n - 1}):
+            j, k = row_rng.randrange(n), row_rng.randrange(1, trunc)
+            bad = FrobeniusCandidate(p, with_fault(cand.phi, i, j, k, Fraction(1, 3)))
+            expected = frobenius_residual_order(monic, bad)
+            assert verify_order(raw, bad) == verify_order(monic, bad) == expected
+            assert expected[0] <= k < expected[1]
     assert broken
 
 
@@ -495,6 +505,14 @@ def test_transfer_data_and_audit_refuse_mismatched_orders():
         replace(data, h_row0=(data.h_row0[0], data.h_row0[1][:2]))
     with pytest.raises(ValueError):
         transfer_audit(RawOperator(((0, 1), (0, 1), (1,))), data)
+    # the row steps zip over entries, so a candidate of another size must
+    # be refused, not given a verdict
+    cand = frobenius_from_constant(uniform_part(raw, 11), twisted_rows(5, 3, [1, 0, 0]), 5)
+    quintic = hypergeometric(["1/5", "2/5", "3/5", "4/5"], [1] * 4, 5**5)
+    for op in (RawOperator(((0, 1), (0, 1), (1,))), monicize(quintic, 11)):
+        with pytest.raises(ValueError, match=f"candidate is 3x3 but the operator has order "
+                                             f"{op.order}"):
+            verify_frobenius(op, cand)
 
 
 def test_audit_rejects_an_apparent_singularity():
