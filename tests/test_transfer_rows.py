@@ -6,14 +6,15 @@ transfers one prime at a time and solves every intermediate level.  H_m is
 built from its first row by the companion recursion of L_m; the oracle is
 the product Y (Lambda_q(Y)(z^q))^{-1} diag(1, q, ...) at Y's full order.
 
-The audits read L's polynomial rows: the residuals are the monic ones times
-P_n (transfer_audit) or P_n(z) P_n(z^p) (verify_frobenius), whose constant
-terms are nonzero, so every residual order must equal the oracle's, for the
-true H or Phi and after any single-coefficient fault.  transfer_audit forms
-only the last row of its equation, since TransferData derives H's rows
-1 .. n-1 from row 0 and L_m by the others; the oracle forms all n x n
-entries.  So the transfer faults go into what TransferData holds, row 0 of
-H and the coefficients of L_m, and into the audited operator's P_k.
+The audits check their equations row by row with one companion step: rows
+0 .. n-2 as the monic ones, the last row times P_n, whose constant term is
+nonzero, so every residual order must equal the oracle's, for the true H
+or Phi and after any single-coefficient fault.  transfer_audit forms only
+the last row of its equation, since TransferData derives H's rows 1 .. n-1
+from row 0 and L_m by the others; verify_frobenius forms every row; the
+oracle forms all n x n entries.  So the transfer faults go into what
+TransferData holds, row 0 of H and the coefficients of L_m, and into the
+audited operator's P_k.
 """
 
 import math
